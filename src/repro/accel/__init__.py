@@ -1,13 +1,11 @@
 """Optional accelerated kernel path.
 
 ``repro.accel`` holds the compiled fast path for the simulator's
-hottest code. Tier 0 is ``_accelcore``, a small C extension
-re-implementing the two dispatch loops of
-:class:`repro.sim.kernel.Simulator` (``run`` and
-``run_until_triggered``) with the heap sift inlined; tier 1 is an
-optional mypyc batch-build of the lock manager and network modules
-(see :mod:`repro.accel.build`). The pure-Python implementations are
-always present and remain the reference: golden trace digests must be
+hottest code: ``_accelcore``, a small C extension re-implementing the
+two dispatch loops of :class:`repro.sim.kernel.Simulator` (``run`` and
+``run_until_triggered``) with the heap sift inlined (see
+:mod:`repro.accel.build`). The pure-Python implementations are always
+present and remain the reference: golden trace digests must be
 bit-identical between the two paths (tests/test_accel.py).
 
 Runtime selection is via the ``REPRO_ACCEL`` environment variable:
@@ -17,9 +15,9 @@ Runtime selection is via the ``REPRO_ACCEL`` environment variable:
 * unset (or anything else) — auto: use the compiled path when the
   extension imports, fall back to pure Python otherwise.
 
-Build it in place with ``python -m repro.accel.build`` or via the
-packaging extra (``pip install -e .[accel]`` + ``REPRO_BUILD_ACCEL=1``);
-see docs/performance.md ("Building the accelerated kernel").
+Build it in place with ``python -m repro.accel.build`` or during
+install (``REPRO_BUILD_ACCEL=1 pip install -e .[accel]``); see
+docs/performance.md ("Building the accelerated kernel").
 """
 
 from __future__ import annotations

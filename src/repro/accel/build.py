@@ -1,43 +1,24 @@
 """Build the accelerated kernel in place.
 
-Two tiers, both optional, both leaving the pure-Python reference
-implementation untouched:
+``python -m repro.accel.build`` compiles ``_accelcore.c`` (the C
+dispatch core) with the local C compiler via setuptools, leaving the
+pure-Python reference implementation untouched. No dependencies beyond
+a working compiler and CPython headers.
 
-* **Tier 0 — C dispatch core** (``python -m repro.accel.build``):
-  compiles ``_accelcore.c`` with the local C compiler via setuptools.
-  No dependencies beyond a working compiler and CPython headers.
-
-* **Tier 1 — mypyc batch build** (``python -m repro.accel.build
-  --mypyc``): whole-module compilation of the lock manager and the
-  network hot path. Requires mypy (``pip install -e .[accel]``); when
-  mypy is absent this tier reports itself unavailable and exits 0 so
-  automation can always run the default tier.
-
-``pip install -e .[accel]`` pulls in the mypyc toolchain; set
-``REPRO_BUILD_ACCEL=1`` during install to build tier 0 as part of the
-wheel (see setup.py — the build is failure-tolerant so a missing
+Set ``REPRO_BUILD_ACCEL=1`` during ``pip install`` to build it as part
+of the wheel (see setup.py — the build is failure-tolerant so a missing
 compiler never breaks a pure install).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
 PACKAGE_DIR = Path(__file__).resolve().parent
 C_SOURCE = PACKAGE_DIR / "_accelcore.c"
-
-# Tier-1 targets: modules mypyc compiles wholesale. The dispatch loop
-# itself is excluded — tier 0 covers it with a hand-written core that
-# the digest tests exercise directly.
-MYPYC_TARGETS = (
-    "src/repro/scheduler/lockmanager.py",
-    "src/repro/sim/network.py",
-)
 
 
 def build_c_core(verbose: bool = True) -> Path:
@@ -79,46 +60,10 @@ def clean() -> int:
     return removed
 
 
-def mypyc_available() -> bool:
-    try:
-        import mypyc  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def build_mypyc(verbose: bool = True) -> bool:
-    """Tier 1: compile MYPYC_TARGETS with mypyc. Returns False when
-    mypyc is not installed (not an error — the tier is optional)."""
-    if not mypyc_available():
-        if verbose:
-            print(
-                "mypyc not installed; skipping tier-1 build "
-                "(pip install -e .[accel] to enable)"
-            )
-        return False
-    import subprocess
-
-    repo_root = PACKAGE_DIR.parents[2]
-    targets = [str(repo_root / t) for t in MYPYC_TARGETS if (repo_root / t).exists()]
-    if verbose:
-        print(f"mypyc: compiling {len(targets)} modules")
-    env = dict(os.environ, MYPYPATH=str(repo_root / "src"))
-    result = subprocess.run(
-        [sys.executable, "-m", "mypyc", *targets], cwd=str(repo_root), env=env
-    )
-    return result.returncode == 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.accel.build",
         description="Build the optional accelerated kernel in place.",
-    )
-    parser.add_argument(
-        "--mypyc",
-        action="store_true",
-        help="also attempt the tier-1 mypyc batch build (needs mypy)",
     )
     parser.add_argument(
         "--clean", action="store_true", help="remove built extensions and exit"
@@ -128,8 +73,6 @@ def main(argv=None) -> int:
         clean()
         return 0
     build_c_core()
-    if args.mypyc:
-        build_mypyc()
     from repro.accel import accel_status
 
     print(f"accel status after build (this process): {accel_status()}")

@@ -163,17 +163,14 @@ class BaselineNode:
                 f"transactions (got {txn.procedure!r})"
             )
         costs = self.config.costs
-        participants = txn.participants(self.catalog)
+        # The baseline has no epochs and its catalog is never re-sharded.
+        route = self.catalog.route(txn, 0)
+        participants = route.participants
         state = _CoordState(txn, participants)
         self._coord[txn.txn_id] = state
 
         for partition in sorted(participants):
-            read_keys = tuple(
-                k for k in txn.read_set if self.catalog.partition_of(k) == partition
-            )
-            write_keys = tuple(
-                k for k in txn.write_set if self.catalog.partition_of(k) == partition
-            )
+            read_keys, write_keys, _ = route[partition]
             self.send(
                 partition,
                 ExecRequest(txn.txn_id, txn.txn_id, self.partition, read_keys, write_keys),
@@ -225,9 +222,7 @@ class BaselineNode:
             self._finish(state, TxnStatus.ABORTED, value)
             return
 
-        writes_by_partition: Dict[int, Dict] = {p: {} for p in participants}
-        for key, val in context.writes.items():
-            writes_by_partition[self.catalog.partition_of(key)][key] = val
+        writes_by_partition = route.split_writes(context.writes)
 
         if len(participants) == 1:
             # Local commit: one forced commit record, then apply/release.
@@ -235,7 +230,7 @@ class BaselineNode:
                 force_start = self.sim.now
                 yield self.log.force()
                 self._span(SpanKind.DISK, force_start, txn.txn_id, detail="log-force")
-            self._prepared[txn.txn_id] = writes_by_partition[self.partition]
+            self._prepared[txn.txn_id] = writes_by_partition.get(self.partition, {})
             self.send(self.partition, Decision(txn.txn_id, commit=True))
             self._finish(state, TxnStatus.COMMITTED, value)
             return
@@ -246,7 +241,9 @@ class BaselineNode:
         for partition in sorted(participants):
             self.send(
                 partition,
-                PrepareRequest(txn.txn_id, self.partition, writes_by_partition[partition]),
+                PrepareRequest(
+                    txn.txn_id, self.partition, writes_by_partition.get(partition, {})
+                ),
             )
         yield from self._wait_for(state, lambda: len(state.votes) == len(participants))
         self._span(SpanKind.REPLICATE, prepare_start, txn.txn_id, detail="2pc-prepare")

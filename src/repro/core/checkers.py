@@ -207,6 +207,7 @@ def check_conflict_order(cluster) -> int:
     Requires ``record_history=True`` (traces ride along with history).
     """
     txn_by_seq = {seq: txn for seq, txn, _status in cluster.history}
+    route = cluster.catalog.route
     verified = 0
     for partition in range(cluster.config.num_partitions):
         scheduler = cluster.node(0, partition).scheduler
@@ -216,7 +217,6 @@ def check_conflict_order(cluster) -> int:
                 "execution traces are off; build the cluster with "
                 "record_history=True"
             )
-        partition_of = cluster.catalog.partition_of
         max_touch: Dict[Key, Any] = {}
         max_write: Dict[Key, Any] = {}
         for seq in trace:
@@ -225,32 +225,28 @@ def check_conflict_order(cluster) -> int:
                 # Executed on this partition but replied elsewhere before
                 # history recording began (warm-up); skip footprint lookup.
                 continue
-            for key in txn.write_set:
-                if partition_of(key) != partition:
-                    continue
+            # The keys this partition locked for the transaction, under
+            # the routing of its own epoch (keys move between epochs).
+            _, write_keys, read_only = route(txn, seq[0])[partition]
+            for key in write_keys:
                 prior = max_touch.get(key)
                 if prior is not None and prior > seq:
                     raise ConsistencyError(
                         f"partition {partition}: writer {seq} finished after "
                         f"conflicting {prior} on {key!r} despite earlier order"
                     )
-            read_only = txn.read_set - txn.write_set
             for key in read_only:
-                if partition_of(key) != partition:
-                    continue
                 prior = max_write.get(key)
                 if prior is not None and prior > seq:
                     raise ConsistencyError(
                         f"partition {partition}: reader {seq} finished after "
                         f"conflicting writer {prior} on {key!r}"
                     )
-            for key in txn.write_set:
-                if partition_of(key) == partition:
-                    max_touch[key] = max(max_touch.get(key, seq), seq)
-                    max_write[key] = max(max_write.get(key, seq), seq)
+            for key in write_keys:
+                max_touch[key] = max(max_touch.get(key, seq), seq)
+                max_write[key] = max(max_write.get(key, seq), seq)
             for key in read_only:
-                if partition_of(key) == partition:
-                    max_touch[key] = max(max_touch.get(key, seq), seq)
+                max_touch[key] = max(max_touch.get(key, seq), seq)
             verified += 1
     return verified
 

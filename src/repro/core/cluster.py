@@ -8,7 +8,6 @@ examples usually go through the friendlier :class:`repro.core.api.CalvinDB`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple, Union
 
 from repro.analysis.auditor import FootprintAuditor, adopt_auditor, audit_armed
@@ -47,43 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 HistoryEntry = Tuple[GlobalSeq, Transaction, TxnStatus]
 
 AnyClient = Union[ClosedLoopClient, OpenLoopClient]
-
-# The old add_clients(n, **kwargs) form warns once per process.
-_warned_legacy_add_clients = False
-
-
-def _legacy_add_clients_args(
-    profile, workload, think_time, max_txns, per_partition
-) -> List[str]:
-    """The legacy argument names a non-profile add_clients call used."""
-    offending = []
-    if profile is not None:
-        offending.append("per_partition (positional)")
-    if per_partition is not None:
-        offending.append("per_partition")
-    if workload is not None:
-        offending.append("workload")
-    if think_time != 0.0:
-        offending.append("think_time")
-    if max_txns is not None:
-        offending.append("max_txns")
-    return offending
-
-
-def _warn_legacy_add_clients(offending: Iterable[str] = ()) -> None:
-    global _warned_legacy_add_clients
-    if _warned_legacy_add_clients:
-        return
-    _warned_legacy_add_clients = True
-    used = ", ".join(offending) or "per_partition"
-    warnings.warn(
-        f"add_clients(per_partition, **kwargs) is deprecated (legacy "
-        f"argument(s): {used}); pass a repro.ClientProfile instead: "
-        "add_clients(ClientProfile(...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class CalvinCluster:
     """A fully assembled simulated Calvin deployment."""
@@ -177,11 +139,10 @@ class CalvinCluster:
         # start but their sequencers stay dormant until the control
         # plane activates them (repro.reconfig.ClusterAdmin.add_node).
         self.reconfig_admin: Optional[Any] = None
-        if self.catalog.has_reconfig:
-            active = set(self.catalog.initial_origins)
-            for node_id, node in self.nodes.items():
-                if node_id.partition not in active:
-                    node.sequencer.dormant = True
+        active = set(self.catalog.initial_origins)
+        for node_id, node in self.nodes.items():
+            if node_id.partition not in active:
+                node.sequencer.dormant = True
 
         self.clients: List[AnyClient] = []
         self.checkpoints: Dict[int, CheckpointSnapshot] = {}
@@ -290,11 +251,7 @@ class CalvinCluster:
 
     def analytics_read(self, key: Key) -> Any:
         """Unsequenced snapshot read (OLLP reconnaissance path)."""
-        catalog = self.catalog
-        if catalog.has_reconfig:
-            partition = catalog.partition_of_at(key, self.current_epoch())
-        else:
-            partition = catalog.partition_of(key)
+        partition = self.catalog.partition_of_at(key, self.current_epoch())
         return self.node(0, partition).store.get(key)
 
     # -- data loading -----------------------------------------------------------
@@ -332,53 +289,22 @@ class CalvinCluster:
         for node in self.nodes.values():
             node.start()
 
-    def add_clients(
-        self,
-        profile: Union[ClientProfile, int, None] = None,
-        workload: Optional[Workload] = None,
-        think_time: float = 0.0,
-        max_txns: Optional[int] = None,
-        *,
-        per_partition: Optional[int] = None,
-    ) -> List[AnyClient]:
-        """Create one client population described by a :class:`ClientProfile`.
-
-        The legacy ``add_clients(n, workload=..., think_time=...,
-        max_txns=...)`` form still works through a deprecation shim that
-        maps the old kwargs onto a closed-loop profile (and warns once
-        per process).
-        """
+    def add_clients(self, profile: ClientProfile) -> List[AnyClient]:
+        """Create one client population described by a :class:`ClientProfile`."""
         if not isinstance(profile, ClientProfile):
-            # Deprecation shim: the old kwargs-soup form.
-            _warn_legacy_add_clients(
-                _legacy_add_clients_args(
-                    profile, workload, think_time, max_txns, per_partition
-                )
-            )
-            count = per_partition if per_partition is not None else profile
-            if not isinstance(count, int):
-                raise ConfigError(
-                    "add_clients needs a ClientProfile or a per-partition count"
-                )
-            profile = ClientProfile(
-                per_partition=count,
-                workload=workload,
-                think_time=think_time,
-                max_txns=max_txns,
+            raise ConfigError(
+                "add_clients takes a repro.ClientProfile: "
+                "add_clients(ClientProfile(per_partition=..., ...))"
             )
         profile.validate()
         workload = profile.workload or self.workload
         if workload is None:
             raise ConfigError("no workload for clients")
         created: List[AnyClient] = []
-        # Under elastic reconfiguration only active origins accept
-        # input; spares get their clients when the control plane (or
-        # the autoscaler) redirects traffic to them.
-        if self.catalog.has_reconfig:
-            partitions: Iterable[int] = self.catalog.initial_origins
-        else:
-            partitions = range(self.config.num_partitions)
-        for partition in partitions:
+        # Only active origins accept input; spares get their clients
+        # when the control plane (or the autoscaler) redirects traffic
+        # to them.
+        for partition in self.catalog.initial_origins:
             for _ in range(profile.per_partition):
                 index = len(self.clients)
                 client: AnyClient
@@ -581,11 +507,7 @@ class CalvinCluster:
     def snapshot_read(self, key: Key, replica: int = 0) -> Any:
         """A low-consistency read served by any replica (possibly stale —
         the "multiple consistency levels" the abstract mentions)."""
-        catalog = self.catalog
-        if catalog.has_reconfig:
-            partition = catalog.partition_of_at(key, self.current_epoch())
-        else:
-            partition = catalog.partition_of(key)
+        partition = self.catalog.partition_of_at(key, self.current_epoch())
         return self.node(replica, partition).store.get(key)
 
     def admission_stats(self) -> Dict[str, int]:

@@ -14,7 +14,18 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
@@ -56,8 +67,87 @@ def client_address(replica: int, client_index: int) -> Tuple[str, int, int]:
     return ("client", replica, client_index)
 
 
+# One partition's share of a footprint: ``(reads, writes, read_only)``,
+# each in sort-token order. ``(writes, read_only)`` is the lock plan:
+# WRITE locks, then READ locks on the keys read but not written. A plain
+# tuple on purpose: one is retained per participant of every logged
+# transaction, and the cyclic GC stops tracking a plain tuple of key
+# tuples after its first pass, which it never does for a NamedTuple.
+Slice = Tuple[Tuple[Key, ...], Tuple[Key, ...], Tuple[Key, ...]]
+
+
+def split_slice(local: Slice, bucket_of: Callable[[Key], int]) -> Dict[int, Slice]:
+    """Cut ``local`` by ``bucket_of(key)``. Filtering keeps sort-token
+    order, so every piece is again a slice (and a valid lock plan)."""
+    shared = local[0] is local[1]  # read_set == write_set: cut once, keep one tuple
+    pieces: Dict[int, Tuple[List[Key], List[Key], List[Key]]] = {}
+    for part, keys in enumerate(local):
+        if shared and part == 1:
+            continue
+        for key in keys:
+            pieces.setdefault(bucket_of(key), ([], [], []))[part].append(key)
+    out: Dict[int, Slice] = {}
+    for bucket, (reads, writes, read_only) in pieces.items():
+        read_keys = tuple(reads)
+        out[bucket] = (read_keys, read_keys if shared else tuple(writes), tuple(read_only))
+    return out
+
+
+class Route(dict):
+    """Calvin's phase-1 read/write set analysis for one transaction,
+    under one routing version: maps each participant partition to the
+    :data:`Slice` of the footprint it holds, and names the roles. Built
+    only by :meth:`Catalog.route`; readers treat it as immutable.
+
+    ``active`` participants hold write-set keys (or, for a read-only
+    transaction, the lowest participant alone); they execute the logic,
+    and ``reply`` is the one that reports the result. ``read_holders``
+    are the partitions every active participant collects reads from.
+
+    The record is the mapping itself rather than an object holding one:
+    a route is retained with every logged transaction, and this halves
+    what each costs the allocator and the cyclic GC.
+    """
+
+    __slots__ = ("catalog", "version", "participants", "active", "reply", "read_holders")
+
+    def __init__(
+        self,
+        catalog: "Catalog",
+        version: int,
+        participants: FrozenSet[int],
+        active: FrozenSet[int],
+        read_holders: FrozenSet[int],
+        slices: Dict[int, Slice],
+    ):
+        super().__init__(slices)
+        self.catalog = catalog
+        self.version = version
+        self.participants = participants
+        self.active = active
+        self.reply = min(active)
+        self.read_holders = read_holders
+
+    def split_writes(self, writes: Dict[Key, Any]) -> Dict[int, Dict[Key, Any]]:
+        """A buffer of writes (keys within the write set) cut by owning
+        partition, each part in buffer order; no entry for a partition
+        with nothing to apply."""
+        owner = {
+            key: partition
+            for partition, (_, local_writes, _) in self.items()
+            for key in local_writes
+        }
+        parts: Dict[int, Dict[Key, Any]] = {}
+        for key, value in writes.items():
+            parts.setdefault(owner[key], {})[key] = value
+        return parts
+
+
 class Catalog:
-    """Owns cluster layout: replicas × partitions, plus the partitioner."""
+    """Owns cluster layout (replicas × partitions, plus the partitioner)
+    and the one routing decision: :meth:`route` maps a transaction and
+    its epoch to a :class:`Route`, and nothing outside this class knows
+    how key ownership is computed or when it changes."""
 
     def __init__(self, config: ClusterConfig, partitioner: Partitioner):
         config.validate()
@@ -85,13 +175,14 @@ class Catalog:
             self._hosted_sorted = tuple(
                 tuple(hosted) for hosted in config.partial_hosting
             )
+        # Routes are retained with every logged transaction; distinct
+        # partition sets are few, so each is stored once.
+        self._partition_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         # -- elastic reconfiguration (repro.reconfig) --------------------
         # Epoch-keyed routing overrides and origin membership, both
         # versioned: entry i covers every epoch >= its effective epoch.
-        # ``has_reconfig`` stays False until spares are configured or
-        # the first override / membership change is armed; every hot
-        # path keeps the static fast path while it is False, so an idle
-        # cluster is byte-identical to the pre-reconfig code.
+        # With nothing armed each lookup is a bisect over one origin
+        # entry or zero overrides, i.e. the static answer.
         active = config.active_partitions
         initial = config.num_partitions if active is None else active
         self._origin_epochs: List[int] = [0]
@@ -99,7 +190,6 @@ class Catalog:
         self._override_epochs: List[int] = []
         self._override_maps: List[Dict[Key, int]] = []
         self._overridden_keys: Set[Key] = set()
-        self.has_reconfig: bool = active is not None
 
     @property
     def num_partitions(self) -> int:
@@ -175,25 +265,26 @@ class Catalog:
         return partition
 
     def partitions_of(self, keys) -> Set[int]:
-        """The set of partitions covering ``keys``.
+        """The set of partitions covering ``keys`` (static map).
 
         ``keys`` must be re-iterable (a set or sequence, not a
         generator): the miss fallback walks it a second time.
         """
-        # Hot: every routing decision funnels through here. The cache is
-        # warm for the whole key universe after the initial data load,
-        # so subscript directly and fall back to the method on a miss.
-        cache = self._partition_cache
-        out = set()
-        add = out.add
+        return set(self._owners(keys, 0, 0))
+
+    def _owners(self, keys, epoch: int, version: int) -> List[int]:
+        """Partition holding each of ``keys``, in order, at ``epoch``."""
+        if version:
+            partition_of_at = self.partition_of_at
+            return [partition_of_at(key, epoch) for key in keys]
+        # Hot: with no override in force every routing decision funnels
+        # through here. The cache is warm for the whole key universe
+        # after the initial data load, so subscript directly and fall
+        # back to the method on a miss.
         try:
-            for key in keys:
-                add(cache[key])
+            return list(map(self._partition_cache.__getitem__, keys))
         except KeyError:
-            partition_of = self.partition_of
-            for key in keys:
-                add(partition_of(key))
-        return out
+            return list(map(self.partition_of, keys))
 
     # -- elastic reconfiguration (repro.reconfig) -------------------------
 
@@ -231,7 +322,6 @@ class Catalog:
         else:
             self._origin_epochs.append(effective_epoch)
             self._origin_sets.append(origins)
-        self.has_reconfig = True
 
     def arm_override(self, effective_epoch: int, moves: Dict[Key, int]) -> None:
         """Route each key in ``moves`` to a new partition from
@@ -254,14 +344,12 @@ class Catalog:
                 "routing overrides must be armed in epoch order "
                 f"(got {effective_epoch} after {self._override_epochs[-1]})"
             )
-        if self._override_epochs and effective_epoch == self._override_epochs[-1]:
-            self._override_maps[-1] = {**self._override_maps[-1], **moves}
-        else:
-            base = self._override_maps[-1] if self._override_maps else {}
-            self._override_epochs.append(effective_epoch)
-            self._override_maps.append({**base, **moves})
+        # Always a new entry, even at an already-armed epoch: routes are
+        # memoised per routing version, so every arm must start one.
+        base = self._override_maps[-1] if self._override_maps else {}
+        self._override_epochs.append(effective_epoch)
+        self._override_maps.append({**base, **moves})
         self._overridden_keys.update(moves)
-        self.has_reconfig = True
 
     def routing_version_at(self, epoch: int) -> int:
         """Index of the routing version covering ``epoch`` (0 = static)."""
@@ -277,53 +365,67 @@ class Catalog:
                     return dest
         return self.partition_of(key)
 
-    def partitions_of_at(self, keys, epoch: int) -> Set[int]:
-        """The set of partitions covering ``keys`` at ``epoch``."""
-        if not self._override_epochs:
-            return self.partitions_of(keys)
-        partition_of_at = self.partition_of_at
-        return {partition_of_at(key, epoch) for key in keys}
+    def route(self, txn, epoch: int) -> Route:
+        """The :class:`Route` of ``txn`` sequenced in ``epoch``.
 
-    def participants_at(self, txn, epoch: int) -> FrozenSet[int]:
-        """Epoch-aware :meth:`Transaction.participants`.
-
-        A migration transaction's participants are pinned to its
-        (source, dest) pair: at its own epoch the moving keys already
-        route to the destination, yet the data still lives on the
-        source, so both sides take part. Results for ordinary
-        transactions are memoised per routing version.
+        Memoised on the transaction per (catalog, routing version): a
+        static cluster resolves each transaction once, an elastic one
+        once per override it lives through, and a replay under a fresh
+        catalog resolves again.
         """
+        version = bisect_right(self._override_epochs, epoch)
+        route = txn._route
+        if route is None or route.version != version or route.catalog is not self:
+            route = self._resolve(txn, epoch, version)
+            object.__setattr__(txn, "_route", route)
+        return route
+
+    def _resolve(self, txn, epoch: int, version: int) -> Route:
         if txn.procedure == MIGRATION_PROC:
-            return frozenset(migration_route(txn))
-        version = self.routing_version_at(epoch)
-        cache = txn._participants_at_cache
-        if cache is not None and cache[0] is self and cache[1] == version:
-            return cache[2]
-        parts = frozenset(self.partitions_of_at(txn.all_keys(), epoch))
-        if not parts:
-            raise ConfigError(f"transaction {txn.txn_id} has an empty footprint")
-        if txn.write_set and not txn.read_set <= txn.write_set:
-            active = frozenset(self.partitions_of_at(txn.write_set, epoch))
-        elif txn.write_set:
-            active = parts
+            # Pinned to (source, dest): at its own epoch the moving keys
+            # already route to the destination, yet the data still lives
+            # on the source. Both sides write-lock the full range — the
+            # source serializes the copy-out behind earlier local
+            # writers and then purges, the destination serializes every
+            # epoch >= flip transaction behind the copy-in it applies.
+            source, dest = migration_route(txn)
+            both = self._interned((source, dest))
+            side = ((), txn.sorted_writes(), ())
+            route = Route(
+                self, version, both, both,
+                self._interned((source,)), {source: side, dest: side},
+            )
+            route.reply = dest  # the side that applies the copy reports it
+            return route
+        reads = txn.sorted_reads()
+        writes = txn.sorted_writes()
+        if reads is writes:
+            read_only: Tuple[Key, ...] = ()
         else:
-            active = frozenset((min(parts),))
-        object.__setattr__(
-            txn, "_participants_at_cache", (self, version, parts, active)
-        )
-        return parts
+            write_set = txn.write_set
+            read_only = tuple(key for key in reads if key not in write_set)
+        whole = (reads, writes, read_only)
+        read_owners = self._owners(reads, epoch, version)
+        read_holders = self._interned(read_owners)
+        if reads is writes:
+            write_owners = read_owners
+            writers = participants = read_holders
+        else:
+            write_owners = self._owners(writes, epoch, version)
+            writers = self._interned(write_owners)
+            participants = self._interned(read_holders | writers)
+        if not participants:
+            raise ConfigError(f"transaction {txn.txn_id} has an empty footprint")
+        # A read-only transaction still needs one executor of its logic.
+        active = writers or self._interned((min(participants),))
+        if len(participants) == 1:
+            slices = {min(participants): whole}
+        else:
+            owner = dict(zip(reads, read_owners))
+            owner.update(zip(writes, write_owners))
+            slices = split_slice(whole, owner.__getitem__)
+        return Route(self, version, participants, active, read_holders, slices)
 
-    def active_participants_at(self, txn, epoch: int) -> FrozenSet[int]:
-        """Epoch-aware :meth:`Transaction.active_participants`.
-
-        Both sides of a migration are active: the destination applies
-        the copied values, the source purges them.
-        """
-        if txn.procedure == MIGRATION_PROC:
-            return frozenset(migration_route(txn))
-        self.participants_at(txn, epoch)
-        return txn._participants_at_cache[3]
-
-    def reply_partition_at(self, txn, epoch: int) -> int:
-        """Epoch-aware :meth:`Transaction.reply_partition`."""
-        return min(self.active_participants_at(txn, epoch))
+    def _interned(self, partitions) -> FrozenSet[int]:
+        key = frozenset(partitions)
+        return self._partition_sets.setdefault(key, key)

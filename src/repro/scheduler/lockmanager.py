@@ -169,15 +169,18 @@ class DeterministicLockManager:
         )
 
     def acquire_plan(
-        self, stxn: SequencedTxn, plan: Tuple[Tuple[Key, ...], Tuple[Key, ...]]
+        self,
+        stxn: SequencedTxn,
+        write_keys: Tuple[Key, ...],
+        read_only_keys: Tuple[Key, ...],
     ) -> bool:
-        """:meth:`acquire` with a precomputed ``(write_keys, read_keys)``
-        plan.
+        """:meth:`acquire` with the set algebra and sorting already done.
 
-        The plan halves must be what acquire would build: write keys in
-        sort-token order, then read-*only* keys in sort-token order. The
-        scheduler caches one plan per transaction so repeated admissions
-        skip the per-call set algebra and sorting.
+        The arguments must be what acquire would build: write keys in
+        sort-token order, then read-*only* keys in sort-token order —
+        the ``writes`` and ``read_only`` parts of a routing
+        :data:`~repro.partition.catalog.Slice`, resolved once per
+        transaction instead of once per admission.
         """
         if stxn.seq <= self._last_acquired:
             raise SchedulerError(
@@ -187,7 +190,7 @@ class DeterministicLockManager:
         self._last_acquired = stxn.seq
         if stxn.seq in self._txns:
             raise SchedulerError(f"duplicate lock acquisition for {stxn.seq}")
-        return self._acquire_requests(stxn, plan[0], plan[1])
+        return self._acquire_requests(stxn, write_keys, read_only_keys)
 
     def _acquire_requests(self, stxn: SequencedTxn, write_keys, read_keys) -> bool:
         if not write_keys and not read_keys:

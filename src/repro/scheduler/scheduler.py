@@ -22,7 +22,7 @@ from repro.config import ClusterConfig
 from repro.errors import SchedulerError
 from repro.net.messages import RemoteRead, SubBatch, WriteSetApply
 from repro.obs import CAT_EPOCH, NULL_RECORDER, SpanKind, TraceRecorder
-from repro.partition.catalog import Catalog, NodeId, is_migration_txn, node_address
+from repro.partition.catalog import Catalog, NodeId, node_address, split_slice
 from repro.partition.partitioner import stable_hash
 from repro.scheduler.executor import run_transaction
 from repro.scheduler.lockmanager import DeterministicLockManager
@@ -170,24 +170,16 @@ class Scheduler:
         self._advance_epochs()
 
     def _advance_epochs(self) -> None:
-        num_origins = self.catalog.num_partitions
-        has_reconfig = self.catalog.has_reconfig
         while True:
             if self._pause_epoch is not None and self._next_epoch >= self._pause_epoch:
                 return
             per_epoch = self._arrived.get(self._next_epoch)
-            if has_reconfig:
-                # Elastic membership: the barrier waits for exactly the
-                # origins active at this epoch (a joining spare starts
-                # publishing at its join epoch, a retiring origin's last
-                # batch is retire_epoch - 1).
-                origins = self.catalog.origins_at(self._next_epoch)
-                if per_epoch is None or any(o not in per_epoch for o in origins):
-                    return
-            else:
-                origins = range(num_origins)
-                if per_epoch is None or len(per_epoch) < num_origins:
-                    return
+            # The barrier waits for exactly the origins active at this
+            # epoch (a joining spare starts publishing at its join
+            # epoch, a retiring origin's last batch is retire_epoch - 1).
+            origins = self.catalog.origins_at(self._next_epoch)
+            if per_epoch is None or any(o not in per_epoch for o in origins):
+                return
             del self._arrived[self._next_epoch]
             for origin in origins:
                 self._admission.extend(per_epoch[origin].txns)
@@ -202,78 +194,34 @@ class Scheduler:
         # CPU for its own keys, so shards lift the admission ceiling.
         admission = self._admission
         tracing = self._tracing
-        catalog = self.catalog
-        has_reconfig = catalog.has_reconfig
+        route = self.catalog.route
         mine = self.node_id.partition
         single_shard = len(self._lock_shards) == 1
         while admission:
             stxn = admission.popleft()
             if tracing:
                 self.tracer.mark(("admit", self.node_id, stxn.seq), self.sim.now)
-            txn = stxn.txn
-            if has_reconfig:
-                participants = catalog.participants_at(txn, stxn.seq[0])
-            else:
-                participants = txn.participants(catalog)
-            if single_shard and len(participants) == 1:
-                # Fast path for the dominant case: sole participant on
-                # the single (paper-design) lock shard. The local
-                # footprint is the full footprint, so the per-key
-                # partition filter is skipped and the lock-request plan
-                # is built once per transaction and cached on it.
-                if mine not in participants:
-                    raise SchedulerError(
-                        f"{stxn.seq} dispatched to non-participant partition {mine}"
-                    )
-                plan = txn._lock_plan
-                if plan is None:
-                    plan = self._build_lock_plan(txn)
-                    object.__setattr__(txn, "_lock_plan", plan)
-                self.admitted += 1
-                self.outstanding += 1
-                self._lock_pending[stxn.seq] = 1
-                self._txn_shards[stxn.seq] = _SOLE_SHARD
-                # Admission CPU is charged per requested key of the raw
-                # footprint, exactly like the generic path.
-                units = len(txn.read_set) + len(txn.write_set)
-                self._shard_queues[0].append((stxn, units, None, None, plan))
-                if not self._shard_active[0]:
-                    self._shard_active[0] = True
-                    self.sim.process(self._shard_admission_loop(0))
-                continue
-            read_keys, write_keys = self.local_footprint(stxn)
+            local = route(stxn.txn, stxn.seq[0]).get(mine)
+            if local is None:
+                raise SchedulerError(
+                    f"{stxn.seq} dispatched to non-participant partition {mine}"
+                )
             if single_shard:
-                shards: Dict[int, List] = {0: [read_keys, write_keys]}
+                shards = _SOLE_SHARD
+                requests = (local,)
             else:
-                shards = {}
-                for key in read_keys:
-                    shards.setdefault(self._shard_of(key), [[], []])[0].append(key)
-                for key in write_keys:
-                    shards.setdefault(self._shard_of(key), [[], []])[1].append(key)
+                split = split_slice(local, self._shard_of)
+                shards = sorted(split)
+                requests = [split[index] for index in shards]
             self.admitted += 1
             self.outstanding += 1
             self._lock_pending[stxn.seq] = len(shards)
-            self._txn_shards[stxn.seq] = sorted(shards)
-            for index in sorted(shards):
-                shard_reads, shard_writes = shards[index]
-                units = len(shard_reads) + len(shard_writes)
-                self._shard_queues[index].append(
-                    (stxn, units, shard_reads, shard_writes, None)
-                )
+            self._txn_shards[stxn.seq] = shards
+            for index, request in zip(shards, requests):
+                self._shard_queues[index].append((stxn, request))
                 if not self._shard_active[index]:
                     self._shard_active[index] = True
                     self.sim.process(self._shard_admission_loop(index))
-
-    @staticmethod
-    def _build_lock_plan(txn) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
-        """The ``(write_keys, read_only_keys)`` halves, in acquire's order."""
-        writes = txn.sorted_writes()
-        reads = txn.sorted_reads()
-        if reads is writes:
-            # read_set == write_set: every key takes a WRITE lock.
-            return (writes, ())
-        write_set = txn.write_set
-        return (writes, tuple(key for key in reads if key not in write_set))
 
     def _shard_of(self, key) -> int:
         if len(self._lock_shards) == 1:
@@ -285,14 +233,13 @@ class Scheduler:
         shard = self._lock_shards[index]
         per_key_cpu = self.config.costs.lock_request_cpu
         while queue:
-            stxn, units, read_keys, write_keys, plan = queue.popleft()
-            cost = per_key_cpu * units
+            stxn, (reads, writes, read_only) = queue.popleft()
+            # Charged per requested key of the raw footprint: a key both
+            # read and written counts twice.
+            cost = per_key_cpu * (len(reads) + len(writes))
             if cost > 0:
                 yield self.sim.timeout(cost)
-            if plan is not None:
-                shard.acquire_plan(stxn, plan)
-            else:
-                shard.acquire(stxn, read_keys, write_keys)
+            shard.acquire_plan(stxn, writes, read_only)
         self._shard_active[index] = False
 
     def _on_shard_ready(self, stxn: SequencedTxn) -> None:
@@ -323,47 +270,6 @@ class Scheduler:
             active += shard.active_txns
             queued += shard.queued_requests
         return active, queued
-
-    def local_footprint(self, stxn: SequencedTxn):
-        """This partition's slice of the transaction's read/write sets."""
-        txn = stxn.txn
-        if self.catalog.has_reconfig:
-            return self._local_footprint_at(stxn)
-        if self.catalog.num_partitions == 1:
-            # Single-partition cluster: every key is local.
-            read_keys, write_keys = list(txn.read_set), list(txn.write_set)
-        else:
-            mine = self.node_id.partition
-            partition_of = self.catalog.partition_of
-            read_keys = [k for k in txn.read_set if partition_of(k) == mine]
-            write_keys = [k for k in txn.write_set if partition_of(k) == mine]
-        if not read_keys and not write_keys:
-            raise SchedulerError(
-                f"{stxn.seq} dispatched to non-participant partition {mine}"
-            )
-        return read_keys, write_keys
-
-    def _local_footprint_at(self, stxn: SequencedTxn):
-        """Epoch-aware local footprint under live reconfiguration.
-
-        A migration transaction locks its full moving range on *both*
-        sides: the source serializes the copy-out behind earlier local
-        writers, the destination serializes every epoch >= flip
-        transaction behind the copy-in.
-        """
-        txn = stxn.txn
-        if is_migration_txn(txn):
-            return [], list(txn.sorted_writes())
-        epoch = stxn.seq[0]
-        mine = self.node_id.partition
-        partition_of_at = self.catalog.partition_of_at
-        read_keys = [k for k in txn.read_set if partition_of_at(k, epoch) == mine]
-        write_keys = [k for k in txn.write_set if partition_of_at(k, epoch) == mine]
-        if not read_keys and not write_keys:
-            raise SchedulerError(
-                f"{stxn.seq} dispatched to non-participant partition {mine}"
-            )
-        return read_keys, write_keys
 
     # -- execution -----------------------------------------------------------
 

@@ -345,14 +345,10 @@ class Sequencer:
         per_partition: List[List[SequencedTxn]] = [
             [] for _ in range(self.catalog.num_partitions)
         ]
-        has_reconfig = self.catalog.has_reconfig
+        route = self.catalog.route
         for index, txn in enumerate(txns):
             stxn = SequencedTxn((epoch, origin, index), txn)
-            if has_reconfig:
-                participants = self.catalog.participants_at(txn, epoch)
-            else:
-                participants = txn.participants(self.catalog)
-            for partition in participants:
+            for partition in route(txn, epoch).participants:
                 per_partition[partition].append(stxn)
 
         # Sequencer CPU: batch assembly/serialization delay. The sends
@@ -394,17 +390,12 @@ class Sequencer:
         """
         resent = 0
         origin = self.node_id.partition
-        has_reconfig = self.catalog.has_reconfig
+        route = self.catalog.route
         for entry in self.input_log.entries_from(from_epoch):
             stxns = tuple(
                 SequencedTxn((entry.epoch, origin, index), txn)
                 for index, txn in enumerate(entry.txns)
-                if partition
-                in (
-                    self.catalog.participants_at(txn, entry.epoch)
-                    if has_reconfig
-                    else txn.participants(self.catalog)
-                )
+                if partition in route(txn, entry.epoch).participants
             )
             message = SubBatch(entry.epoch, origin, stxns)
             target = NodeId(self.node_id.replica, partition)

@@ -20,7 +20,7 @@ sequence order regardless.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Set, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.errors import TransactionAborted
 from repro.net.messages import StarReady, StarRelease
@@ -64,7 +64,7 @@ class StarMaster:
         """One participant reports its local locks granted."""
         stxn = message.stxn
         seq = stxn.seq
-        needed = len(stxn.txn.participants(self.catalog))
+        needed = len(self.catalog.route(stxn.txn, seq[0]).participants)
         count = self._ready_counts.get(seq, 0) + 1
         if count < needed:
             self._ready_counts[seq] = count
@@ -134,10 +134,11 @@ class StarMaster:
         yield scheduler.workers.request()
         exec_start = sim.now
 
-        read_keys = txn.sorted_reads()
-        partition_of = catalog.partition_of
-        reads = {key: self.stores[partition_of(key)].get(key) for key in read_keys}
-        yield sim.timeout(costs.txn_base_cpu + costs.read_cpu * len(read_keys))
+        route = catalog.route(txn, stxn.seq[0])
+        reads: Dict = {}
+        for partition in sorted(route.read_holders):
+            reads.update(self.stores[partition].get_many(route[partition][0]))
+        yield sim.timeout(costs.txn_base_cpu + costs.read_cpu * len(reads))
 
         if self.tracer.enabled:
             self.tracer.record(
@@ -176,10 +177,7 @@ class StarMaster:
         if cpu > 0:
             yield sim.timeout(cpu)
         if status is TxnStatus.COMMITTED and context.writes:
-            per_partition: Dict[int, Dict] = {}
-            for key, val in context.writes.items():
-                per_partition.setdefault(partition_of(key), {})[key] = val
-            for partition, chunk in per_partition.items():
+            for partition, chunk in route.split_writes(context.writes).items():
                 self.stores[partition].apply_writes(chunk, context.deleted)
 
         result = TransactionResult(
@@ -203,9 +201,8 @@ class StarMaster:
         # Release every participant (locks drop on arrival; the reply
         # partition answers the client from the riding result).
         release = StarRelease(stxn.seq, result)
-        participants: Set[int] = txn.participants(catalog)
         replica = self.node.node_id.replica
-        for partition in sorted(participants):
+        for partition in sorted(route.participants):
             target = node_address(NodeId(replica, partition))
             self.node.send(target, release, release.size_estimate())
 

@@ -65,9 +65,9 @@ class PhaseController:
 
     def observe_batch(self, epoch: int, batch) -> None:
         self.txns_observed += len(batch)
-        catalog = self.catalog
+        route = self.catalog.route
         for txn in batch:
-            if len(txn.participants(catalog)) > 1:
+            if len(route(txn, epoch).participants) > 1:
                 self.multipartition_observed += 1
 
     @property

@@ -44,8 +44,7 @@ class StarScheduler(Scheduler):
         return len(self._star_waiting)
 
     def _start_execution(self, stxn: SequencedTxn) -> None:
-        txn = stxn.txn
-        if len(txn.participants(self.catalog)) == 1:
+        if len(self.catalog.route(stxn.txn, stxn.seq[0]).participants) == 1:
             # Partitioned path: local deterministic execution, any phase.
             super()._start_execution(stxn)
             return
@@ -66,11 +65,8 @@ class StarScheduler(Scheduler):
                 f"StarRelease for unknown seq {message.seq} at {self.node_id}"
             )
         txn = stxn.txn
-        report = (
-            message.result
-            if self.node_id.partition == txn.reply_partition(self.catalog)
-            else None
-        )
+        reply_partition = self.catalog.route(txn, stxn.seq[0]).reply
+        report = message.result if self.node_id.partition == reply_partition else None
         if report is not None and txn.client is not None and self.node_id.replica == 0:
             reply = TxnReply(report)
             self.send(txn.client, reply, reply.size_estimate())

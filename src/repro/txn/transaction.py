@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Set, Tuple
+from typing import Any, FrozenSet, Tuple
 
-from repro.errors import ConfigError
-from repro.partition.catalog import Catalog
 from repro.partition.partitioner import Key, sorted_keys
 
 # Global sequence number: (epoch, origin_partition, index within batch).
@@ -26,8 +24,10 @@ class Transaction:
 
     Treated as immutable after creation (every hot path hands the same
     instance around); the trailing underscore fields memoise derived
-    views — sorted key orders, participant sets, the lock plan — that
-    sequencer, scheduler and executor each ask for several times.
+    views — the sorted key orders and the one routing record. Who
+    participates, who is active, who replies and which keys are local
+    are not questions a transaction answers: ask
+    :meth:`Catalog.route <repro.partition.catalog.Catalog.route>`.
     """
 
     txn_id: int
@@ -47,13 +47,9 @@ class Transaction:
     # ``object.__setattr__``; reads are plain (fast) slot loads.
     _sorted_reads: Any = field(default=None, init=False, repr=False, compare=False)
     _sorted_writes: Any = field(default=None, init=False, repr=False, compare=False)
-    _participants_cache: Any = field(default=None, init=False, repr=False, compare=False)
-    _active_cache: Any = field(default=None, init=False, repr=False, compare=False)
-    _lock_plan: Any = field(default=None, init=False, repr=False, compare=False)
-    # Epoch-aware participant memo used by Catalog.participants_at under
-    # live reconfiguration: (catalog, routing_version, participants,
-    # active). Never touched on the static (no-reconfig) path.
-    _participants_at_cache: Any = field(default=None, init=False, repr=False, compare=False)
+    # Written by Catalog.route: the routing record, per (catalog,
+    # routing version).
+    _route: Any = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def create(
@@ -105,54 +101,6 @@ class Transaction:
             cached = tuple(sorted_keys(self.write_set))
             object.__setattr__(self, "_sorted_writes", cached)
         return cached
-
-    def participants(self, catalog: Catalog) -> Set[int]:
-        """Partitions holding any key this transaction touches.
-
-        Memoised per catalog (sequencer, scheduler and executor all ask
-        several times per transaction). Callers treat the result as
-        read-only.
-        """
-        cache = self._participants_cache
-        if cache is not None and cache[0] is catalog:
-            return cache[1]
-        if self.read_set == self.write_set:
-            parts = catalog.partitions_of(self.read_set)
-        else:
-            parts = catalog.partitions_of(self.read_set)
-            parts |= catalog.partitions_of(self.write_set)
-        if not parts:
-            raise ConfigError(f"transaction {self.txn_id} has an empty footprint")
-        object.__setattr__(self, "_participants_cache", (catalog, parts))
-        return parts
-
-    def active_participants(self, catalog: Catalog) -> Set[int]:
-        """Partitions that execute logic and apply writes.
-
-        Write-set partitions are active. A read-only transaction has one
-        active participant (the lowest-numbered involved partition),
-        which executes the logic and produces the result. Memoised like
-        :meth:`participants`; callers treat the result as read-only.
-        """
-        cache = self._active_cache
-        if cache is not None and cache[0] is catalog:
-            return cache[1]
-        if self.write_set and self.read_set <= self.write_set:
-            # all_keys == write_set: every participant is active.
-            active = self.participants(catalog)
-        else:
-            active = catalog.partitions_of(self.write_set)
-            if not active:
-                active = {min(self.participants(catalog))}
-        object.__setattr__(self, "_active_cache", (catalog, active))
-        return active
-
-    def reply_partition(self, catalog: Catalog) -> int:
-        """The (deterministic) participant that reports the result to the client."""
-        return min(self.active_participants(catalog))
-
-    def is_multipartition(self, catalog: Catalog) -> bool:
-        return len(self.participants(catalog)) > 1
 
 
 @dataclass(frozen=True, order=True)

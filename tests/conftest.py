@@ -10,6 +10,7 @@ import pytest
 from repro import (
     CalvinCluster,
     CalvinDB,
+    ClientProfile,
     ClusterConfig,
     Microbenchmark,
     ProcedureRegistry,
@@ -87,7 +88,7 @@ def run_bounded_cluster(
     """Build, run and quiesce a cluster with bounded clients."""
     cluster = CalvinCluster(config, workload=workload)
     cluster.load_workload_data()
-    cluster.add_clients(clients_per_partition, max_txns=max_txns)
+    cluster.add_clients(ClientProfile(per_partition=clients_per_partition, max_txns=max_txns))
     cluster.run(duration=0.2)
     cluster.quiesce()
     return cluster

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import accel
+from repro import ClientProfile, accel
 from repro.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -90,7 +90,7 @@ def test_golden_baseline_both_paths():
             workload=_workload(), tracer=tracer,
         )
         cluster.load_workload_data()
-        cluster.add_clients(4, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
         cluster.run(duration=0.3)
         cluster.quiesce()
         return (tracer.digest(), cluster.sim.events_executed,
@@ -103,7 +103,6 @@ def test_golden_baseline_both_paths():
 
 def test_golden_star_both_paths():
     from repro import ClusterConfig
-    from repro.core.traffic import ClientProfile
     from repro.engines import build_cluster
     from repro.obs import TraceRecorder
     from tests.test_golden_digests import _workload
@@ -127,7 +126,6 @@ def test_golden_star_both_paths():
 
 def test_golden_geo_both_paths():
     from repro import CalvinCluster, ClusterConfig
-    from repro.core.traffic import ClientProfile
     from repro.obs import TraceRecorder
     from tests.test_golden_digests import _workload
 

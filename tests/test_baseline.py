@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterConfig, Microbenchmark
+from repro import ClientProfile, ClusterConfig, Microbenchmark
 from repro.baseline import BaselineCluster, GroupCommitLog, TwoPhaseLockTable
 from repro.baseline.locks import DIED, GRANTED
 from repro.errors import ConfigError
@@ -123,7 +123,7 @@ class TestBaselineCluster:
             ClusterConfig(num_partitions=partitions, seed=seed), workload=workload
         )
         cluster.load_workload_data()
-        cluster.add_clients(6, max_txns=max_txns)
+        cluster.add_clients(ClientProfile(per_partition=6, max_txns=max_txns))
         cluster.run(duration=0.3)
         cluster.quiesce()
         return cluster
@@ -141,7 +141,7 @@ class TestBaselineCluster:
         workload = Microbenchmark(mp_fraction=0.4, hot_set_size=5, cold_set_size=60)
         cluster = BaselineCluster(ClusterConfig(num_partitions=3, seed=2), workload=workload)
         cluster.load_workload_data()
-        cluster.add_clients(5, max_txns=20)
+        cluster.add_clients(ClientProfile(per_partition=5, max_txns=20))
         cluster.run(duration=0.3)
         cluster.quiesce()
         total = sum(cluster.final_state().values())
@@ -151,7 +151,7 @@ class TestBaselineCluster:
         workload = Microbenchmark(mp_fraction=0.3, hot_set_size=1, cold_set_size=60)
         cluster = BaselineCluster(ClusterConfig(num_partitions=2, seed=4), workload=workload)
         cluster.load_workload_data()
-        cluster.add_clients(10, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=10, max_txns=10))
         cluster.run(duration=0.5)
         cluster.quiesce()
         assert cluster.metrics.restarts > 0  # contention causes deaths
@@ -167,7 +167,7 @@ class TestBaselineCluster:
         workload = BankWorkload(accounts_per_partition=5, initial_balance=1)
         cluster = BaselineCluster(ClusterConfig(num_partitions=1, seed=6), workload=workload)
         cluster.load_workload_data()
-        cluster.add_clients(3, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=10))
         cluster.run(duration=0.3)
         cluster.quiesce()
         assert cluster.metrics.aborted > 0

@@ -5,7 +5,7 @@ from typing import Dict
 
 import pytest
 
-from repro import BaselineConfig, ClusterConfig, TxnSpec, Workload
+from repro import BaselineConfig, ClientProfile, ClusterConfig, TxnSpec, Workload
 from repro.baseline import BaselineCluster
 from repro.partition.partitioner import FuncPartitioner
 from repro.txn.procedures import Procedure, ProcedureRegistry
@@ -56,7 +56,7 @@ def run_baseline(cross=True, partitions=2, force_logs=True, seed=3):
         workload=workload,
     )
     cluster.load_workload_data()
-    cluster.add_clients(4, max_txns=15)
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=15))
     cluster.run(duration=0.3)
     cluster.quiesce()
     return cluster

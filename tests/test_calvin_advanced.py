@@ -1,6 +1,6 @@
 """Advanced end-to-end semantics through the full Calvin stack."""
 
-from repro import CalvinDB
+from repro import CalvinDB, ClientProfile
 
 
 def make_db(partitions=2):
@@ -151,7 +151,7 @@ class TestCrashAndLowConsistencyReads:
         )
         cluster = CalvinCluster(config, workload=workload)
         cluster.load_workload_data()
-        cluster.add_clients(2, max_txns=5)
+        cluster.add_clients(ClientProfile(per_partition=2, max_txns=5))
         cluster.run(duration=0.2)
         cluster.quiesce()
         key = ("hot", 0, 0)

@@ -155,26 +155,3 @@ class TestSharedRunFlags:
         )
         assert single.replication_mode == "none"
         assert single.fault_profile == "chaos-mix"
-
-
-class TestDeprecatedSpellings:
-    def test_geo_smoke_warns_once_with_pinned_text(self):
-        import warnings
-
-        from repro import cli
-
-        cli._warned_spellings.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cli._warn_deprecated_spelling("bench geo --smoke", "--scale smoke")
-            cli._warn_deprecated_spelling("bench geo --smoke", "--scale smoke")
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert str(caught[0].message) == (
-            "bench geo --smoke is deprecated; use --scale smoke instead"
-        )
-
-    def test_geo_smoke_flag_still_parses(self):
-        args = build_parser().parse_args(["bench", "geo", "--smoke"])
-        assert args.smoke is True
-        assert args.scale == "quick"  # cmd_bench_geo maps it to smoke

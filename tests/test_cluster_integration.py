@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     CalvinCluster,
+    ClientProfile,
     ClusterConfig,
     Microbenchmark,
     TpccWorkload,
@@ -88,7 +89,7 @@ class TestReplication:
         )
         cluster = CalvinCluster(config, workload=workload)
         cluster.load_workload_data()
-        cluster.add_clients(8, max_txns=20)
+        cluster.add_clients(ClientProfile(per_partition=8, max_txns=20))
         cluster.run(duration=0.2)
         cluster.quiesce()
         return cluster

@@ -1,6 +1,6 @@
 """Integration tests for the disk-based storage path (Section 4)."""
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark, check_serializability
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark, check_serializability
 
 
 def disk_cluster(archive_fraction=1.0, estimate_error=0.0, seed=5):
@@ -25,7 +25,7 @@ def disk_cluster(archive_fraction=1.0, estimate_error=0.0, seed=5):
 class TestPrefetchPath:
     def test_disk_txns_commit_correctly(self):
         cluster = disk_cluster()
-        cluster.add_clients(4, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
         cluster.run(duration=0.3)
         cluster.quiesce()
         assert check_serializability(cluster) == 40
@@ -33,7 +33,7 @@ class TestPrefetchPath:
 
     def test_sequencer_defers_and_prefetches(self):
         cluster = disk_cluster()
-        cluster.add_clients(4, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
         cluster.run(duration=0.3)
         cluster.quiesce()
         node = cluster.node(0, 0)
@@ -43,25 +43,25 @@ class TestPrefetchPath:
 
     def test_fetched_keys_become_warm(self):
         cluster = disk_cluster()
-        cluster.add_clients(2, max_txns=5)
+        cluster.add_clients(ClientProfile(per_partition=2, max_txns=5))
         cluster.run(duration=0.3)
         cluster.quiesce()
         assert len(cluster.node(0, 0).engine.warm) > 0
 
     def test_deferral_adds_latency(self):
         fast = disk_cluster(archive_fraction=0.0)
-        fast.add_clients(2, max_txns=10)
+        fast.add_clients(ClientProfile(per_partition=2, max_txns=10))
         fast.run(duration=0.5)
         fast.quiesce()
         slow = disk_cluster(archive_fraction=1.0)
-        slow.add_clients(2, max_txns=10)
+        slow.add_clients(ClientProfile(per_partition=2, max_txns=10))
         slow.run(duration=0.5)
         slow.quiesce()
         assert slow.metrics.latency.mean > fast.metrics.latency.mean + 0.005
 
     def test_underestimate_stalls_but_stays_correct(self):
         cluster = disk_cluster(estimate_error=1.0)
-        cluster.add_clients(4, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
         cluster.run(duration=0.4)
         cluster.quiesce()
         assert check_serializability(cluster) == 40
@@ -72,7 +72,7 @@ class TestPrefetchPath:
             ClusterConfig(num_partitions=1, seed=1), workload=workload
         )
         cluster.load_workload_data()
-        cluster.add_clients(2, max_txns=5)
+        cluster.add_clients(ClientProfile(per_partition=2, max_txns=5))
         cluster.run(duration=0.2)
         cluster.quiesce()
         node = cluster.node(0, 0)

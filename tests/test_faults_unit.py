@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 from repro.core import checkers
 from repro.errors import ConfigError, SimulationError, StorageError
 from repro.faults import FaultInjector, FaultPlan, build_profile, random_plan
@@ -260,7 +260,7 @@ class TestInjectorPrimitives:
     def test_pause_stalls_then_catches_up(self):
         plan = FaultPlan(name="p").pause(at=0.05, replica=0, partition=0, until=0.25)
         cluster = fault_cluster(plan)
-        cluster.add_clients(3, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=10))
         cluster.start()
         for client in cluster.clients:
             client.start()
@@ -277,7 +277,7 @@ class TestInjectorPrimitives:
         cluster = fault_cluster(
             plan, num_replicas=2, replication_mode="paxos"
         )
-        cluster.add_clients(3, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=10))
         cluster.run(duration=0.6)
         cluster.quiesce()
         checkers.check_replica_consistency(cluster)
@@ -289,7 +289,7 @@ class TestInjectorPrimitives:
             at=0.1, group_a=[0], group_b=[1], until=0.3, mode="buffer"
         )
         cluster = fault_cluster(plan, num_replicas=2, replication_mode="paxos")
-        cluster.add_clients(3, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=10))
         cluster.run(duration=0.6)
         cluster.quiesce()
         trace = cluster.fault_injector.trace
@@ -303,14 +303,14 @@ class TestInjectorPrimitives:
             at=0.1, group_a=[0], group_b=[1], until=0.3, mode="drop"
         )
         cluster = fault_cluster(plan, num_replicas=2, replication_mode="async")
-        cluster.add_clients(3, max_txns=5)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=5))
         cluster.run(duration=0.45)
         assert cluster.network.messages_dropped > 0
 
     def test_link_duplicates_are_absorbed(self):
         plan = FaultPlan(name="p").link_faults(at=0.05, until=0.4, duplicate=0.5)
         cluster = fault_cluster(plan)
-        cluster.add_clients(3, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=10))
         cluster.run(duration=0.6)
         cluster.quiesce()
         assert cluster.network.messages_duplicated > 0
@@ -328,7 +328,7 @@ class TestInjectorPrimitives:
         config = ClusterConfig(num_partitions=2, seed=3, disk_enabled=True)
         cluster = CalvinCluster(config, workload=workload, fault_plan=plan)
         cluster.load_workload_data()
-        cluster.add_clients(3, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=10))
         cluster.run(duration=0.8)
         cluster.quiesce()
         torn = sum(
@@ -350,7 +350,7 @@ class TestInjectorPrimitives:
                 at=0.05, until=0.4, drop=0.0, delay=0.002, duplicate=0.3
             )
             cluster = fault_cluster(plan)
-            cluster.add_clients(3, max_txns=8)
+            cluster.add_clients(ClientProfile(per_partition=3, max_txns=8))
             cluster.run(duration=0.6)
             cluster.quiesce()
             return cluster

@@ -14,7 +14,7 @@ commit and say why in its message.
 
 from __future__ import annotations
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 from repro.baseline.cluster import BaselineCluster
 from repro.obs import TraceRecorder
 
@@ -66,7 +66,7 @@ def _run_calvin(seed, replicas=1, fault_profile=None, duration=0.3,
 
         ClusterAdmin(cluster)
     cluster.load_workload_data()
-    cluster.add_clients(4, max_txns=10)
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
     cluster.run(duration=duration)
     cluster.quiesce()
     return tracer.digest(), cluster.sim.events_executed, cluster.metrics.committed
@@ -81,7 +81,7 @@ def test_golden_baseline_digest():
     config = ClusterConfig(num_partitions=2, seed=2012)
     cluster = BaselineCluster(config, workload=_workload(), tracer=tracer)
     cluster.load_workload_data()
-    cluster.add_clients(4, max_txns=10)
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
     cluster.run(duration=0.3)
     cluster.quiesce()
     observed = (tracer.digest(), cluster.sim.events_executed, cluster.metrics.committed)
@@ -92,7 +92,6 @@ def test_golden_star_digest():
     # The STAR engine on the same workload/seed as GOLDEN_CALVIN: phase
     # switching changes the interleaving (its own digest) but must not
     # change what commits.
-    from repro.core.traffic import ClientProfile
     from repro.engines import build_cluster
 
     tracer = TraceRecorder()
@@ -112,7 +111,6 @@ def test_golden_geo_digest():
     # multi-hop routing, per-link bandwidth sharing, HOP spans, the
     # hosting-aware Paxos groups and deferred writeset shipping.
     from repro.core import checkers
-    from repro.core.traffic import ClientProfile
 
     tracer = TraceRecorder()
     config = ClusterConfig(

@@ -3,7 +3,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark, check_serializability
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark, check_serializability
 from repro.scheduler import DeterministicLockManager
 from repro.sim import Simulator
 from repro.storage import KVStore, ZigZagCheckpointer
@@ -141,7 +141,7 @@ def test_random_cluster_serializable(seed, partitions, mp_fraction, hot):
         ClusterConfig(num_partitions=partitions, seed=seed), workload=workload
     )
     cluster.load_workload_data()
-    cluster.add_clients(4, max_txns=8)
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=8))
     cluster.run(duration=0.15)
     cluster.quiesce()
     assert check_serializability(cluster) == 4 * partitions * 8

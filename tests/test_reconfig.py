@@ -10,6 +10,8 @@ whatever the control plane did mid-run.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CalvinCluster,
@@ -25,7 +27,11 @@ from repro import (
     check_serializability,
 )
 from repro.bench.elastic import shape_digest
+from repro.partition import Catalog, FuncPartitioner
+from repro.partition.catalog import MIGRATION_PROC
+from repro.partition.partitioner import sort_token
 from repro.reconfig import AutoscalePolicy, Autoscaler
+from repro.txn.transaction import Transaction
 
 
 def _workload():
@@ -81,6 +87,118 @@ class TestEpochRouter:
         catalog.arm_override(4, {"k": 1})
         assert catalog.routing_version_at(4) != before
         assert catalog.routing_version_at(3) == before
+
+
+    def test_same_epoch_arms_each_start_a_version(self):
+        cluster = _cluster()
+        catalog = cluster.catalog
+        catalog.arm_override(4, {"a": 1})
+        first = catalog.routing_version_at(4)
+        catalog.arm_override(4, {"b": 2})
+        assert catalog.routing_version_at(4) != first
+        assert catalog.partition_of_at("a", 4) == 1  # cumulative
+        assert catalog.partition_of_at("b", 4) == 2
+
+    def test_route_flips_with_the_override(self):
+        cluster = _cluster()
+        catalog = cluster.catalog
+        moved, stays = list(cluster.node(0, 0).store.keys())[:2]
+        txn = Transaction.create(1, "p", None, [moved, stays], [moved, stays])
+        before = catalog.route(txn, 0)
+        assert before.participants == {0} and before.reply == 0
+        catalog.arm_override(3, {moved: 2})
+        assert catalog.route(txn, 2) is before  # same routing version
+        after = catalog.route(txn, 3)
+        assert after is catalog.route(txn, 7)
+        assert after.participants == after.active == after.read_holders == {0, 2}
+        assert after.reply == 0
+        assert after[2] == ((moved,), (moved,), ())
+        assert after[0] == ((stays,), (stays,), ())
+        # Routing back to an older epoch (log resend) re-resolves.
+        assert catalog.route(txn, 0).participants == {0}
+
+    def test_migration_route_is_pinned_to_source_and_dest(self):
+        cluster = _cluster()
+        catalog = cluster.catalog
+        keys = sorted(list(cluster.node(0, 0).store.keys())[:3], key=sort_token)
+        catalog.arm_override(5, {key: 2 for key in keys})
+        txn = Transaction.create(-1, MIGRATION_PROC, (1, 0, 2), keys, keys)
+        # At its own epoch the keys already route to the destination,
+        # yet both sides take part and write-lock the whole range.
+        route = catalog.route(txn, 5)
+        assert route.participants == route.active == {0, 2}
+        assert route.read_holders == {0} and route.reply == 2
+        assert route[0] == route[2] == ((), tuple(keys), ())
+
+
+_PARTITIONS = 4
+_KEYS = [("k", n) for n in range(12)]
+_footprints = st.lists(st.sampled_from(_KEYS), max_size=6, unique=True)
+# (epoch step >= 0, moves): in-order arm_override sequences, same-epoch
+# re-arms included.
+_arms = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.dictionaries(
+            st.sampled_from(_KEYS), st.integers(0, _PARTITIONS - 1),
+            min_size=1, max_size=4,
+        ),
+    ),
+    max_size=4,
+)
+
+
+def _bare_catalog():
+    return Catalog(
+        ClusterConfig(num_partitions=_PARTITIONS),
+        FuncPartitioner(_PARTITIONS, lambda key: key[1]),
+    )
+
+
+class TestRouteProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(reads=_footprints, writes=_footprints, arms=_arms)
+    def test_route_agrees_with_the_router_at_every_epoch(self, reads, writes, arms):
+        if not reads and not writes:
+            reads = [_KEYS[0]]
+        txn = Transaction.create(1, "p", None, reads, writes)
+        catalog = _bare_catalog()
+        epoch, horizon = 0, 1
+        for step, moves in [(0, None)] + arms:
+            if moves is not None:
+                epoch += step
+                horizon = epoch + 2
+                catalog.arm_override(epoch, moves)
+            by_version = {}
+            for at in range(horizon):
+                route = catalog.route(txn, at)
+                self._check_route(catalog, txn, route, at)
+                same = by_version.setdefault(catalog.routing_version_at(at), route)
+                assert route is same  # one resolution per routing version
+            assert len({id(route) for route in by_version.values()}) == len(by_version)
+        # The replay case: a fresh catalog never trusts another's memo.
+        replay = _bare_catalog()
+        assert replay.route(txn, 0).catalog is replay
+
+    @staticmethod
+    def _check_route(catalog, txn, route, epoch):
+        owner = {key: catalog.partition_of_at(key, epoch) for key in txn.all_keys()}
+        assert route.participants == set(owner.values()) == set(route)
+        assert route.read_holders == {owner[key] for key in txn.read_set}
+        writers = {owner[key] for key in txn.write_set}
+        assert route.active == (writers or {min(route.participants)})
+        assert route.reply == min(route.active)
+        seen_reads, seen_writes = [], []
+        for partition, (local_reads, local_writes, read_only) in route.items():
+            for part in (local_reads, local_writes, read_only):
+                assert all(owner[key] == partition for key in part)
+                assert list(part) == sorted(part, key=sort_token)
+            assert set(read_only) == set(local_reads) - txn.write_set
+            seen_reads += local_reads
+            seen_writes += local_writes
+        # Disjoint and covering: every key in exactly one slice.
+        assert sorted(seen_reads) == sorted(txn.read_set)
+        assert sorted(seen_writes) == sorted(txn.write_set)
 
 
 class TestAdminValidation:
@@ -150,6 +268,39 @@ class TestSplit:
             assert key not in source_store
         assert [event.kind for event in admin.events] == ["join", "split"]
         assert admin.keys_moved == plan.num_keys
+
+    def test_conflict_order_follows_moved_keys(self):
+        """Regression (found by the perf ledger's verify pass): after a
+        split, (40,0,6) and (42,0,4) share only a key that moved 0 -> 2 at
+        epoch 29, so partition 0 may finish them in either order; a
+        checker reading static ownership faulted partition 0 for it."""
+        config = ClusterConfig(
+            num_partitions=4, active_partitions=2, seed=2012,
+            admission_policy="backpressure",
+            admission_epoch_budget=20, admission_queue_capacity=40,
+        )
+        cluster = CalvinCluster(
+            config,
+            workload=Microbenchmark(
+                mp_fraction=0.1, hot_set_size=1000, cold_set_size=10000
+            ),
+        )
+        cluster.load_workload_data()
+        admin = ClusterAdmin(cluster)
+        cluster.sim.schedule_at(0.275, admin.split, 0, 0.5)
+        cluster.sim.schedule_at(0.38, admin.remove_node, 1)
+        cluster.add_clients(
+            ClientProfile(
+                per_partition=4, mode="open", rate=650.0,
+                retry_rejected=True, max_txns=325,
+            )
+        )
+        cluster.run(duration=0.5)
+        cluster.quiesce()
+        moved = cluster.reconfig_admin.plans[0].keys[0]
+        assert cluster.catalog.partition_of(moved) == 0
+        assert cluster.catalog.partition_of_at(moved, admin.plans[0].flip_epoch) == 2
+        _checks(cluster)
 
     def test_merge_moves_everything(self):
         cluster = _cluster(partitions=2, active=2)

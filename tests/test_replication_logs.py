@@ -1,6 +1,6 @@
 """Replication-strategy behaviour observed through the input logs."""
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 
 
 def run_replicated(mode, replicas, seed=15, partitions=2):
@@ -13,7 +13,7 @@ def run_replicated(mode, replicas, seed=15, partitions=2):
     )
     cluster = CalvinCluster(config, workload=workload)
     cluster.load_workload_data()
-    cluster.add_clients(5, max_txns=15)
+    cluster.add_clients(ClientProfile(per_partition=5, max_txns=15))
     cluster.run(duration=0.2)
     cluster.quiesce()
     return cluster
@@ -75,7 +75,7 @@ class TestPaxosReplication:
         )
         cluster = CalvinCluster(config, workload=workload)
         cluster.load_workload_data()
-        cluster.add_clients(2, max_txns=3)
+        cluster.add_clients(ClientProfile(per_partition=2, max_txns=3))
         cluster.start()
         for client in cluster.clients:
             client.start()
@@ -100,7 +100,7 @@ class TestInputLogDurability:
             cluster = CalvinCluster(config, workload=workload,
                                     record_history=False)
             cluster.load_workload_data()
-            cluster.add_clients(50)
+            cluster.add_clients(ClientProfile(per_partition=50))
             return cluster.run(duration=0.3, warmup=0.2)
 
         plain = run(False)
@@ -117,7 +117,7 @@ class TestInputLogDurability:
         config = ClusterConfig(num_partitions=2, seed=22, force_input_log=True)
         cluster = CalvinCluster(config, workload=workload)
         cluster.load_workload_data()
-        cluster.add_clients(5, max_txns=15)
+        cluster.add_clients(ClientProfile(per_partition=5, max_txns=15))
         cluster.run(duration=0.2)
         cluster.quiesce()
         from repro import check_serializability

@@ -4,7 +4,7 @@ node, so black-box behavioural assertions are the honest unit)."""
 
 import pytest
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 from repro.errors import SchedulerError
 from tests.conftest import BankWorkload
 
@@ -20,7 +20,7 @@ def tiny_cluster(partitions=2, seed=1, **config_kwargs):
 class TestEpochBarrier:
     def test_schedulers_advance_epochs_together(self):
         cluster = tiny_cluster()
-        cluster.add_clients(4, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
         cluster.run(duration=0.2)
         cluster.quiesce()
         epochs = {cluster.node(0, p).scheduler._next_epoch for p in range(2)}
@@ -37,7 +37,7 @@ class TestEpochBarrier:
 
     def test_every_participant_admits_txn(self):
         cluster = tiny_cluster()
-        cluster.add_clients(4, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
         cluster.run(duration=0.2)
         cluster.quiesce()
         # Multipartition txns admitted on every participant: total
@@ -76,7 +76,7 @@ class TestSequencer:
 
     def test_input_log_contains_all_epochs(self):
         cluster = tiny_cluster()
-        cluster.add_clients(4, max_txns=5)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=5))
         cluster.run(duration=0.2)
         cluster.quiesce()
         log = cluster.node(0, 0).input_log
@@ -93,7 +93,7 @@ class TestSequencer:
 
     def test_sequenced_counter(self):
         cluster = tiny_cluster()
-        cluster.add_clients(4, max_txns=5)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=5))
         cluster.run(duration=0.2)
         cluster.quiesce()
         sequenced = sum(
@@ -105,7 +105,7 @@ class TestSequencer:
 class TestPauseQuiesce:
     def test_pause_blocks_future_epochs(self):
         cluster = tiny_cluster(partitions=1)
-        cluster.add_clients(4)
+        cluster.add_clients(ClientProfile(per_partition=4))
         cluster.run(duration=0.1)
         scheduler = cluster.node(0, 0).scheduler
         barrier = scheduler._next_epoch + 2

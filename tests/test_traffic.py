@@ -1,7 +1,5 @@
 """Tests for open-loop traffic: profiles, arrivals, admission control."""
 
-import warnings
-
 import pytest
 
 from repro import (
@@ -13,8 +11,6 @@ from repro import (
     TxnStatus,
 )
 from repro.baseline.cluster import BaselineCluster
-from repro.core import clients as clients_mod
-from repro.core import cluster as cluster_mod
 from repro.core.traffic import AdmissionController
 from repro.obs import TraceRecorder
 from repro.partition.catalog import NodeId
@@ -350,58 +346,15 @@ class TestOverload:
         assert cluster.metrics.committed > 0
 
 
-class TestAddClientsShim:
-    def test_legacy_form_warns_once_and_works(self, bank_workload, monkeypatch):
-        monkeypatch.setattr(cluster_mod, "_warned_legacy_add_clients", False)
-        config = ClusterConfig(num_partitions=2, seed=3)
-        cluster = CalvinCluster(config, workload=bank_workload, record_history=False)
-        with pytest.warns(DeprecationWarning):
-            created = cluster.add_clients(4, max_txns=5)
-        assert len(created) == 8
-        assert all(isinstance(c, clients_mod.ClosedLoopClient) for c in created)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # second use must not warn again
-            cluster.add_clients(per_partition=1, max_txns=5)
-
-    def test_warning_names_the_offending_arguments(self, bank_workload, monkeypatch):
-        """The warn-once shim must say *which* legacy argument was used,
-        not just that one was."""
-        monkeypatch.setattr(cluster_mod, "_warned_legacy_add_clients", False)
-        config = ClusterConfig(num_partitions=2, seed=3)
-        cluster = CalvinCluster(config, workload=bank_workload, record_history=False)
-        with pytest.warns(
-            DeprecationWarning,
-            match=(r"legacy argument\(s\): per_partition \(positional\), "
-                   r"max_txns.*ClientProfile"),
-        ):
-            cluster.add_clients(4, max_txns=5)
-
-    def test_warning_names_keyword_arguments(self, bank_workload, monkeypatch):
-        monkeypatch.setattr(cluster_mod, "_warned_legacy_add_clients", False)
-        config = ClusterConfig(num_partitions=2, seed=3)
-        cluster = CalvinCluster(config, workload=bank_workload, record_history=False)
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"legacy argument\(s\): per_partition, think_time, max_txns",
-        ):
-            cluster.add_clients(per_partition=2, think_time=0.01, max_txns=5)
-
-    def test_profile_form_does_not_warn(self, bank_workload, monkeypatch):
-        monkeypatch.setattr(cluster_mod, "_warned_legacy_add_clients", False)
-        config = ClusterConfig(num_partitions=2, seed=3)
-        cluster = CalvinCluster(config, workload=bank_workload, record_history=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cluster.add_clients(ClientProfile(per_partition=2, max_txns=5))
-        assert not cluster_mod._warned_legacy_add_clients
-
-    def test_garbage_argument_rejected(self, bank_workload, monkeypatch):
-        monkeypatch.setattr(cluster_mod, "_warned_legacy_add_clients", False)
-        config = ClusterConfig(num_partitions=2, seed=3)
-        cluster = CalvinCluster(config, workload=bank_workload, record_history=False)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                cluster.add_clients("lots")
+class TestAddClients:
+    @pytest.mark.parametrize("cluster_cls", [CalvinCluster, BaselineCluster])
+    def test_non_profile_argument_rejected(self, bank_workload, cluster_cls):
+        """The pre-ClientProfile ``add_clients(n, ...)`` form is gone; what
+        is left of it is an error that names the replacement."""
+        cluster = cluster_cls(ClusterConfig(num_partitions=2, seed=3), workload=bank_workload)
+        for legacy in (4, "lots"):
+            with pytest.raises(ConfigError, match="ClientProfile"):
+                cluster.add_clients(legacy)
 
     def test_baseline_rejects_open_profiles(self, bank_workload):
         config = ClusterConfig(num_partitions=2, seed=3)

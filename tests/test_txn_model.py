@@ -40,37 +40,72 @@ class TestTransaction:
         assert isinstance(txn.read_set, frozenset)
         assert txn.all_keys() == {("k", 0), ("k", 1)}
 
+
+class TestRoute:
+    """Phase-1 read/write set analysis: ``Catalog.route`` is the one
+    place that answers who participates, who is active, who replies and
+    which keys each participant holds."""
+
     def test_participants(self):
         catalog = make_catalog()
         txn = make_txn([("k", 0), ("k", 2)], [("k", 2)])
-        assert txn.participants(catalog) == {0, 2}
+        assert catalog.route(txn, 0).participants == {0, 2}
 
     def test_active_participants_are_writers(self):
         catalog = make_catalog()
         txn = make_txn([("k", 0), ("k", 1)], [("k", 1)])
-        assert txn.active_participants(catalog) == {1}
+        route = catalog.route(txn, 0)
+        assert route.active == {1}
+        assert route.read_holders == {0, 1}
 
     def test_read_only_has_one_active(self):
         catalog = make_catalog()
         txn = make_txn([("k", 3), ("k", 1)], [])
-        assert txn.active_participants(catalog) == {1}
-        assert txn.reply_partition(catalog) == 1
+        route = catalog.route(txn, 0)
+        assert route.active == {1}
+        assert route.reply == 1
 
     def test_reply_partition_lowest_active(self):
         catalog = make_catalog()
         txn = make_txn([("k", 0)], [("k", 3), ("k", 2)])
-        assert txn.reply_partition(catalog) == 2
+        assert catalog.route(txn, 0).reply == 2
 
     def test_empty_footprint_rejected(self):
         catalog = make_catalog()
         txn = make_txn([], [])
         with pytest.raises(ConfigError):
-            txn.participants(catalog)
+            catalog.route(txn, 0)
 
-    def test_multipartition_flag(self):
+    def test_multipartition(self):
         catalog = make_catalog()
-        assert make_txn([("k", 0)], [("k", 1)]).is_multipartition(catalog)
-        assert not make_txn([("k", 0)], [("k", 0)]).is_multipartition(catalog)
+        assert len(catalog.route(make_txn([("k", 0)], [("k", 1)]), 0).participants) > 1
+        assert len(catalog.route(make_txn([("k", 0)], [("k", 0)]), 0).participants) == 1
+
+    def test_slices_are_the_local_footprint_and_lock_plan(self):
+        catalog = make_catalog()
+        txn = make_txn(
+            [("a", 0), ("b", 0), ("c", 1)], [("b", 0), ("c", 1), ("d", 1)]
+        )
+        slices = catalog.route(txn, 0)
+        assert set(slices) == {0, 1}
+        assert slices[0] == ((("a", 0), ("b", 0)), (("b", 0),), (("a", 0),))
+        assert slices[1] == ((("c", 1),), (("c", 1), ("d", 1)), ())
+
+    def test_split_writes_keeps_buffer_order(self):
+        catalog = make_catalog()
+        txn = make_txn([], [("a", 0), ("b", 1), ("c", 0), ("d", 2)])
+        buffer = {("c", 0): 1, ("b", 1): 2, ("a", 0): 3}
+        parts = catalog.route(txn, 0).split_writes(buffer)
+        assert parts == {0: {("c", 0): 1, ("a", 0): 3}, 1: {("b", 1): 2}}
+        assert list(parts[0]) == [("c", 0), ("a", 0)]
+
+    def test_resolved_once_per_catalog(self):
+        catalog = make_catalog()
+        txn = make_txn([("k", 0)], [("k", 1)])
+        assert catalog.route(txn, 0) is catalog.route(txn, 9)
+        replay = make_catalog()
+        assert replay.route(txn, 0) is not catalog.route(txn, 0)
+        assert replay.route(txn, 0).catalog is replay
 
 
 class TestSequencedTxn:
