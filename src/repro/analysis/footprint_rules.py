@@ -37,7 +37,10 @@ loops over ``ctx.txn.sorted_reads()`` / ``sorted_writes()`` /
 level of interprocedural resolution, same module or an imported keys
 module), tuple key literals, local-variable propagation, and
 ``TxnSpec`` construction via literal sets, ``.add`` / ``.append`` /
-``.update`` accumulation and ``frozenset(...)`` conversion. Anything
+``.update`` accumulation and ``frozenset(...)`` conversion, and keys
+drawn out of prebuilt key tables (nested comprehensions of key tuples
+returned by a helper, then ``table[p][i]`` / ``sample(table[p], k)``;
+a table stands for the union of the families it holds). Anything
 the inference cannot resolve degrades the affected check to silence
 (never to a false positive): an unknown model skips FPT001/002/006 for
 that procedure, an unresolvable access skips FPT006.
@@ -287,16 +290,36 @@ class _Analyzer:
 
     # -- key-collection closure (model extraction) -------------------------
 
+    def add_element(self, keyset: KeySet, expr: ast.expr, env: _Env,
+                    depth: int = 1) -> None:
+        """Fold what ``expr`` puts into a collection into ``keyset``: a
+        key, or (key tables nest: rows of keys per partition, one
+        drawn out with ``table[p][i]``) the families of a collection."""
+        template = self.key_template(expr, env)
+        if template is None:
+            nested = self.collection_keyset(expr, env, depth)
+            if nested is not None:
+                keyset.merge(nested)
+                return
+        keyset.add(template)
+
     def collection_keyset(self, expr: ast.expr, env: _Env,
                           depth: int = 1) -> Optional[KeySet]:
         """Resolve an expression to a symbolic key set, or None."""
         if isinstance(expr, (ast.Set, ast.List, ast.Tuple)):
             out = KeySet()
             for elt in expr.elts:
-                out.add(self.key_template(elt, env))
+                self.add_element(out, elt, env, depth)
+            return out
+        if isinstance(expr, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            out = KeySet()
+            self.add_element(out, expr.elt, env, depth)
             return out
         if isinstance(expr, ast.Name):
             return env.keysets.get(expr.id)
+        if isinstance(expr, ast.Subscript):
+            # A row or slice of a key table holds the table's families.
+            return self.collection_keyset(expr.value, env, depth)
         if isinstance(expr, ast.Call):
             func = expr.func
             if isinstance(func, ast.Name) and func.id in (
@@ -304,6 +327,11 @@ class _Analyzer:
             ):
                 if not expr.args:
                     return KeySet()
+                return self.collection_keyset(expr.args[0], env, depth)
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == "sample" and expr.args:
+                # `rng.sample(table[p], k)`, or through the alias
+                # `sample = rng.sample`: keys drawn out of the population.
                 return self.collection_keyset(expr.args[0], env, depth)
             if depth > 0:
                 fdef, findex = self._resolve_callable(func, env)
@@ -403,7 +431,17 @@ class _Analyzer:
                 # `keys[-1] = ("arch", ...)` mutates a tracked collection.
                 base = target.value
                 if isinstance(base, ast.Name) and base.id in env.keysets:
-                    env.keysets[base.id].add(self.key_template(value, env))
+                    self.add_element(env.keysets[base.id], value, env, depth)
+                continue
+            if isinstance(target, ast.Tuple):
+                # `hot, cold, arch = self._key_lists(n)`: each name is a
+                # part of the unpacked collection, so holds its families.
+                keyset = self.collection_keyset(value, env, depth)
+                for elt in target.elts:
+                    if isinstance(elt, ast.Name):
+                        env.forget(elt.id)
+                        if keyset is not None:
+                            env.keysets[elt.id] = keyset
                 continue
             if not isinstance(target, ast.Name):
                 continue
@@ -435,7 +473,7 @@ class _Analyzer:
             keyset = env.keysets.get(func.value.id)
             if keyset is not None and call.args:
                 if func.attr in ("add", "append"):
-                    keyset.add(self.key_template(call.args[0], env))
+                    self.add_element(keyset, call.args[0], env, depth)
                 elif func.attr in ("update", "extend"):
                     arg = call.args[0]
                     if isinstance(arg, (ast.GeneratorExp, ast.SetComp,
@@ -452,7 +490,7 @@ class _Analyzer:
         if isinstance(func, ast.Name) and func.id in env.bound_methods:
             keyset, _method = env.bound_methods[func.id]
             if call.args:
-                keyset.add(self.key_template(call.args[0], env))
+                self.add_element(keyset, call.args[0], env, depth)
 
     def _bind_loop_target(self, target: ast.expr, iter_expr: ast.expr,
                           env: _Env) -> None:

@@ -14,7 +14,7 @@ from repro.core.traffic import ClientProfile
 from repro.errors import ConfigError
 from repro.obs import MetricsRegistry, NULL_RECORDER, TraceRecorder
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import Key, Partitioner
+from repro.partition.partitioner import Key, Partitioner, warm_sort_tokens
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network, lan_topology
 from repro.sim.rng import RngStreams
@@ -111,6 +111,7 @@ class BaselineCluster:
         return self.nodes[partition]
 
     def load(self, data: Dict[Key, Any]) -> None:
+        warm_sort_tokens(data)  # sort_token caches only what a load announces
         per_partition: Dict[int, Dict[Key, Any]] = {}
         for key, value in data.items():
             per_partition.setdefault(self.catalog.partition_of(key), {})[key] = value

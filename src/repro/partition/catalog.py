@@ -143,6 +143,21 @@ class Route(dict):
         return parts
 
 
+class _PartitionCache(dict):
+    """Memo of the partitioner (CRC32 over a repr per call, which used
+    to dominate profiles). Misses are computed and kept: the cache dies
+    with its cluster, whose stores hold the same keys anyway."""
+
+    __slots__ = ("_partition_of",)
+
+    def __init__(self, partition_of: Callable[[Key], int]):
+        self._partition_of = partition_of
+
+    def __missing__(self, key: Key) -> int:
+        partition = self[key] = self._partition_of(key)
+        return partition
+
+
 class Catalog:
     """Owns cluster layout (replicas × partitions, plus the partitioner)
     and the one routing decision: :meth:`route` maps a transaction and
@@ -159,9 +174,7 @@ class Catalog:
             )
         self.config = config
         self.partitioner = partitioner
-        # partition_of dominates profiles (CRC32 over repr per call);
-        # workloads draw from bounded key sets, so memoise per catalog.
-        self._partition_cache: Dict[Key, int] = {}
+        self._partition_cache = _PartitionCache(partitioner.partition_of)
         # Partial replication: per-replica hosted-partition sets (None =
         # full replication). Frozensets answer membership, the sorted
         # tuples answer deterministic iteration.
@@ -258,18 +271,10 @@ class Catalog:
         )
 
     def partition_of(self, key: Key) -> int:
-        cache = self._partition_cache
-        partition = cache.get(key)
-        if partition is None:
-            partition = cache[key] = self.partitioner.partition_of(key)
-        return partition
+        return self._partition_cache[key]
 
     def partitions_of(self, keys) -> Set[int]:
-        """The set of partitions covering ``keys`` (static map).
-
-        ``keys`` must be re-iterable (a set or sequence, not a
-        generator): the miss fallback walks it a second time.
-        """
+        """The set of partitions covering ``keys`` (static map)."""
         return set(self._owners(keys, 0, 0))
 
     def _owners(self, keys, epoch: int, version: int) -> List[int]:
@@ -278,13 +283,9 @@ class Catalog:
             partition_of_at = self.partition_of_at
             return [partition_of_at(key, epoch) for key in keys]
         # Hot: with no override in force every routing decision funnels
-        # through here. The cache is warm for the whole key universe
-        # after the initial data load, so subscript directly and fall
-        # back to the method on a miss.
-        try:
-            return list(map(self._partition_cache.__getitem__, keys))
-        except KeyError:
-            return list(map(self.partition_of, keys))
+        # through here, in one C-level pass whether or not every key is
+        # in the cache yet.
+        return list(map(self._partition_cache.__getitem__, keys))
 
     # -- elastic reconfiguration (repro.reconfig) -------------------------
 

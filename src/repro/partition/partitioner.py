@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import zlib
-from typing import Callable, Dict, Hashable
+from typing import Callable, Hashable
 
 from repro.errors import ConfigError
 
@@ -22,44 +22,36 @@ def stable_hash(key: Key) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-_SORT_TOKENS: Dict[Key, str] = {}
+class _SortTokens(dict):
+    """``repr`` of every key warmed at load, interned. A miss computes
+    its token and does not keep it: the table outlives every cluster in
+    the process, and a key no load announced (a TPC-C order row) is
+    typically sorted once in its life."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: Key) -> str:
+        return repr(key)
 
 
-def sort_token(key: Key) -> str:
-    """``repr(key)``, interned and cached.
+_SORT_TOKENS = _SortTokens()
 
-    Hot paths order key collections with ``sorted(keys, key=repr)`` —
-    a process-stable order (unlike salted ``hash``). Key sets are small
-    and heavily reused (hot records, TPC-C districts), so caching the
-    repr pays for itself within one epoch.
-    """
-    token = _SORT_TOKENS.get(key)
-    if token is None:
-        token = _SORT_TOKENS[key] = sys.intern(repr(key))
-    return token
+#: ``repr(key)``, from the table when the key was warmed. Hot paths order
+#: key collections with ``sorted(keys, key=sort_token)`` — the
+#: process-stable order of ``sorted(keys, key=repr)`` (unlike salted
+#: ``hash``), through a C-level key function: hits and misses alike stay
+#: inside the one ``sorted`` pass, with no Python frame per element.
+sort_token: Callable[[Key], str] = _SORT_TOKENS.__getitem__
 
 
 def sorted_keys(keys) -> list:
-    """``sorted(keys, key=sort_token)`` with a C-level key function.
-
-    On cache hits (the steady state — key universes are bounded and
-    reused) the key function is ``dict.__getitem__``, avoiding a Python
-    frame per element. Misses warm the cache and retry.
-    """
-    try:
-        return sorted(keys, key=_SORT_TOKENS.__getitem__)
-    except KeyError:
-        keys = list(keys)
-        tokens = _SORT_TOKENS
-        for key in keys:
-            if key not in tokens:
-                tokens[key] = sys.intern(repr(key))
-        return sorted(keys, key=tokens.__getitem__)
+    """``sorted(keys, key=repr)`` through the token table."""
+    return sorted(keys, key=sort_token)
 
 
 def warm_sort_tokens(keys) -> None:
-    """Precompute sort tokens for ``keys`` (e.g. a workload's key
-    universe at load time), so hot-path sorts never miss the cache."""
+    """Precompute sort tokens for ``keys`` (a workload's key universe
+    at load time), so hot-path sorts find them in the table."""
     tokens = _SORT_TOKENS
     for key in keys:
         if key not in tokens:

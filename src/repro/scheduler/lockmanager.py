@@ -103,9 +103,10 @@ class _TxnEntry:
     def __init__(self, stxn: SequencedTxn):
         self.stxn = stxn
         self.pending = 0
-        # Backlinks for O(1) release: (key, request-or-marker) per lock
-        # held/queued (marker = sole-holder tuple, see module notes).
-        self.requests: List[Tuple[Key, object]] = []
+        # Backlinks for O(1) release and O(1) promotion: key ->
+        # request-or-marker per lock held/queued, in acquisition order
+        # (marker = sole-holder tuple, see module notes).
+        self.requests: Dict[Key, object] = {}
 
 
 class DeterministicLockManager:
@@ -211,8 +212,7 @@ class DeterministicLockManager:
                     # Uncontended: a bare (seq, is_write) marker is the
                     # table entry — no request object, no queue.
                     marker = (seq, is_write)
-                    queues[key] = marker
-                    backlinks.append((key, marker))
+                    queues[key] = backlinks[key] = marker
                     continue
                 if holder.__class__ is tuple:
                     # Second arrival: promote the sole (granted) marker
@@ -227,11 +227,7 @@ class DeterministicLockManager:
                     queue = _LockQueue()
                     queue.append(old)
                     queues[key] = queue
-                    owner_links = self._txns[holder[0]].requests
-                    for index in range(len(owner_links)):
-                        if owner_links[index][1] is holder:
-                            owner_links[index] = (key, old)
-                            break
+                    self._txns[holder[0]].requests[key] = old
                 else:
                     queue = holder
                 request = _Request(seq, mode)
@@ -247,7 +243,7 @@ class DeterministicLockManager:
                     if not request.granted:
                         pending += 1
                 queue.append(request)
-                backlinks.append((key, request))
+                backlinks[key] = request
         entry.pending = pending
         if pending == 0:
             self.immediate_grants += 1
@@ -267,7 +263,7 @@ class DeterministicLockManager:
         ready: List[SequencedTxn] = []
         key = None
         try:
-            for key, request in entry.requests:
+            for key, request in entry.requests.items():
                 holder = queues[key]
                 if holder is request:
                     # Sole uncontended holder: drop the table entry.

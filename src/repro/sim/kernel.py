@@ -20,7 +20,9 @@ case — fault-free runs never pay for crash support).
 
 from __future__ import annotations
 
+import gc
 import heapq
+from contextlib import contextmanager, nullcontext
 from math import inf
 from typing import (
     Any,
@@ -29,6 +31,7 @@ from typing import (
     Generator,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Optional,
     Set,
@@ -180,12 +183,39 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
+    @contextmanager
+    def _dispatching(self) -> Iterator[None]:
+        """Everything a dispatch loop runs under, pure or compiled: the
+        determinism sanitizer when armed, and the cyclic collector off.
+
+        The loop and its handlers allocate heavily but leave no
+        unreachable cycles (tests/test_gc_quiet.py holds that), so an
+        automatic collection in here walks the whole live cluster to
+        reclaim nothing. The collector's previous state is restored on
+        every way out; a caller's own ``gc.disable()`` is left alone.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            with self._sanitizer or nullcontext():
+                yield
+        finally:
+            if collecting:
+                gc.enable()
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
 
         Stops when the queue is empty, when virtual time would pass
         ``until``, or after ``max_events`` dispatches (a runaway guard).
         Returns the final virtual time.
+
+        Automatic garbage collection is suspended for the duration of
+        the call and put back as it was on return or on any exception
+        (see ``docs/performance.md``, "Garbage collection"). It runs at
+        CPython's usual cadence between calls; a ``run`` that never
+        returns never collects, and forcing a collection between runs
+        is the caller's business.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -193,17 +223,14 @@ class Simulator:
         self._running = True
         if core is not None:
             # Accelerated path: the loop below, compiled. Bit-identical
-            # by contract (tests/test_accel.py); the reentrancy guard
-            # and sanitizer stay out here so both paths share them.
-            sanitizer = self._sanitizer
-            if sanitizer is not None:
-                sanitizer.__enter__()
+            # by contract (tests/test_accel.py); the reentrancy guard,
+            # sanitizer and collector pause stay out here so both paths
+            # share them.
             try:
-                core.run_loop(self, until, max_events)
+                with self._dispatching():
+                    core.run_loop(self, until, max_events)
             finally:
                 self._running = False
-                if sanitizer is not None:
-                    sanitizer.__exit__(None, None, None)
             return self.now
         horizon = inf if until is None else until
         budget = inf if max_events is None else max_events
@@ -211,38 +238,34 @@ class Simulator:
         pop = heapq.heappop
         suspended = self._suspended
         executed = 0
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.__enter__()
         try:
-            while heap:
-                entry = heap[0]
-                when = entry[0]
-                if when > horizon:
-                    self.now = until  # type: ignore[assignment]
-                    break
-                pop(heap)
-                self.now = when
-                if suspended:
-                    owner = entry[4]
-                    if owner is not None and owner in suspended:
-                        self._parked.setdefault(owner, []).append((entry[2], entry[3]))
-                        continue
-                entry[2](*entry[3])
-                executed += 1
-                if executed >= budget:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events}; "
-                        "likely a livelock in the model"
-                    )
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
+            with self._dispatching():
+                while heap:
+                    entry = heap[0]
+                    when = entry[0]
+                    if when > horizon:
+                        self.now = until  # type: ignore[assignment]
+                        break
+                    pop(heap)
+                    self.now = when
+                    if suspended:
+                        owner = entry[4]
+                        if owner is not None and owner in suspended:
+                            self._parked.setdefault(owner, []).append((entry[2], entry[3]))
+                            continue
+                    entry[2](*entry[3])
+                    executed += 1
+                    if executed >= budget:
+                        raise SimulationError(
+                            f"simulation exceeded max_events={max_events}; "
+                            "likely a livelock in the model"
+                        )
+                else:
+                    if until is not None and until > self.now:
+                        self.now = until
         finally:
             self.events_executed += executed
             self._running = False
-            if sanitizer is not None:
-                sanitizer.__exit__(None, None, None)
         return self.now
 
     def run_until_triggered(
@@ -254,18 +277,13 @@ class Simulator:
         """Run until ``event`` triggers; return its value (raise if it failed).
 
         ``max_events`` bounds dispatches exactly like :meth:`run` — a
-        runaway guard for drains that never converge.
+        runaway guard for drains that never converge. Automatic garbage
+        collection is suspended and restored exactly as in :meth:`run`.
         """
         core = _dispatch_core()
         if core is not None:
-            sanitizer = self._sanitizer
-            if sanitizer is not None:
-                sanitizer.__enter__()
-            try:
+            with self._dispatching():
                 core.run_until_loop(self, event, limit, max_events)
-            finally:
-                if sanitizer is not None:
-                    sanitizer.__exit__(None, None, None)
             if event.ok:
                 return event.value
             raise event.value
@@ -275,34 +293,30 @@ class Simulator:
         pop = heapq.heappop
         suspended = self._suspended
         executed = 0
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.__enter__()
         try:
-            while not event.triggered or event._callbacks is not None:
-                if not heap:
-                    raise SimulationError("event queue drained before event triggered")
-                entry = heap[0]
-                if entry[0] > horizon:
-                    raise SimulationError(f"event not triggered before t={limit}")
-                pop(heap)
-                self.now = entry[0]
-                if suspended:
-                    owner = entry[4]
-                    if owner is not None and owner in suspended:
-                        self._parked.setdefault(owner, []).append((entry[2], entry[3]))
-                        continue
-                entry[2](*entry[3])
-                executed += 1
-                if executed >= budget:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events}; "
-                        "likely a livelock in the model"
-                    )
+            with self._dispatching():
+                while not event.triggered or event._callbacks is not None:
+                    if not heap:
+                        raise SimulationError("event queue drained before event triggered")
+                    entry = heap[0]
+                    if entry[0] > horizon:
+                        raise SimulationError(f"event not triggered before t={limit}")
+                    pop(heap)
+                    self.now = entry[0]
+                    if suspended:
+                        owner = entry[4]
+                        if owner is not None and owner in suspended:
+                            self._parked.setdefault(owner, []).append((entry[2], entry[3]))
+                            continue
+                    entry[2](*entry[3])
+                    executed += 1
+                    if executed >= budget:
+                        raise SimulationError(
+                            f"simulation exceeded max_events={max_events}; "
+                            "likely a livelock in the model"
+                        )
         finally:
             self.events_executed += executed
-            if sanitizer is not None:
-                sanitizer.__exit__(None, None, None)
         if event.ok:
             return event.value
         raise event.value

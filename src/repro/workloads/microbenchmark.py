@@ -20,7 +20,7 @@ Knobs:
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
@@ -29,6 +29,9 @@ from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.workloads.base import TxnSpec, Workload
 
 RECORDS_PER_TXN = 10
+
+# (hot, cold, arch): per tier, one list of keys per partition.
+_KeyLists = Tuple[List[List[Key]], List[List[Key]], List[List[Key]]]
 
 
 def _bump(ctx) -> int:
@@ -43,7 +46,14 @@ def _bump(ctx) -> int:
 
 
 class Microbenchmark(Workload):
-    """Synthetic read-modify-write workload with tunable contention."""
+    """Synthetic read-modify-write workload with tunable contention.
+
+    Keys are shared objects: the workload builds each
+    ``("hot"|"cold"|"arch", partition, index)`` tuple once, loads that
+    object into the stores and hands the same object out in every
+    generated footprint, so a logged transaction retains no key storage
+    of its own. Callers must never mutate them (they are tuples).
+    """
 
     name = "microbenchmark"
 
@@ -78,8 +88,9 @@ class Microbenchmark(Workload):
         # Participants of a multipartition transaction (the paper uses
         # 2; the fan-out ablation sweeps it).
         self.partitions_per_txn = partitions_per_txn
-        # Reused sample population (identical draws, no range per call).
-        self._cold_range = range(cold_set_size)
+        # (hot, cold, arch) key lists per partition, built on first use
+        # and rebuilt when the partition count changes.
+        self._keys: Optional[_KeyLists] = None
 
     @property
     def contention_index(self) -> float:
@@ -97,16 +108,23 @@ class Microbenchmark(Workload):
         # Keys embed their partition explicitly: ("hot"|"cold"|"arch", p, i).
         return FuncPartitioner(num_partitions, lambda key: key[1])
 
+    def _key_lists(self, num_partitions: int) -> _KeyLists:
+        keys = self._keys
+        if keys is None or len(keys[0]) != num_partitions:
+            partitions = range(num_partitions)
+            archive = self.archive_set_size if self.archive_fraction > 0 else 0
+            keys = self._keys = (
+                [[("hot", p, i) for i in range(self.hot_set_size)] for p in partitions],
+                [[("cold", p, i) for i in range(self.cold_set_size)] for p in partitions],
+                [[("arch", p, i) for i in range(archive)] for p in partitions],
+            )
+        return keys
+
     def initial_data(self, catalog: Catalog) -> Dict[Key, Any]:
         data: Dict[Key, Any] = {}
-        for partition in range(catalog.num_partitions):
-            for index in range(self.hot_set_size):
-                data[("hot", partition, index)] = 0
-            for index in range(self.cold_set_size):
-                data[("cold", partition, index)] = 0
-            if self.archive_fraction > 0:
-                for index in range(self.archive_set_size):
-                    data[("arch", partition, index)] = 0
+        for tiers in zip(*self._key_lists(catalog.num_partitions)):
+            for keys in tiers:
+                data.update(dict.fromkeys(keys, 0))
         return data
 
     def cold_predicate(self) -> Optional[Callable[[Key], bool]]:
@@ -121,27 +139,29 @@ class Microbenchmark(Workload):
         multipartition = (
             num_partitions > 1 and rng.random() < self.mp_fraction
         )
+        # Every key is drawn *out of* the key lists: sampling a list
+        # consumes the RNG exactly as sampling range(len(list)) does.
+        tables = self._keys  # _key_lists' hit path, inlined: a frame per txn
+        if tables is None or len(tables[0]) != num_partitions:
+            tables = self._key_lists(num_partitions)
+        hot, cold, arch = tables
         keys: List[Key] = []
-        append = keys.append
         sample = rng.sample
-        cold_range = self._cold_range
         if multipartition:
             fanout = min(self.partitions_per_txn, num_partitions)
             others = [p for p in range(num_partitions) if p != origin_partition]
             partitions = [origin_partition] + sample(others, fanout - 1)
             cold_each = (RECORDS_PER_TXN - fanout) // fanout
             for partition in partitions:
-                append(("hot", partition, rng.randrange(self.hot_set_size)))
-                for index in sample(cold_range, cold_each):
-                    append(("cold", partition, index))
+                keys.append(hot[partition][rng.randrange(self.hot_set_size)])
+                keys += sample(cold[partition], cold_each)
         else:
-            append(("hot", origin_partition, rng.randrange(self.hot_set_size)))
-            for index in sample(cold_range, RECORDS_PER_TXN - 1):
-                append(("cold", origin_partition, index))
+            keys.append(hot[origin_partition][rng.randrange(self.hot_set_size)])
+            keys += sample(cold[origin_partition], RECORDS_PER_TXN - 1)
 
         if self.archive_fraction > 0 and rng.random() < self.archive_fraction:
             # Swap the last cold access for an archive (disk-tier) record.
-            keys[-1] = ("arch", origin_partition, rng.randrange(self.archive_set_size))
+            keys[-1] = arch[origin_partition][rng.randrange(self.archive_set_size)]
 
         key_set = frozenset(keys)
         return TxnSpec("micro", None, read_set=key_set, write_set=key_set)

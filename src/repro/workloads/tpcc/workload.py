@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from typing import Dict, Optional
 
 from repro.errors import ConfigError
@@ -54,6 +55,9 @@ class TpccWorkload(Workload):
         if unknown:
             raise ConfigError(f"unknown TPC-C transaction types in mix: {unknown}")
         self.mix = {name: weight / total for name, weight in mix.items()}
+        # Type names and the running sums of their weights, for _pick_type.
+        self._mix_names = tuple(self.mix)
+        self._mix_bounds = tuple(itertools.accumulate(self.mix.values()))
         if not 0 <= remote_fraction <= 1 or not 0 <= remote_payment_fraction <= 1:
             raise ConfigError("remote fractions must be in [0, 1]")
         if not 1 <= min_order_lines <= max_order_lines:
@@ -87,12 +91,9 @@ class TpccWorkload(Workload):
     def generate(
         self, rng: random.Random, origin_partition: int, catalog: Catalog
     ) -> TxnSpec:
-        scale = self.scale
-        w = (
-            origin_partition * scale.warehouses_per_partition
-            + rng.randrange(scale.warehouses_per_partition)
-        )
-        total_warehouses = scale.total_warehouses(catalog.num_partitions)
+        per_partition = self.scale.warehouses_per_partition
+        w = origin_partition * per_partition + rng.randrange(per_partition)
+        total_warehouses = per_partition * catalog.num_partitions
         choice = self._pick_type(rng)
         if choice == "new_order":
             return self._new_order(rng, w, total_warehouses)
@@ -107,13 +108,10 @@ class TpccWorkload(Workload):
     # -- per-type generators ------------------------------------------------------
 
     def _pick_type(self, rng: random.Random) -> str:
-        roll = rng.random()
-        cumulative = 0.0
-        for name, weight in self.mix.items():
-            cumulative += weight
-            if roll < cumulative:
-                return name
-        return next(iter(self.mix))
+        # The first type whose running sum exceeds the roll; a roll
+        # past the last sum (float round-off) falls back to the first.
+        index = bisect_right(self._mix_bounds, rng.random())
+        return self._mix_names[index % len(self._mix_names)]
 
     def _other_warehouse(self, rng: random.Random, w: int, total: int) -> int:
         other = rng.randrange(total - 1)

@@ -36,16 +36,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(params=[False, True], ids=["pure", "accel"])
-def kernel_path(request):
-    """Run the test body under one kernel implementation, then restore."""
-    accel.force(request.param)
-    try:
-        yield request.param
-    finally:
-        accel.force(None)
-
-
 def _both_paths(fn):
     """Run ``fn()`` pure then accelerated; return both results."""
     try:

@@ -247,6 +247,52 @@ class TestHouseTree:
         assert statically_over_declared(default_registry()) == set()
 
 
+KEY_TABLE_SOURCE = '''
+class W:
+    def _tables(self, n):
+        tables = self._memo = (
+            [[("hot", p, i) for i in range(9)] for p in range(n)],
+            [[("cold", p, i) for i in range(99)] for p in range(n)],
+        )
+        return tables
+
+    def generate(self, rng, origin, n):
+        hot, cold = self._tables(n)
+        keys = [hot[origin][rng.randrange(9)]]
+        keys += rng.sample(cold[origin], 3)
+        keys[-1] = cold[origin][0]
+        return TxnSpec("tabled", None, frozenset(keys), frozenset(keys))
+
+    def opaque(self, rng, origin):
+        keys = [self._memo[0][origin][0]]
+        return TxnSpec("opaque", None, frozenset(keys), frozenset(keys))
+'''
+
+
+class TestKeyTables:
+    """Keys drawn out of prebuilt per-partition tables (the
+    microbenchmark's canonical keys) keep an exact declared model."""
+
+    def _models(self):
+        from repro.analysis.footprint_rules import (
+            ModuleIndex, _Analyzer, extract_spec_models,
+        )
+
+        index = ModuleIndex("tables.py", KEY_TABLE_SOURCE)
+        return extract_spec_models(_Analyzer(index))
+
+    def test_indexed_and_sampled_keys_carry_the_table_families(self):
+        model = self._models()["tabled"]
+        assert model.reads.templates == {("hot", 3), ("cold", 3)}
+        assert model.writes.templates == {("hot", 3), ("cold", 3)}
+        assert model.exact
+
+    def test_a_table_the_walker_cannot_see_degrades_to_inexact(self):
+        model = self._models()["opaque"]
+        assert model.reads.templates == set()
+        assert not model.exact
+
+
 class TestLintIntegration:
     def test_fpt_waiver_silences_extra_finding(self):
         src = "x = 1  # det: allow[FPT006] intentional spare lock\n"

@@ -132,3 +132,79 @@ class TestDeterminismInvariants:
         lm.release(t)
         assert lm.active_txns == 0
         assert lm.waiters_on("a") == 0
+
+
+class _CountingBacklinks(dict):
+    """A holder's backlink table that counts how it is touched."""
+
+    stores = 0
+    walks = 0
+
+    def __setitem__(self, key, value):
+        type(self).stores += 1
+        super().__setitem__(key, value)
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
+
+    def items(self):
+        type(self).walks += 1
+        return super().items()
+
+
+class TestPromotionBehindAWideHolder:
+    """A migration write-locks a whole key range (up to 11 000 keys);
+    every later arrival on one of those keys promotes the holder's
+    sole-holder marker to a queue and must repoint the holder's backlink
+    without searching the holder's other locks."""
+
+    HELD = 10_000
+    ARRIVALS = 1_000
+
+    def _wide_holder(self, lm):
+        holder = stxn((0, 0, 0))
+        keys = tuple(("k", i) for i in range(self.HELD))
+        assert lm.acquire_plan(holder, keys, ()) is True
+        return holder, keys
+
+    def test_grants_and_release_order_unchanged(self, manager):
+        lm, ready = manager
+        holder, keys = self._wide_holder(lm)
+        # Arrival i takes held key 7*i (WRITE on even i, READ on odd i),
+        # plus key 7*i+1 as a second WRITE for every tenth arrival.
+        arrivals = []
+        for i in range(self.ARRIVALS):
+            waiter = stxn((0, 1, i))
+            writes = [keys[7 * i]] if i % 2 == 0 else []
+            reads = [keys[7 * i]] if i % 2 else []
+            if i % 10 == 0:
+                writes.append(keys[7 * i + 1])
+            assert lm.acquire(waiter, reads, writes) is False
+            arrivals.append(waiter)
+        assert ready == [holder]
+        assert lm.queued_requests == self.HELD + self.ARRIVALS + self.ARRIVALS // 10
+        # The holder's backlinks still walk its keys in acquisition
+        # order, each one now the head of its queue or the marker.
+        backlinks = lm._txns[holder.seq].requests
+        assert list(backlinks) == list(keys)
+        for i in range(self.ARRIVALS):
+            assert lm._queues[keys[7 * i]].head is backlinks[keys[7 * i]]
+        lm.release(holder)
+        # One release unblocks every arrival, reported in sequence order.
+        assert ready == [holder] + arrivals
+        assert lm.immediate_grants == 1 and lm.grants == 1 + self.ARRIVALS
+        for waiter in arrivals:
+            lm.release(waiter)
+        assert lm.queued_requests == 0 and lm.active_txns == 0
+
+    def test_promotion_work_is_independent_of_the_holders_lock_count(self, manager):
+        lm, _ready = manager
+        holder, keys = self._wide_holder(lm)
+        entry = lm._txns[holder.seq]
+        entry.requests = _CountingBacklinks(entry.requests)
+        for i in range(self.ARRIVALS):
+            lm.acquire_plan(stxn((0, 1, i)), (keys[7 * i],), ())
+        # One store per promotion, and the holder's table is never walked.
+        assert _CountingBacklinks.stores == self.ARRIVALS
+        assert _CountingBacklinks.walks == 0
