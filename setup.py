@@ -1,50 +1,5 @@
-"""Setup shim for environments without PEP 660 tooling (offline installs).
+"""Setup shim for environments without PEP 660 tooling (offline installs)."""
 
-Set ``REPRO_BUILD_ACCEL=1`` to compile the optional accelerated kernel
-(`repro.accel._accelcore`) during install. The build is failure-tolerant:
-a missing compiler or headers falls back to the pure-Python path (which
-is always installed and remains the reference implementation).
-"""
+from setuptools import setup
 
-import os
-
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class optional_build_ext(build_ext):
-    """build_ext that downgrades compile failures to a warning."""
-
-    def run(self):
-        try:
-            build_ext.run(self)
-        except Exception as exc:  # compiler/headers missing: stay pure
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            build_ext.build_extension(self, ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        print(
-            f"WARNING: accelerated kernel build failed ({exc}); "
-            "installing pure-Python only (repro runs fine without it)"
-        )
-
-
-kwargs = {}
-if os.environ.get("REPRO_BUILD_ACCEL") == "1":
-    kwargs = {
-        "ext_modules": [
-            Extension(
-                "repro.accel._accelcore",
-                sources=["src/repro/accel/_accelcore.c"],
-            )
-        ],
-        "cmdclass": {"build_ext": optional_build_ext},
-    }
-
-setup(**kwargs)
+setup()

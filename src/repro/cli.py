@@ -25,12 +25,6 @@ Commands:
   [--out F]`` — run the microbenchmark with span tracing on and emit a
   per-phase latency breakdown or a Chrome ``trace_event`` JSON loadable
   in chrome://tracing / Perfetto.
-- ``bench perf [--quick] [--out F] [--check BASELINE] [--profile C]``
-  — measure the simulator's own wall-clock speed (events/sec,
-  txns/sec) on a canned config matrix and optionally fail on
-  regression vs a baseline; every written run also appends a
-  timestamped row to ``BENCH_history.jsonl``. ``--profile CONFIG``
-  cProfiles one config's measured window instead.
 - ``bench saturation [--scale S] [--seed N] [--policy P] [--arrival A]
   [--partitions K]`` — sweep open-loop offered load across the
   admission knee and print the throughput-vs-latency curve.
@@ -67,7 +61,7 @@ of the command, so any ambient randomness / wall-clock / entropy call
 raises ``DeterminismViolation`` instead of silently diverging replicas.
 
 Sweep-shaped commands (``run`` of a grid experiment, ``bench
-perf|compare|geo|saturation|elastic``, ``chaos --seeds K``) accept
+compare|geo|saturation|elastic``, ``chaos --seeds K``) accept
 ``--jobs N`` to fan independent cells across worker processes; every
 cell builds its own cluster from an explicit seed, so results are
 byte-identical at any job count.
@@ -85,6 +79,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.bench.io import save_csv, save_json
+from repro.errors import ConfigError
 
 EXPERIMENTS: Dict[str, str] = {
     "fig5": "repro.bench.experiments.fig5_tpcc_scalability",
@@ -107,7 +102,6 @@ EXPERIMENTS: Dict[str, str] = {
 
 def common_parent(
     *,
-    seed: Optional[int] = 2012,
     topology: bool = False,
     topology_default: Optional[str] = None,
     sanitize: bool = False,
@@ -122,8 +116,7 @@ def common_parent(
     defaults and help text stay consistent across the whole CLI.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    if seed is not None:
-        parent.add_argument("--seed", type=int, default=seed)
+    parent.add_argument("--seed", type=int, default=2012)
     if topology:
         parent.add_argument(
             "--topology", default=topology_default,
@@ -268,41 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="relative change flagged as regression (default 0.10)")
 
     bench = sub.add_parser(
-        "bench", help="wall-clock benchmarks of the simulator itself"
+        "bench", help="sweeps of the modelled system: load, engines, geo, elastic"
     )
     bench_sub = bench.add_subparsers(dest="bench_command")
-    perf = bench_sub.add_parser(
-        "perf",
-        help="measure events/sec + txns/sec on the canned config matrix",
-        parents=[common_parent(seed=None, sanitize=True, jobs=True)],
-    )
-    perf.add_argument("--quick", action="store_true",
-                      help="short durations (CI smoke)")
-    perf.add_argument("--out", metavar="FILE", default="BENCH_perf.json",
-                      help="where to write the result (default BENCH_perf.json)")
-    perf.add_argument("--no-write", action="store_true",
-                      help="print the result without writing --out")
-    perf.add_argument("--check", metavar="BASELINE",
-                      help="compare against a baseline BENCH_perf.json; "
-                           "exit 1 on regression")
-    perf.add_argument("--threshold", type=float, default=None,
-                      help="normalised events/sec drop flagged as regression "
-                           "(default 0.30)")
-    perf.add_argument("--profile", metavar="CONFIG", default=None,
-                      help="cProfile CONFIG's measured window instead of "
-                           "benchmarking (e.g. tpcc-4p); prints the top "
-                           "functions by cumulative time")
-    perf.add_argument("--profile-out", metavar="FILE", default=None,
-                      help="with --profile: dump raw pstats data to FILE "
-                           "for snakeviz/pstats")
-    perf.add_argument("--top", type=int, default=25, metavar="N",
-                      help="with --profile: rows in the printed table "
-                           "(default 25)")
-    perf.add_argument("--history", metavar="FILE", default="BENCH_history.jsonl",
-                      help="perf-history JSONL appended after each written "
-                           "run (default BENCH_history.jsonl)")
-    perf.add_argument("--no-history", action="store_true",
-                      help="skip the history append")
     saturation = bench_sub.add_parser(
         "saturation",
         help="sweep open-loop offered load across the admission knee",
@@ -323,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="render the curve as ASCII bars")
     shootout = bench_sub.add_parser(
         "compare",
-        help="three-system shoot-out: contention × multipartition-% "
+        help="three-system shoot-out: contention × multipartition-%% "
              "sweep across execution engines",
         parents=[common_parent(sanitize=True, jobs=True)],
     )
@@ -914,10 +875,6 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    import json
-
-    from repro.bench import perf
-
     if args.bench_command == "saturation":
         return cmd_bench_saturation(args)
     if args.bench_command == "geo":
@@ -926,46 +883,8 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return cmd_bench_elastic(args)
     if args.bench_command == "compare":
         return cmd_bench_compare(args)
-    if args.bench_command != "perf":
-        parser.parse_args(["bench", "--help"])
-        return 2
-    if args.profile:
-        print(f"profiling {args.profile} "
-              f"({'quick' if args.quick else 'full'} window)...",
-              file=sys.stderr)
-        table, dumped = perf.profile_config(
-            args.profile, quick=args.quick, out=args.profile_out,
-            top_n=args.top,
-        )
-        print(table, end="")
-        if dumped:
-            print(f"wrote {dumped} (raw pstats: "
-                  f"`python -m pstats {dumped}` or snakeviz)")
-        return 0
-    mode = "quick" if args.quick else "full"
-    print(f"running perf benchmark ({mode} mode)...", file=sys.stderr)
-    result = perf.run_perf(quick=args.quick, jobs=args.jobs)
-    for name, record in result["configs"].items():
-        print(f"  {name}: {record['events_per_sec']:,.0f} ev/s, "
-              f"{record['txns_per_sec']:,.0f} txn/s "
-              f"({record['events']} events in {record['wall_seconds']:.2f}s)")
-    print(f"  calibration: {result['calibration_ops_per_sec']:,.0f} ops/s "
-          f"(accel={'on' if result['accel'] else 'off'})")
-    if not args.no_write:
-        with open(args.out, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-        if not args.no_history:
-            print(f"appended {perf.append_history(result, args.history)}")
-    if args.check:
-        with open(args.check) as handle:
-            baseline = json.load(handle)
-        threshold = perf.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-        comparison = perf.compare(baseline, result, threshold=threshold)
-        print(comparison)
-        return 0 if comparison.ok else 1
-    return 0
+    parser.parse_args(["bench", "--help"])
+    return 2
 
 
 def render_rule_catalogue() -> str:
@@ -1090,10 +1009,21 @@ def _dispatch(args: argparse.Namespace,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from contextlib import nullcontext
-
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run_command(args, parser)
+    except ConfigError as exc:
+        # A configuration the model refuses is the user's to fix and
+        # reads like any other usage error. Every other ReproError is a
+        # bug in the model and keeps its traceback.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from contextlib import nullcontext
+
     if getattr(args, "sanitize", False) and args.command != "bisect":
         # Arm the trip wires for the whole command: cluster construction,
         # the simulated run(s), and reporting all happen inside. (bisect

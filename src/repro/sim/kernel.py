@@ -38,7 +38,6 @@ from typing import (
     Tuple,
 )
 
-from repro.accel import dispatch_core as _dispatch_core
 from repro.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
@@ -185,8 +184,13 @@ class Simulator:
 
     @contextmanager
     def _dispatching(self) -> Iterator[None]:
-        """Everything a dispatch loop runs under, pure or compiled: the
-        determinism sanitizer when armed, and the cyclic collector off.
+        """Everything both dispatch loops run under: the reentrancy
+        guard, the determinism sanitizer when armed, and the cyclic
+        collector off.
+
+        One heap has one loop over it at a time: a handler that calls
+        ``run`` or ``run_until_triggered`` would dispatch unrelated
+        entries from inside itself, so it is refused.
 
         The loop and its handlers allocate heavily but leave no
         unreachable cycles (tests/test_gc_quiet.py holds that), so an
@@ -194,12 +198,19 @@ class Simulator:
         reclaim nothing. The collector's previous state is restored on
         every way out; a caller's own ``gc.disable()`` is left alone.
         """
+        if self._running:
+            raise SimulationError(
+                "Simulator.run / run_until_triggered are not reentrant: "
+                "called from inside an event handler"
+            )
+        self._running = True
         collecting = gc.isenabled()
         gc.disable()
         try:
             with self._sanitizer or nullcontext():
                 yield
         finally:
+            self._running = False
             if collecting:
                 gc.enable()
 
@@ -208,7 +219,8 @@ class Simulator:
 
         Stops when the queue is empty, when virtual time would pass
         ``until``, or after ``max_events`` dispatches (a runaway guard).
-        Returns the final virtual time.
+        Returns the final virtual time: ``until`` when one is given,
+        unless the clock is already past it — it never moves backwards.
 
         Automatic garbage collection is suspended for the duration of
         the call and put back as it was on return or on any exception
@@ -217,21 +229,6 @@ class Simulator:
         returns never collects, and forcing a collection between runs
         is the caller's business.
         """
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        core = _dispatch_core()
-        self._running = True
-        if core is not None:
-            # Accelerated path: the loop below, compiled. Bit-identical
-            # by contract (tests/test_accel.py); the reentrancy guard,
-            # sanitizer and collector pause stay out here so both paths
-            # share them.
-            try:
-                with self._dispatching():
-                    core.run_loop(self, until, max_events)
-            finally:
-                self._running = False
-            return self.now
         horizon = inf if until is None else until
         budget = inf if max_events is None else max_events
         heap = self._heap
@@ -244,7 +241,6 @@ class Simulator:
                     entry = heap[0]
                     when = entry[0]
                     if when > horizon:
-                        self.now = until  # type: ignore[assignment]
                         break
                     pop(heap)
                     self.now = when
@@ -260,12 +256,12 @@ class Simulator:
                             f"simulation exceeded max_events={max_events}; "
                             "likely a livelock in the model"
                         )
-                else:
-                    if until is not None and until > self.now:
-                        self.now = until
+                # Horizon reached or queue drained: the clock moves up
+                # to ``until``, never back.
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self.events_executed += executed
-            self._running = False
         return self.now
 
     def run_until_triggered(
@@ -280,13 +276,6 @@ class Simulator:
         runaway guard for drains that never converge. Automatic garbage
         collection is suspended and restored exactly as in :meth:`run`.
         """
-        core = _dispatch_core()
-        if core is not None:
-            with self._dispatching():
-                core.run_until_loop(self, event, limit, max_events)
-            if event.ok:
-                return event.value
-            raise event.value
         horizon = inf if limit is None else limit
         budget = inf if max_events is None else max_events
         heap = self._heap

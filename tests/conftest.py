@@ -16,32 +16,9 @@ from repro import (
     ProcedureRegistry,
     TxnSpec,
     Workload,
-    accel,
 )
 from repro.partition.partitioner import FuncPartitioner
 from repro.txn.procedures import Procedure
-
-
-@pytest.fixture(
-    params=[
-        False,
-        pytest.param(
-            True,
-            marks=pytest.mark.skipif(
-                not accel.accel_available(),
-                reason="accelerated kernel not built (python -m repro.accel.build)",
-            ),
-        ),
-    ],
-    ids=["pure", "accel"],
-)
-def kernel_path(request):
-    """Run the test body under one kernel implementation, then restore."""
-    accel.force(request.param)
-    try:
-        yield request.param
-    finally:
-        accel.force(None)
 
 
 def transfer_logic(ctx):

@@ -80,6 +80,23 @@ class TestCli:
         assert main([]) == 2
         assert "experiments" in capsys.readouterr().out
 
+    def test_bad_configuration_is_one_line_not_a_traceback(self, capsys):
+        assert main(["trace", "--system", "calvin", "--partitions", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "repro: error: num_partitions must be >= 1"
+        assert "Traceback" not in err
+
+    def test_model_bugs_keep_their_traceback(self, monkeypatch):
+        from repro import cli
+        from repro.errors import SchedulerError
+
+        def broken(args, parser):
+            raise SchedulerError("a bug, not a usage error")
+
+        monkeypatch.setattr(cli, "_dispatch", broken)
+        with pytest.raises(SchedulerError):
+            main(["demo"])
+
     def test_demo_runs(self, capsys):
         assert main(["demo"]) == 0
         assert "committed" in capsys.readouterr().out

@@ -5,8 +5,8 @@ collector off while they dispatch (docs/performance.md, "Garbage
 collection"). That is only sound because a running cluster produces no
 unreachable cycles, so the first half of this file holds that invariant
 on the five perf-ledger shapes and on a crash/restart; the second half
-pins the collector-state contract on both kernels, and the third the
-canonical keys that pay for the memory the pause costs.
+pins the collector-state contract on both entry points, and the third
+the canonical keys that pay for the memory the pause costs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def collector_enabled():
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
-def test_a_window_leaves_nothing_unreachable(spec, kernel_path):
+def test_a_window_leaves_nothing_unreachable(spec):
     # The ledger's own shapes at its smoke size: flat micro, contended
     # micro, TPC-C, 3-replica Paxos + ring + partial hosting, open loop +
     # split + remove_node. ``cluster`` stays referenced throughout.
@@ -80,7 +80,7 @@ def test_a_crash_leaves_garbage_per_crash_not_per_transaction(clients):
 
 
 # ---------------------------------------------------------------------------
-# (c, d) Collector state across run / run_until_triggered, both kernels.
+# (c, d) Collector state across run / run_until_triggered.
 # ---------------------------------------------------------------------------
 
 
@@ -100,7 +100,7 @@ DRIVERS = pytest.mark.parametrize(
 
 
 @DRIVERS
-def test_enabled_stays_enabled_and_handlers_see_it_off(drive, kernel_path, collector_enabled):
+def test_enabled_stays_enabled_and_handlers_see_it_off(drive, collector_enabled):
     sim = Simulator()
     seen = []
     sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
@@ -110,7 +110,7 @@ def test_enabled_stays_enabled_and_handlers_see_it_off(drive, kernel_path, colle
 
 
 @DRIVERS
-def test_a_callers_own_disable_is_left_alone(drive, kernel_path, collector_enabled):
+def test_a_callers_own_disable_is_left_alone(drive, collector_enabled):
     gc.disable()
     sim = Simulator()
     seen = []
@@ -122,7 +122,7 @@ def test_a_callers_own_disable_is_left_alone(drive, kernel_path, collector_enabl
 
 @DRIVERS
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-def test_state_restored_when_a_handler_raises(drive, enabled, kernel_path, collector_enabled):
+def test_state_restored_when_a_handler_raises(drive, enabled, collector_enabled):
     def boom():
         raise ValueError("handler failed")
 
@@ -136,7 +136,7 @@ def test_state_restored_when_a_handler_raises(drive, enabled, kernel_path, colle
 
 @DRIVERS
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-def test_state_restored_when_max_events_trips(drive, enabled, kernel_path, collector_enabled):
+def test_state_restored_when_max_events_trips(drive, enabled, collector_enabled):
     def again():
         sim.schedule(0.001, again)
 
@@ -151,7 +151,7 @@ def test_state_restored_when_max_events_trips(drive, enabled, kernel_path, colle
     assert gc.isenabled() is enabled
 
 
-def test_collection_resumes_between_runs(kernel_path, collector_enabled):
+def test_collection_resumes_between_runs(collector_enabled):
     # The pause is per call: between two runs the collector is on, so a
     # cycle dropped meanwhile is reclaimed at CPython's own cadence.
     sim = Simulator()

@@ -11,6 +11,12 @@ def sim():
     return Simulator()
 
 
+ENTRY_POINTS = {
+    "run": lambda sim: sim.run(),
+    "run_until_triggered": lambda sim: sim.run_until_triggered(sim.timeout(1.0)),
+}
+
+
 class TestScheduling:
     def test_time_advances_to_scheduled(self, sim):
         fired = []
@@ -55,12 +61,14 @@ class TestScheduling:
 
         def outer():
             order.append("outer")
-            sim.schedule(1.0, lambda: order.append("inner"))
+            for index in range(100):
+                sim.schedule(0.001 * index, order.append, index)
 
         sim.schedule(1.0, outer)
         sim.run()
-        assert order == ["outer", "inner"]
-        assert sim.now == 2.0
+        assert order == ["outer", *range(100)]
+        assert sim.now == 1.0 + 0.001 * 99
+        assert sim.events_executed == 101
 
 
 class TestRun:
@@ -71,20 +79,35 @@ class TestRun:
         sim.run(until=2.0)
         assert fired == ["a"]
         assert sim.now == 2.0
-        sim.run()
+        # A horizon that outlives the last event is still where the clock ends.
+        assert sim.run(until=8.0) == 8.0
         assert fired == ["a", "b"]
+        assert sim.now == 8.0
 
     def test_run_empty_with_until_advances_clock(self, sim):
         sim.run(until=10.0)
         assert sim.now == 10.0
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["empty-heap", "queued-entry"])
+    def test_clock_never_runs_backwards(self, sim, queued):
+        if queued:
+            sim.schedule(9.0, lambda: None)
+        sim.run(until=5.0)
+        assert sim.run(until=2.0) == 5.0
+        assert sim.now == 5.0
+        fired = []
+        sim.schedule(0.0, lambda: fired.append(sim.now))
+        sim.run(until=5.0)
+        assert fired == [5.0]
 
     def test_max_events_guard(self, sim):
         def loop():
             sim.schedule(0.001, loop)
 
         sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
+        with pytest.raises(SimulationError, match="max_events=50"):
+            sim.run(max_events=50)
+        assert sim.events_executed == 50
 
     def test_not_reentrant(self, sim):
         def recurse():
@@ -93,6 +116,21 @@ class TestRun:
         sim.schedule(0.0, recurse)
         with pytest.raises(SimulationError):
             sim.run()
+
+    @pytest.mark.parametrize("inner", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("outer", sorted(ENTRY_POINTS))
+    def test_neither_entry_point_nests(self, sim, outer, inner):
+        # One heap, one loop: a nested loop would run the bystander from
+        # inside the t=0 handler.
+        bystander = []
+        sim.schedule(0.0, ENTRY_POINTS[inner], sim)
+        sim.schedule(0.5, bystander.append, "ran")
+        with pytest.raises(SimulationError, match="not reentrant"):
+            ENTRY_POINTS[outer](sim)
+        assert bystander == []
+        assert sim._running is False
+        sim.run()
+        assert bystander == ["ran"]
 
     def test_events_executed_counter(self, sim):
         for _ in range(5):
@@ -103,9 +141,18 @@ class TestRun:
 
 class TestRunUntilTriggered:
     def test_returns_value(self, sim):
+        later = []
+        sim.schedule(1.0, lambda: None)
         event = sim.timeout(3.0, "payload")
+        sim.schedule(5.0, later.append, "after the trigger")
         assert sim.run_until_triggered(event) == "payload"
+        # Returns at the trigger: the clock stops there and what is
+        # scheduled later stays queued. Three dispatches: the no-op, the
+        # timeout, and the event's callback round.
         assert sim.now == pytest.approx(3.0)
+        assert later == []
+        assert sim.events_executed == 3
+        assert sim.pending_events == 1
 
     def test_raises_on_failure(self, sim):
         event = sim.event()
@@ -131,8 +178,9 @@ class TestRunUntilTriggered:
             sim.schedule(0.001, loop)
 
         sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="max_events=50"):
             sim.run_until_triggered(event, max_events=50)
+        assert sim.events_executed == 50
 
 
 class TestBulkScheduling:
