@@ -33,10 +33,11 @@ Public surface (everything in ``__all__``; anything else is internal):
   experiments that wire workloads, clients and faults explicitly.
 - **Traffic** — :class:`ClientProfile` (shared closed/open-loop client
   spec consumed by ``add_clients``, the bench harness and the CLI).
-- **Engines** — :class:`ExecutionEngine`, :func:`get_engine`,
-  :func:`build_cluster` (the seam dispatching ``config.engine`` to the
-  Calvin ``core``, the 2PL+2PC ``baseline``, or the phase-switching
-  ``star`` implementation; see docs/engines.md).
+- **Engines** — :class:`Cluster` (the substrate every engine's
+  cluster class subclasses), :func:`get_engine` (name -> cluster
+  class) and :func:`build_cluster` (builds whatever ``config.engine``
+  names: the Calvin ``core``, the 2PL+2PC ``baseline``, or the
+  phase-switching ``star``; see docs/engines.md).
 - **Transactions** — :class:`Transaction`, :class:`TransactionResult`,
   :class:`TxnStatus`, :class:`TxnContext`, :class:`Procedure`,
   :class:`ProcedureRegistry`, :class:`Footprint`.
@@ -66,6 +67,7 @@ from repro.core import (
     CalvinCluster,
     CalvinDB,
     ClientProfile,
+    Cluster,
     Metrics,
     RunReport,
     TxnHandle,
@@ -77,7 +79,7 @@ from repro.core import (
     check_replica_prefix_consistency,
     check_serializability,
 )
-from repro.engines import ExecutionEngine, build_cluster, get_engine
+from repro.engines import build_cluster, get_engine
 from repro.errors import (
     ConfigError,
     ConsistencyError,
@@ -120,6 +122,7 @@ __all__ = [
     "CalvinCluster",
     "CalvinDB",
     "ClientProfile",
+    "Cluster",
     "ClusterAdmin",
     "ClusterConfig",
     "ConfigError",
@@ -128,7 +131,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "DeterminismSanitizer",
     "DeterminismViolation",
-    "ExecutionEngine",
     "FAULT_PROFILES",
     "FaultEvent",
     "FaultInjector",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.bench.harness import ScaleProfile, run_calvin
+from repro.bench.harness import ScaleProfile, measure
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
@@ -23,7 +23,7 @@ def _cell(epoch: float, machines: int, scale: str, seed: int) -> Tuple:
     profile = ScaleProfile.get(scale)
     workload = Microbenchmark(mp_fraction=0.10, hot_set_size=10000)
     config = ClusterConfig(num_partitions=machines, seed=seed, epoch_duration=epoch)
-    report = run_calvin(workload, config, profile)
+    report = measure(workload, config, profile)
     return (
         epoch * 1e3,
         report.throughput,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.bench.harness import LockStatsSampler, ScaleProfile, run_calvin
+from repro.bench.harness import LockStatsSampler, ScaleProfile, measure
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig, CostModel
@@ -34,7 +34,7 @@ def _cell(shards: int, machines: int, scale: str, seed: int) -> Tuple:
         costs=costs,
     )
     sampler = LockStatsSampler()
-    report = run_calvin(
+    report = measure(
         workload, config, profile,
         clients_per_partition=profile.clients_per_partition * 2,
         on_cluster=sampler.attach,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.harness import ScaleProfile, run_calvin
+from repro.bench.harness import ScaleProfile, measure
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
@@ -29,7 +29,7 @@ def _cell(theta: float, read_fraction: float, machines: int, scale: str, seed: i
         mp_fraction=0.1,
     )
     config = ClusterConfig(num_partitions=machines, seed=seed)
-    return run_calvin(workload, config, profile).throughput
+    return measure(workload, config, profile).throughput
 
 
 def run(

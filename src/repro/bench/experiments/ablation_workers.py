@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.bench.harness import ScaleProfile, run_calvin
+from repro.bench.harness import ScaleProfile, measure
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
@@ -27,7 +27,7 @@ def _cell(workers: int, machines: int, scale: str, seed: int) -> Tuple:
     config = ClusterConfig(
         num_partitions=machines, seed=seed, workers_per_node=workers
     )
-    report = run_calvin(workload, config, profile)
+    report = measure(workload, config, profile)
     return (workers, report.throughput / machines, report.latency_p50 * 1e3)
 
 

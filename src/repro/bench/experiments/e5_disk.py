@@ -10,7 +10,7 @@ scheduler while holding locks.
 
 from __future__ import annotations
 
-from repro.bench.harness import ScaleProfile, run_calvin
+from repro.bench.harness import ScaleProfile, measure
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
 from repro.workloads.microbenchmark import Microbenchmark
@@ -45,7 +45,7 @@ def run(scale: str = "quick", seed: int = 2012, machines: int = 2) -> Experiment
                 disk_enabled=fraction > 0,
                 disk_estimate_error=error,
             )
-            rows.append(run_calvin(workload, config, profile))
+            rows.append(measure(workload, config, profile))
         result.add_row(
             fraction * 100,
             rows[0].throughput,

@@ -9,7 +9,7 @@ while commit latency absorbs the WAN round trip.
 
 from __future__ import annotations
 
-from repro.bench.harness import ScaleProfile, run_calvin
+from repro.bench.harness import ScaleProfile, measure
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
 from repro.workloads.microbenchmark import Microbenchmark
@@ -51,7 +51,7 @@ def run(scale: str = "quick", seed: int = 2012, machines: int = 2) -> Experiment
                 clients_per_partition=clients,
                 max_machines=profile.max_machines,
             )
-        report = run_calvin(workload, config, run_profile, clients_per_partition=clients)
+        report = measure(workload, config, run_profile, clients_per_partition=clients)
         result.add_row(
             mode,
             replicas,

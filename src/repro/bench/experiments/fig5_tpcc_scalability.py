@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.bench.harness import ScaleProfile, machine_sweep, run_calvin
+from repro.bench.harness import ScaleProfile, machine_sweep, measure
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
@@ -21,7 +21,7 @@ def _cell(machines: int, clients: int, scale: str, seed: int) -> Tuple:
     profile = ScaleProfile.get(scale)
     workload = TpccWorkload(mix={"new_order": 1.0}, remote_fraction=0.10)
     config = ClusterConfig(num_partitions=machines, seed=seed)
-    report = run_calvin(workload, config, profile, clients_per_partition=clients)
+    report = measure(workload, config, profile, clients_per_partition=clients)
     return (
         machines,
         report.throughput,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.bench.harness import ScaleProfile, machine_sweep, run_calvin
+from repro.bench.harness import ScaleProfile, machine_sweep, measure
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
@@ -24,7 +24,7 @@ def _cell(mp_fraction: float, machines: int, scale: str, seed: int) -> Tuple:
     profile = ScaleProfile.get(scale)
     workload = Microbenchmark(mp_fraction=mp_fraction, hot_set_size=10000)
     config = ClusterConfig(num_partitions=machines, seed=seed)
-    report = run_calvin(workload, config, profile)
+    report = measure(workload, config, profile)
     return (
         machines,
         int(mp_fraction * 100),

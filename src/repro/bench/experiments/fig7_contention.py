@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.harness import ScaleProfile, run_baseline, run_calvin
+from repro.bench.harness import ScaleProfile, measure
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
@@ -21,12 +21,11 @@ from repro.workloads.microbenchmark import Microbenchmark
 CONTENTION_HOT_SETS = (10000, 1000, 100, 10, 2, 1)
 
 
-def _cell(system: str, hot_set: int, machines: int, scale: str, seed: int) -> float:
+def _cell(engine: str, hot_set: int, machines: int, scale: str, seed: int) -> float:
     profile = ScaleProfile.get(scale)
     workload = Microbenchmark(mp_fraction=0.10, hot_set_size=hot_set)
-    config = ClusterConfig(num_partitions=machines, seed=seed)
-    runner = run_calvin if system == "calvin" else run_baseline
-    return runner(workload, config, profile).throughput
+    config = ClusterConfig(num_partitions=machines, seed=seed, engine=engine)
+    return measure(workload, config, profile).throughput
 
 
 def run(
@@ -49,9 +48,9 @@ def run(
         "paper: 2PC system collapses orders of magnitude sooner than Calvin",
     )
     params = [
-        (system, hot_set, machines, scale, seed)
+        (engine, hot_set, machines, scale, seed)
         for hot_set in CONTENTION_HOT_SETS
-        for system in ("calvin", "2pc")
+        for engine in ("core", "baseline")
     ]
     rates = sweep(_cell, params, jobs=jobs)
     calvin_rates = rates[0::2]

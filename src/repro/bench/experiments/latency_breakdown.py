@@ -16,7 +16,7 @@ their mean durations over the measurement window — the same data
 
 from __future__ import annotations
 
-from repro.bench.harness import ScaleProfile, run_calvin
+from repro.bench.harness import ScaleProfile, measure
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
 from repro.obs import SpanKind, TraceRecorder, phase_means
@@ -49,7 +49,7 @@ def run(scale: str = "quick", seed: int = 2012, machines: int = 2) -> Experiment
         workload = Microbenchmark(mp_fraction=mp_fraction, hot_set_size=10000)
         config = ClusterConfig(num_partitions=machines, seed=seed)
         tracer = TraceRecorder()
-        report = run_calvin(
+        report = measure(
             workload, config, profile,
             clients_per_partition=max(20, profile.clients_per_partition // 8),
             tracer=tracer,

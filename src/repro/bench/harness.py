@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.baseline.cluster import BaselineCluster
-from repro.config import BaselineConfig, ClusterConfig
-from repro.core.cluster import CalvinCluster
+from repro.config import ClusterConfig
+from repro.core.cluster import CalvinCluster, Cluster
 from repro.core.metrics import RunReport
 from repro.core.traffic import ClientProfile
+from repro.engines import build_cluster
 from repro.errors import ConfigError
 from repro.obs import TraceRecorder
 from repro.workloads.base import Workload
@@ -97,77 +97,23 @@ class LockStatsSampler:
         return max((s[2] for s in self.samples), default=0)
 
 
-def run_calvin(
+def measure(
     workload: Workload,
     config: ClusterConfig,
     profile: ScaleProfile,
     clients_per_partition: Optional[int] = None,
     tracer: Optional[TraceRecorder] = None,
-    on_cluster: Optional[Callable[[CalvinCluster], None]] = None,
-    clients: Optional[ClientProfile] = None,
+    on_cluster: Optional[Callable[[Cluster], None]] = None,
 ) -> RunReport:
-    """Build a Calvin cluster, saturate it, measure one window.
+    """Build the cluster ``config.engine`` names, saturate it, measure
+    one window.
 
     Pass a live :class:`TraceRecorder` to collect per-phase spans for
-    the run (e.g. for the latency-breakdown experiment), an
+    the run (e.g. for the latency-breakdown experiment), or an
     ``on_cluster`` hook to instrument the built cluster before it runs
-    (e.g. attach a :class:`LockStatsSampler`), or a full
-    :class:`ClientProfile` (``clients``) to drive the cluster with
-    something other than the default closed-loop saturation population.
+    (e.g. attach a :class:`LockStatsSampler`).
     """
-    cluster = CalvinCluster(
-        config, workload=workload, record_history=False, tracer=tracer
-    )
-    cluster.load_workload_data()
-    if clients is None:
-        clients = ClientProfile(
-            per_partition=clients_per_partition or profile.clients_per_partition
-        )
-    cluster.add_clients(clients)
-    if on_cluster is not None:
-        on_cluster(cluster)
-    return cluster.run(duration=profile.duration, warmup=profile.warmup)
-
-
-def run_baseline(
-    workload: Workload,
-    config: ClusterConfig,
-    profile: ScaleProfile,
-    baseline: Optional[BaselineConfig] = None,
-    clients_per_partition: Optional[int] = None,
-    tracer: Optional[TraceRecorder] = None,
-) -> RunReport:
-    """Same measurement against the System R*-style baseline."""
-    cluster = BaselineCluster(config, baseline=baseline, workload=workload, tracer=tracer)
-    cluster.load_workload_data()
-    cluster.add_clients(
-        ClientProfile(
-            per_partition=clients_per_partition or profile.clients_per_partition
-        )
-    )
-    return cluster.run(duration=profile.duration, warmup=profile.warmup)
-
-
-def run_engine(
-    engine_name: str,
-    workload: Workload,
-    config: ClusterConfig,
-    profile: ScaleProfile,
-    clients_per_partition: Optional[int] = None,
-    tracer: Optional[TraceRecorder] = None,
-    on_cluster: Optional[Callable[[object], None]] = None,
-) -> RunReport:
-    """Saturate and measure one window under any registered engine.
-
-    The engine-generic twin of :func:`run_calvin` / :func:`run_baseline`,
-    dispatching through :mod:`repro.engines` — the path the three-system
-    shoot-out (``repro bench compare``) sweeps.
-    """
-    from repro.engines import get_engine
-
-    cluster = get_engine(engine_name).build(
-        config, workload, record_history=False, tracer=tracer
-    )
+    cluster = build_cluster(config, workload, record_history=False, tracer=tracer)
     cluster.load_workload_data()
     cluster.add_clients(
         ClientProfile(

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.bench.harness import SATURATION_CLIENTS, ScaleProfile, run_engine
+from repro.bench.harness import SATURATION_CLIENTS, ScaleProfile, measure
 from repro.bench.parallel import Cell, run_cells
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig
+from repro.engines import ENGINES
 from repro.errors import ConfigError
 from repro.workloads.microbenchmark import Microbenchmark
 
@@ -71,8 +72,7 @@ def _shootout_cell(
             cold_set_size=10000,
             mp_fraction=mp_fraction,
         )
-    report = run_engine(
-        engine,
+    report = measure(
         workload,
         _config_for(engine, partitions, seed),
         profile,
@@ -100,7 +100,7 @@ def run(
     """
     if partitions < 2:
         raise ConfigError("the shoot-out needs >= 2 partitions")
-    unknown = [e for e in engines if e not in ("core", "baseline", "star")]
+    unknown = [e for e in engines if e not in ENGINES]
     if unknown:
         raise ConfigError(f"unknown engine(s) in shoot-out: {unknown}")
     ScaleProfile.get(scale)  # validate before any cell runs

@@ -186,6 +186,66 @@ def config_from_args(args: argparse.Namespace, **overrides):
     return ClusterConfig(**values)
 
 
+def _fault_overrides(
+    profile: Optional[str],
+    duration: float,
+    open_loop: Optional[float] = None,
+    admission: str = "none",
+) -> Dict:
+    """Config overrides of a fault-injected microbenchmark run: faults
+    stop at 85% of the window so the tail drains cleanly, and an
+    admission controller fronts the sequencers when open-loop clients
+    drive the cluster too."""
+    driven = open_loop is not None
+    return dict(
+        fault_profile=profile,
+        fault_horizon=duration * 0.85,
+        admission_policy=admission if driven else "none",
+        admission_epoch_budget=20 if driven else None,
+    )
+
+
+def _run_microbenchmark(
+    config,
+    duration: float,
+    *,
+    mp_fraction: float = 0.3,
+    open_loop: Optional[float] = None,
+    before_run=None,
+    **cluster_kwargs,
+):
+    """The recipe ``chaos``, ``trace`` and ``bisect`` share: build the
+    microbenchmark cluster ``config.engine`` names, add 4 bounded
+    closed-loop clients per partition (plus an open-loop population at
+    ``open_loop`` txn/s each when asked), run ``duration`` virtual
+    seconds and quiesce. Returns the drained cluster."""
+    from repro.core.traffic import ClientProfile
+    from repro.engines import build_cluster
+    from repro.workloads.microbenchmark import Microbenchmark
+
+    cluster = build_cluster(
+        config,
+        Microbenchmark(mp_fraction=mp_fraction, hot_set_size=10, cold_set_size=100),
+        **cluster_kwargs,
+    )
+    cluster.load_workload_data()
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=20))
+    if open_loop is not None:
+        # Bounded arrivals so quiesce() still has a fixed point: overload
+        # and faults compose, then the cluster drains.
+        cluster.add_clients(
+            ClientProfile(
+                per_partition=4, mode="open", rate=open_loop,
+                max_txns=max(1, int(open_loop * duration)),
+            )
+        )
+    if before_run is not None:
+        before_run(cluster)
+    cluster.run(duration=duration)
+    cluster.quiesce()
+    return cluster
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -478,6 +538,23 @@ def cmd_demo() -> int:
     return 0
 
 
+def _chaos_run(args: argparse.Namespace, seed: int, before_run=None):
+    """One chaos run at ``seed`` (single-run and campaign paths): the
+    microbenchmark under ``args.profile`` with the live invariant
+    monitor sweeping every 5 epochs."""
+    config = config_from_args(
+        args,
+        seed=seed,
+        **_fault_overrides(
+            args.profile, args.duration, args.open_loop, args.admission
+        ),
+    )
+    return _run_microbenchmark(
+        config, args.duration, open_loop=args.open_loop, before_run=before_run,
+        monitor_interval=config.epoch_duration * 5,
+    )
+
+
 def _chaos_checks():
     from repro.core import checkers
 
@@ -492,16 +569,7 @@ def _chaos_checks():
     ]
 
 
-def _chaos_campaign_cell(
-    profile: str,
-    seed: int,
-    duration: float,
-    replicas: int,
-    partitions: int,
-    topology: Optional[str],
-    open_loop: Optional[float],
-    admission: str,
-) -> Dict:
+def _chaos_campaign_cell(args: argparse.Namespace, seed: int) -> Dict:
     """One seed of a chaos campaign: run, verify invariants, summarize.
 
     Module-level (picklable) so ``--jobs`` can fan seeds across worker
@@ -509,39 +577,8 @@ def _chaos_campaign_cell(
     metrics registry, so summaries merge in the parent.
     """
     from repro.bench.parallel import portable_registry
-    from repro.config import ClusterConfig
-    from repro.core.cluster import CalvinCluster
-    from repro.core.traffic import ClientProfile
-    from repro.workloads.microbenchmark import Microbenchmark
 
-    driven = open_loop is not None
-    config = ClusterConfig(
-        num_partitions=partitions,
-        num_replicas=replicas,
-        replication_mode="paxos" if replicas > 1 else "none",
-        seed=seed,
-        fault_profile=profile,
-        fault_horizon=duration * 0.85,
-        admission_policy=admission if driven else "none",
-        admission_epoch_budget=20 if driven else None,
-        topology=topology,
-    )
-    cluster = CalvinCluster(
-        config,
-        workload=Microbenchmark(mp_fraction=0.3, hot_set_size=10, cold_set_size=100),
-        monitor_interval=config.epoch_duration * 5,
-    )
-    cluster.load_workload_data()
-    cluster.add_clients(ClientProfile(per_partition=4, max_txns=20))
-    if driven:
-        arrivals = max(1, int(open_loop * duration))
-        cluster.add_clients(
-            ClientProfile(
-                per_partition=4, mode="open", rate=open_loop, max_txns=arrivals
-            )
-        )
-    cluster.run(duration=duration)
-    cluster.quiesce()
+    cluster = _chaos_run(args, seed)
     failures = []
     checked = 0
     for name, check in _chaos_checks():
@@ -568,13 +605,7 @@ def _chaos_campaign(args: argparse.Namespace) -> int:
     print(f"chaos campaign: profile {args.profile}, seeds "
           f"{seeds[0]}..{seeds[-1]}, {args.duration}s of virtual time each...")
     cells = [
-        Cell(
-            fn=_chaos_campaign_cell,
-            args=(args.profile, seed, args.duration, args.replicas,
-                  args.partitions, args.topology, args.open_loop,
-                  args.admission),
-            label=f"seed {seed}",
-        )
+        Cell(fn=_chaos_campaign_cell, args=(args, seed), label=f"seed {seed}")
         for seed in seeds
     ]
     summaries = run_cells(cells, jobs=args.jobs)
@@ -599,42 +630,15 @@ def _chaos_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.core.cluster import CalvinCluster
-    from repro.core.traffic import ClientProfile
-    from repro.workloads.microbenchmark import Microbenchmark
-
     if args.seeds > 1:
         return _chaos_campaign(args)
-    open_loop = args.open_loop is not None
-    config = config_from_args(
-        args,
-        fault_profile=args.profile,
-        fault_horizon=args.duration * 0.85,
-        admission_policy=args.admission if open_loop else "none",
-        admission_epoch_budget=20 if open_loop else None,
-    )
-    cluster = CalvinCluster(
-        config,
-        workload=Microbenchmark(mp_fraction=0.3, hot_set_size=10, cold_set_size=100),
-        monitor_interval=config.epoch_duration * 5,
-    )
-    cluster.load_workload_data()
-    cluster.add_clients(ClientProfile(per_partition=4, max_txns=20))
-    if open_loop:
-        # Bounded arrivals so quiesce() still has a fixed point: overload
-        # and faults compose, then the cluster drains.
-        arrivals = max(1, int(args.open_loop * args.duration))
-        cluster.add_clients(
-            ClientProfile(
-                per_partition=4, mode="open", rate=args.open_loop,
-                max_txns=arrivals,
-            )
-        )
+
+    def announce(cluster) -> None:
+        print(cluster.fault_injector.plan.describe())
+        print(f"running {args.duration}s of virtual time (seed {args.seed})...")
+
+    cluster = _chaos_run(args, args.seed, before_run=announce)
     injector = cluster.fault_injector
-    print(injector.plan.describe())
-    print(f"running {args.duration}s of virtual time (seed {args.seed})...")
-    cluster.run(duration=args.duration)
-    cluster.quiesce()
 
     for name, check in _chaos_checks():
         count = check(cluster)
@@ -642,7 +646,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"committed {cluster.metrics.committed} txns; "
           f"{injector.monitor_checks} live monitor sweeps; "
           f"{len(injector.trace)} fault-trace events")
-    if open_loop:
+    if args.open_loop is not None:
         stats = cluster.admission_stats()
         print(f"admission ({args.admission}): {stats['offered']} offered, "
               f"{stats['admitted']} admitted, {stats['shed']} shed, "
@@ -659,47 +663,35 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def _traced_microbenchmark(system: str, args: argparse.Namespace):
     """Run one system's microbenchmark with a live tracer; returns the tracer."""
-    from repro.config import ClusterConfig
-    from repro.core.traffic import ClientProfile
     from repro.obs import TraceRecorder
-    from repro.workloads.microbenchmark import Microbenchmark
 
-    tracer = TraceRecorder()
-    workload = Microbenchmark(
-        mp_fraction=args.mp_fraction, hot_set_size=10, cold_set_size=100
-    )
     if system == "calvin":
-        from repro.core.cluster import CalvinCluster
-
         config = config_from_args(
-            args,
-            fault_profile=args.profile,
-            fault_horizon=args.duration * 0.85,
+            args, **_fault_overrides(args.profile, args.duration)
         )
-        cluster = CalvinCluster(config, workload=workload, tracer=tracer)
-    elif system == "star":
-        from repro.engines import build_cluster
-
-        # The star engine models one replica and no fault injection.
-        config = ClusterConfig(
-            num_partitions=args.partitions, num_replicas=1, seed=args.seed,
-            engine="star", sanitize=args.sanitize,
-        )
-        cluster = build_cluster(config, workload=workload, tracer=tracer)
     else:
-        from repro.baseline.cluster import BaselineCluster
-
-        # The baseline models a single replica; fault profiles are a
-        # Calvin-cluster feature, so they apply to the calvin run only.
-        config = ClusterConfig(
-            num_partitions=args.partitions, num_replicas=1, seed=args.seed,
-            sanitize=args.sanitize,
+        # The baseline and star engines model a single replica on the
+        # flat network without fault injection, and only Calvin-derived
+        # clusters (star is one) carry a footprint auditor.
+        ignored = [
+            name
+            for name, default in (("replicas", 1), ("topology", None), ("profile", None))
+            if getattr(args, name) != default
+        ]
+        if args.audit_footprints and system == "baseline":
+            ignored.append("audit-footprints")
+        if ignored:
+            flags = ", ".join(f"--{name}" for name in ignored)
+            print(f"note: the {system} run models one replica on the flat "
+                  f"network without faults; {flags} ignored", file=sys.stderr)
+        config = config_from_args(
+            args, engine=system, num_replicas=1, replication_mode="none",
+            topology=None,
         )
-        cluster = BaselineCluster(config, workload=workload, tracer=tracer)
-    cluster.load_workload_data()
-    cluster.add_clients(ClientProfile(per_partition=4, max_txns=20))
-    cluster.run(duration=args.duration)
-    cluster.quiesce()
+    tracer = TraceRecorder()
+    _run_microbenchmark(
+        config, args.duration, mp_fraction=args.mp_fraction, tracer=tracer
+    )
     return tracer
 
 
@@ -936,33 +928,16 @@ def cmd_bisect(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis import bisect_runs
-    from repro.core.cluster import CalvinCluster
-    from repro.core.traffic import ClientProfile
     from repro.obs import TraceRecorder
-    from repro.workloads.microbenchmark import Microbenchmark
 
-    config = config_from_args(
-        args,
-        fault_profile=args.profile,
-        fault_horizon=args.duration * 0.85,
-    )
+    config = config_from_args(args, **_fault_overrides(args.profile, args.duration))
 
     def build_and_run(index: int):
         if not args.json:
             print(f"run {index + 1}/{max(2, args.runs)}: seed {args.seed}, "
                   f"{args.duration}s of virtual time...")
         tracer = TraceRecorder()
-        cluster = CalvinCluster(
-            config,
-            workload=Microbenchmark(
-                mp_fraction=0.3, hot_set_size=10, cold_set_size=100
-            ),
-            tracer=tracer,
-        )
-        cluster.load_workload_data()
-        cluster.add_clients(ClientProfile(per_partition=4, max_txns=20))
-        cluster.run(duration=args.duration)
-        cluster.quiesce()
+        _run_microbenchmark(config, args.duration, tracer=tracer)
         return list(tracer.spans)
 
     report = bisect_runs(

@@ -79,9 +79,11 @@ class ClusterConfig:
     workers_per_node: int = 8
     # Execution engine driving the cluster (see repro.engines): "core"
     # is Calvin's deterministic scheduler, "baseline" the 2PL+2PC
-    # comparison system, "star" the phase-switching engine. Clusters
-    # built directly (CalvinCluster/BaselineCluster) ignore the field;
-    # repro.engines.build_cluster and the CLI honour it.
+    # comparison system, "star" the phase-switching engine.
+    # repro.engines.build_cluster (and with it the bench harness and
+    # the CLI) builds the cluster class the field names; a cluster
+    # class constructed directly pins the field to its own engine and
+    # re-validates, so cluster.config.engine always names the builder.
     engine: str = "core"
     # Lock-manager threads per node. The paper uses one (requests are
     # strictly serialized); sharding the lock table by key preserves

@@ -12,7 +12,7 @@ from repro.core.checkers import (
     reference_execution,
 )
 from repro.core.clients import ClosedLoopClient
-from repro.core.cluster import CalvinCluster
+from repro.core.cluster import CalvinCluster, Cluster
 from repro.core.metrics import Metrics, RunReport
 from repro.core.node import CalvinNode
 from repro.core.traffic import AdmissionController, ClientProfile, OpenLoopClient
@@ -24,6 +24,7 @@ __all__ = [
     "CalvinNode",
     "ClientProfile",
     "ClosedLoopClient",
+    "Cluster",
     "Metrics",
     "OpenLoopClient",
     "RunReport",

@@ -19,9 +19,43 @@ from repro.txn.transaction import Transaction
 from repro.workloads.base import TxnSpec, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cluster import CalvinCluster
+    from repro.core.cluster import Cluster
 
 _MAX_OLLP_RESTARTS = 10
+
+
+def submit_spec(client: Any, spec: TxnSpec, restarts: int) -> Transaction:
+    """Turn ``spec`` into a transaction and send it to ``client``'s origin.
+
+    The one submit path under every client kind: dependent specs go
+    through OLLP reconnaissance first; the caller records what is in
+    flight.
+    """
+    cluster = client.cluster
+    read_set, write_set, token = spec.read_set, spec.write_set, None
+    if spec.dependent:
+        procedure = cluster.registry.get(spec.procedure)
+        footprint = reconnoiter(procedure, cluster.analytics_read, spec.args)
+        read_set = spec.read_set | footprint.read_set
+        write_set = spec.write_set | footprint.write_set
+        token = footprint.token
+    txn = Transaction.create(
+        txn_id=cluster.next_txn_id(),
+        procedure=spec.procedure,
+        args=spec.args,
+        read_set=read_set,
+        write_set=write_set,
+        origin_partition=client.partition,
+        client=client.address,
+        dependent=spec.dependent,
+        footprint_token=token,
+        submit_time=cluster.sim.now,
+        restarts=restarts,
+    )
+    client.submitted += 1
+    message = ClientSubmit(txn)
+    cluster.network.send(client.address, client._target, message, message.size_estimate())
+    return txn
 
 
 class ClosedLoopClient:
@@ -29,7 +63,7 @@ class ClosedLoopClient:
 
     def __init__(
         self,
-        cluster: "CalvinCluster",
+        cluster: "Cluster",
         partition: int,
         index: int,
         workload: Workload,
@@ -93,32 +127,9 @@ class ClosedLoopClient:
         self._submit(spec)
 
     def _submit(self, spec: TxnSpec) -> None:
-        cluster = self.cluster
-        read_set, write_set, token = spec.read_set, spec.write_set, None
-        if spec.dependent:
-            procedure = cluster.registry.get(spec.procedure)
-            footprint = reconnoiter(procedure, cluster.analytics_read, spec.args)
-            read_set = spec.read_set | footprint.read_set
-            write_set = spec.write_set | footprint.write_set
-            token = footprint.token
-        txn = Transaction.create(
-            txn_id=cluster.next_txn_id(),
-            procedure=spec.procedure,
-            args=spec.args,
-            read_set=read_set,
-            write_set=write_set,
-            origin_partition=self.partition,
-            client=self.address,
-            dependent=spec.dependent,
-            footprint_token=token,
-            submit_time=cluster.sim.now,
-            restarts=self._restarts,
-        )
+        txn = submit_spec(self, spec, self._restarts)
         self._inflight = spec
         self._inflight_txn_id = txn.txn_id
-        self.submitted += 1
-        message = ClientSubmit(txn)
-        cluster.network.send(self.address, self._target, message, message.size_estimate())
 
     def _resubmit_rejected(self, spec: TxnSpec) -> None:
         self._pending_resubmits -= 1

@@ -1,14 +1,19 @@
 """Cluster orchestration: build, load, drive, checkpoint, replay.
 
-:class:`CalvinCluster` owns the simulator, the network, all nodes and
-clients, the metrics, and the committed-transaction history that the
-correctness checkers consume. It is the main entry point for benchmarks;
-examples usually go through the friendlier :class:`repro.core.api.CalvinDB`.
+:class:`Cluster` is the substrate every execution engine assembles on:
+it owns the simulator, the network, the clients, the metrics, and the
+committed-transaction history that the correctness checkers consume,
+and drives them (``load`` / ``add_clients`` / ``run`` / ``quiesce``)
+over a handful of engine hooks. :class:`CalvinCluster` adds the paper's
+nodes and everything Calvin-specific; it is the main entry point for
+benchmarks, while examples usually go through the friendlier
+:class:`repro.core.api.CalvinDB`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple, Union
+from abc import ABC, abstractmethod
+from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple, Type, Union
 
 from repro.analysis.auditor import FootprintAuditor, adopt_auditor, audit_armed
 from repro.config import ClusterConfig
@@ -16,7 +21,7 @@ from repro.core.clients import ClosedLoopClient
 from repro.core.metrics import Metrics, RunReport
 from repro.core.node import CalvinNode
 from repro.core.traffic import ClientProfile, OpenLoopClient
-from repro.errors import ConfigError, RecoveryError
+from repro.errors import ConfigError, RecoveryError, SimulationError
 from repro.obs import MetricsRegistry, NULL_RECORDER, TraceRecorder
 from repro.partition.catalog import (
     Catalog,
@@ -32,6 +37,7 @@ from repro.sim.network import Network, lan_topology, wan_topology
 from repro.sim.rng import RngStreams
 from repro.storage.checkpoint import CheckpointSnapshot
 from repro.storage.inputlog import LogEntry
+from repro.storage.kvstore import KVStore
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.result import TxnStatus
 from repro.txn.transaction import GlobalSeq, SequencedTxn, Transaction
@@ -42,13 +48,33 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
 
 # (seq, txn, status) per terminal execution, in arbitrary append order;
-# sort by seq to obtain the agreed serial history.
+# sort by seq to obtain the agreed serial history. (The baseline has no
+# agreed order: its first element is the completion index.)
 HistoryEntry = Tuple[GlobalSeq, Transaction, TxnStatus]
 
 AnyClient = Union[ClosedLoopClient, OpenLoopClient]
 
-class CalvinCluster:
-    """A fully assembled simulated Calvin deployment."""
+
+class Cluster(ABC):
+    """The substrate under every execution engine, and the engine seam.
+
+    A concrete subclass *is* an engine: it sets :attr:`engine` (the
+    ``ClusterConfig.engine`` / ``--engine`` spelling it is registered
+    under in :data:`repro.engines.ENGINES`), builds its nodes after
+    ``super().__init__``, and fills in the hooks below. Everything the
+    clients, the benchmark harness, the CLI and the equivalence oracle
+    drive is defined here once, so the engines cannot drift apart.
+    """
+
+    #: Registry key. ``config.engine`` is pinned to it on construction,
+    #: so the engine-conditional rules of ``ClusterConfig.validate``
+    #: apply however the cluster is built.
+    engine: str
+    #: True when the engine executes an agreed global order, so same
+    #: (workload, seed, injected schedule) implies bit-identical final
+    #: state across engines sharing the flag. False for engines that
+    #: only promise *some* serializable order (the lock-race baseline).
+    deterministic_order: bool = True
 
     def __init__(
         self,
@@ -57,11 +83,12 @@ class CalvinCluster:
         registry: Optional[ProcedureRegistry] = None,
         partitioner: Optional[Partitioner] = None,
         record_history: bool = True,
-        fault_plan: Optional["FaultPlan"] = None,
-        monitor_interval: Optional[float] = None,
         tracer: Optional[TraceRecorder] = None,
     ):
-        config.validate()
+        if config.engine != self.engine:
+            config = config.with_changes(engine=self.engine)  # re-validates
+        else:
+            config.validate()
         self.config = config
         self.workload = workload
 
@@ -74,14 +101,6 @@ class CalvinCluster:
         if registry is None or partitioner is None:
             raise ConfigError("cluster needs a workload, or registry + partitioner")
         self.registry = registry
-        # The serial reference checker must be able to execute any
-        # procedure appearing in the history, including control-plane
-        # migrations; the identity-copy reference logic is inert unless
-        # a migration is actually sequenced.
-        if MIGRATION_PROC not in registry:
-            from repro.reconfig.procedure import migration_procedure
-
-            registry.register(migration_procedure())
         self.catalog = Catalog(config, partitioner)
 
         self.sim = Simulator(sanitize=config.sanitize)
@@ -92,15 +111,177 @@ class CalvinCluster:
         # before the network, which records HOP spans on geo topologies.
         self.tracer = tracer if tracer is not None else NULL_RECORDER
         self.network = self._build_network()
-        # The geo topology, when one is configured (None on the flat
-        # point-to-point network).
-        self.geo = getattr(self.network, "geo", None)
         self.metrics_registry = MetricsRegistry()
         self.sim.register_metrics(self.metrics_registry)
         self.network.register_metrics(self.metrics_registry)
         self.metrics = Metrics(registry=self.metrics_registry)
         self.record_history = record_history
         self.history: List[HistoryEntry] = []
+        self.clients: List[AnyClient] = []
+        self._txn_counter = 0
+        self._initial_data: Dict[Key, Any] = {}
+
+    # -- engine hooks --------------------------------------------------------
+
+    def _build_network(self) -> Network:
+        """The transport: one flat LAN unless the engine knows better."""
+        config = self.config
+        return Network(self.sim, lan_topology(config.lan_latency, config.lan_bandwidth))
+
+    @abstractmethod
+    def _stores_of(self, partition: int) -> Iterable[KVStore]:
+        """Every store holding a copy of ``partition`` (bulk-load targets)."""
+
+    def _make_client(
+        self, profile: ClientProfile, partition: int, index: int, workload: Workload
+    ) -> AnyClient:
+        """One client of the population ``profile`` describes."""
+        if profile.mode == "open":
+            return OpenLoopClient(self, partition, index, profile, workload)
+        return ClosedLoopClient(
+            self, partition, index, workload, profile.think_time, profile.max_txns
+        )
+
+    @abstractmethod
+    def _drained(self) -> bool:
+        """No in-flight work is left anywhere below the (idle) clients."""
+
+    def start(self) -> None:
+        """Start whatever the engine runs besides clients (idempotent)."""
+
+    @abstractmethod
+    def analytics_read(self, key: Key) -> Any:
+        """Unsequenced snapshot read (OLLP reconnaissance path)."""
+
+    @abstractmethod
+    def final_state(self) -> Dict[Key, Any]:
+        """Union of the (replica-0) partition stores."""
+
+    # -- basic accessors -----------------------------------------------------
+
+    def next_txn_id(self) -> int:
+        self._txn_counter += 1
+        return self._txn_counter
+
+    @property
+    def initial_data(self) -> Dict[Key, Any]:
+        return dict(self._initial_data)
+
+    def sorted_history(self) -> List[HistoryEntry]:
+        return sorted(self.history, key=lambda entry: entry[0])
+
+    # -- data loading --------------------------------------------------------
+
+    def load(self, data: Dict[Key, Any]) -> None:
+        """Bulk-load initial records into every copy of every partition."""
+        # Hot paths sort key collections by cached sort token; warming
+        # the whole key universe here keeps those sorts on the C-level
+        # cache-hit path from the first epoch on.
+        warm_sort_tokens(data)
+        per_partition: Dict[int, Dict[Key, Any]] = {}
+        for key, value in data.items():
+            per_partition.setdefault(self.catalog.partition_of(key), {})[key] = value
+        for partition, chunk in per_partition.items():
+            for store in self._stores_of(partition):
+                store.load_bulk(chunk)
+        self._initial_data.update(data)
+
+    def load_workload_data(self) -> None:
+        """Load ``workload.initial_data`` (requires a workload)."""
+        if self.workload is None:
+            raise ConfigError("cluster has no workload to load data from")
+        self.load(self.workload.initial_data(self.catalog))
+
+    # -- running -------------------------------------------------------------
+
+    def add_clients(self, profile: ClientProfile) -> List[AnyClient]:
+        """Create one client population described by a :class:`ClientProfile`."""
+        if not isinstance(profile, ClientProfile):
+            raise ConfigError(
+                "add_clients takes a repro.ClientProfile: "
+                "add_clients(ClientProfile(per_partition=..., ...))"
+            )
+        profile.validate()
+        workload = profile.workload or self.workload
+        if workload is None:
+            raise ConfigError("no workload for clients")
+        created: List[AnyClient] = []
+        # Only active origins accept input; spares get their clients
+        # when the control plane (or the autoscaler) redirects traffic
+        # to them.
+        for partition in self.catalog.initial_origins:
+            for _ in range(profile.per_partition):
+                client = self._make_client(
+                    profile, partition, len(self.clients), workload
+                )
+                self.clients.append(client)
+                created.append(client)
+        return created
+
+    def run(self, duration: float, warmup: float = 0.0) -> RunReport:
+        """Start everything, warm up, measure for ``duration``; report."""
+        self.start()
+        for client in self.clients:
+            if client.submitted == 0:
+                client.start()
+        if warmup > 0:
+            self.sim.run(until=self.sim.now + warmup)
+        self.metrics.begin_window(self.sim.now)
+        self.sim.run(until=self.sim.now + duration)
+        return self.metrics.report(self.sim.now)
+
+    def quiesce(self, timeout: float = 300.0, step: float = 0.05) -> None:
+        """Run until all clients are done and all in-flight work drained.
+
+        Only meaningful with ``max_txns``-bounded clients; raises
+        :class:`ConfigError` on unbounded ones (they never finish). A
+        bounded cluster that is still busy after ``timeout`` virtual
+        seconds is wedged — a liveness bug, so :class:`SimulationError`.
+        """
+        if any(client.max_txns is None for client in self.clients):
+            raise ConfigError("quiesce requires max_txns-bounded clients")
+        deadline = self.sim.now + timeout
+        while self.sim.now < deadline:
+            self.sim.run(until=self.sim.now + step)
+            if all(client.idle for client in self.clients) and self._drained():
+                return
+        raise SimulationError(f"cluster failed to quiesce within {timeout}s")
+
+
+class CalvinCluster(Cluster):
+    """A fully assembled simulated Calvin deployment."""
+
+    engine = "core"
+    #: The node (and with it the scheduler) implementation; engines on
+    #: Calvin's substrate swap it (see :class:`repro.star.StarCluster`).
+    node_class: Type[CalvinNode] = CalvinNode
+
+    def __init__(
+        self,
+        config: ClusterConfig,
+        workload: Optional[Workload] = None,
+        registry: Optional[ProcedureRegistry] = None,
+        partitioner: Optional[Partitioner] = None,
+        record_history: bool = True,
+        fault_plan: Optional["FaultPlan"] = None,
+        monitor_interval: Optional[float] = None,
+        tracer: Optional[TraceRecorder] = None,
+    ):
+        super().__init__(
+            config, workload, registry, partitioner, record_history, tracer
+        )
+        config = self.config
+        # The serial reference checker must be able to execute any
+        # procedure appearing in the history, including control-plane
+        # migrations; the identity-copy reference logic is inert unless
+        # a migration is actually sequenced.
+        if MIGRATION_PROC not in self.registry:
+            from repro.reconfig.procedure import migration_procedure
+
+            self.registry.register(migration_procedure())
+        # The geo topology, when one is configured (None on the flat
+        # point-to-point network).
+        self.geo = getattr(self.network, "geo", None)
 
         cold = None
         if config.disk_enabled and workload is not None:
@@ -108,8 +289,21 @@ class CalvinCluster:
 
         self.nodes: Dict[NodeId, CalvinNode] = {}
         for node_id in self.catalog.nodes():
-            on_complete = self._completion_hook if node_id.replica == 0 else None
-            self.nodes[node_id] = self._make_node(node_id, on_complete, cold)
+            self.nodes[node_id] = self.node_class(
+                self.sim,
+                self.network,
+                node_id,
+                self.catalog,
+                config,
+                self.registry,
+                self.rngs,
+                cold_predicate=cold,
+                on_complete=self._completion_hook if node_id.replica == 0 else None,
+                # Traces on every replica: the live fault checkers compare
+                # peer replicas' executed prefixes against replica 0's.
+                record_trace=record_history,
+                tracer=self.tracer,
+            )
         for node_id, node in self.nodes.items():
             prefix = f"node.r{node_id.replica}p{node_id.partition}"
             node.sequencer.register_metrics(self.metrics_registry, prefix)
@@ -144,11 +338,8 @@ class CalvinCluster:
             if node_id.partition not in active:
                 node.sequencer.dormant = True
 
-        self.clients: List[AnyClient] = []
         self.checkpoints: Dict[int, CheckpointSnapshot] = {}
-        self._txn_counter = 0
         self._started = False
-        self._initial_data: Dict[Key, Any] = {}
 
         # Fault injection: an explicit plan wins; otherwise a profile
         # named in the config is instantiated over a default horizon.
@@ -169,26 +360,6 @@ class CalvinCluster:
                 node.scheduler.retain_remote_reads = True
 
     # -- construction helpers ------------------------------------------------
-
-    def _make_node(self, node_id: NodeId, on_complete, cold) -> CalvinNode:
-        """Build one node. Engine subclasses override to swap the node
-        (and with it the scheduler) implementation; the hook must stay
-        behaviour-identical for the core engine."""
-        return CalvinNode(
-            self.sim,
-            self.network,
-            node_id,
-            self.catalog,
-            self.config,
-            self.registry,
-            self.rngs,
-            cold_predicate=cold,
-            on_complete=on_complete,
-            # Traces on every replica: the live fault checkers compare
-            # peer replicas' executed prefixes against replica 0's.
-            record_trace=self.record_history,
-            tracer=self.tracer,
-        )
 
     def _build_network(self):
         """Build the transport: the flat point-to-point network unless a
@@ -211,7 +382,7 @@ class CalvinCluster:
                 node_id.replica % num_dcs,
             )
         # Clients sit in datacenter 0 (the input site) unless
-        # client_placement="spread" moves them (see _place_client).
+        # client_placement="spread" moves them (see _make_client).
         return network
 
     def _build_topology(self):
@@ -231,6 +402,24 @@ class CalvinCluster:
         # Clients sit in the input replica's datacenter (site 0, the default).
         return topology
 
+    def _stores_of(self, partition: int) -> Iterable[KVStore]:
+        return [
+            self.nodes[node_id].store
+            for node_id in self.catalog.replicas_of_partition(partition)
+        ]
+
+    def _make_client(
+        self, profile: ClientProfile, partition: int, index: int, workload: Workload
+    ) -> AnyClient:
+        """Geo-aware client placement: on a geo topology with
+        ``client_placement="spread"``, client ``i`` lives in datacenter
+        ``i % num_datacenters`` (its traffic to the input site crosses
+        the WAN). Default placement keeps every client in datacenter 0."""
+        client = super()._make_client(profile, partition, index, workload)
+        if self.geo is not None and self.config.client_placement == "spread":
+            self.network.place(client.address, index % self.geo.num_datacenters)
+        return client
+
     def _completion_hook(self, stxn: SequencedTxn, result) -> None:
         self.metrics.record_completion(stxn.txn.procedure, result, self.sim.now)
         if self.record_history:
@@ -241,10 +430,6 @@ class CalvinCluster:
     def node(self, replica: int, partition: int) -> CalvinNode:
         return self.nodes[NodeId(replica, partition)]
 
-    def next_txn_id(self) -> int:
-        self._txn_counter += 1
-        return self._txn_counter
-
     def current_epoch(self) -> int:
         """The sequencing epoch covering the present instant."""
         return int(self.sim.now / self.config.epoch_duration)
@@ -253,32 +438,6 @@ class CalvinCluster:
         """Unsequenced snapshot read (OLLP reconnaissance path)."""
         partition = self.catalog.partition_of_at(key, self.current_epoch())
         return self.node(0, partition).store.get(key)
-
-    # -- data loading -----------------------------------------------------------
-
-    def load(self, data: Dict[Key, Any]) -> None:
-        """Bulk-load initial records into every replica."""
-        # Hot paths sort key collections by cached sort token; warming
-        # the whole key universe here keeps those sorts on the C-level
-        # cache-hit path from the first epoch on.
-        warm_sort_tokens(data)
-        per_partition: Dict[int, Dict[Key, Any]] = {}
-        for key, value in data.items():
-            per_partition.setdefault(self.catalog.partition_of(key), {})[key] = value
-        for partition, chunk in per_partition.items():
-            for node_id in self.catalog.replicas_of_partition(partition):
-                self.nodes[node_id].store.load_bulk(chunk)
-        self._initial_data.update(data)
-
-    def load_workload_data(self) -> None:
-        """Load ``workload.initial_data`` (requires a workload)."""
-        if self.workload is None:
-            raise ConfigError("cluster has no workload to load data from")
-        self.load(self.workload.initial_data(self.catalog))
-
-    @property
-    def initial_data(self) -> Dict[Key, Any]:
-        return dict(self._initial_data)
 
     # -- running ------------------------------------------------------------------
 
@@ -289,108 +448,39 @@ class CalvinCluster:
         for node in self.nodes.values():
             node.start()
 
-    def add_clients(self, profile: ClientProfile) -> List[AnyClient]:
-        """Create one client population described by a :class:`ClientProfile`."""
-        if not isinstance(profile, ClientProfile):
-            raise ConfigError(
-                "add_clients takes a repro.ClientProfile: "
-                "add_clients(ClientProfile(per_partition=..., ...))"
+    def _drained(self) -> bool:
+        nodes_idle = all(
+            node.scheduler.outstanding == 0
+            and node.scheduler.admission_backlog == 0
+            and not node.sequencer._buffer
+            and not node.sequencer.pending_config_txns
+            and (
+                node.sequencer.admission is None
+                or node.sequencer.admission.queue_depth == 0
             )
-        profile.validate()
-        workload = profile.workload or self.workload
-        if workload is None:
-            raise ConfigError("no workload for clients")
-        created: List[AnyClient] = []
-        # Only active origins accept input; spares get their clients
-        # when the control plane (or the autoscaler) redirects traffic
-        # to them.
-        for partition in self.catalog.initial_origins:
-            for _ in range(profile.per_partition):
-                index = len(self.clients)
-                client: AnyClient
-                if profile.mode == "open":
-                    client = OpenLoopClient(self, partition, index, profile, workload)
-                else:
-                    client = ClosedLoopClient(
-                        self,
-                        partition,
-                        index,
-                        workload,
-                        profile.think_time,
-                        profile.max_txns,
-                    )
-                self.clients.append(client)
-                created.append(client)
-                self._place_client(client, index)
-        return created
-
-    def _place_client(self, client: Any, index: int) -> None:
-        """Geo-aware client placement: on a geo topology with
-        ``client_placement="spread"``, client ``i`` lives in datacenter
-        ``i % num_datacenters`` (its traffic to the input site crosses
-        the WAN). Default placement keeps every client in datacenter 0."""
-        if self.geo is None or self.config.client_placement != "spread":
-            return
-        self.network.place(client.address, index % self.geo.num_datacenters)
-
-    def quiesce(self, timeout: float = 300.0, step: float = 0.05) -> None:
-        """Run until all clients are done and all in-flight work drained.
-
-        Only meaningful with ``max_txns``-bounded clients; raises
-        :class:`ConfigError` on unbounded ones (they never finish).
-        """
-        if any(client.max_txns is None for client in self.clients):
-            raise ConfigError("quiesce requires max_txns-bounded clients")
-        deadline = self.sim.now + timeout
-        while self.sim.now < deadline:
-            self.sim.run(until=self.sim.now + step)
-            clients_idle = all(client.idle for client in self.clients)
-            nodes_idle = all(
-                node.scheduler.outstanding == 0
-                and node.scheduler.admission_backlog == 0
-                and not node.sequencer._buffer
-                and not node.sequencer.pending_config_txns
-                and (
-                    node.sequencer.admission is None
-                    or node.sequencer.admission.queue_depth == 0
-                )
-                and not any(
-                    batch.txns
-                    for per_epoch in node.scheduler._arrived.values()
-                    for batch in per_epoch.values()
-                )
-                for node in self.nodes.values()
+            and not any(
+                batch.txns
+                for per_epoch in node.scheduler._arrived.values()
+                for batch in per_epoch.values()
             )
-            # Peer replicas must have re-executed (or applied) everything
-            # replica 0 finished (batches may still be crossing the WAN).
-            # Under partial replication only hosted partitions compare.
-            replicas_aligned = all(
-                self.nodes[node_id].scheduler.completed
-                == self.node(0, node_id.partition).scheduler.completed
-                for node_id in self.catalog.nodes()
-                if node_id.replica != 0
-            )
-            # In-flight control-plane actions (armed-but-unsequenced
-            # migrations, pending joins/leaves) must land before the
-            # cluster counts as drained.
-            reconfig_idle = (
-                self.reconfig_admin is None or self.reconfig_admin.quiesced
-            )
-            if clients_idle and nodes_idle and replicas_aligned and reconfig_idle:
-                return
-        raise ConfigError(f"cluster failed to quiesce within {timeout}s")
-
-    def run(self, duration: float, warmup: float = 0.0) -> RunReport:
-        """Start everything, warm up, measure for ``duration``; report."""
-        self.start()
-        for client in self.clients:
-            if client.submitted == 0:
-                client.start()
-        if warmup > 0:
-            self.sim.run(until=self.sim.now + warmup)
-        self.metrics.begin_window(self.sim.now)
-        self.sim.run(until=self.sim.now + duration)
-        return self.metrics.report(self.sim.now)
+            for node in self.nodes.values()
+        )
+        # Peer replicas must have re-executed (or applied) everything
+        # replica 0 finished (batches may still be crossing the WAN).
+        # Under partial replication only hosted partitions compare.
+        replicas_aligned = all(
+            self.nodes[node_id].scheduler.completed
+            == self.node(0, node_id.partition).scheduler.completed
+            for node_id in self.catalog.nodes()
+            if node_id.replica != 0
+        )
+        # In-flight control-plane actions (armed-but-unsequenced
+        # migrations, pending joins/leaves) must land before the
+        # cluster counts as drained.
+        reconfig_idle = (
+            self.reconfig_admin is None or self.reconfig_admin.quiesced
+        )
+        return nodes_idle and replicas_aligned and reconfig_idle
 
     def run_until_idle(self, max_events: Optional[int] = None) -> None:
         """Drain the event queue completely (replay clusters: no epoch
@@ -590,9 +680,6 @@ class CalvinCluster:
             entries.extend(self.node(replica, partition).input_log)
         entries.sort()
         return entries
-
-    def sorted_history(self) -> List[HistoryEntry]:
-        return sorted(self.history, key=lambda entry: entry[0])
 
     # -- recovery / deterministic replay ----------------------------------------------
 

@@ -30,23 +30,22 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional, TYPE_CHECKING, Tuple
 
+from repro.core.clients import _MAX_OLLP_RESTARTS, submit_spec
 from repro.errors import ConfigError
-from repro.net.messages import ClientSubmit, TxnReply
+from repro.net.messages import TxnReply
 from repro.partition.catalog import NodeId, client_address, node_address
-from repro.txn.ollp import reconnoiter
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import Transaction
 from repro.workloads.base import TxnSpec, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ClusterConfig
-    from repro.core.cluster import CalvinCluster
+    from repro.core.cluster import Cluster
     from repro.sequencer.sequencer import Sequencer
     from repro.sim.kernel import Simulator
 
 _ARRIVALS = ("poisson", "uniform", "burst")
 _MODES = ("closed", "open")
-_MAX_OLLP_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class OpenLoopClient:
 
     def __init__(
         self,
-        cluster: "CalvinCluster",
+        cluster: "Cluster",
         partition: int,
         index: int,
         profile: ClientProfile,
@@ -210,31 +209,8 @@ class OpenLoopClient:
     # -- submission --------------------------------------------------------
 
     def _submit(self, spec: TxnSpec, restarts: int) -> None:
-        cluster = self.cluster
-        read_set, write_set, token = spec.read_set, spec.write_set, None
-        if spec.dependent:
-            procedure = cluster.registry.get(spec.procedure)
-            footprint = reconnoiter(procedure, cluster.analytics_read, spec.args)
-            read_set = spec.read_set | footprint.read_set
-            write_set = spec.write_set | footprint.write_set
-            token = footprint.token
-        txn = Transaction.create(
-            txn_id=cluster.next_txn_id(),
-            procedure=spec.procedure,
-            args=spec.args,
-            read_set=read_set,
-            write_set=write_set,
-            origin_partition=self.partition,
-            client=self.address,
-            dependent=spec.dependent,
-            footprint_token=token,
-            submit_time=cluster.sim.now,
-            restarts=restarts,
-        )
+        txn = submit_spec(self, spec, restarts)
         self._inflight[txn.txn_id] = (spec, restarts)
-        self.submitted += 1
-        message = ClientSubmit(txn)
-        cluster.network.send(self.address, self._target, message, message.size_estimate())
 
     def _resubmit(self, spec: TxnSpec, restarts: int) -> None:
         self._pending_retries -= 1

@@ -1,58 +1,59 @@
-"""Execution-engine registry (see :mod:`repro.engines.base`).
+"""Execution-engine registry: ``ClusterConfig.engine`` name -> cluster class.
+
+An execution engine is a strategy for turning a stream of transaction
+requests into serializable state changes, and it *is* its cluster
+class: a subclass of the shared substrate
+:class:`repro.core.cluster.Cluster` (docs/engines.md describes the
+three that ship).
 
 This module stays import-light: :class:`repro.config.ClusterConfig`
 validates ``engine`` names against :data:`ENGINES` lazily, so importing
 it must not drag in the cluster implementations (which themselves
-import the config module). Engine modules load on first
+import the config module). Cluster modules load on first
 :func:`get_engine` call.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Dict, Optional, TYPE_CHECKING, Tuple, Type
 
-from repro.engines.base import ExecutionEngine
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ClusterConfig
+    from repro.core.cluster import Cluster
     from repro.workloads.base import Workload
 
-# name -> (module, class). Adding a fourth engine is one line here plus
-# an ExecutionEngine subclass; docs/engines.md walks through it.
+# name -> (module, cluster class). Adding a fourth engine is one line
+# here plus a Cluster subclass; docs/engines.md walks through it.
 ENGINES: Dict[str, Tuple[str, str]] = {
-    "core": ("repro.engines.core", "CoreEngine"),
-    "baseline": ("repro.engines.baseline", "BaselineEngine"),
-    "star": ("repro.engines.star", "StarEngine"),
+    "core": ("repro.core.cluster", "CalvinCluster"),
+    "baseline": ("repro.baseline.cluster", "BaselineCluster"),
+    "star": ("repro.star.cluster", "StarCluster"),
 }
 
-_instances: Dict[str, ExecutionEngine] = {}
 
-
-def get_engine(name: str) -> ExecutionEngine:
-    """The (singleton) engine registered under ``name``."""
+def get_engine(name: str) -> Type["Cluster"]:
+    """The cluster class registered under ``name``."""
     if name not in ENGINES:
         raise ConfigError(f"unknown engine {name!r}; known: {sorted(ENGINES)}")
-    engine = _instances.get(name)
-    if engine is None:
-        module_name, class_name = ENGINES[name]
-        engine = getattr(importlib.import_module(module_name), class_name)()
-        if engine.name != name:
-            raise ConfigError(
-                f"engine registered as {name!r} calls itself {engine.name!r}"
-            )
-        _instances[name] = engine
-    return engine
+    module_name, class_name = ENGINES[name]
+    cluster_cls = getattr(importlib.import_module(module_name), class_name)
+    if cluster_cls.engine != name:
+        raise ConfigError(
+            f"engine registered as {name!r} calls itself {cluster_cls.engine!r}"
+        )
+    return cluster_cls
 
 
 def build_cluster(
     config: "ClusterConfig",
     workload: Optional["Workload"] = None,
     **kwargs: Any,
-) -> Any:
+) -> "Cluster":
     """Build the cluster ``config.engine`` names (the CLI entry point)."""
-    return get_engine(config.engine).build(config, workload, **kwargs)
+    return get_engine(config.engine)(config, workload=workload, **kwargs)
 
 
-__all__ = ["ENGINES", "ExecutionEngine", "build_cluster", "get_engine"]
+__all__ = ["ENGINES", "build_cluster", "get_engine"]

@@ -124,8 +124,7 @@ def run_scripted(
     timeout: float = 60.0,
 ) -> EngineRun:
     """Execute ``schedule`` under ``engine_name``; collect the outcome."""
-    engine = get_engine(engine_name)
-    cluster = engine.build(config, workload, record_history=True)
+    cluster = get_engine(engine_name)(config, workload=workload, record_history=True)
     cluster.load_workload_data()
     if engine_name == "baseline":
         return _run_baseline(cluster, schedule, timeout)

@@ -20,9 +20,7 @@ from typing import Dict, Optional
 
 from repro.config import ClusterConfig
 from repro.core.cluster import CalvinCluster
-from repro.core.node import CalvinNode
 from repro.errors import ConfigError
-from repro.partition.catalog import NodeId
 from repro.star.master import StarMaster
 from repro.star.node import StarNode
 from repro.star.phase import PARTITIONED, SINGLE_MASTER, PhaseController
@@ -33,6 +31,12 @@ class StarCluster(CalvinCluster):
     """A simulated STAR deployment (v1 scope: single replica, memory
     -resident storage, no checkpointing, no fault injection — the knobs
     below reject anything else)."""
+
+    # deterministic_order stays True: STAR keeps Calvin's agreed global
+    # order (phases gate only *where* multipartition transactions run),
+    # so final state matches core's bit for bit on the same schedule.
+    engine = "star"
+    node_class = StarNode
 
     def __init__(self, config: ClusterConfig, **kwargs):
         if config.num_replicas != 1:
@@ -71,21 +75,6 @@ class StarCluster(CalvinCluster):
             sequencer = self.node(0, partition).sequencer
             sequencer.batch_observer = self.controller.observe_batch
         self._register_star_metrics()
-
-    def _make_node(self, node_id: NodeId, on_complete, cold) -> CalvinNode:
-        return StarNode(
-            self.sim,
-            self.network,
-            node_id,
-            self.catalog,
-            self.config,
-            self.registry,
-            self.rngs,
-            cold_predicate=cold,
-            on_complete=on_complete,
-            record_trace=self.record_history,
-            tracer=self.tracer,
-        )
 
     def _register_star_metrics(self) -> None:
         registry = self.metrics_registry

@@ -87,3 +87,26 @@ class TestTraceCommand:
                     return line.split()[-1]
 
         assert digest_of(first) == digest_of(second) is not None
+
+    def test_dropped_flags_are_noted_on_stderr_only(self, capsys):
+        """The star and baseline runs model one replica on the flat
+        network; the flags they drop are named, and only on stderr."""
+        base = ["trace", "--system", "star", "--duration", "0.2",
+                "--format", "chrome"]
+        assert main(base) == 0
+        plain = capsys.readouterr()
+        assert "note:" not in plain.err
+        assert main(base + ["--replicas", "2", "--topology", "chain"]) == 0
+        noted = capsys.readouterr()
+        note = [line for line in noted.err.splitlines() if line.startswith("note:")]
+        assert len(note) == 1
+        assert "star" in note[0] and "--replicas, --topology ignored" in note[0]
+        assert "--profile" not in note[0]
+        # Same single-replica run either way, and stdout stays pure JSON.
+        assert noted.out == plain.out
+        assert json.loads(noted.out)["traceEvents"]
+
+    def test_calvin_run_drops_nothing(self, capsys):
+        assert main(["trace", "--system", "calvin", "--duration", "0.2",
+                     "--replicas", "2"]) == 0
+        assert "note:" not in capsys.readouterr().err

@@ -55,6 +55,26 @@ class TestPacing:
         with pytest.raises(ConfigError):
             cluster.quiesce(timeout=0.2)
 
+    @pytest.mark.parametrize("engine", ["core", "baseline"])
+    def test_quiesce_timeout_is_a_simulation_error(self, engine):
+        """A bounded cluster that fails to drain is a liveness bug, not
+        a usage error: the CLI prints ConfigError as a one-line usage
+        message, which would hide exactly what `repro chaos` hunts."""
+        from repro import build_cluster
+        from repro.errors import ConfigError, SimulationError
+
+        cluster = build_cluster(
+            ClusterConfig(num_partitions=1, seed=2, engine=engine),
+            workload=Microbenchmark(mp_fraction=0.0, hot_set_size=5, cold_set_size=50),
+        )
+        cluster.load_workload_data()
+        cluster.add_clients(ClientProfile(per_partition=1, max_txns=50))
+        cluster.run(duration=0.05)
+        assert not cluster.clients[0].idle
+        with pytest.raises(SimulationError, match="failed to quiesce") as excinfo:
+            cluster.quiesce(timeout=0.0)
+        assert not isinstance(excinfo.value, ConfigError)
+
     def test_latency_only_recorded_in_window(self):
         cluster = make_cluster(max_txns=30)
         cluster.run(duration=0.2, warmup=0.1)

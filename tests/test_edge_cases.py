@@ -72,15 +72,21 @@ class TestDiskStallBlocksConflicts:
 
 class TestHarnessBaselinePath:
     def test_run_baseline_helper(self):
-        from repro.bench.harness import ScaleProfile, run_baseline
+        from repro.baseline.cluster import BaselineCluster
+        from repro.bench.harness import ScaleProfile, measure
 
         profile = ScaleProfile.get("smoke")
         workload = Microbenchmark(mp_fraction=0.1, hot_set_size=1000)
-        report = run_baseline(
-            workload, ClusterConfig(num_partitions=2, seed=4), profile,
+        built = []
+        report = measure(
+            workload,
+            ClusterConfig(num_partitions=2, seed=4, engine="baseline"),
+            profile,
             clients_per_partition=60,
+            on_cluster=built.append,
         )
         assert report.throughput > 1000
+        assert type(built[0]) is BaselineCluster
 
     def test_machine_sweep_custom_targets(self):
         from repro.bench.harness import ScaleProfile, machine_sweep

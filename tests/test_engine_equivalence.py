@@ -1,6 +1,6 @@
 """Cross-engine equivalence: one scripted schedule, every engine.
 
-The acceptance property of the ExecutionEngine seam: the deterministic
+The acceptance property of the engine seam: the deterministic
 engines (``core``, ``star``) fed the identical submission schedule must
 produce *identical* terminal statuses and final states, and the
 lock-race ``baseline`` must at least be serializability-equivalent

@@ -9,6 +9,7 @@ EXPECTED_EXPORTS = [
     "CalvinCluster",
     "CalvinDB",
     "ClientProfile",
+    "Cluster",
     "ClusterAdmin",
     "ClusterConfig",
     "ConfigError",
@@ -17,7 +18,6 @@ EXPECTED_EXPORTS = [
     "DEFAULT_CONFIG",
     "DeterminismSanitizer",
     "DeterminismViolation",
-    "ExecutionEngine",
     "FAULT_PROFILES",
     "FaultEvent",
     "FaultInjector",

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from repro import ClusterConfig, Microbenchmark
 from repro.core import checkers
 from repro.core.traffic import ClientProfile
-from repro.engines import build_cluster, get_engine
-from repro.engines.base import ExecutionEngine
+from repro.core.cluster import Cluster
+from repro.engines import ENGINES, build_cluster, get_engine
 from repro.errors import ConfigError
 from repro.star import PARTITIONED, SINGLE_MASTER, PhaseController, StarCluster
 
@@ -47,11 +47,11 @@ def _run(cluster, per_partition: int = 4, max_txns: int = 10, duration: float = 
 # ---------------------------------------------------------------------------
 
 def test_registry_knows_all_three_engines():
-    for name in ("core", "baseline", "star"):
-        engine = get_engine(name)
-        assert isinstance(engine, ExecutionEngine)
-        assert engine.name == name
-    assert get_engine("star") is get_engine("star")  # singleton
+    assert sorted(ENGINES) == ["baseline", "core", "star"]
+    for name in ENGINES:
+        cluster_cls = get_engine(name)
+        assert issubclass(cluster_cls, Cluster)
+        assert cluster_cls.engine == name
 
 
 def test_unknown_engine_rejected():
@@ -81,6 +81,78 @@ def test_deterministic_order_flags():
     assert get_engine("core").deterministic_order
     assert get_engine("star").deterministic_order
     assert not get_engine("baseline").deterministic_order
+
+
+# The shared surface, checked rather than described: what the clients,
+# the harness, the CLI and the equivalence oracle drive is defined once
+# on the base class, and every registered engine runs the same body.
+SHARED_SURFACE = (
+    "load", "load_workload_data", "add_clients", "run", "quiesce",
+    "next_txn_id", "initial_data", "sorted_history",
+)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_cluster_contract_one_drive_path(name):
+    cluster_cls = get_engine(name)
+    cluster = build_cluster(
+        ClusterConfig(num_partitions=2, seed=7, engine=name),
+        workload=_micro(), record_history=True,
+    )
+    assert type(cluster) is cluster_cls
+    assert cluster.config.engine == name == type(cluster).engine
+
+    cluster.load_workload_data()
+    initial = cluster.initial_data
+    assert initial
+    clients = cluster.add_clients(ClientProfile(per_partition=2, max_txns=5))
+    assert len(clients) == 4 and cluster.clients == clients
+    report = cluster.run(duration=0.3)
+    cluster.quiesce()
+    assert all(client.idle for client in cluster.clients)
+    assert all(client.completed >= 5 for client in cluster.clients)
+    # Not == 20: a wait-die death completes a baseline request uncommitted.
+    assert 0 < report.committed <= cluster.metrics.committed <= 20
+
+    history = cluster.sorted_history()
+    assert len(history) >= cluster.metrics.committed
+    assert [entry[0] for entry in history] == sorted(entry[0] for entry in history)
+    final = cluster.final_state()
+    assert set(final) >= set(initial) and final != initial
+    assert cluster.initial_data == initial  # a copy, not the live dict
+    assert cluster.next_txn_id() > 20
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_cluster_contract_surface_defined_once(name):
+    for cls in get_engine(name).__mro__:
+        if cls is Cluster:
+            break
+        redefined = sorted(set(SHARED_SURFACE) & set(vars(cls)))
+        assert not redefined, f"{cls.__name__} redefines {redefined}"
+
+
+def test_cluster_contract_direct_construction_pins_engine():
+    """A cluster's config names the class that built it, so ClusterAdmin
+    (core only) accepts a CalvinCluster whatever the config said."""
+    from repro import CalvinCluster, ClusterAdmin
+    from repro.baseline.cluster import BaselineCluster
+
+    mislabelled = ClusterConfig(num_partitions=2, engine="star")
+    cluster = CalvinCluster(mislabelled, workload=_micro())
+    assert cluster.config.engine == "core"
+    ClusterAdmin(cluster)
+    for cluster_cls in (BaselineCluster, StarCluster):
+        built = cluster_cls(ClusterConfig(num_partitions=2), workload=_micro())
+        assert built.config.engine == cluster_cls.engine
+
+
+def test_cluster_contract_core_only_fields_refused_on_direct_construction():
+    from repro.baseline.cluster import BaselineCluster
+
+    config = ClusterConfig(num_partitions=2, active_partitions=1)
+    with pytest.raises(ConfigError, match="active_partitions requires the core engine"):
+        BaselineCluster(config, workload=_micro())
 
 
 # ---------------------------------------------------------------------------
