@@ -456,15 +456,15 @@ class _Analyzer:
             ):
                 env.bound_methods[name] = (env.keysets[value.value.id], value.attr)
                 continue
-            keyset = self.collection_keyset(value, env, depth)
-            if keyset is not None and not (
-                isinstance(value, ast.Name) and value.id in env.templates
-            ):
-                env.keysets[name] = keyset
-                continue
+            # A single key first, as in add_element: `district_key =
+            # keys.district(w, d)` names one key, not a collection.
             template = self.key_template(value, env)
             if template is not None:
                 env.templates[name] = template
+                continue
+            keyset = self.collection_keyset(value, env, depth)
+            if keyset is not None:
+                env.keysets[name] = keyset
 
     def _run_call_statement(self, call: ast.Call, env: _Env, depth: int) -> None:
         func = call.func

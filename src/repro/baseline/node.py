@@ -259,12 +259,7 @@ class BaselineNode:
         txn = state.txn
         del self._coord[txn.txn_id]
         result = TransactionResult(
-            txn_id=txn.txn_id,
-            status=status,
-            value=value,
-            submit_time=txn.submit_time,
-            complete_time=self.sim.now,
-            restarts=txn.restarts,
+            txn.txn_id, status, value, txn.submit_time, self.sim.now, txn.restarts
         )
         if status is TxnStatus.COMMITTED:
             self.committed += 1

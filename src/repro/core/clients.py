@@ -40,17 +40,17 @@ def submit_spec(client: Any, spec: TxnSpec, restarts: int) -> Transaction:
         write_set = spec.write_set | footprint.write_set
         token = footprint.token
     txn = Transaction.create(
-        txn_id=cluster.next_txn_id(),
-        procedure=spec.procedure,
-        args=spec.args,
-        read_set=read_set,
-        write_set=write_set,
-        origin_partition=client.partition,
-        client=client.address,
-        dependent=spec.dependent,
-        footprint_token=token,
-        submit_time=cluster.sim.now,
-        restarts=restarts,
+        cluster.next_txn_id(),
+        spec.procedure,
+        spec.args,
+        read_set,
+        write_set,
+        client.partition,
+        client.address,
+        spec.dependent,
+        token,
+        cluster.sim.now,
+        restarts,
     )
     client.submitted += 1
     message = ClientSubmit(txn)

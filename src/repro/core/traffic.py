@@ -346,12 +346,12 @@ class AdmissionController:
 
     def _reject(self, txn: Transaction, retry_after: Optional[float]) -> None:
         result = TransactionResult(
-            txn_id=txn.txn_id,
-            status=TxnStatus.REJECTED,
-            value=retry_after if retry_after is not None else "admission shed",
-            submit_time=txn.submit_time,
-            complete_time=self.sim.now,
-            restarts=txn.restarts,
+            txn.txn_id,
+            TxnStatus.REJECTED,
+            retry_after if retry_after is not None else "admission shed",
+            txn.submit_time,
+            self.sim.now,
+            txn.restarts,
         )
         message = TxnReply(result)
         self.send(txn.client, message, message.size_estimate())

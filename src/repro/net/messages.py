@@ -1,14 +1,16 @@
 """Calvin-layer message types.
 
-All messages are immutable dataclasses. ``size_estimate`` feeds the
-network bandwidth model; the constants approximate the paper's
-serialized request/record sizes rather than Python object sizes.
+All messages are ``NamedTuple``s: read-only like the frozen dataclasses
+they replaced, but built at the cost of one tuple, which matters for
+records made per request, reply or participant (docs/performance.md,
+"Record construction"). ``size_estimate`` feeds the network bandwidth
+model; the constants approximate the paper's serialized request/record
+sizes rather than Python object sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 from repro.partition.partitioner import Key
 from repro.txn.result import TransactionResult
@@ -19,8 +21,7 @@ _RECORD_WIRE_SIZE = 120   # bytes per key/value pair in a remote read
 _HEADER_SIZE = 64
 
 
-@dataclass(frozen=True, slots=True)
-class ClientSubmit:
+class ClientSubmit(NamedTuple):
     """Client → sequencer: a new transaction request."""
 
     txn: Transaction
@@ -29,8 +30,7 @@ class ClientSubmit:
         return _HEADER_SIZE + _TXN_WIRE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
-class ReplicaBatch:
+class ReplicaBatch(NamedTuple):
     """Sequencer → peer-replica sequencer (async replication mode)."""
 
     epoch: int
@@ -41,8 +41,7 @@ class ReplicaBatch:
         return _HEADER_SIZE + _TXN_WIRE_SIZE * len(self.txns)
 
 
-@dataclass(frozen=True, slots=True)
-class SubBatch:
+class SubBatch(NamedTuple):
     """Sequencer → scheduler (same replica): this partition's view of a batch.
 
     Transactions arrive already bound to their global sequence number
@@ -60,8 +59,7 @@ class SubBatch:
         return _HEADER_SIZE + _TXN_WIRE_SIZE * len(self.txns)
 
 
-@dataclass(frozen=True, slots=True)
-class RemoteRead:
+class RemoteRead(NamedTuple):
     """Participant → active participant: local read results for one txn."""
 
     seq: GlobalSeq
@@ -72,8 +70,7 @@ class RemoteRead:
         return _HEADER_SIZE + _RECORD_WIRE_SIZE * max(1, len(self.values))
 
 
-@dataclass(frozen=True, slots=True)
-class PrefetchRequest:
+class PrefetchRequest(NamedTuple):
     """Sequencer → storage node: warm these cold keys up (Section 4).
 
     Sent as soon as a disk-bound transaction arrives, while the
@@ -87,8 +84,7 @@ class PrefetchRequest:
         return _HEADER_SIZE + 24 * max(1, len(self.keys))
 
 
-@dataclass(frozen=True, slots=True)
-class StarReady:
+class StarReady(NamedTuple):
     """STAR participant → master: local locks granted for one
     multipartition transaction; it may run once every participant says so."""
 
@@ -99,8 +95,7 @@ class StarReady:
         return _HEADER_SIZE + _TXN_WIRE_SIZE
 
 
-@dataclass(frozen=True, slots=True)
-class StarRelease:
+class StarRelease(NamedTuple):
     """STAR master → participant: a multipartition transaction finished
     on the master; release its locks (the result rides along so the
     reply partition can answer the client)."""
@@ -112,8 +107,7 @@ class StarRelease:
         return _HEADER_SIZE + 128
 
 
-@dataclass(frozen=True, slots=True)
-class WriteSetApply:
+class WriteSetApply(NamedTuple):
     """Replica-0 active participant → peer-replica participant hosting
     the same partition (partial replication only): the deterministic
     outcome of a transaction the peer cannot re-execute because it does
@@ -130,8 +124,7 @@ class WriteSetApply:
         return _HEADER_SIZE + _RECORD_WIRE_SIZE * max(1, len(self.writes))
 
 
-@dataclass(frozen=True, slots=True)
-class ReadOnlyQuery:
+class ReadOnlyQuery(NamedTuple):
     """Read-only client → replica node: serve these keys from the local
     snapshot, outside the sequenced pipeline (replica-local reads)."""
 
@@ -142,8 +135,7 @@ class ReadOnlyQuery:
         return _HEADER_SIZE + 24 * max(1, len(self.keys))
 
 
-@dataclass(frozen=True, slots=True)
-class ReadOnlyReply:
+class ReadOnlyReply(NamedTuple):
     """Replica node → read-only client: values plus the node's current
     epoch watermark (the client derives its staleness bound from the
     minimum watermark across per-partition replies)."""
@@ -157,8 +149,7 @@ class ReadOnlyReply:
         return _HEADER_SIZE + _RECORD_WIRE_SIZE * max(1, len(self.values))
 
 
-@dataclass(frozen=True, slots=True)
-class TxnReply:
+class TxnReply(NamedTuple):
     """Reply partition → client: terminal result of one attempt."""
 
     result: TransactionResult

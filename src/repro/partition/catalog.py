@@ -13,7 +13,6 @@ degenerates to the dense ``range`` answer, byte for byte.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -21,6 +20,7 @@ from typing import (
     FrozenSet,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -49,8 +49,7 @@ def migration_route(txn) -> Tuple[int, int]:
     return txn.args[1], txn.args[2]
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
     """Identity of one node: which replica it belongs to, which partition it hosts."""
 
     replica: int

@@ -216,13 +216,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
                 sched.send(node_address(target), message, message.size_estimate())
 
     result = TransactionResult(
-        txn_id=txn.txn_id,
-        status=status,
-        value=value,
-        submit_time=txn.submit_time,
-        complete_time=sim.now,
-        restarts=txn.restarts,
-        granted_time=granted_time,
+        txn_id, status, value, txn.submit_time, sim.now, txn.restarts, granted_time
     )
     if tracer.enabled:
         tracer.record(
@@ -333,13 +327,13 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
     if writes:
         sched.engine.store.apply_writes(writes, False)
     result = TransactionResult(
-        txn_id=txn_id,
-        status=TxnStatus.COMMITTED,
-        value=len(writes),
-        submit_time=txn.submit_time,
-        complete_time=sim.now,
-        restarts=txn.restarts,
-        granted_time=granted_time,
+        txn_id,
+        TxnStatus.COMMITTED,
+        len(writes),
+        txn.submit_time,
+        sim.now,
+        txn.restarts,
+        granted_time,
     )
     if tracer.enabled:
         tracer.record(

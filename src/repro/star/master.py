@@ -181,13 +181,8 @@ class StarMaster:
                 self.stores[partition].apply_writes(chunk, context.deleted)
 
         result = TransactionResult(
-            txn_id=txn.txn_id,
-            status=status,
-            value=value,
-            submit_time=txn.submit_time,
-            complete_time=sim.now,
-            restarts=txn.restarts,
-            granted_time=granted_time,
+            txn.txn_id, status, value, txn.submit_time, sim.now, txn.restarts,
+            granted_time,
         )
         if self.tracer.enabled:
             self.tracer.record(

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class TxnStatus(enum.Enum):
@@ -25,8 +24,7 @@ class TxnStatus(enum.Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class TransactionResult:
+class TransactionResult(NamedTuple):
     """What the reply partition sends back to the client."""
 
     txn_id: int

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Tuple
+from dataclasses import FrozenInstanceError, dataclass, field, fields
+from typing import Any, FrozenSet, NamedTuple, Tuple
 
 from repro.partition.partitioner import Key, sorted_keys
 
@@ -13,21 +13,16 @@ from repro.partition.partitioner import Key, sorted_keys
 GlobalSeq = Tuple[int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """A transaction request: procedure + args + declared footprint.
+@dataclass(slots=True, unsafe_hash=True)
+class _TransactionSlots:
+    """Field layout of :class:`Transaction`, assignable.
 
-    ``read_set``/``write_set`` are the keys the logic may touch; Calvin
-    sequences and locks from these alone, so executing outside them is a
-    :class:`~repro.errors.FootprintViolation`. ``footprint_token`` carries
-    the reconnaissance evidence for dependent (OLLP) transactions.
-
-    Treated as immutable after creation (every hot path hands the same
-    instance around); the trailing underscore fields memoise derived
-    views — the sorted key orders and the one routing record. Who
-    participates, who is active, who replies and which keys are local
-    are not questions a transaction answers: ask
-    :meth:`Catalog.route <repro.partition.catalog.Catalog.route>`.
+    A frozen dataclass pays one ``object.__setattr__`` call per field in
+    its generated ``__init__``; this twin fills the same slots with
+    plain stores and :meth:`Transaction.create` then seals the instance
+    (docs/performance.md, "Record construction"). Private to this
+    module: nothing else may hold an unsealed instance. The generated
+    ``__hash__`` is safe because every instance that escapes is sealed.
     """
 
     txn_id: int
@@ -51,6 +46,43 @@ class Transaction:
     # routing version).
     _route: Any = field(default=None, init=False, repr=False, compare=False)
 
+
+class Transaction(_TransactionSlots):
+    """A transaction request: procedure + args + declared footprint.
+
+    ``read_set``/``write_set`` are the keys the logic may touch; Calvin
+    sequences and locks from these alone, so executing outside them is a
+    :class:`~repro.errors.FootprintViolation`. ``footprint_token`` carries
+    the reconnaissance evidence for dependent (OLLP) transactions.
+
+    Read-only once built: every hot path and every replica hands the
+    same instance around, so :meth:`create` — the one constructor —
+    seals it, and assigning or deleting a field afterwards raises
+    :class:`dataclasses.FrozenInstanceError`. The trailing underscore
+    fields memoise derived views — the sorted key orders and the one
+    routing record. Who participates, who is active, who replies and
+    which keys are local are not questions a transaction answers: ask
+    :meth:`Catalog.route <repro.partition.catalog.Catalog.route>`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("build a Transaction with Transaction.create(...)")
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through the one constructor, so the
+        # clone is sealed too; memo state stays behind.
+        return Transaction.create, tuple(
+            getattr(self, f.name) for f in fields(self) if f.init
+        )
+
     @staticmethod
     def create(
         txn_id: int,
@@ -66,19 +98,23 @@ class Transaction:
         restarts: int = 0,
     ) -> "Transaction":
         """Build a transaction, normalizing the footprint sets."""
-        return Transaction(
-            txn_id=txn_id,
-            procedure=procedure,
-            args=args,
-            read_set=frozenset(read_set),
-            write_set=frozenset(write_set),
-            origin_partition=origin_partition,
-            client=client,
-            dependent=dependent,
-            footprint_token=footprint_token,
-            submit_time=submit_time,
-            restarts=restarts,
+        txn = _TransactionSlots(
+            txn_id,
+            procedure,
+            args,
+            frozenset(read_set),
+            frozenset(write_set),
+            origin_partition,
+            client,
+            dependent,
+            footprint_token,
+            submit_time,
+            restarts,
         )
+        # Seal: same slot layout, so CPython allows the class swap; from
+        # here on only the memo writers' ``object.__setattr__`` gets in.
+        txn.__class__ = Transaction
+        return txn
 
     def all_keys(self) -> FrozenSet[Key]:
         return self.read_set | self.write_set
@@ -103,12 +139,37 @@ class Transaction:
         return cached
 
 
-@dataclass(frozen=True, order=True)
-class SequencedTxn:
-    """A transaction bound to its position in the global serial order."""
+class SequencedTxn(NamedTuple):
+    """A transaction bound to its position in the global serial order.
+
+    Compared, ordered and hashed by ``seq`` alone — the position is the
+    identity, and ``txn.args`` may be unhashable — so every tuple
+    comparison is overridden.
+    """
 
     seq: GlobalSeq
-    txn: Transaction = field(compare=False)
+    txn: Transaction
+
+    def __eq__(self, other):
+        return self.seq == other.seq if other.__class__ is SequencedTxn else NotImplemented
+
+    def __ne__(self, other):
+        return self.seq != other.seq if other.__class__ is SequencedTxn else NotImplemented
+
+    def __lt__(self, other):
+        return self.seq < other.seq if other.__class__ is SequencedTxn else NotImplemented
+
+    def __le__(self, other):
+        return self.seq <= other.seq if other.__class__ is SequencedTxn else NotImplemented
+
+    def __gt__(self, other):
+        return self.seq > other.seq if other.__class__ is SequencedTxn else NotImplemented
+
+    def __ge__(self, other):
+        return self.seq >= other.seq if other.__class__ is SequencedTxn else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.seq)
 
     @property
     def epoch(self) -> int:

@@ -9,16 +9,14 @@ cluster turns specs into sequenced transactions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional
+from typing import Any, Callable, Dict, FrozenSet, NamedTuple, Optional
 
 from repro.partition.catalog import Catalog
 from repro.partition.partitioner import Key, Partitioner
 from repro.txn.procedures import ProcedureRegistry
 
 
-@dataclass(frozen=True)
-class TxnSpec:
+class TxnSpec(NamedTuple):
     """A client-side transaction request before sequencing."""
 
     procedure: str
@@ -30,11 +28,7 @@ class TxnSpec:
     @staticmethod
     def create(procedure: str, args: Any, read_set, write_set, dependent: bool = False):
         return TxnSpec(
-            procedure=procedure,
-            args=args,
-            read_set=frozenset(read_set),
-            write_set=frozenset(write_set),
-            dependent=dependent,
+            procedure, args, frozenset(read_set), frozenset(write_set), dependent
         )
 
 

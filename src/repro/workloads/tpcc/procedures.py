@@ -31,7 +31,8 @@ def new_order_logic(ctx: TxnContext) -> float:
     lines: Tuple[Tuple[int, int, int], ...] = args["lines"]
 
     warehouse = ctx.read(keys.warehouse(w))
-    district = ctx.read(keys.district(w, d))
+    district_key = keys.district(w, d)
+    district = ctx.read(district_key)
     customer = ctx.read(keys.customer(w, d, c))
 
     # TPC-C's 1% deterministic rollback: an unused item id was supplied.
@@ -45,7 +46,7 @@ def new_order_logic(ctx: TxnContext) -> float:
     ol_cnt = len(lines)
     entry = (o_id, ol_cnt)
     ctx.write(
-        keys.district(w, d),
+        district_key,
         {
             **district,
             "next_o_id": district["next_o_id"] + 1,
@@ -56,12 +57,13 @@ def new_order_logic(ctx: TxnContext) -> float:
 
     total = 0.0
     for number, (item_id, supply_w, qty) in enumerate(lines):
-        stock = ctx.read(keys.stock(supply_w, item_id))
+        stock_key = keys.stock(supply_w, item_id)
+        stock = ctx.read(stock_key)
         quantity = stock["quantity"] - qty
         if quantity < 10:
             quantity += 91
         ctx.write(
-            keys.stock(supply_w, item_id),
+            stock_key,
             {
                 **stock,
                 "quantity": quantity,

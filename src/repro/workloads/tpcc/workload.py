@@ -138,13 +138,15 @@ class TpccWorkload(Workload):
             lines[-1] = (-1, supply_w, qty)
         lines = tuple(lines)
 
-        reads = {keys.warehouse(w), keys.district(w, d), keys.customer(w, d, c)}
-        writes = {keys.district(w, d), keys.order(w, d, o_id),
+        district_key = keys.district(w, d)
+        reads = {keys.warehouse(w), district_key, keys.customer(w, d, c)}
+        writes = {district_key, keys.order(w, d, o_id),
                   keys.customer_last_order(w, d, c)}
         for number, (item_id, supply_w, qty) in enumerate(lines):
+            stock_key = keys.stock(supply_w, item_id)
             reads.add(keys.item(w, item_id))
-            reads.add(keys.stock(supply_w, item_id))
-            writes.add(keys.stock(supply_w, item_id))
+            reads.add(stock_key)
+            writes.add(stock_key)
             writes.add(keys.order_line(w, d, o_id, number))
         args = {"w": w, "d": d, "c": c, "o_id": o_id, "lines": lines}
         return TxnSpec.create("new_order", args, reads, writes)

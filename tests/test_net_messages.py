@@ -1,9 +1,5 @@
 """Unit tests for message types and their wire-size model."""
 
-import dataclasses
-
-import pytest
-
 from repro.net.messages import (
     ClientSubmit,
     PrefetchRequest,
@@ -48,15 +44,3 @@ class TestSizeEstimates:
     def test_txn_reply(self):
         result = TransactionResult(1, TxnStatus.COMMITTED)
         assert TxnReply(result).size_estimate() > 0
-
-
-class TestImmutability:
-    def test_messages_frozen(self):
-        msg = ClientSubmit(make_txn())
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            msg.txn = None
-
-    def test_transaction_frozen(self):
-        txn = make_txn()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            txn.txn_id = 5

@@ -1,5 +1,10 @@
 """Unit tests for the transaction model: requests, contexts, procedures, OLLP."""
 
+import dataclasses
+import importlib
+import inspect
+import pickle
+
 import pytest
 
 from repro.config import ClusterConfig
@@ -116,6 +121,126 @@ class TestSequencedTxn:
         later_epoch = SequencedTxn((2, 0, 0), txn)
         assert early < later_origin < later_epoch
         assert early.epoch == 1
+
+
+def _record_classes():
+    """Every public record class of the modules whose instances replicas
+    share by reference, whichever idiom builds it (frozen dataclass,
+    ``NamedTuple``, or ``Transaction``'s sealed slots)."""
+    modules = (
+        "repro.txn.transaction",
+        "repro.txn.result",
+        "repro.workloads.base",
+        "repro.net.messages",
+        "repro.paxos.messages",
+        "repro.baseline.messages",
+        "repro.storage.inputlog",
+        "repro.partition.catalog",
+    )
+    for module in map(importlib.import_module, modules):
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ != module.__name__ or name.startswith("_"):
+                continue
+            if dataclasses.is_dataclass(cls) or hasattr(cls, "_fields"):
+                yield cls
+
+
+def _field_names(cls):
+    if dataclasses.is_dataclass(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+    return list(cls._fields)
+
+
+def _sample(cls):
+    """An instance to poke at; no record here validates field types."""
+    if cls is Transaction:  # memo slots are fields but not parameters
+        return make_txn([("k", 0)], [("k", 0)])
+    return cls(*[0] * len(_field_names(cls)))
+
+
+class TestReadOnlyRecords:
+    """Requests, replies and messages are pure input (paper §2-3): one
+    node's bug must not leak into another's through a shared object.
+    ``AttributeError`` is the base the dataclass idiom
+    (``FrozenInstanceError``) and the tuple idiom share."""
+
+    def test_covers_every_idiom(self):
+        names = {cls.__name__ for cls in _record_classes()}
+        assert {
+            "Transaction", "SequencedTxn", "TransactionResult", "TxnSpec",
+            "ClientSubmit", "TxnReply", "Accept", "Decision", "LogEntry", "NodeId",
+        } <= names
+        assert "TxnStatus" not in names and "Catalog" not in names
+
+    @pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__name__)
+    def test_assign_and_delete_refused(self, cls):
+        record = _sample(cls)
+        names = _field_names(cls)
+        assert names
+        before = [getattr(record, name) for name in names]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert [getattr(record, name) for name in names] == before
+
+    def test_transaction_refusal_is_the_dataclass_one(self):
+        txn = make_txn([("k", 0)], [("k", 0)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            txn.txn_id = 5
+        with pytest.raises(AttributeError):
+            txn.brand_new = 1
+        assert txn.txn_id == 1
+
+    def test_transaction_direct_construction_names_create(self):
+        with pytest.raises(TypeError, match="create"):
+            Transaction(1, "p", None, frozenset(), frozenset())
+
+    def test_transaction_still_memoises_on_the_instance(self):
+        catalog = make_catalog()
+        txn = make_txn([("k", 0), ("k", 1)], [("k", 1)])
+        assert txn.sorted_reads() is txn.sorted_reads()
+        assert txn.sorted_writes() is txn.sorted_writes()
+        assert catalog.route(txn, 0) is catalog.route(txn, 0)
+        assert txn._route is not None
+
+    def test_memo_state_is_not_identity(self):
+        catalog = make_catalog()
+        fresh = make_txn([("k", 0)], [("k", 1)])
+        used = make_txn([("k", 0)], [("k", 1)])
+        used.sorted_reads()
+        catalog.route(used, 0)
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+        assert hash(used) == hash(fresh)
+
+    def test_transaction_pickles_sealed(self):
+        txn = Transaction.create(
+            7, "p", {"n": 1}, [("k", 0)], [("k", 1)],
+            origin_partition=2, client=("client", 0, 3), dependent=True,
+            footprint_token=(("k", 0), 4), submit_time=0.5, restarts=2,
+        )
+        txn.sorted_reads()
+        clone = pickle.loads(pickle.dumps(txn))
+        assert type(clone) is Transaction
+        assert clone == txn
+        assert clone.sorted_reads() == txn.sorted_reads()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.txn_id = 5
+
+    def test_sequenced_txn_identity_is_seq_alone(self):
+        # args is a dict: hashing must not reach it.
+        one = Transaction.create(1, "p", {"n": 1}, [("k", 0)], [])
+        same = Transaction.create(1, "p", {"n": 1}, [("k", 0)], [])
+        assert one is not same and one == same
+        a, b = SequencedTxn((1, 0, 0), one), SequencedTxn((1, 0, 0), same)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a <= b and a >= b and not a < b
+        assert a != SequencedTxn((1, 0, 1), one)
+        later = [SequencedTxn((2, 0, 0), one), SequencedTxn((1, 1, 0), one), a]
+        assert [s.seq for s in sorted(later)] == [(1, 0, 0), (1, 1, 0), (2, 0, 0)]
 
 
 class TestTxnContext:
@@ -268,8 +393,6 @@ class TestOllp:
     def test_footprint_token_pickle_round_trip(self):
         # The token rides in the replicated input log, so it must
         # survive pickling (delivery-style tuple-of-tuples evidence).
-        import pickle
-
         token = ((("district", 1, 2), 3041), (("district", 1, 3), None))
         footprint = Footprint.create({"a"}, {"a"}, token=token)
         clone = pickle.loads(pickle.dumps(footprint))

@@ -30,13 +30,6 @@ class TestTxnSpec:
         assert spec.write_set == frozenset({"b"})
         assert not spec.dependent
 
-    def test_spec_frozen(self):
-        import dataclasses
-
-        spec = TxnSpec.create("p", None, ["a"], [])
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            spec.procedure = "q"
-
     def test_specs_hashable_and_comparable(self):
         a = TxnSpec.create("p", None, ["a"], [])
         b = TxnSpec.create("p", None, ["a"], [])
