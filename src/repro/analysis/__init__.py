@@ -5,7 +5,7 @@ every other subsystem in this reproduction stakes its tests on):
 
 - :mod:`repro.analysis.rules` + :mod:`repro.analysis.linter` — the
   DET001–DET006 AST rules behind ``repro lint``, with inline
-  ``# det: allow[...]`` waivers and a committed baseline file.
+  ``# det: allow[...]`` waivers.
 - :mod:`repro.analysis.footprint_rules` +
   :mod:`repro.analysis.footprint` — the FPT001–FPT006 footprint rules:
   static verification of every registered procedure's declared
@@ -47,12 +47,10 @@ from repro.analysis.footprint import (
 from repro.analysis.footprint_rules import FPT_RULES, FootprintModel
 from repro.analysis.linter import (
     ALL_RULES,
-    DEFAULT_BASELINE,
     LintReport,
     lint_paths,
     lint_sources,
     parse_waivers,
-    write_baseline,
 )
 from repro.analysis.rules import Finding, RULES, scan_source
 from repro.analysis.sanitizer import DeterminismSanitizer, sanitizer_active
@@ -60,7 +58,6 @@ from repro.analysis.sanitizer import DeterminismSanitizer, sanitizer_active
 __all__ = [
     "ALL_RULES",
     "AuditingTxnContext",
-    "DEFAULT_BASELINE",
     "DeterminismSanitizer",
     "DivergenceReport",
     "FPT_RULES",
@@ -84,5 +81,4 @@ __all__ = [
     "sanitizer_active",
     "scan_source",
     "span_epoch",
-    "write_baseline",
 ]

@@ -9,8 +9,7 @@ extracts the declared footprint model — from the reconnaissance
 function for dependent procedures, from the workload's ``TxnSpec``
 construction sites for independent ones — and emits
 :class:`~repro.analysis.rules.Finding` objects in the same shape the
-DET rules produce, so waivers, the baseline file and the CI gate all
-apply unchanged.
+DET rules produce, so waivers and the CI gate apply unchanged.
 
 ``analyze_repository()`` is the entry point ``repro lint`` uses: it
 builds the house registry (microbenchmark + YCSB + TPC-C + the

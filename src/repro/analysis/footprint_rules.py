@@ -46,8 +46,8 @@ the inference cannot resolve degrades the affected check to silence
 that procedure, an unresolvable access skips FPT006.
 
 Like the DET rules, findings support inline waivers
-(``# det: allow[FPTnnn] reason``) and the committed baseline file; see
-:mod:`repro.analysis.linter` and ``docs/static_analysis.md``.
+(``# det: allow[FPTnnn] reason``); see :mod:`repro.analysis.linter`
+and ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""``repro lint`` driver: file walking, waivers, baseline, rendering.
+"""``repro lint`` driver: file walking, waivers, rendering.
 
 Workflow (see ``docs/static_analysis.md``):
 
@@ -12,17 +12,11 @@ Workflow (see ``docs/static_analysis.md``):
    failing. A waiver must name the rule and give a reason; a bare
    ``det: allow`` is ignored and reported so waivers cannot rot into
    unexplained suppressions.
-3. Findings matching the committed baseline file (grandfathered debt,
-   matched by ``(rule, path, stripped source line)`` so line-number
-   churn does not invalidate entries) are *baselined*: reported but not
-   failing. ``--write-baseline`` regenerates the file from the current
-   active findings; the goal state is an empty baseline.
-4. Anything left is *active* and makes the exit code 1.
+3. Anything left is *active* and makes the exit code 1.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -32,12 +26,8 @@ from repro.analysis.footprint_rules import FPT_RULES
 from repro.analysis.rules import Finding, RULES, scan_source
 from repro.errors import ConfigError
 
-#: Default committed-baseline filename, looked up in the current
-#: directory by the CLI when ``--baseline`` is not given.
-DEFAULT_BASELINE = "DETERMINISM_BASELINE.json"
-
-#: Every rule ``repro lint`` knows, across families. Waivers, the
-#: baseline and ``--rules`` selection all validate against this.
+#: Every rule ``repro lint`` knows, across families. Waivers and
+#: ``--rules`` selection validate against this.
 ALL_RULES: Dict[str, str] = {**RULES, **FPT_RULES}
 
 _WAIVER_RE = re.compile(
@@ -67,8 +57,6 @@ class LintReport:
     errors: List[str] = field(default_factory=list)         # unparsable files
     invalid_waivers: List[str] = field(default_factory=list)
     unused_waivers: List[Waiver] = field(default_factory=list)
-    baseline_path: Optional[str] = None
-    baseline_unmatched: List[Dict] = field(default_factory=list)
 
     @property
     def active(self) -> List[Finding]:
@@ -77,10 +65,6 @@ class LintReport:
     @property
     def waived(self) -> List[Finding]:
         return [f for f in self.findings if f.waived]
-
-    @property
-    def baselined(self) -> List[Finding]:
-        return [f for f in self.findings if f.baselined]
 
     @property
     def ok(self) -> bool:
@@ -100,11 +84,6 @@ class LintReport:
                     f"{finding.anchor()}: {finding.rule} [waived: "
                     f"{finding.waiver_reason}] {finding.message}"
                 )
-            for finding in self.baselined:
-                lines.append(
-                    f"{finding.anchor()}: {finding.rule} [baselined] "
-                    f"{finding.message}"
-                )
         for message in self.errors:
             lines.append(f"error: {message}")
         for message in self.invalid_waivers:
@@ -114,16 +93,10 @@ class LintReport:
                 f"warning: {waiver.path}:{waiver.line}: waiver for "
                 f"{','.join(waiver.rules)} matched no finding (stale?)"
             )
-        for entry in self.baseline_unmatched:
-            lines.append(
-                "warning: baseline entry matched no finding (fixed? remove "
-                f"it): {entry.get('rule')} {entry.get('path')} "
-                f"{entry.get('snippet', '')!r}"
-            )
         summary = (
             f"{self.files_scanned} files scanned: "
             f"{len(self.active)} active finding(s), "
-            f"{len(self.waived)} waived, {len(self.baselined)} baselined"
+            f"{len(self.waived)} waived"
         )
         lines.append(summary if lines else f"clean — {summary}")
         return "\n".join(lines)
@@ -139,7 +112,6 @@ class LintReport:
                 "snippet": finding.snippet,
                 "waived": finding.waived,
                 "waiver_reason": finding.waiver_reason,
-                "baselined": finding.baselined,
             }
 
         return {
@@ -147,7 +119,6 @@ class LintReport:
             "ok": self.ok,
             "active": [encode(f) for f in self.active],
             "waived": [encode(f) for f in self.waived],
-            "baselined": [encode(f) for f in self.baselined],
             "errors": list(self.errors),
             "invalid_waivers": list(self.invalid_waivers),
             "unused_waivers": [
@@ -227,73 +198,6 @@ def apply_waivers(
     return out, unused
 
 
-# -- baseline ---------------------------------------------------------------
-
-
-def load_baseline(path: str) -> List[Dict]:
-    with open(path) as handle:
-        data = json.load(handle)
-    entries = data.get("findings", data) if isinstance(data, dict) else data
-    if not isinstance(entries, list):
-        raise ConfigError(f"baseline {path}: expected a list of entries")
-    for entry in entries:
-        if not isinstance(entry, dict) or "rule" not in entry or "path" not in entry:
-            raise ConfigError(
-                f"baseline {path}: each entry needs 'rule' and 'path' keys"
-            )
-    return entries
-
-
-def baseline_key(entry: Dict) -> Tuple[str, str, str]:
-    return (
-        entry["rule"],
-        entry["path"].replace("\\", "/"),
-        entry.get("snippet", "").strip(),
-    )
-
-
-def apply_baseline(
-    findings: List[Finding], entries: List[Dict]
-) -> Tuple[List[Finding], List[Dict]]:
-    """Mark findings present in the baseline; report stale entries."""
-    remaining: Dict[Tuple[str, str, str], List[Dict]] = {}
-    for entry in entries:
-        remaining.setdefault(baseline_key(entry), []).append(entry)
-    out: List[Finding] = []
-    for finding in findings:
-        if finding.waived:
-            out.append(finding)
-            continue
-        key = (finding.rule, finding.path, finding.snippet.strip())
-        bucket = remaining.get(key)
-        if bucket:
-            bucket.pop()
-            if not bucket:
-                del remaining[key]
-            out.append(finding.with_baseline())
-        else:
-            out.append(finding)
-    stale = [entry for bucket in remaining.values() for entry in bucket]
-    return out, stale
-
-
-def write_baseline(report: LintReport, path: str) -> str:
-    """Snapshot the report's active findings as the new baseline."""
-    entries = [
-        {
-            "rule": finding.rule,
-            "path": finding.path,
-            "snippet": finding.snippet.strip(),
-            "justification": "TODO: justify or fix",
-        }
-        for finding in report.active
-    ]
-    with open(path, "w") as handle:
-        json.dump({"findings": entries}, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 # -- driver -----------------------------------------------------------------
 
 
@@ -320,15 +224,14 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
 def lint_sources(
     sources: Dict[str, str],
     rules: Optional[Set[str]] = None,
-    baseline_entries: Optional[List[Dict]] = None,
     extra_findings: Optional[Sequence[Finding]] = None,
 ) -> LintReport:
     """Lint in-memory ``{path: source}`` pairs (the testable core).
 
     ``extra_findings`` carries findings produced outside the per-file
     scan (the FPT footprint pass works per *procedure*, not per file);
-    they are merged per path so waivers and the baseline apply to them
-    exactly like to DET findings. Extra findings on files absent from
+    they are merged per path so waivers apply to them exactly like to
+    DET findings. Extra findings on files absent from
     ``sources`` get their waivers from disk, best effort.
     """
     extras_by_path: Dict[str, List[Finding]] = {}
@@ -362,26 +265,19 @@ def lint_sources(
         findings, unused = apply_waivers(findings, waivers)
         report.findings.extend(findings)
         report.unused_waivers.extend(unused)
-    if baseline_entries:
-        report.findings, report.baseline_unmatched = apply_baseline(
-            report.findings, baseline_entries
-        )
     return report
 
 
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Set[str]] = None,
-    baseline: Optional[str] = None,
     footprints: bool = True,
 ) -> LintReport:
     """Lint files/directories; the public entry point (``repro.lint_paths``).
 
-    ``baseline`` names a grandfathered-findings JSON file; when omitted,
-    :data:`DEFAULT_BASELINE` is used if it exists in the current
-    directory. Unless ``footprints`` is False, the FPT rules also run
-    over every registered house procedure (their findings land on the
-    workload sources regardless of the scanned paths).
+    Unless ``footprints`` is False, the FPT rules also run over every
+    registered house procedure (their findings land on the workload
+    sources regardless of the scanned paths).
     """
     if rules is not None:
         unknown = set(rules) - set(ALL_RULES)
@@ -389,9 +285,6 @@ def lint_paths(
             raise ConfigError(
                 f"unknown rule(s) {sorted(unknown)}; known: {sorted(ALL_RULES)}"
             )
-    if baseline is None and os.path.exists(DEFAULT_BASELINE):
-        baseline = DEFAULT_BASELINE
-    entries = load_baseline(baseline) if baseline else None
     sources: Dict[str, str] = {}
     for path in iter_python_files(paths):
         with open(path, encoding="utf-8") as handle:
@@ -401,6 +294,4 @@ def lint_paths(
         from repro.analysis.footprint import analyze_repository
 
         extra_findings = analyze_repository(rules)
-    report = lint_sources(sources, rules, entries, extra_findings)
-    report.baseline_path = baseline
-    return report
+    return lint_sources(sources, rules, extra_findings)

@@ -103,12 +103,8 @@ _ORDER_INSENSITIVE_CALLS = frozenset({
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation anchored to ``path:line:col``.
-
-    ``snippet`` (the stripped source line) is what the baseline matches
-    on — line numbers churn with unrelated edits, the offending text
-    does not.
-    """
+    """One rule violation anchored to ``path:line:col``; ``snippet`` is
+    the stripped source line."""
 
     rule: str
     path: str
@@ -118,21 +114,17 @@ class Finding:
     snippet: str
     waived: bool = False
     waiver_reason: str = ""
-    baselined: bool = False
 
     @property
     def active(self) -> bool:
         """True when the finding should fail the lint run."""
-        return not (self.waived or self.baselined)
+        return not self.waived
 
     def anchor(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
     def with_waiver(self, reason: str) -> "Finding":
         return replace(self, waived=True, waiver_reason=reason)
-
-    def with_baseline(self) -> "Finding":
-        return replace(self, baselined=True)
 
 
 @dataclass

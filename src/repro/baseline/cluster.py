@@ -43,6 +43,7 @@ class BaselineCluster(Cluster):
             raise ConfigError("the baseline system models a single replica")
         self.baseline = baseline or BaselineConfig()
         self.baseline.validate()
+        self.retry_backoff = self.baseline.retry_backoff
         super().__init__(
             config, workload, registry, partitioner, record_history, tracer
         )
@@ -90,7 +91,7 @@ class BaselineCluster(Cluster):
             workload,
             profile.think_time,
             profile.max_txns,
-            retry_backoff=self.baseline.retry_backoff,
+            retry_backoff=self.retry_backoff,
             max_restarts=self.baseline.max_retries,
         )
 
@@ -102,7 +103,8 @@ class BaselineCluster(Cluster):
     def analytics_read(self, key: Key) -> Any:
         return self.nodes[self.catalog.partition_of(key)].store.get(key)
 
-    def node(self, partition: int) -> BaselineNode:
+    def node(self, replica: int, partition: int) -> BaselineNode:
+        """Same spelling as the replicated engines; ``replica`` is 0."""
         return self.nodes[partition]
 
     def final_state(self) -> Dict[Key, Any]:

@@ -1,85 +1,64 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+``repro --help`` and ``repro <command> --help`` are the reference for
+what exists and which flags it takes; this module does not restate
+them. What it is:
 
-- ``experiments`` — list every reproducible experiment with its claim.
-- ``run <experiment> [--scale smoke|quick|full] [--seed N] [--json F]
-  [--csv F] [--chart]`` — regenerate one paper figure/claim and print
-  its table (optionally as ASCII bars / archived to disk).
-- ``compare <old.json> <new.json> [--threshold X]`` — diff two archived
-  runs and flag regressions (exit code 1 if any cell moved past the
-  threshold).
-- ``demo`` — a 30-second guided tour (tiny cluster, a few transactions,
-  a serializability check).
-- ``chaos [--profile P] [--seed N] [--duration X] [--replicas R]
-  [--topology T] [--open-loop RATE] [--admission POLICY] [--seeds K]
-  [--jobs N]`` — run the microbenchmark
-  under a named fault profile, verify every correctness invariant, and
-  print the reproducible fault-trace digest. With ``--open-loop`` the
-  cluster is additionally driven by open-loop clients at RATE txn/s per
-  client through an admission controller, so overload and faults
-  compose. ``--seeds K`` turns one run into a campaign over K
-  consecutive seeds (fanned across processes with ``--jobs``), one
-  digest and invariant verdict per seed.
-- ``trace [--system calvin|baseline|both] [--format summary|chrome]
-  [--out F]`` — run the microbenchmark with span tracing on and emit a
-  per-phase latency breakdown or a Chrome ``trace_event`` JSON loadable
-  in chrome://tracing / Perfetto.
-- ``bench saturation [--scale S] [--seed N] [--policy P] [--arrival A]
-  [--partitions K]`` — sweep open-loop offered load across the
-  admission knee and print the throughput-vs-latency curve.
-- ``bench compare [--engines LIST] [--scale S] [--seed N]
-  [--partitions K] [--mp LIST] [--hot LIST]`` — the three-system
-  shoot-out: sweep contention × multipartition-% across the registered
-  execution engines (Calvin core, 2PL+2PC baseline, STAR) and print one
-  throughput table with a single-node reference column.
-- ``bench geo [--scale S] [--seed N] [--topology T]
-  [--partitions K]`` — the geo curves: WAN contention collapse over a
-  routed multi-hop topology, and replica-local read throughput vs
-  freshness; prints a deterministic digest over both tables.
-- ``bench elastic [--scale S] [--seed N] [--partitions K]
-  [--policy P]`` — the elastic-reconfiguration sweep: drive a
-  half-active cluster past its admission knee, then split a hot
-  partition, retire an origin, and let the autoscaler do both from
-  saturation signals; one shape digest per scenario plus a combined
-  digest over the whole sweep.
-- ``topology show [preset] [--replicas N] [--wan-latency S]
-  [--wan-bandwidth B]`` — print a geo preset's datacenters, links and
-  deterministic route table.
-- ``lint [paths...] [--format text|json] [--baseline F]
-  [--write-baseline] [--rules LIST] [--show-waived]`` — determinism
-  static analysis (DET001–DET006) over Python sources; exit 1 on any
-  unwaived, unbaselined finding. See docs/static_analysis.md.
-- ``bisect [run flags] [--runs K] [--json]`` — run the microbenchmark
-  K times at the same seed, compare per-epoch span digests, and report
-  the first divergent epoch and span (the determinism debugger for a
-  golden-digest mismatch).
-
-``run``, ``chaos``, ``trace`` and ``bench`` additionally accept
-``--sanitize``: arm the runtime determinism sanitizer for the duration
-of the command, so any ambient randomness / wall-clock / entropy call
-raises ``DeterminismViolation`` instead of silently diverging replicas.
-
-Sweep-shaped commands (``run`` of a grid experiment, ``bench
-compare|geo|saturation|elastic``, ``chaos --seeds K``) accept
-``--jobs N`` to fan independent cells across worker processes; every
-cell builds its own cluster from an explicit seed, so results are
-byte-identical at any job count.
-
-The cross-command flags (``--seed``, ``--topology``, ``--sanitize``,
-``--jobs``) are declared once in :func:`common_parent` and mounted per
-subcommand, so spellings, defaults and help text cannot drift.
+- :data:`COMMANDS`, the command table: one row per subcommand (and per
+  command group), in ``--help`` order, naming the single function that
+  declares it. A declaring function carries the command's one-line
+  help as its docstring, mounts the shared flag groups it needs with
+  :func:`common_parent`, adds the flags only it has, and binds its
+  handler with ``set_defaults(handler=...)``. A new command is one
+  ``declare_*`` function, one ``cmd_*`` handler and one row.
+- :func:`common_parent`, the one declaration of every flag more than
+  one command takes, so spellings, defaults, choices and help text
+  cannot drift between commands.
+- :func:`emit`, the one print -> chart -> archive tail of every
+  command that produces a result table.
+- :func:`main`, which parses, picks ``args.handler`` and calls it under
+  the ``--sanitize`` / ``--audit-footprints`` scopes. Everything a
+  handler uses is imported at module level (and ``preload`` covers the
+  one data-dependent import) so the determinism guard never sees an
+  import: ``logging``, which ``concurrent.futures`` pulls in, reads the
+  wall clock when first imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
+import json
 import sys
-from typing import Dict, List, Optional
+from contextlib import nullcontext
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro import CalvinDB
+from repro.analysis import (
+    DeterminismSanitizer,
+    FPT_RULES,
+    RULES,
+    audit_scope,
+    bisect_runs,
+    lint_paths,
+)
+from repro.analysis.footprint import default_registry
+from repro.bench import elastic, geo, saturation, shootout
+from repro.bench.charts import ascii_chart
+from repro.bench.compare import compare_files
 from repro.bench.io import save_csv, save_json
+from repro.bench.parallel import Cell, merge_registries, portable_registry, run_cells
+from repro.config import ADMISSION_POLICIES, ClusterConfig
+from repro.core import checkers
+from repro.core.traffic import ClientProfile
+from repro.engines import build_cluster
 from repro.errors import ConfigError
+from repro.faults.profiles import FAULT_PROFILES
+from repro.geo.presets import GEO_PRESETS
+from repro.obs import TraceRecorder, chrome_trace, summary_table, write_chrome_trace
+from repro.workloads.microbenchmark import Microbenchmark
 
 EXPERIMENTS: Dict[str, str] = {
     "fig5": "repro.bench.experiments.fig5_tpcc_scalability",
@@ -100,78 +79,99 @@ EXPERIMENTS: Dict[str, str] = {
 }
 
 
-def common_parent(
-    *,
-    topology: bool = False,
-    topology_default: Optional[str] = None,
-    sanitize: bool = False,
-    jobs: bool = False,
-) -> argparse.ArgumentParser:
-    """The one definition of the cross-command run flags.
+def common_parent(parser: argparse.ArgumentParser, **groups) -> None:
+    """Mount shared flag groups on ``parser``, in the order named.
 
-    ``--seed``, ``--topology``, ``--sanitize`` and ``--jobs`` used to be
-    re-declared per subcommand with drifting help strings; every
-    subcommand now mounts the subset it supports from this shared parent
-    (``add_parser(..., parents=[common_parent(...)])``), so spelling,
-    defaults and help text stay consistent across the whole CLI.
+    The one declaration of every flag more than one command takes. Each
+    keyword names a group; its value is ``True`` for the declaration as
+    written here, a dict of ``add_argument`` overrides (a command's own
+    ``default`` / ``help``), or -- for ``output`` and ``chart`` -- the
+    noun the command archives. Groups land in call order, and a command
+    may call this more than once around its own flags, because the
+    order flags appear in ``--help`` is part of the pinned CLI surface
+    (argparse ``parents=`` would list every shared flag first).
     """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=int, default=2012)
-    if topology:
-        parent.add_argument(
-            "--topology", default=topology_default,
-            choices=("chain", "ring", "mesh", "hub"),
-            help="geo topology preset: route WAN traffic over a datacenter "
-                 "graph (one DC per replica) instead of the flat WAN pair",
-        )
-    if sanitize:
-        parent.add_argument(
-            "--sanitize", action="store_true",
-            help="arm the runtime determinism sanitizer: ambient randomness, "
-                 "wall-clock and entropy calls raise DeterminismViolation",
-        )
-        parent.add_argument(
-            "--audit-footprints", action="store_true",
-            help="record actual per-procedure key accesses and report "
-                 "over/under-declared footprints (audit.footprint.* metrics "
-                 "+ per-procedure table); digests are unaffected",
-        )
-    if jobs:
-        parent.add_argument(
-            "--jobs", type=int, default=None, metavar="N",
-            help="fan independent sweep cells across N worker processes "
-                 "(0 = one per core; default serial); results are "
-                 "byte-identical at any job count",
-        )
-    return parent
+
+    def flag(name: str, option, **declared) -> None:
+        if isinstance(option, dict):
+            declared.update(option)
+        parser.add_argument(name, **declared)
+
+    for group, option in groups.items():
+        if group == "seed":
+            flag("--seed", option, type=int, default=2012)
+        elif group == "topology":
+            flag(
+                "--topology", option, default=None, choices=tuple(GEO_PRESETS),
+                help="geo topology preset: route WAN traffic over a datacenter "
+                     "graph (one DC per replica) instead of the flat WAN pair",
+            )
+        elif group == "sanitize":
+            flag(
+                "--sanitize", option, action="store_true",
+                help="arm the runtime determinism sanitizer: ambient randomness, "
+                     "wall-clock and entropy calls raise DeterminismViolation",
+            )
+            flag(
+                "--audit-footprints", option, action="store_true",
+                help="record actual per-procedure key accesses and report "
+                     "over/under-declared footprints (audit.footprint.* metrics "
+                     "+ per-procedure table); digests are unaffected",
+            )
+        elif group == "jobs":
+            flag(
+                "--jobs", option, type=int, default=None, metavar="N",
+                help="fan independent sweep cells across N worker processes "
+                     "(0 = one per core; default serial); results are "
+                     "byte-identical at any job count",
+            )
+        elif group == "scale":
+            flag("--scale", option, default="quick",
+                 choices=("smoke", "quick", "full"))
+        elif group == "policy":
+            flag("--policy", option, default="backpressure",
+                 choices=ADMISSION_POLICIES)
+        elif group == "profile":
+            flag("--profile", option, default=None, choices=sorted(FAULT_PROFILES))
+        elif group == "duration":
+            flag("--duration", option, type=float,
+                 help="measured virtual seconds")
+        elif group == "replicas":
+            flag("--replicas", option, type=int,
+                 help="replica count (paxos replication when > 1)")
+        elif group == "partitions":
+            flag("--partitions", option, type=int, default=2)
+        elif group == "output":
+            # option = what --json/--csv archive: one "table"/"curve" per
+            # FILE, the "tables" of a two-result sweep under one PREFIX, or
+            # (bisect) a "report" printed as JSON in place of the text.
+            def archive(kind: str) -> Dict:
+                if option == "tables":
+                    return dict(metavar="PREFIX", help="also write the tables "
+                                f"as PREFIX-<experiment>.{kind.lower()}")
+                return dict(metavar="FILE", help=f"also write the {option} as {kind}")
+
+            report = dict(action="store_true",
+                          help="emit the divergence report as JSON")
+            parser.add_argument(
+                "--json", **(report if option == "report" else archive("JSON"))
+            )
+            if option != "report":
+                parser.add_argument("--csv", **archive("CSV"))
+        elif group == "chart":
+            parser.add_argument("--chart", action="store_true",
+                                help=f"render the {option} as ASCII bars")
+        else:
+            raise TypeError(f"unknown shared flag group {group!r}")
 
 
-def _add_run_flags(
-    parser: argparse.ArgumentParser,
-    *,
-    duration: float,
-    replicas: int,
-    partitions: int = 2,
-) -> None:
-    """Workload-shape flags shared by ``chaos``, ``trace`` and ``bisect``
-    (the cross-command flags come from :func:`common_parent`)."""
-    parser.add_argument("--duration", type=float, default=duration,
-                        help="measured virtual seconds")
-    parser.add_argument("--replicas", type=int, default=replicas,
-                        help="replica count (paxos replication when > 1)")
-    parser.add_argument("--partitions", type=int, default=partitions)
-
-
-def config_from_args(args: argparse.Namespace, **overrides):
+def config_from_args(args: argparse.Namespace, **overrides) -> ClusterConfig:
     """Build the :class:`ClusterConfig` the run-flag commands share.
 
-    Maps the :func:`common_parent` / :func:`_add_run_flags` namespace
-    onto config fields (including the replicas → replication-mode rule
-    every command used to restate inline); ``overrides`` win over the
-    derived values.
+    Maps the :func:`common_parent` namespace onto config fields
+    (including the replicas -> replication-mode rule every command used
+    to restate inline); ``overrides`` win over the derived values.
     """
-    from repro.config import ClusterConfig
-
     replicas = getattr(args, "replicas", 1)
     values = dict(
         num_partitions=getattr(args, "partitions", 2),
@@ -219,10 +219,6 @@ def _run_microbenchmark(
     closed-loop clients per partition (plus an open-loop population at
     ``open_loop`` txn/s each when asked), run ``duration`` virtual
     seconds and quiesce. Returns the drained cluster."""
-    from repro.core.traffic import ClientProfile
-    from repro.engines import build_cluster
-    from repro.workloads.microbenchmark import Microbenchmark
-
     cluster = build_cluster(
         config,
         Microbenchmark(mp_fraction=mp_fraction, hot_set_size=10, cold_set_size=100),
@@ -246,227 +242,37 @@ def _run_microbenchmark(
     return cluster
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Calvin (SIGMOD 2012) reproduction — experiments and demos",
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    sub.add_parser("experiments", help="list reproducible experiments")
-
-    run = sub.add_parser(
-        "run", help="run one experiment",
-        parents=[common_parent(sanitize=True, jobs=True)],
-    )
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    run.add_argument("--scale", default="quick", choices=("smoke", "quick", "full"))
-    run.add_argument("--json", metavar="FILE", help="also write the table as JSON")
-    run.add_argument("--csv", metavar="FILE", help="also write the table as CSV")
-    run.add_argument(
-        "--chart", action="store_true", help="render the table as ASCII bars"
-    )
-
-    sub.add_parser("demo", help="run a small guided demo")
-
-    chaos = sub.add_parser(
-        "chaos", help="run a workload under fault injection and verify invariants",
-        parents=[common_parent(topology=True, sanitize=True, jobs=True)],
-    )
-    from repro.faults.profiles import FAULT_PROFILES
-
-    chaos.add_argument("--profile", default="chaos-mix",
-                       choices=sorted(FAULT_PROFILES))
-    _add_run_flags(chaos, duration=0.8, replicas=2)
-    chaos.add_argument("--trace", action="store_true",
-                       help="print the full fault trace, not just its digest")
-    chaos.add_argument("--open-loop", type=float, metavar="RATE", default=None,
-                       help="also drive open-loop clients at RATE txn/s each "
-                            "(overload and faults compose)")
-    chaos.add_argument("--admission", default="backpressure",
-                       choices=("queue", "shed", "backpressure"),
-                       help="admission policy in front of the sequencers "
-                            "(used with --open-loop; default backpressure)")
-    chaos.add_argument("--seeds", type=int, default=1, metavar="K",
-                       help="campaign mode: run K consecutive seeds "
-                            "(--seed .. --seed+K-1), verify every invariant "
-                            "per seed, and print one digest per seed")
-
-    trace = sub.add_parser(
-        "trace", help="trace the microbenchmark and print latency breakdowns",
-        parents=[common_parent(topology=True, sanitize=True)],
-    )
-    trace.add_argument("--system", default="both",
-                       choices=("calvin", "baseline", "star", "both", "all"),
-                       help="both = calvin+baseline; all adds the star engine")
-    trace.add_argument("--format", default="summary",
-                       choices=("summary", "chrome"),
-                       help="summary = per-phase latency table; "
-                            "chrome = trace_event JSON for chrome://tracing")
-    trace.add_argument("--out", metavar="FILE",
-                       help="write the chrome trace JSON to FILE")
-    trace.add_argument("--mp-fraction", type=float, default=0.3,
-                       help="multipartition transaction fraction")
-    trace.add_argument("--profile", default=None,
-                       choices=sorted(FAULT_PROFILES),
-                       help="also inject a fault profile (calvin only)")
-    _add_run_flags(trace, duration=0.5, replicas=1)
-
-    compare = sub.add_parser(
-        "compare", help="diff two archived experiment JSONs for regressions"
-    )
-    compare.add_argument("old", help="baseline result JSON")
-    compare.add_argument("new", help="candidate result JSON")
-    compare.add_argument("--threshold", type=float, default=0.10,
-                         help="relative change flagged as regression (default 0.10)")
-
-    bench = sub.add_parser(
-        "bench", help="sweeps of the modelled system: load, engines, geo, elastic"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command")
-    saturation = bench_sub.add_parser(
-        "saturation",
-        help="sweep open-loop offered load across the admission knee",
-        parents=[common_parent(sanitize=True, jobs=True)],
-    )
-    saturation.add_argument("--scale", default="quick",
-                            choices=("smoke", "quick", "full"))
-    saturation.add_argument("--policy", default="backpressure",
-                            choices=("queue", "shed", "backpressure"))
-    saturation.add_argument("--arrival", default="poisson",
-                            choices=("poisson", "uniform", "burst"))
-    saturation.add_argument("--partitions", type=int, default=2)
-    saturation.add_argument("--json", metavar="FILE",
-                            help="also write the curve as JSON")
-    saturation.add_argument("--csv", metavar="FILE",
-                            help="also write the curve as CSV")
-    saturation.add_argument("--chart", action="store_true",
-                            help="render the curve as ASCII bars")
-    shootout = bench_sub.add_parser(
-        "compare",
-        help="three-system shoot-out: contention × multipartition-%% "
-             "sweep across execution engines",
-        parents=[common_parent(sanitize=True, jobs=True)],
-    )
-    shootout.add_argument("--engines", default="core,baseline,star",
-                          help="comma-separated engine list "
-                               "(default core,baseline,star)")
-    shootout.add_argument("--scale", default="smoke",
-                          choices=("smoke", "quick", "full"))
-    shootout.add_argument("--partitions", type=int, default=4)
-    shootout.add_argument("--mp", metavar="LIST", default=None,
-                          help="comma-separated multipartition fractions, "
-                               "e.g. 0,0.1,0.5,1 (default full sweep)")
-    shootout.add_argument("--hot", metavar="LIST", default=None,
-                          help="comma-separated per-partition hot-set sizes "
-                               "(contention levels; default 10000,100)")
-    shootout.add_argument("--json", metavar="FILE",
-                          help="also write the table as JSON")
-    shootout.add_argument("--csv", metavar="FILE",
-                          help="also write the table as CSV")
-
-    geo = bench_sub.add_parser(
-        "geo",
-        help="geo curves: WAN contention collapse + replica-local reads",
-        parents=[common_parent(topology=True, topology_default="chain",
-                               sanitize=True, jobs=True)],
-    )
-    geo.add_argument("--scale", default="quick",
-                     choices=("smoke", "quick", "full"))
-    geo.add_argument("--partitions", type=int, default=2)
-    geo.add_argument("--json", metavar="PREFIX",
-                     help="also write the tables as PREFIX-<experiment>.json")
-    geo.add_argument("--csv", metavar="PREFIX",
-                     help="also write the tables as PREFIX-<experiment>.csv")
-
-    elastic = bench_sub.add_parser(
-        "elastic",
-        help="elastic reconfiguration sweep: split/resize/autoscale under "
-             "open-loop overload, one shape digest per scenario",
-        parents=[common_parent(sanitize=True, jobs=True)],
-    )
-    elastic.add_argument("--scale", default="quick",
-                         choices=("smoke", "quick", "full"))
-    elastic.add_argument("--partitions", type=int, default=4,
-                         help="provisioned partitions; half start active, "
-                              "the rest are dormant spares (default 4)")
-    elastic.add_argument("--policy", default="backpressure",
-                         choices=("queue", "shed", "backpressure"))
-    elastic.add_argument("--json", metavar="FILE",
-                         help="also write the table as JSON")
-    elastic.add_argument("--csv", metavar="FILE",
-                         help="also write the table as CSV")
-
-    topology = sub.add_parser(
-        "topology", help="inspect geo topology presets and their routes"
-    )
-    topology_sub = topology.add_subparsers(dest="topology_command")
-    topo_show = topology_sub.add_parser(
-        "show", help="print a preset's datacenters, links and route table"
-    )
-    topo_show.add_argument("preset", nargs="?", default="chain",
-                           choices=("chain", "ring", "mesh", "hub"))
-    topo_show.add_argument("--replicas", type=int, default=3,
-                           help="datacenter count (one DC per replica)")
-    topo_show.add_argument("--wan-latency", type=float, default=0.05,
-                           help="per-link propagation latency, seconds")
-    topo_show.add_argument("--wan-bandwidth", type=float, default=12.5e6,
-                           help="per-link capacity, bytes/second")
-
-    lint = sub.add_parser(
-        "lint",
-        help="static analysis over sources (DET rules) and registered "
-             "procedures (FPT footprint rules)",
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files/directories to scan (default src/repro)",
-    )
-    lint.add_argument("--format", default="text", choices=("text", "json"))
-    lint.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="grandfathered-findings JSON (default DETERMINISM_BASELINE.json "
-             "when present)",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="snapshot current active findings as the new baseline and exit 0",
-    )
-    lint.add_argument(
-        "--rules", metavar="LIST", default=None,
-        help="comma-separated rule subset, e.g. DET001,FPT006",
-    )
-    lint.add_argument(
-        "--show-waived", action="store_true",
-        help="also print waived and baselined findings",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    lint.add_argument(
-        "--no-footprints", action="store_true",
-        help="skip the FPT footprint pass over registered procedures "
-             "(source-file DET rules only)",
-    )
-
-    bisect = sub.add_parser(
-        "bisect",
-        help="run the same seed twice and locate the first divergent epoch",
-        parents=[common_parent(topology=True, sanitize=True)],
-    )
-    _add_run_flags(bisect, duration=0.3, replicas=1)
-    bisect.add_argument("--profile", default=None,
-                        choices=sorted(FAULT_PROFILES),
-                        help="also inject a fault profile")
-    bisect.add_argument("--runs", type=int, default=2,
-                        help="number of same-seed runs to compare (default 2)")
-    bisect.add_argument("--json", action="store_true",
-                        help="emit the divergence report as JSON")
-    return parser
+def emit(result, args: argparse.Namespace, *footer: str) -> None:
+    """The tail every table-producing command shares: print the result
+    (a tuple of results prints blank-line separated), its ``--chart``,
+    the ``footer`` lines, then archive to ``--json`` / ``--csv``."""
+    results = result if isinstance(result, tuple) else (result,)
+    print("\n\n".join(str(table) for table in results))
+    if getattr(args, "chart", False):
+        print()
+        try:
+            print(ascii_chart(result))
+        except ConfigError as exc:
+            print(f"(not chartable: {exc})")
+    for line in footer:
+        print(line)
+    for table in results:
+        for path, save, ext in ((args.json, save_json, "json"), (args.csv, save_csv, "csv")):
+            if path:
+                if len(results) > 1:  # one PREFIX, one file per experiment
+                    path = f"{path}-{table.experiment}.{ext}"
+                print(f"wrote {save(table, path)}")
 
 
-def cmd_experiments() -> int:
+# -- experiments, run, demo ------------------------------------------------------
+
+
+def declare_experiments(parser: argparse.ArgumentParser) -> None:
+    """list reproducible experiments"""
+    parser.set_defaults(handler=cmd_experiments)
+
+
+def cmd_experiments(args: argparse.Namespace) -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
         module = importlib.import_module(EXPERIMENTS[name])
@@ -475,10 +281,20 @@ def cmd_experiments() -> int:
     return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    import inspect
+def declare_run(parser: argparse.ArgumentParser) -> None:
+    """run one experiment"""
+    common_parent(parser, seed=True, sanitize=True, jobs=True, scale=True,
+                  output="table", chart="table")
+    parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    parser.set_defaults(handler=cmd_run, preload=_experiment_module)
 
-    module = importlib.import_module(EXPERIMENTS[args.experiment])
+
+def _experiment_module(args: argparse.Namespace):
+    return importlib.import_module(EXPERIMENTS[args.experiment])
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    module = _experiment_module(args)
     kwargs = {}
     if args.jobs is not None:
         # Grid experiments fan their sweep across processes; the
@@ -488,27 +304,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             print(f"note: {args.experiment} has no sweep grid; "
                   "--jobs ignored", file=sys.stderr)
-    result = module.run(scale=args.scale, seed=args.seed, **kwargs)
-    print(result)
-    if args.chart:
-        from repro.bench.charts import ascii_chart
-        from repro.errors import ConfigError
-
-        print()
-        try:
-            print(ascii_chart(result))
-        except ConfigError as exc:
-            print(f"(not chartable: {exc})")
-    if args.json:
-        print(f"wrote {save_json(result, args.json)}")
-    if args.csv:
-        print(f"wrote {save_csv(result, args.csv)}")
+    emit(module.run(scale=args.scale, seed=args.seed, **kwargs), args)
     return 0
 
 
-def cmd_demo() -> int:
-    from repro import CalvinDB
+def declare_demo(parser: argparse.ArgumentParser) -> None:
+    """run a small guided demo"""
+    parser.set_defaults(handler=cmd_demo)
 
+
+def cmd_demo(args: argparse.Namespace) -> int:
     print("Building a 2-partition Calvin cluster...")
     db = CalvinDB(num_partitions=2, seed=1)
 
@@ -538,6 +343,32 @@ def cmd_demo() -> int:
     return 0
 
 
+# -- chaos -----------------------------------------------------------------------
+
+
+def declare_chaos(parser: argparse.ArgumentParser) -> None:
+    """run a workload under fault injection and verify invariants"""
+    common_parent(
+        parser, seed=True, topology=True, sanitize=True, jobs=True,
+        profile=dict(default="chaos-mix"), duration=dict(default=0.8),
+        replicas=dict(default=2), partitions=True,
+    )
+    parser.add_argument("--trace", action="store_true",
+                        help="print the full fault trace, not just its digest")
+    parser.add_argument("--open-loop", type=float, metavar="RATE", default=None,
+                        help="also drive open-loop clients at RATE txn/s each "
+                             "(overload and faults compose)")
+    parser.add_argument("--admission", default="backpressure",
+                        choices=ADMISSION_POLICIES,
+                        help="admission policy in front of the sequencers "
+                             "(used with --open-loop; default backpressure)")
+    parser.add_argument("--seeds", type=int, default=1, metavar="K",
+                        help="campaign mode: run K consecutive seeds "
+                             "(--seed .. --seed+K-1), verify every invariant "
+                             "per seed, and print one digest per seed")
+    parser.set_defaults(handler=cmd_chaos)
+
+
 def _chaos_run(args: argparse.Namespace, seed: int, before_run=None):
     """One chaos run at ``seed`` (single-run and campaign paths): the
     microbenchmark under ``args.profile`` with the live invariant
@@ -555,18 +386,15 @@ def _chaos_run(args: argparse.Namespace, seed: int, before_run=None):
     )
 
 
-def _chaos_checks():
-    from repro.core import checkers
-
-    return [
-        ("serializability", checkers.check_serializability),
-        ("conflict order", checkers.check_conflict_order),
-        ("replica consistency", lambda c: checkers.check_replica_consistency(c) or 0),
-        ("epoch contiguity", checkers.check_epoch_contiguity),
-        ("no double-apply", checkers.check_no_double_apply),
-        ("no lost commits", checkers.check_no_lost_commits),
-        ("replica prefix consistency", checkers.check_replica_prefix_consistency),
-    ]
+_CHAOS_CHECKS = (
+    ("serializability", checkers.check_serializability),
+    ("conflict order", checkers.check_conflict_order),
+    ("replica consistency", lambda c: checkers.check_replica_consistency(c) or 0),
+    ("epoch contiguity", checkers.check_epoch_contiguity),
+    ("no double-apply", checkers.check_no_double_apply),
+    ("no lost commits", checkers.check_no_lost_commits),
+    ("replica prefix consistency", checkers.check_replica_prefix_consistency),
+)
 
 
 def _chaos_campaign_cell(args: argparse.Namespace, seed: int) -> Dict:
@@ -576,12 +404,10 @@ def _chaos_campaign_cell(args: argparse.Namespace, seed: int) -> Dict:
     processes; everything returned is plain data plus a gauge-free
     metrics registry, so summaries merge in the parent.
     """
-    from repro.bench.parallel import portable_registry
-
     cluster = _chaos_run(args, seed)
     failures = []
     checked = 0
-    for name, check in _chaos_checks():
+    for name, check in _CHAOS_CHECKS:
         try:
             checked += check(cluster)
         except Exception as exc:  # noqa: BLE001 - campaign reports, not aborts
@@ -599,8 +425,6 @@ def _chaos_campaign_cell(args: argparse.Namespace, seed: int) -> Dict:
 
 
 def _chaos_campaign(args: argparse.Namespace) -> int:
-    from repro.bench.parallel import Cell, merge_registries, run_cells
-
     seeds = list(range(args.seed, args.seed + args.seeds))
     print(f"chaos campaign: profile {args.profile}, seeds "
           f"{seeds[0]}..{seeds[-1]}, {args.duration}s of virtual time each...")
@@ -640,7 +464,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     cluster = _chaos_run(args, args.seed, before_run=announce)
     injector = cluster.fault_injector
 
-    for name, check in _chaos_checks():
+    for name, check in _CHAOS_CHECKS:
         count = check(cluster)
         print(f"  invariant ok: {name} ({count} checked)")
     print(f"committed {cluster.metrics.committed} txns; "
@@ -661,10 +485,33 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- trace -----------------------------------------------------------------------
+
+
+def declare_trace(parser: argparse.ArgumentParser) -> None:
+    """trace the microbenchmark and print latency breakdowns"""
+    common_parent(parser, seed=True, topology=True, sanitize=True)
+    parser.add_argument("--system", default="both",
+                        choices=("calvin", "baseline", "star", "both", "all"),
+                        help="both = calvin+baseline; all adds the star engine")
+    parser.add_argument("--format", default="summary",
+                        choices=("summary", "chrome"),
+                        help="summary = per-phase latency table; "
+                             "chrome = trace_event JSON for chrome://tracing")
+    parser.add_argument("--out", metavar="FILE",
+                        help="write the chrome trace JSON to FILE")
+    parser.add_argument("--mp-fraction", type=float, default=0.3,
+                        help="multipartition transaction fraction")
+    common_parent(
+        parser,
+        profile=dict(help="also inject a fault profile (calvin only)"),
+        duration=dict(default=0.5), replicas=dict(default=1), partitions=True,
+    )
+    parser.set_defaults(handler=cmd_trace)
+
+
 def _traced_microbenchmark(system: str, args: argparse.Namespace):
     """Run one system's microbenchmark with a live tracer; returns the tracer."""
-    from repro.obs import TraceRecorder
-
     if system == "calvin":
         config = config_from_args(
             args, **_fault_overrides(args.profile, args.duration)
@@ -696,16 +543,10 @@ def _traced_microbenchmark(system: str, args: argparse.Namespace):
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import chrome_trace, summary_table, write_chrome_trace
-
-    if args.system == "both":
-        systems = ("calvin", "baseline")
-    elif args.system == "all":
-        systems = ("calvin", "baseline", "star")
-    else:
-        systems = (args.system,)
+    systems = {
+        "both": ("calvin", "baseline"),
+        "all": ("calvin", "baseline", "star"),
+    }.get(args.system, (args.system,))
     # With --format=chrome and no --out, stdout must stay pure JSON.
     quiet = args.format == "chrome" and not args.out
     runs = {}
@@ -736,9 +577,38 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_saturation(args: argparse.Namespace) -> int:
-    from repro.bench import saturation
+# -- compare ---------------------------------------------------------------------
 
+
+def declare_compare(parser: argparse.ArgumentParser) -> None:
+    """diff two archived experiment JSONs for regressions"""
+    parser.add_argument("old", help="baseline result JSON")
+    parser.add_argument("new", help="candidate result JSON")
+    parser.add_argument("--threshold", type=float, default=0.10,
+                        help="relative change flagged as regression (default 0.10)")
+    parser.set_defaults(handler=cmd_compare)
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    comparison = compare_files(args.old, args.new, args.threshold)
+    print(comparison)
+    return 0 if comparison.ok else 1
+
+
+# -- bench -----------------------------------------------------------------------
+
+
+def declare_bench_saturation(parser: argparse.ArgumentParser) -> None:
+    """sweep open-loop offered load across the admission knee"""
+    common_parent(parser, seed=True, sanitize=True, jobs=True,
+                  scale=True, policy=True)
+    parser.add_argument("--arrival", default="poisson",
+                        choices=("poisson", "uniform", "burst"))
+    common_parent(parser, partitions=True, output="curve", chart="curve")
+    parser.set_defaults(handler=cmd_bench_saturation)
+
+
+def cmd_bench_saturation(args: argparse.Namespace) -> int:
     print(f"sweeping offered load ({args.scale} scale, seed {args.seed}, "
           f"policy {args.policy}, {args.arrival} arrivals)...",
           file=sys.stderr)
@@ -750,90 +620,29 @@ def cmd_bench_saturation(args: argparse.Namespace) -> int:
         partitions=args.partitions,
         jobs=args.jobs,
     )
-    print(result)
-    if args.chart:
-        from repro.bench.charts import ascii_chart
-        from repro.errors import ConfigError
-
-        print()
-        try:
-            print(ascii_chart(result))
-        except ConfigError as exc:
-            print(f"(not chartable: {exc})")
-    if args.json:
-        print(f"wrote {save_json(result, args.json)}")
-    if args.csv:
-        print(f"wrote {save_csv(result, args.csv)}")
+    emit(result, args)
     return 0
 
 
-def cmd_bench_geo(args: argparse.Namespace) -> int:
-    from repro.bench import geo
-
-    print(f"geo curves ({args.scale} scale, seed {args.seed}, "
-          f"{args.topology} topology, {args.partitions} partitions)...",
-          file=sys.stderr)
-    collapse, reads, digest = geo.run(
-        scale=args.scale,
-        seed=args.seed,
-        topology=args.topology,
-        partitions=args.partitions,
-        jobs=args.jobs,
-    )
-    print(collapse)
-    print()
-    print(reads)
-    print(f"\ngeo digest {digest}")
-    print("rerun with the same seed to reproduce this digest bit-for-bit")
-    for result in (collapse, reads):
-        if args.json:
-            print(f"wrote {save_json(result, f'{args.json}-{result.experiment}.json')}")
-        if args.csv:
-            print(f"wrote {save_csv(result, f'{args.csv}-{result.experiment}.csv')}")
-    return 0
-
-
-def cmd_bench_elastic(args: argparse.Namespace) -> int:
-    from repro.bench import elastic
-
-    print(f"elastic reconfiguration sweep ({args.scale} scale, "
-          f"seed {args.seed}, {args.partitions} partitions, "
-          f"policy {args.policy})...",
-          file=sys.stderr)
-    result, digest = elastic.run(
-        scale=args.scale,
-        seed=args.seed,
-        partitions=args.partitions,
-        policy=args.policy,
-        jobs=args.jobs,
-    )
-    print(result)
-    print(f"\nelastic digest {digest}")
-    print("rerun with the same seed (any --jobs) to reproduce this "
-          "digest bit-for-bit")
-    if args.json:
-        print(f"wrote {save_json(result, args.json)}")
-    if args.csv:
-        print(f"wrote {save_csv(result, args.csv)}")
-    return 0
-
-
-def cmd_topology(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.topology_command != "show":
-        parser.parse_args(["topology", "--help"])
-        return 2
-    from repro.geo.presets import GEO_PRESETS
-
-    topo = GEO_PRESETS[args.preset](
-        args.replicas, args.wan_latency, args.wan_bandwidth, 0.0005, 125e6
-    )
-    print(topo.describe())
-    return 0
+def declare_bench_compare(parser: argparse.ArgumentParser) -> None:
+    """three-system shoot-out: contention × multipartition-%%
+    sweep across execution engines"""
+    common_parent(parser, seed=True, sanitize=True, jobs=True)
+    parser.add_argument("--engines", default="core,baseline,star",
+                        help="comma-separated engine list "
+                             "(default core,baseline,star)")
+    common_parent(parser, scale=dict(default="smoke"), partitions=dict(default=4))
+    parser.add_argument("--mp", metavar="LIST", default=None,
+                        help="comma-separated multipartition fractions, "
+                             "e.g. 0,0.1,0.5,1 (default full sweep)")
+    parser.add_argument("--hot", metavar="LIST", default=None,
+                        help="comma-separated per-partition hot-set sizes "
+                             "(contention levels; default 10000,100)")
+    common_parent(parser, output="table")
+    parser.set_defaults(handler=cmd_bench_compare)
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import shootout
-
     engines = tuple(part.strip() for part in args.engines.split(",") if part.strip())
     kwargs = {}
     if args.mp:
@@ -858,32 +667,132 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         **kwargs,
     )
-    print(result)
-    if args.json:
-        print(f"wrote {save_json(result, args.json)}")
-    if args.csv:
-        print(f"wrote {save_csv(result, args.csv)}")
+    emit(result, args)
     return 0
 
 
-def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.bench_command == "saturation":
-        return cmd_bench_saturation(args)
-    if args.bench_command == "geo":
-        return cmd_bench_geo(args)
-    if args.bench_command == "elastic":
-        return cmd_bench_elastic(args)
-    if args.bench_command == "compare":
-        return cmd_bench_compare(args)
-    parser.parse_args(["bench", "--help"])
-    return 2
+def declare_bench_geo(parser: argparse.ArgumentParser) -> None:
+    """geo curves: WAN contention collapse + replica-local reads"""
+    common_parent(
+        parser, seed=True, topology=dict(default="chain"), sanitize=True,
+        jobs=True, scale=True, partitions=True, output="tables",
+    )
+    parser.set_defaults(handler=cmd_bench_geo)
+
+
+def cmd_bench_geo(args: argparse.Namespace) -> int:
+    print(f"geo curves ({args.scale} scale, seed {args.seed}, "
+          f"{args.topology} topology, {args.partitions} partitions)...",
+          file=sys.stderr)
+    collapse, reads, digest = geo.run(
+        scale=args.scale,
+        seed=args.seed,
+        topology=args.topology,
+        partitions=args.partitions,
+        jobs=args.jobs,
+    )
+    emit(
+        (collapse, reads), args,
+        f"\ngeo digest {digest}",
+        "rerun with the same seed to reproduce this digest bit-for-bit",
+    )
+    return 0
+
+
+def declare_bench_elastic(parser: argparse.ArgumentParser) -> None:
+    """elastic reconfiguration sweep: split/resize/autoscale under
+    open-loop overload, one shape digest per scenario"""
+    common_parent(
+        parser, seed=True, sanitize=True, jobs=True, scale=True,
+        partitions=dict(
+            default=4,
+            help="provisioned partitions; half start active, "
+                 "the rest are dormant spares (default 4)",
+        ),
+        policy=True, output="table",
+    )
+    parser.set_defaults(handler=cmd_bench_elastic)
+
+
+def cmd_bench_elastic(args: argparse.Namespace) -> int:
+    print(f"elastic reconfiguration sweep ({args.scale} scale, "
+          f"seed {args.seed}, {args.partitions} partitions, "
+          f"policy {args.policy})...",
+          file=sys.stderr)
+    result, digest = elastic.run(
+        scale=args.scale,
+        seed=args.seed,
+        partitions=args.partitions,
+        policy=args.policy,
+        jobs=args.jobs,
+    )
+    emit(
+        result, args,
+        f"\nelastic digest {digest}",
+        "rerun with the same seed (any --jobs) to reproduce this "
+        "digest bit-for-bit",
+    )
+    return 0
+
+
+# -- topology --------------------------------------------------------------------
+
+
+def declare_topology_show(parser: argparse.ArgumentParser) -> None:
+    """print a preset's datacenters, links and route table"""
+    parser.add_argument("preset", nargs="?", default="chain",
+                        choices=tuple(GEO_PRESETS))
+    parser.add_argument("--replicas", type=int, default=3,
+                        help="datacenter count (one DC per replica)")
+    parser.add_argument("--wan-latency", type=float, default=0.05,
+                        help="per-link propagation latency, seconds")
+    parser.add_argument("--wan-bandwidth", type=float, default=12.5e6,
+                        help="per-link capacity, bytes/second")
+    parser.set_defaults(handler=cmd_topology_show)
+
+
+def cmd_topology_show(args: argparse.Namespace) -> int:
+    topo = GEO_PRESETS[args.preset](
+        args.replicas, args.wan_latency, args.wan_bandwidth, 0.0005, 125e6
+    )
+    print(topo.describe())
+    return 0
+
+
+# -- lint ------------------------------------------------------------------------
+
+
+def declare_lint(parser: argparse.ArgumentParser) -> None:
+    """static analysis over sources (DET rules) and registered
+    procedures (FPT footprint rules)"""
+    parser.add_argument(
+        "paths", nargs="*", default=["src/repro"],
+        help="files/directories to scan (default src/repro)",
+    )
+    parser.add_argument("--format", default="text", choices=("text", "json"))
+    parser.add_argument(
+        "--rules", metavar="LIST", default=None,
+        help="comma-separated rule subset, e.g. DET001,FPT006",
+    )
+    parser.add_argument(
+        "--show-waived", action="store_true",
+        help="also print waived findings",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="print the rule catalogue and exit",
+    )
+    parser.add_argument(
+        "--no-footprints", action="store_true",
+        help="skip the FPT footprint pass over registered procedures "
+             "(source-file DET rules only)",
+    )
+    parser.set_defaults(handler=cmd_lint)
 
 
 def render_rule_catalogue() -> str:
     """The ``repro lint --list-rules`` text: rule families grouped, one
     line per rule (pinned by test_analysis_lint)."""
-    from repro.analysis import FPT_RULES, RULES
-
     families = (
         ("DET — determinism rules (scan Python sources)", RULES),
         ("FPT — footprint rules (check registered procedures)", FPT_RULES),
@@ -898,25 +807,13 @@ def render_rule_catalogue() -> str:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import lint_paths, write_baseline
-
     if args.list_rules:
         print(render_rule_catalogue())
         return 0
     rules = None
     if args.rules:
         rules = {part.strip() for part in args.rules.split(",") if part.strip()}
-    report = lint_paths(
-        args.paths, rules=rules, baseline=args.baseline,
-        footprints=not args.no_footprints,
-    )
-    if args.write_baseline:
-        path = write_baseline(report, args.baseline or "DETERMINISM_BASELINE.json")
-        print(f"wrote {path} ({len(report.active)} grandfathered finding(s); "
-              "justify or fix each entry)")
-        return 0
+    report = lint_paths(args.paths, rules=rules, footprints=not args.no_footprints)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -924,12 +821,26 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+# -- bisect ----------------------------------------------------------------------
+
+
+def declare_bisect(parser: argparse.ArgumentParser) -> None:
+    """run the same seed twice and locate the first divergent epoch"""
+    common_parent(
+        parser, seed=True, topology=True, sanitize=True,
+        duration=dict(default=0.3), replicas=dict(default=1), partitions=True,
+        profile=dict(help="also inject a fault profile"),
+    )
+    parser.add_argument("--runs", type=int, default=2,
+                        help="number of same-seed runs to compare (default 2)")
+    common_parent(parser, output="report")
+    # --sanitize reaches each compared run through its ClusterConfig, so
+    # every run arms and disarms around its own kernel loop; main() does
+    # not also arm the guard around the whole command.
+    parser.set_defaults(handler=cmd_bisect, sanitize_per_run=True)
+
+
 def cmd_bisect(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis import bisect_runs
-    from repro.obs import TraceRecorder
-
     config = config_from_args(args, **_fault_overrides(args.profile, args.duration))
 
     def build_and_run(index: int):
@@ -953,41 +864,63 @@ def cmd_bisect(args: argparse.Namespace) -> int:
     return 0 if report.equivalent else 1
 
 
-def _dispatch(args: argparse.Namespace,
-              parser: argparse.ArgumentParser) -> Optional[int]:
-    """Route a parsed namespace to its command; None = unknown command."""
-    if args.command == "experiments":
-        return cmd_experiments()
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "demo":
-        return cmd_demo()
-    if args.command == "chaos":
-        return cmd_chaos(args)
-    if args.command == "trace":
-        return cmd_trace(args)
-    if args.command == "bench":
-        return cmd_bench(args, parser)
-    if args.command == "topology":
-        return cmd_topology(args, parser)
-    if args.command == "lint":
-        return cmd_lint(args)
-    if args.command == "bisect":
-        return cmd_bisect(args)
-    if args.command == "compare":
-        from repro.bench.compare import compare_files
+# -- the command table -----------------------------------------------------------
 
-        comparison = compare_files(args.old, args.new, args.threshold)
-        print(comparison)
-        return 0 if comparison.ok else 1
-    return None
+Declare = Callable[[argparse.ArgumentParser], None]
+
+#: Command path -> the function declaring it, in ``--help`` order; the
+#: function's docstring is the command's one-line help. A string in
+#: place of a function is the help of a command group: its commands
+#: follow it, and invoked bare it prints its own help and exits 2.
+COMMANDS: Dict[Tuple[str, ...], Union[str, Declare]] = {
+    ("experiments",): declare_experiments,
+    ("run",): declare_run,
+    ("demo",): declare_demo,
+    ("chaos",): declare_chaos,
+    ("trace",): declare_trace,
+    ("compare",): declare_compare,
+    ("bench",): "sweeps of the modelled system: load, engines, geo, elastic",
+    ("bench", "saturation"): declare_bench_saturation,
+    ("bench", "compare"): declare_bench_compare,
+    ("bench", "geo"): declare_bench_geo,
+    ("bench", "elastic"): declare_bench_elastic,
+    ("topology",): "inspect geo topology presets and their routes",
+    ("topology", "show"): declare_topology_show,
+    ("lint",): declare_lint,
+    ("bisect",): declare_bisect,
+}
+
+
+def _usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Handler of ``repro`` and of a command group invoked bare."""
+    parser.print_help()
+    return 2
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Assemble the argparse tree from :data:`COMMANDS`."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Calvin (SIGMOD 2012) reproduction — experiments and demos",
+    )
+    parser.set_defaults(handler=partial(_usage, parser))
+    subparsers = {(): parser.add_subparsers(dest="command")}
+    for path, declare in COMMANDS.items():
+        add_parser = subparsers[path[:-1]].add_parser
+        if callable(declare):
+            declare(add_parser(path[-1], help=declare.__doc__))
+        else:
+            group = add_parser(path[-1], help=declare)
+            group.set_defaults(handler=partial(_usage, group))
+            subparsers[path] = group.add_subparsers(dest=f"{path[-1]}_command")
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run_command(args, parser)
+        return _run_command(args)
     except ConfigError as exc:
         # A configuration the model refuses is the user's to fix and
         # reads like any other usage error. Every other ReproError is a
@@ -996,47 +929,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
-def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from contextlib import nullcontext
-
-    if getattr(args, "sanitize", False) and args.command != "bisect":
-        # Arm the trip wires for the whole command: cluster construction,
-        # the simulated run(s), and reporting all happen inside. (bisect
-        # threads the flag through its ClusterConfig instead, so each
-        # compared run arms and disarms around its own kernel loop.)
-        from repro.analysis import DeterminismSanitizer
-
-        guard = DeterminismSanitizer()
-    else:
-        guard = nullcontext()
-    with guard:
+def _run_command(args: argparse.Namespace) -> int:
+    handler = args.handler
+    if hasattr(args, "preload"):
+        # The one import that depends on the arguments happens here,
+        # before the guard below can mistake it for the run.
+        args.preload(args)
+    armed = getattr(args, "sanitize", False) and not hasattr(args, "sanitize_per_run")
+    # Arm the trip wires for the whole command: cluster construction,
+    # the simulated run(s), and reporting all happen inside.
+    with DeterminismSanitizer() if armed else nullcontext():
         if not getattr(args, "audit_footprints", False):
-            result = _dispatch(args, parser)
-        else:
-            # Arm footprint auditing for the whole command: every cluster
-            # built inside (experiments construct their own) attaches an
-            # auditor and reports back through the scope. One merged table
-            # covers the command; --jobs worker processes are not
-            # collected (run serially when auditing).
-            from repro.analysis import audit_scope
-            from repro.analysis.footprint import default_registry
-
-            with audit_scope() as scope:
-                result = _dispatch(args, parser)
-            merged = scope.merged()
-            print()
-            print(merged.render_table())
-            verdicts = merged.cross_validate(default_registry())
-            print(
-                "  static FPT006 cross-check: "
-                f"agree={verdicts['agree']} "
-                f"static-only={verdicts['static_only']} "
-                f"runtime-only={verdicts['runtime_only']}"
-            )
-        if result is not None:
-            return result
-    parser.print_help()
-    return 2
+            return handler(args)
+        # Arm footprint auditing for the whole command: every cluster
+        # built inside (experiments construct their own) attaches an
+        # auditor and reports back through the scope. One merged table
+        # covers the command; --jobs worker processes are not
+        # collected (run serially when auditing).
+        with audit_scope() as scope:
+            result = handler(args)
+        merged = scope.merged()
+        print()
+        print(merged.render_table())
+        verdicts = merged.cross_validate(default_registry())
+        print(
+            "  static FPT006 cross-check: "
+            f"agree={verdicts['agree']} "
+            f"static-only={verdicts['static_only']} "
+            f"runtime-only={verdicts['runtime_only']}"
+        )
+        return result
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

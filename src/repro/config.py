@@ -18,6 +18,10 @@ from typing import Optional, Tuple
 
 from repro.errors import ConfigError
 
+# The admission policies that actually bound intake (``"none"`` disables
+# admission control); the CLI's ``--policy``/``--admission`` choices.
+ADMISSION_POLICIES = ("queue", "shed", "backpressure")
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -116,10 +120,6 @@ class ClusterConfig:
     # Replica 0 must host everything (it is the system of record that
     # ships writesets for transactions straddling a peer's hosted set).
     partial_hosting: Optional[Tuple[Tuple[int, ...], ...]] = None
-    # Where add_clients places input clients on a geo topology:
-    #   "input"  — all at replica 0's datacenter (the input site),
-    #   "spread" — client i in datacenter i % num_datacenters.
-    client_placement: str = "input"
     seed: int = 2012
     costs: CostModel = field(default_factory=CostModel)
     # Disk-based storage (Section 4): if True, reads of cold keys go to
@@ -177,25 +177,6 @@ class ClusterConfig:
     # input) until ClusterAdmin.add_node arms a join epoch. Requires
     # the core engine; incompatible with partial_hosting.
     active_partitions: Optional[int] = None
-    # -- STAR engine knobs (engine="star"; ignored elsewhere) -------------
-    # The full-replica node that drains the multipartition backlog
-    # during single-master phases.
-    star_master_partition: int = 0
-    # Partitioned-phase length in epochs, chosen by the deterministic
-    # controller from the observed multipartition fraction f:
-    #   epochs = clamp(round(gain * (1 - f) / max(f, 1/32)), min, max)
-    # The cap trades multipartition parking time (a parked txn holds its
-    # locks until the next single-master phase, throttling contended
-    # hot sets) against switch overhead; 2 keeps the contended-workload
-    # penalty small while preserving the adaptive range.
-    star_min_partitioned_epochs: int = 1
-    star_max_partitioned_epochs: int = 2
-    star_phase_gain: float = 0.5
-    # One-way cost of a phase switch (the fence/handover barrier).
-    star_switch_latency: float = 0.001
-    # Extra master-worker CPU per multipartition transaction (applying
-    # the master's writes back onto the partition replicas).
-    star_master_txn_overhead_cpu: float = 100e-6
 
     def validate(self) -> None:
         if self.num_partitions < 1:
@@ -214,7 +195,7 @@ class ClusterConfig:
             raise ConfigError("multi-replica clusters need replication_mode async|paxos")
         if self.replication_mode == "paxos" and self.num_replicas < 2:
             raise ConfigError("paxos replication needs at least 2 replicas")
-        if self.admission_policy not in ("none", "queue", "shed", "backpressure"):
+        if self.admission_policy not in ("none",) + ADMISSION_POLICIES:
             raise ConfigError(
                 f"unknown admission policy: {self.admission_policy!r}"
             )
@@ -249,10 +230,6 @@ class ClusterConfig:
                     f"unknown topology preset {self.topology!r}; "
                     f"known: {sorted(GEO_PRESETS)}"
                 )
-        if self.client_placement not in ("input", "spread"):
-            raise ConfigError(
-                f"unknown client placement: {self.client_placement!r}"
-            )
         if self.partial_hosting is not None:
             hosting = self.partial_hosting
             if len(hosting) != self.num_replicas:
@@ -312,22 +289,6 @@ class ClusterConfig:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; known: {sorted(ENGINES)}"
             )
-        if not 0 <= self.star_master_partition < self.num_partitions:
-            raise ConfigError(
-                "star_master_partition must name an existing partition"
-            )
-        if self.star_min_partitioned_epochs < 1:
-            raise ConfigError("star_min_partitioned_epochs must be >= 1")
-        if self.star_max_partitioned_epochs < self.star_min_partitioned_epochs:
-            raise ConfigError(
-                "star_max_partitioned_epochs must be >= star_min_partitioned_epochs"
-            )
-        if self.star_phase_gain <= 0:
-            raise ConfigError("star_phase_gain must be positive")
-        if self.star_switch_latency < 0:
-            raise ConfigError("star_switch_latency must be >= 0")
-        if self.star_master_txn_overhead_cpu < 0:
-            raise ConfigError("star_master_txn_overhead_cpu must be >= 0")
         self.costs.validate()
 
     @property

@@ -75,6 +75,8 @@ class Cluster(ABC):
     #: state across engines sharing the flag. False for engines that
     #: only promise *some* serializable order (the lock-race baseline).
     deterministic_order: bool = True
+    #: Delay before a client resubmits a RESTART outcome.
+    retry_backoff: float = 0.0
 
     def __init__(
         self,
@@ -141,6 +143,11 @@ class Cluster(ABC):
         return ClosedLoopClient(
             self, partition, index, workload, profile.think_time, profile.max_txns
         )
+
+    @abstractmethod
+    def node(self, replica: int, partition: int) -> Any:
+        """The node serving ``partition`` at ``replica`` (replica 0 takes
+        the clients' input)."""
 
     @abstractmethod
     def _drained(self) -> bool:
@@ -381,8 +388,7 @@ class CalvinCluster(Cluster):
                 ("node", node_id.replica, node_id.partition),
                 node_id.replica % num_dcs,
             )
-        # Clients sit in datacenter 0 (the input site) unless
-        # client_placement="spread" moves them (see _make_client).
+        # Clients sit in datacenter 0 (the input site).
         return network
 
     def _build_topology(self):
@@ -407,18 +413,6 @@ class CalvinCluster(Cluster):
             self.nodes[node_id].store
             for node_id in self.catalog.replicas_of_partition(partition)
         ]
-
-    def _make_client(
-        self, profile: ClientProfile, partition: int, index: int, workload: Workload
-    ) -> AnyClient:
-        """Geo-aware client placement: on a geo topology with
-        ``client_placement="spread"``, client ``i`` lives in datacenter
-        ``i % num_datacenters`` (its traffic to the input site crosses
-        the WAN). Default placement keeps every client in datacenter 0."""
-        client = super()._make_client(profile, partition, index, workload)
-        if self.geo is not None and self.config.client_placement == "spread":
-            self.network.place(client.address, index % self.geo.num_datacenters)
-        return client
 
     def _completion_hook(self, stxn: SequencedTxn, result) -> None:
         self.metrics.record_completion(stxn.txn.procedure, result, self.sim.now)

@@ -37,7 +37,7 @@ from repro.txn.result import TxnStatus
 from repro.txn.transaction import Transaction
 from repro.workloads.base import TxnSpec, Workload
 
-# Virtual-time step the drive loops advance by between progress checks.
+# Virtual-time step the drive loop advances by between progress checks.
 _STEP = 0.05
 _MAX_SPEC_ATTEMPTS = 1000
 
@@ -126,69 +126,43 @@ def run_scripted(
     """Execute ``schedule`` under ``engine_name``; collect the outcome."""
     cluster = get_engine(engine_name)(config, workload=workload, record_history=True)
     cluster.load_workload_data()
-    if engine_name == "baseline":
-        return _run_baseline(cluster, schedule, timeout)
-    return _run_sequenced(engine_name, cluster, schedule, timeout)
-
-
-def _run_sequenced(engine_name, cluster, schedule, timeout) -> EngineRun:
     cluster.start()
-    for item in schedule:
-        node = cluster.node(0, item.partition)
-        cluster.sim.schedule_at(
-            item.submit_time, node.handle_message, None, ClientSubmit(_build_txn(item))
-        )
-    # Scripted transactions have no client, so nothing resubmits: one
-    # history entry per submission is completion.
-    deadline = cluster.sim.now + timeout
-    while len(cluster.history) < len(schedule):
-        if cluster.sim.now >= deadline:
-            raise ConsistencyError(
-                f"{engine_name}: only {len(cluster.history)}/{len(schedule)} "
-                f"scripted transactions completed within {timeout}s"
-            )
-        cluster.sim.run(until=cluster.sim.now + _STEP)
-    statuses = {txn.txn_id: status for _seq, txn, status in cluster.history}
-    return EngineRun(engine_name, cluster, cluster.final_state(), statuses)
-
-
-def _run_baseline(cluster, schedule, timeout) -> EngineRun:
     by_id = {item.txn_id: item for item in schedule}
+
+    def submit(txn: Transaction, at: float) -> None:
+        node = cluster.node(0, txn.origin_partition)
+        cluster.sim.schedule_at(at, node.handle_message, None, ClientSubmit(txn))
+
     for item in schedule:
-        node = cluster.nodes[item.partition]
-        cluster.sim.schedule_at(
-            item.submit_time, node.handle_message, None, ClientSubmit(_build_txn(item))
-        )
-    backoff = cluster.baseline.retry_backoff or cluster.config.epoch_duration
+        submit(_build_txn(item), item.submit_time)
+    # Scripted transactions have no client, so the oracle stands in for
+    # one: a RESTART (a wait-die victim; the schedule holds no dependent
+    # spec, so the deterministic engines never report one) is resubmitted
+    # after the client's backoff, same id, bumped restart count.
+    backoff = cluster.retry_backoff or cluster.config.epoch_duration
     deadline = cluster.sim.now + timeout
-    terminal = 0
-    processed = 0
+    terminal = processed = 0
     while terminal < len(schedule):
         if cluster.sim.now >= deadline:
             raise ConsistencyError(
-                f"baseline: only {terminal}/{len(schedule)} scripted "
+                f"{engine_name}: only {terminal}/{len(schedule)} scripted "
                 f"transactions reached a terminal outcome within {timeout}s"
             )
         cluster.sim.run(until=cluster.sim.now + _STEP)
         while processed < len(cluster.history):
-            _index, txn, status = cluster.history[processed]
+            _seq, txn, status = cluster.history[processed]
             processed += 1
             if status is TxnStatus.RESTART:
-                # Wait-die victim. A closed-loop client would resubmit;
-                # the oracle does it here (same id, bumped restart count).
-                item = by_id[txn.txn_id]
-                retry = _build_txn(item, restarts=txn.restarts + 1)
-                node = cluster.nodes[item.partition]
-                cluster.sim.schedule(
-                    backoff, node.handle_message, None, ClientSubmit(retry)
-                )
+                retry = _build_txn(by_id[txn.txn_id], restarts=txn.restarts + 1)
+                submit(retry, cluster.sim.now + backoff)
             else:
                 terminal += 1
-    statuses: Dict[int, TxnStatus] = {}
-    for _index, txn, status in cluster.sorted_history():
-        if status is not TxnStatus.RESTART:
-            statuses[txn.txn_id] = status
-    return EngineRun("baseline", cluster, cluster.final_state(), statuses)
+    statuses = {
+        txn.txn_id: status
+        for _seq, txn, status in cluster.sorted_history()
+        if status is not TxnStatus.RESTART
+    }
+    return EngineRun(engine_name, cluster, cluster.final_state(), statuses)
 
 
 def check_identical_outcome(reference: EngineRun, other: EngineRun) -> None:

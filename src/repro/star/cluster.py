@@ -21,7 +21,7 @@ from typing import Dict, Optional
 from repro.config import ClusterConfig
 from repro.core.cluster import CalvinCluster
 from repro.errors import ConfigError
-from repro.star.master import StarMaster
+from repro.star.master import MASTER_PARTITION, StarMaster
 from repro.star.node import StarNode
 from repro.star.phase import PARTITIONED, SINGLE_MASTER, PhaseController
 from repro.txn.result import TxnStatus
@@ -60,7 +60,7 @@ class StarCluster(CalvinCluster):
 
         super().__init__(config, **kwargs)
 
-        master_node = self.node(0, config.star_master_partition)
+        master_node = self.node(0, MASTER_PARTITION)
         assert isinstance(master_node, StarNode)
         stores = {
             partition: self.node(0, partition).store

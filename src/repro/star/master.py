@@ -34,6 +34,13 @@ from repro.txn.transaction import GlobalSeq, SequencedTxn
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.star.node import StarNode
 
+# The full-replica node that drains the multipartition backlog during
+# single-master phases.
+MASTER_PARTITION = 0
+# Extra master-worker CPU per multipartition transaction (applying the
+# master's writes back onto the partition replicas), seconds.
+MASTER_TXN_OVERHEAD_CPU = 100e-6
+
 
 class StarMaster:
     """Backlog + executor for multipartition transactions on one node."""
@@ -121,7 +128,7 @@ class StarMaster:
         Mirrors :func:`repro.scheduler.executor.run_transaction` minus
         everything distributed: no remote-read fan-out or wait, no
         per-participant multipartition overhead; instead one
-        ``star_master_txn_overhead_cpu`` charge for pushing the writes
+        ``MASTER_TXN_OVERHEAD_CPU`` charge for pushing the writes
         back out to the partition replicas.
         """
         sim = self.sim
@@ -172,7 +179,7 @@ class StarMaster:
         cpu = (
             procedure.logic_cpu
             + costs.write_cpu * len(context.writes)
-            + self.config.star_master_txn_overhead_cpu
+            + MASTER_TXN_OVERHEAD_CPU
         )
         if cpu > 0:
             yield sim.timeout(cpu)

@@ -11,8 +11,8 @@ from repro.star.scheduler import StarScheduler
 
 
 class StarNode(CalvinNode):
-    """One STAR server. The node designated by
-    ``config.star_master_partition`` additionally hosts the
+    """One STAR server. The node of partition
+    :data:`~repro.star.master.MASTER_PARTITION` additionally hosts the
     :class:`~repro.star.master.StarMaster` (attached by the cluster)."""
 
     scheduler_class = StarScheduler

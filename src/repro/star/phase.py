@@ -7,8 +7,8 @@ The controller alternates two phases forever:
   traffic runs undisturbed. Length: a whole number of epochs chosen
   from the multipartition fraction ``f`` observed so far::
 
-      epochs = clamp(round(gain * (1 - f) / max(f, 1/32)),
-                     min_partitioned_epochs, max_partitioned_epochs)
+      epochs = clamp(round(PHASE_GAIN * (1 - f) / max(f, 1/32)),
+                     MIN_PARTITIONED_EPOCHS, MAX_PARTITIONED_EPOCHS)
 
   — long partitioned stretches when multipartition work is rare, the
   minimum when it dominates.
@@ -18,7 +18,7 @@ The controller alternates two phases forever:
   in (throughput-equivalent to) single-master mode while a bursty one
   returns quickly to partitioned execution.
 
-Each switch costs ``star_switch_latency`` (the fence/handover barrier).
+Each switch costs ``SWITCH_LATENCY`` (the fence/handover barrier).
 Every decision input — epoch batch contents, backlog state — is itself
 deterministic, so phase boundaries are reproducible bit for bit.
 """
@@ -37,6 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 PARTITIONED = "partitioned"
 SINGLE_MASTER = "single-master"
+
+# Controller constants (one value in use everywhere, so not config
+# knobs). The cap trades multipartition parking time (a parked txn holds
+# its locks until the next single-master phase, throttling contended hot
+# sets) against switch overhead; 2 keeps the contended-workload penalty
+# small while preserving the adaptive range.
+MIN_PARTITIONED_EPOCHS = 1
+MAX_PARTITIONED_EPOCHS = 2
+PHASE_GAIN = 0.5
+# One-way cost of a phase switch (the fence/handover barrier), seconds.
+SWITCH_LATENCY = 0.001
 
 
 class PhaseController:
@@ -79,11 +90,8 @@ class PhaseController:
     def partitioned_epochs(self) -> int:
         """Partitioned-phase length for the next cycle, in epochs."""
         f = self.multipartition_fraction
-        raw = self.config.star_phase_gain * (1.0 - f) / max(f, 1.0 / 32.0)
-        return max(
-            self.config.star_min_partitioned_epochs,
-            min(self.config.star_max_partitioned_epochs, round(raw)),
-        )
+        raw = PHASE_GAIN * (1.0 - f) / max(f, 1.0 / 32.0)
+        return max(MIN_PARTITIONED_EPOCHS, min(MAX_PARTITIONED_EPOCHS, round(raw)))
 
     # -- the control loop --------------------------------------------------
 
@@ -94,15 +102,13 @@ class PhaseController:
         self.sim.process(self._loop())
 
     def _loop(self):
-        config = self.config
-        epoch = config.epoch_duration
+        epoch = self.config.epoch_duration
         while True:
             start = self.sim.now
             self.phase = PARTITIONED
             yield self.sim.timeout(self.partitioned_epochs() * epoch)
             self._end_phase(start, PARTITIONED)
-            if config.star_switch_latency > 0:
-                yield self.sim.timeout(config.star_switch_latency)
+            yield self.sim.timeout(SWITCH_LATENCY)
 
             start = self.sim.now
             self.phase = SINGLE_MASTER
@@ -113,8 +119,7 @@ class PhaseController:
                 yield self.master.drained_event()
             self.master.close_gate()
             self._end_phase(start, SINGLE_MASTER)
-            if config.star_switch_latency > 0:
-                yield self.sim.timeout(config.star_switch_latency)
+            yield self.sim.timeout(SWITCH_LATENCY)
 
     def _end_phase(self, start: float, name: str) -> None:
         self.phase_switches += 1

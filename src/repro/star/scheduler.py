@@ -25,6 +25,7 @@ from repro.errors import SchedulerError
 from repro.net.messages import StarReady, StarRelease, TxnReply
 from repro.partition.catalog import NodeId, node_address
 from repro.scheduler.scheduler import Scheduler
+from repro.star.master import MASTER_PARTITION
 from repro.txn.transaction import GlobalSeq, SequencedTxn
 
 
@@ -50,9 +51,7 @@ class StarScheduler(Scheduler):
             return
         self.star_routed += 1
         self._star_waiting[stxn.seq] = stxn
-        master = node_address(
-            NodeId(self.node_id.replica, self.config.star_master_partition)
-        )
+        master = node_address(NodeId(self.node_id.replica, MASTER_PARTITION))
         message = StarReady(stxn, self.node_id.partition)
         self.send(master, message, message.size_estimate())
 

@@ -324,22 +324,6 @@ class TestLintIntegration:
         assert report.active == []
         assert len(report.waived) == 1
 
-    def test_fpt_baseline_entry_matches(self):
-        finding = Finding(
-            "FPT006", "proc.py", 3, 0, "procedure 'p' over-declares",
-            "reads.add(ghost)",
-        )
-        entries = [
-            {"rule": "FPT006", "path": "proc.py", "snippet": "reads.add(ghost)"}
-        ]
-        report = lint_sources(
-            {"proc.py": "a = 1\nb = 2\nreads.add(ghost)\n"},
-            baseline_entries=entries,
-            extra_findings=[finding],
-        )
-        assert report.active == []
-        assert len(report.baselined) == 1
-
     def test_catalogue_covers_fpt001_through_006(self):
         assert sorted(FPT_RULES) == [
             "FPT001", "FPT002", "FPT003", "FPT004", "FPT005", "FPT006",

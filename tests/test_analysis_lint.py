@@ -1,4 +1,4 @@
-"""Unit tests for the DET rule set, waivers and baseline handling.
+"""Unit tests for the DET rule set and waiver handling.
 
 Each rule gets a positive case (the hazard fires) and a negative case
 (the sanctioned alternative stays silent), all on synthetic snippets so
@@ -18,7 +18,6 @@ from repro.analysis import (
     lint_sources,
     parse_waivers,
     scan_source,
-    write_baseline,
 )
 from repro.errors import ConfigError
 
@@ -281,47 +280,6 @@ class TestWaivers:
         )
         assert len(report.unused_waivers) == 1
         assert report.ok  # stale waivers warn, they do not fail
-
-
-class TestBaseline:
-    SRC = "import time\nt = time.time()\n"
-
-    def test_matching_entry_baselines_finding(self):
-        entries = [
-            {"rule": "DET002", "path": RELAXED, "snippet": "t = time.time()"}
-        ]
-        report = lint_sources({RELAXED: self.SRC}, baseline_entries=entries)
-        assert report.active == []
-        assert len(report.baselined) == 1
-        assert report.ok
-
-    def test_baseline_matches_on_snippet_not_line_number(self):
-        # Same offending line, pushed down by an unrelated edit.
-        moved = "import time\n\n\nt = time.time()\n"
-        entries = [
-            {"rule": "DET002", "path": RELAXED, "snippet": "t = time.time()"}
-        ]
-        report = lint_sources({RELAXED: moved}, baseline_entries=entries)
-        assert report.active == []
-
-    def test_stale_entry_reported(self):
-        entries = [
-            {"rule": "DET002", "path": RELAXED, "snippet": "gone = time.time()"}
-        ]
-        report = lint_sources({RELAXED: self.SRC}, baseline_entries=entries)
-        assert len(report.active) == 1
-        assert len(report.baseline_unmatched) == 1
-
-    def test_write_and_reload_roundtrip(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(self.SRC)
-        baseline = tmp_path / "baseline.json"
-        first = lint_paths([str(target)])
-        assert len(first.active) == 1
-        write_baseline(first, str(baseline))
-        again = lint_paths([str(target)], baseline=str(baseline))
-        assert again.active == []
-        assert len(again.baselined) == 1
 
 
 class TestLintPaths:

@@ -1,6 +1,9 @@
 """Tests for the CLI and experiment persistence."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +15,7 @@ from repro.bench.io import (
     save_json,
 )
 from repro.bench.reporting import ExperimentResult
-from repro.cli import EXPERIMENTS, build_parser, cmd_experiments, main
+from repro.cli import COMMANDS, EXPERIMENTS, build_parser, main
 from repro.errors import ConfigError
 
 
@@ -72,7 +75,7 @@ class TestCli:
             assert callable(module.run), name
 
     def test_experiments_listing(self, capsys):
-        assert cmd_experiments() == 0
+        assert main(["experiments"]) == 0
         output = capsys.readouterr().out
         assert "fig7" in output and "e7-recovery" in output
 
@@ -90,10 +93,10 @@ class TestCli:
         from repro import cli
         from repro.errors import SchedulerError
 
-        def broken(args, parser):
+        def broken(args):
             raise SchedulerError("a bug, not a usage error")
 
-        monkeypatch.setattr(cli, "_dispatch", broken)
+        monkeypatch.setattr(cli, "cmd_demo", broken)
         with pytest.raises(SchedulerError):
             main(["demo"])
 
@@ -143,15 +146,14 @@ class TestSharedRunFlags:
         # The consolidation's point: one declaration per shared flag, so
         # spellings/help can't drift between subcommands again.
         import inspect
-        import re
 
         from repro import cli
 
         source = inspect.getsource(cli)
-        assert len(re.findall(r'"--topology"', source)) == 1
-        assert len(re.findall(r'"--sanitize"', source)) == 1
-        assert len(re.findall(r'"--jobs"', source)) == 1
-        assert len(re.findall(r'"--seed"', source)) == 1
+        for flag in ("--topology", "--sanitize", "--jobs", "--seed", "--scale",
+                     "--json", "--csv", "--chart", "--partitions", "--policy",
+                     "--profile"):
+            assert source.count(f'"{flag}"') == 1, flag
 
     def test_config_from_args_replication_rule(self):
         import argparse
@@ -172,3 +174,49 @@ class TestSharedRunFlags:
         )
         assert single.replication_mode == "none"
         assert single.fault_profile == "chaos-mix"
+
+
+LEAVES = [path for path, declare in COMMANDS.items() if callable(declare)]
+GROUPS = [path for path in COMMANDS if path not in LEAVES]
+
+
+class TestCommandTable:
+    """Every command is one row of ``cli.COMMANDS`` and reaches its own
+    handler; nothing is dispatched by comparing command names."""
+
+    @pytest.mark.parametrize("path", LEAVES, ids=" ".join)
+    def test_leaf_binds_a_handler_and_prints_help(self, path, capsys):
+        parser = build_parser()
+        required = {("run",): ["fig7"], ("compare",): ["a.json", "b.json"]}
+        args = parser.parse_args([*path, *required.get(path, [])])
+        assert args.handler.__name__ == "cmd_" + "_".join(path)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*path, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {' '.join(path)} ")
+
+    @pytest.mark.parametrize("path", GROUPS, ids=" ".join)
+    def test_bare_group_prints_its_help_and_returns_2(self, path, capsys):
+        assert main(list(path)) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: repro {' '.join(path)} ")
+        for leaf in LEAVES:
+            if leaf[:-1] == path:
+                assert f"    {leaf[-1]} " in out
+
+
+def test_sanitized_campaign_in_a_fresh_interpreter():
+    # The guard must arm after everything the command imports is loaded:
+    # importing `logging` (concurrent.futures pulls it in) reads the wall
+    # clock. Only a fresh process shows it -- pytest has long since
+    # imported logging, so an in-process main([...]) always passed.
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "chaos", "--seeds", "2",
+         "--duration", "0.2", "--sanitize"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "campaign total" in done.stdout

@@ -171,5 +171,5 @@ class TestZeroOverhead:
     def test_baseline_registry_covers_nodes(self):
         cluster, _ = traced_baseline(seed=9)
         snap = cluster.metrics_registry.snapshot()
-        assert snap["node.p0.committed"] == cluster.node(0).committed
+        assert snap["node.p0.committed"] == cluster.node(0, 0).committed
         assert snap["net.messages_sent"] == cluster.network.messages_sent

@@ -19,7 +19,7 @@ from repro.core.traffic import ClientProfile
 from repro.core.cluster import Cluster
 from repro.engines import ENGINES, build_cluster, get_engine
 from repro.errors import ConfigError
-from repro.star import PARTITIONED, SINGLE_MASTER, PhaseController, StarCluster
+from repro.star import PARTITIONED, SINGLE_MASTER, PhaseController, StarCluster, phase
 
 
 def _micro() -> Microbenchmark:
@@ -159,8 +159,8 @@ def test_cluster_contract_core_only_fields_refused_on_direct_construction():
 # Phase controller
 # ---------------------------------------------------------------------------
 
-def _controller(**config_kwargs) -> PhaseController:
-    config = ClusterConfig(num_partitions=2, engine="star", **config_kwargs)
+def _controller() -> PhaseController:
+    config = ClusterConfig(num_partitions=2, engine="star")
     return PhaseController(sim=None, config=config, catalog=None, master=None)
 
 
@@ -172,19 +172,18 @@ def _set_fraction(controller: PhaseController, f: float, total: int = 1000):
 def test_partitioned_epochs_long_when_mp_rare():
     controller = _controller()
     _set_fraction(controller, 0.0)
-    assert (controller.partitioned_epochs()
-            == controller.config.star_max_partitioned_epochs)
+    assert controller.partitioned_epochs() == phase.MAX_PARTITIONED_EPOCHS
 
 
 def test_partitioned_epochs_minimum_when_mp_dominates():
     controller = _controller()
     _set_fraction(controller, 1.0)
-    assert (controller.partitioned_epochs()
-            == controller.config.star_min_partitioned_epochs)
+    assert controller.partitioned_epochs() == phase.MIN_PARTITIONED_EPOCHS
 
 
-def test_partitioned_epochs_monotone_in_fraction():
-    controller = _controller(star_max_partitioned_epochs=32)
+def test_partitioned_epochs_monotone_in_fraction(monkeypatch):
+    monkeypatch.setattr(phase, "MAX_PARTITIONED_EPOCHS", 32)
+    controller = _controller()
     lengths = []
     for f in (0.0, 0.05, 0.1, 0.3, 0.5, 0.8, 1.0):
         _set_fraction(controller, f)
