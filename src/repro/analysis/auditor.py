@@ -166,8 +166,8 @@ class FootprintAuditor:
             return
         record = self._record(txn.procedure)
         record.txns += 1
-        unused_reads = txn.read_set - context.audit_reads
-        unused_writes = txn.write_set - context.audit_writes
+        unused_reads = set(txn.read_set) - context.audit_reads
+        unused_writes = set(txn.write_set) - context.audit_writes
         record.declared_reads += len(txn.read_set)
         record.used_reads += len(txn.read_set) - len(unused_reads)
         record.declared_writes += len(txn.write_set)

@@ -32,13 +32,12 @@ lint time by checking every registered stored procedure against its
 Keys are abstracted to *templates*: ``(leading-string-tag, arity)``,
 e.g. ``keys.district(w, d)`` and ``("district", w, d)`` are both the
 template ``("district", 3)``. Inference handles the house idioms —
-loops over ``ctx.txn.sorted_reads()`` / ``sorted_writes()`` /
-``read_set`` / ``write_set``, key-constructor helper functions (one
-level of interprocedural resolution, same module or an imported keys
-module), tuple key literals, local-variable propagation, and
-``TxnSpec`` construction via literal sets, ``.add`` / ``.append`` /
-``.update`` accumulation and ``frozenset(...)`` conversion, and keys
-drawn out of prebuilt key tables (nested comprehensions of key tuples
+loops over ``ctx.txn.read_set`` / ``write_set``, key-constructor
+helper functions (one level of interprocedural resolution, same module
+or an imported keys module), tuple key literals, local-variable
+propagation, and ``TxnSpec`` construction via literal sets, ``.add`` /
+``.append`` / ``.update`` accumulation and ``SortedKeys(...)`` /
+``frozenset(...)`` conversion, and keys drawn out of prebuilt key tables (nested comprehensions of key tuples
 returned by a helper, then ``table[p][i]`` / ``sample(table[p], k)``;
 a table stands for the union of the families it holds). Anything
 the inference cannot resolve degrades the affected check to silence
@@ -204,10 +203,13 @@ class _Env:
         self.keysets: Dict[str, KeySet] = {}
         self.bound_methods: Dict[str, Tuple[KeySet, str]] = {}
         self.origins: Dict[str, str] = {}  # loop var -> READ/WRITE_DERIVED
+        # name -> per-position key sets of a tuple of key tables.
+        self.parts: Dict[str, List[Optional[KeySet]]] = {}
 
     def forget(self, name: str) -> None:
         self.templates.pop(name, None)
         self.keysets.pop(name, None)
+        self.parts.pop(name, None)
         self.bound_methods.pop(name, None)
         self.origins.pop(name, None)
 
@@ -323,7 +325,7 @@ class _Analyzer:
         if isinstance(expr, ast.Call):
             func = expr.func
             if isinstance(func, ast.Name) and func.id in (
-                "set", "frozenset", "list", "tuple", "sorted",
+                "set", "frozenset", "list", "tuple", "sorted", "SortedKeys",
             ):
                 if not expr.args:
                     return KeySet()
@@ -370,6 +372,31 @@ class _Analyzer:
                     out = KeySet()
                 out.merge(keyset)
         return out
+
+    def _tuple_parts(self, value: ast.expr, env: _Env,
+                     hops: int = 2) -> Optional[List[Optional[KeySet]]]:
+        """Per-position key sets of a tuple of key tables, so that
+        unpacking ``warehouses, districts, ... = self._key_tables(n)``
+        gives each name its own families, not the union: a tuple
+        display, a name bound to one, or a helper returning one —
+        ``hops`` deep, enough for a memoising accessor over a builder."""
+        if isinstance(value, ast.Tuple):
+            return [self.collection_keyset(elt, env) for elt in value.elts]
+        if isinstance(value, ast.Name):
+            return env.parts.get(value.id)
+        if isinstance(value, ast.Call) and hops > 0:
+            fdef, findex = self._resolve_callable(value.func, env)
+            if fdef is not None:
+                sub = _Analyzer(findex or self.index, self.resolver)
+                sub_env = _Env()
+                sub.run_statements(fdef.body, sub_env)
+                returned = [
+                    node.value for node in ast.walk(fdef)
+                    if isinstance(node, ast.Return) and node.value is not None
+                ]
+                if len(returned) == 1:
+                    return sub._tuple_parts(returned[0], sub_env, hops - 1)
+        return None
 
     # -- statement walking (flow-insensitive symbolic execution) -----------
 
@@ -435,9 +462,13 @@ class _Analyzer:
                 continue
             if isinstance(target, ast.Tuple):
                 # `hot, cold, arch = self._key_lists(n)`: each name is a
-                # part of the unpacked collection, so holds its families.
-                keyset = self.collection_keyset(value, env, depth)
-                for elt in target.elts:
+                # part of the unpacked collection, so holds that part's
+                # families, or all of them when the parts cannot be told
+                # apart.
+                parts = self._tuple_parts(value, env)
+                if parts is None or len(parts) != len(target.elts):
+                    parts = [self.collection_keyset(value, env, depth)] * len(target.elts)
+                for elt, keyset in zip(target.elts, parts):
                     if isinstance(elt, ast.Name):
                         env.forget(elt.id)
                         if keyset is not None:
@@ -465,6 +496,9 @@ class _Analyzer:
             keyset = self.collection_keyset(value, env, depth)
             if keyset is not None:
                 env.keysets[name] = keyset
+            parts = self._tuple_parts(value, env)
+            if parts is not None:
+                env.parts[name] = parts
 
     def _run_call_statement(self, call: ast.Call, env: _Env, depth: int) -> None:
         func = call.func
@@ -504,19 +538,14 @@ class _Analyzer:
 
 def derived_origin(expr: ast.expr, env: Optional[_Env] = None) -> Optional[str]:
     """Classify an iterable as derived from the declared footprint:
-    ``ctx.txn.sorted_reads()`` / ``.read_set`` → read-derived,
-    ``sorted_writes()`` / ``.write_set`` → write-derived, optionally
-    through ``sorted()`` / ``sorted_keys()`` / ``list()`` wrappers."""
+    ``ctx.txn.read_set`` → read-derived, ``.write_set`` →
+    write-derived, optionally through ``sorted()`` / ``sorted_keys()``
+    / ``list()`` / ``SortedKeys()`` wrappers."""
     if isinstance(expr, ast.Call):
         func = expr.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in ("sorted_reads", "sorted_keys"):
-                return READ_DERIVED
-            if func.attr == "sorted_writes":
-                return WRITE_DERIVED
         if (
             isinstance(func, ast.Name)
-            and func.id in ("sorted", "sorted_keys", "list", "tuple", "frozenset")
+            and func.id in ("sorted", "sorted_keys", "list", "tuple", "frozenset", "SortedKeys")
             and expr.args
         ):
             return derived_origin(expr.args[0], env)

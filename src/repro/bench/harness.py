@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -112,6 +113,9 @@ def measure(
     the run (e.g. for the latency-breakdown experiment), or an
     ``on_cluster`` hook to instrument the built cluster before it runs
     (e.g. attach a :class:`LockStatsSampler`).
+
+    A sweep holds one cluster at a time: the finished cluster is
+    collected here, before the next cell builds its own.
     """
     cluster = build_cluster(config, workload, record_history=False, tracer=tracer)
     cluster.load_workload_data()
@@ -122,7 +126,14 @@ def measure(
     )
     if on_cluster is not None:
         on_cluster(cluster)
-    return cluster.run(duration=profile.duration, warmup=profile.warmup)
+    report = cluster.run(duration=profile.duration, warmup=profile.warmup)
+    # A cluster is cyclic, so dropping it frees nothing until a full
+    # collection, and Simulator.run keeps the collector off while it
+    # dispatches: left alone, this cluster would sit beside the next
+    # cell's through all of its build and warm-up.
+    del cluster
+    gc.collect()
+    return report
 
 
 def machine_sweep(profile: ScaleProfile, targets=(1, 2, 4, 8, 16)) -> list:

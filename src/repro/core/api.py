@@ -59,7 +59,12 @@ from repro.core.cluster import CalvinCluster
 from repro.errors import ConfigError
 from repro.net.messages import ClientSubmit, TxnReply
 from repro.partition.catalog import NodeId, node_address
-from repro.partition.partitioner import HashPartitioner, Key, Partitioner
+from repro.partition.partitioner import (
+    HashPartitioner,
+    Key,
+    Partitioner,
+    canonical_footprint,
+)
 from repro.sim.events import Event
 from repro.txn.ollp import reconnoiter
 from repro.txn.procedures import ProcedureRegistry
@@ -173,7 +178,7 @@ class CalvinDB:
         procedures are not supported here (their OLLP reconnaissance is
         inherently sequential); use :meth:`execute_dependent`.
         """
-        read_set, write_set = frozenset(read_set), frozenset(write_set)
+        read_set, write_set = canonical_footprint(read_set, write_set)
         if not read_set and not write_set:
             raise ConfigError("submit needs a non-empty read or write set")
         if self.registry.get(procedure).is_dependent:
@@ -224,7 +229,7 @@ class CalvinDB:
         call typically costs 10-20 ms of *virtual* time. Dependent
         procedures are routed through the full OLLP loop.
         """
-        read_set, write_set = frozenset(read_set), frozenset(write_set)
+        read_set, write_set = canonical_footprint(read_set, write_set)
         if not read_set and not write_set:
             raise ConfigError("execute needs a non-empty read or write set")
         proc = self.registry.get(procedure)
@@ -267,11 +272,12 @@ class CalvinDB:
     ) -> TxnHandle:
         cluster = self.cluster
         cluster.start()
-        all_keys = read_set | write_set
-        if not all_keys:
+        if not read_set and not write_set:
             raise ConfigError("transaction needs a non-empty footprint")
         if origin_partition is None:
-            origin_partition = min(cluster.catalog.partitions_of(all_keys))
+            origin_partition = min(
+                cluster.catalog.partitions_of([*read_set, *write_set])
+            )
         txn = Transaction.create(
             txn_id=cluster.next_txn_id(),
             procedure=procedure,

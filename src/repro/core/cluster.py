@@ -181,10 +181,12 @@ class Cluster(ABC):
 
     def load(self, data: Dict[Key, Any]) -> None:
         """Bulk-load initial records into every copy of every partition."""
-        # Hot paths sort key collections by cached sort token; warming
-        # the whole key universe here keeps those sorts on the C-level
-        # cache-hit path from the first epoch on.
+        # Hot paths sort key collections by cached sort token and route
+        # them by cached owner; warming the whole key universe here
+        # keeps both on the C-level cache-hit path from the first epoch
+        # on. Neither table keeps a key it is asked about later.
         warm_sort_tokens(data)
+        self.catalog.warm(data)
         per_partition: Dict[int, Dict[Key, Any]] = {}
         for key, value in data.items():
             per_partition.setdefault(self.catalog.partition_of(key), {})[key] = value

@@ -11,6 +11,7 @@ from repro.partition.partitioner import (
     FuncPartitioner,
     HashPartitioner,
     Partitioner,
+    SortedKeys,
     stable_hash,
 )
 
@@ -20,6 +21,7 @@ __all__ = [
     "HashPartitioner",
     "NodeId",
     "Partitioner",
+    "SortedKeys",
     "client_address",
     "node_address",
     "stable_hash",

@@ -144,8 +144,12 @@ class Route(dict):
 
 class _PartitionCache(dict):
     """Memo of the partitioner (CRC32 over a repr per call, which used
-    to dominate profiles). Misses are computed and kept: the cache dies
-    with its cluster, whose stores hold the same keys anyway."""
+    to dominate profiles) for the keys a load announced
+    (:meth:`Catalog.warm`). The sort-token table's policy
+    (:class:`~repro.partition.partitioner._SortTokens`): a miss is
+    computed and not kept, because a key no load announced (a TPC-C
+    order row) is typically routed once in its life, and keeping each
+    would grow the cache with the length of the run."""
 
     __slots__ = ("_partition_of",)
 
@@ -153,8 +157,7 @@ class _PartitionCache(dict):
         self._partition_of = partition_of
 
     def __missing__(self, key: Key) -> int:
-        partition = self[key] = self._partition_of(key)
-        return partition
+        return self._partition_of(key)
 
 
 class Catalog:
@@ -269,6 +272,15 @@ class Catalog:
             and not participants <= self._hosting[replica]
         )
 
+    def warm(self, keys) -> None:
+        """Memoise the owner of each of ``keys`` (a load's key
+        universe), so routing finds them without the partitioner."""
+        cache = self._partition_cache
+        partition_of = self.partitioner.partition_of
+        for key in keys:
+            if key not in cache:
+                cache[key] = partition_of(key)
+
     def partition_of(self, key: Key) -> int:
         return self._partition_cache[key]
 
@@ -283,7 +295,7 @@ class Catalog:
             return [partition_of_at(key, epoch) for key in keys]
         # Hot: with no override in force every routing decision funnels
         # through here, in one C-level pass whether or not every key is
-        # in the cache yet.
+        # in the cache.
         return list(map(self._partition_cache.__getitem__, keys))
 
     # -- elastic reconfiguration (repro.reconfig) -------------------------
@@ -390,20 +402,20 @@ class Catalog:
             # epoch >= flip transaction behind the copy-in it applies.
             source, dest = migration_route(txn)
             both = self._interned((source, dest))
-            side = ((), txn.sorted_writes(), ())
+            side = ((), txn.write_set, ())
             route = Route(
                 self, version, both, both,
                 self._interned((source,)), {source: side, dest: side},
             )
             route.reply = dest  # the side that applies the copy reports it
             return route
-        reads = txn.sorted_reads()
-        writes = txn.sorted_writes()
+        reads = txn.read_set
+        writes = txn.write_set
         if reads is writes:
             read_only: Tuple[Key, ...] = ()
         else:
-            write_set = txn.write_set
-            read_only = tuple(key for key in reads if key not in write_set)
+            written = set(writes)
+            read_only = tuple(key for key in reads if key not in written)
         whole = (reads, writes, read_only)
         read_owners = self._owners(reads, epoch, version)
         read_holders = self._interned(read_owners)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 import zlib
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Tuple
 
 from repro.errors import ConfigError
 
@@ -26,7 +26,9 @@ class _SortTokens(dict):
     """``repr`` of every key warmed at load, interned. A miss computes
     its token and does not keep it: the table outlives every cluster in
     the process, and a key no load announced (a TPC-C order row) is
-    typically sorted once in its life."""
+    typically sorted once in its life. The catalog's partition cache
+    (:class:`~repro.partition.catalog._PartitionCache`) follows the
+    same policy, warmed by the same load."""
 
     __slots__ = ()
 
@@ -47,6 +49,36 @@ sort_token: Callable[[Key], str] = _SORT_TOKENS.__getitem__
 def sorted_keys(keys) -> list:
     """``sorted(keys, key=repr)`` through the token table."""
     return sorted(keys, key=sort_token)
+
+
+class SortedKeys(tuple):
+    """Duplicate-free keys in sort-token order: the one stored form of a
+    footprint (``TxnSpec`` / ``Transaction`` ``read_set`` and
+    ``write_set``). The type is the proof of canonical form — the
+    constructor is the only way in, and it hands an instance back as
+    the same object — so the lock plan and the routing slices iterate a
+    footprint as it stands, and a resubmitted request is re-checked by
+    identity, not key by key. A hash set of the same keys is built only
+    where membership is asked, and dies with that call.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, keys=()):
+        if keys.__class__ is cls:
+            return keys
+        return tuple.__new__(cls, sorted_keys(set(keys)))
+
+
+def canonical_footprint(read_set, write_set) -> Tuple[SortedKeys, SortedKeys]:
+    """``(reads, writes)`` in canonical form, as *one object* when the
+    two hold the same keys: ``reads is writes`` is how the routing and
+    enforcement paths recognise a read-modify-write footprint."""
+    reads = SortedKeys(read_set)
+    if write_set is read_set:
+        return reads, reads
+    writes = SortedKeys(write_set)
+    return reads, (reads if writes == reads else writes)
 
 
 def warm_sort_tokens(keys) -> None:

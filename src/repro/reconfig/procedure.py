@@ -19,7 +19,7 @@ from repro.txn.procedures import Procedure
 
 def _migration_logic(ctx) -> int:
     moved = 0
-    for key in ctx.txn.sorted_writes():
+    for key in ctx.txn.write_set:
         value = ctx.read(key)
         if value is not None:
             ctx.write(key, value)

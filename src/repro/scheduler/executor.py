@@ -252,7 +252,7 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
     seq = stxn.seq
     mine = sched.node_id.partition
     source, dest = migration_route(txn)
-    keys = txn.sorted_writes()
+    keys = txn.write_set
     tracer = sched.tracer
     replica, txn_id = sched.node_id.replica, txn.txn_id
 

@@ -29,19 +29,27 @@ DELETED = _Deleted()
 
 
 class TxnContext:
-    """What a stored procedure gets to work with during execution."""
+    """What a stored procedure gets to work with during execution.
 
-    __slots__ = (
-        "txn", "args", "_reads", "_read_set", "_write_set", "writes",
-        "deleted", "_rng",
-    )
+    ``reads`` is the collected snapshot and must be keyed by declared
+    read keys only — every engine builds it from the route's read
+    slices, absent rows included (value None) — because the footprint
+    is stored as sorted tuples (:class:`Transaction`), not hash sets,
+    and the snapshot doubles as the membership test: a hit is a
+    declared read, and only a miss scans the declared tuple. Writes
+    are checked against the same snapshot when the footprint is one
+    read-modify-write set, else against a set that lives as long as
+    this context.
+    """
+
+    __slots__ = ("txn", "args", "_reads", "_writable", "writes", "deleted", "_rng")
 
     def __init__(self, txn: Transaction, reads: Dict[Key, Any]):
         self.txn = txn
         self.args = txn.args
         self._reads = reads
-        self._read_set = txn.read_set
-        self._write_set = txn.write_set
+        write_set = txn.write_set
+        self._writable = reads if write_set is txn.read_set else frozenset(write_set)
         self.writes: Dict[Key, Any] = {}
         # True once delete() has buffered a DELETED sentinel — lets the
         # store apply delete-free buffers with one dict.update.
@@ -61,16 +69,20 @@ class TxnContext:
         if key in writes:
             value = writes[key]
             return None if value is DELETED else value
-        if key not in self._read_set:
+        try:
+            return self._reads[key]
+        except KeyError:
+            pass
+        if key not in self.txn.read_set:
             raise FootprintViolation(
                 f"txn {self.txn.txn_id} read outside declared read set: {key!r} "
                 "(write-set keys are readable only after being written)"
             )
-        return self._reads.get(key)
+        return None
 
     def write(self, key: Key, value: Any) -> None:
         """Buffer a write; applied atomically iff the transaction commits."""
-        if key not in self._write_set:
+        if key not in self._writable and key not in self.txn.write_set:
             raise FootprintViolation(
                 f"txn {self.txn.txn_id} write outside declared write set: {key!r}"
             )
@@ -80,7 +92,7 @@ class TxnContext:
 
     def delete(self, key: Key) -> None:
         """Buffer a deletion of ``key``."""
-        if key not in self._write_set:
+        if key not in self._writable and key not in self.txn.write_set:
             raise FootprintViolation(
                 f"txn {self.txn.txn_id} delete outside declared write set: {key!r}"
             )

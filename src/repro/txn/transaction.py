@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import Any, FrozenSet, NamedTuple, Tuple
+from typing import Any, NamedTuple, Set, Tuple
 
-from repro.partition.partitioner import Key, sorted_keys
+from repro.partition.partitioner import Key, SortedKeys, canonical_footprint
 
 # Global sequence number: (epoch, origin_partition, index within batch).
 # Tuple comparison gives exactly Calvin's interleaving rule — all batches
@@ -28,22 +28,19 @@ class _TransactionSlots:
     txn_id: int
     procedure: str
     args: Any
-    read_set: FrozenSet[Key]
-    write_set: FrozenSet[Key]
+    read_set: SortedKeys
+    write_set: SortedKeys
     origin_partition: int = 0
     client: Any = None
     dependent: bool = False
     footprint_token: Any = None
     submit_time: float = 0.0
     restarts: int = 0
-    # Memo fields: derived views, excluded from comparisons and repr
-    # (input-log replay checks compare transactions across independent
-    # runs whose memoization states differ). Written once each via
-    # ``object.__setattr__``; reads are plain (fast) slot loads.
-    _sorted_reads: Any = field(default=None, init=False, repr=False, compare=False)
-    _sorted_writes: Any = field(default=None, init=False, repr=False, compare=False)
-    # Written by Catalog.route: the routing record, per (catalog,
-    # routing version).
+    # Memo field, excluded from comparisons and repr (input-log replay
+    # checks compare transactions across independent runs whose
+    # memoization states differ). Written by Catalog.route via
+    # ``object.__setattr__``: the routing record, per (catalog, routing
+    # version); reads are plain (fast) slot loads.
     _route: Any = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -52,17 +49,23 @@ class Transaction(_TransactionSlots):
 
     ``read_set``/``write_set`` are the keys the logic may touch; Calvin
     sequences and locks from these alone, so executing outside them is a
-    :class:`~repro.errors.FootprintViolation`. ``footprint_token`` carries
-    the reconnaissance evidence for dependent (OLLP) transactions.
+    :class:`~repro.errors.FootprintViolation`. Each is stored once, as a
+    :class:`~repro.partition.partitioner.SortedKeys` — a duplicate-free
+    tuple in sort-token order, which is the order lock plans, routing
+    slices and procedure loops want — and the two are *one object* when
+    they hold the same keys. Every sequenced transaction stays in the
+    input log, so this is what a transaction costs for good; nothing
+    keeps a hash set of a footprint (docs/performance.md, "Memory").
+    ``footprint_token`` carries the reconnaissance evidence for
+    dependent (OLLP) transactions.
 
     Read-only once built: every hot path and every replica hands the
     same instance around, so :meth:`create` — the one constructor —
     seals it, and assigning or deleting a field afterwards raises
-    :class:`dataclasses.FrozenInstanceError`. The trailing underscore
-    fields memoise derived views — the sorted key orders and the one
-    routing record. Who participates, who is active, who replies and
-    which keys are local are not questions a transaction answers: ask
-    :meth:`Catalog.route <repro.partition.catalog.Catalog.route>`.
+    :class:`dataclasses.FrozenInstanceError`. ``_route`` memoises the
+    one routing record. Who participates, who is active, who replies
+    and which keys are local are not questions a transaction answers:
+    ask :meth:`Catalog.route <repro.partition.catalog.Catalog.route>`.
     """
 
     __slots__ = ()
@@ -97,13 +100,17 @@ class Transaction(_TransactionSlots):
         submit_time: float = 0.0,
         restarts: int = 0,
     ) -> "Transaction":
-        """Build a transaction, normalizing the footprint sets."""
+        """Build a transaction. A footprint that is already canonical
+        (a spec's, on every submit and retry) is taken as it stands;
+        raw iterables are deduplicated, ordered and shared here."""
+        if read_set.__class__ is not SortedKeys or write_set.__class__ is not SortedKeys:
+            read_set, write_set = canonical_footprint(read_set, write_set)
         txn = _TransactionSlots(
             txn_id,
             procedure,
             args,
-            frozenset(read_set),
-            frozenset(write_set),
+            read_set,
+            write_set,
             origin_partition,
             client,
             dependent,
@@ -112,31 +119,13 @@ class Transaction(_TransactionSlots):
             restarts,
         )
         # Seal: same slot layout, so CPython allows the class swap; from
-        # here on only the memo writers' ``object.__setattr__`` gets in.
+        # here on only the memo writer's ``object.__setattr__`` gets in.
         txn.__class__ = Transaction
         return txn
 
-    def all_keys(self) -> FrozenSet[Key]:
-        return self.read_set | self.write_set
-
-    def sorted_reads(self) -> Tuple[Key, ...]:
-        """``read_set`` in stable (sort-token) order, memoised."""
-        cached = self._sorted_reads
-        if cached is None:
-            if self.read_set == self.write_set:
-                cached = self.sorted_writes()
-            else:
-                cached = tuple(sorted_keys(self.read_set))
-            object.__setattr__(self, "_sorted_reads", cached)
-        return cached
-
-    def sorted_writes(self) -> Tuple[Key, ...]:
-        """``write_set`` in stable (sort-token) order, memoised."""
-        cached = self._sorted_writes
-        if cached is None:
-            cached = tuple(sorted_keys(self.write_set))
-            object.__setattr__(self, "_sorted_writes", cached)
-        return cached
+    def all_keys(self) -> Set[Key]:
+        """Every declared key, as a fresh hash set."""
+        return set(self.read_set).union(self.write_set)
 
 
 class SequencedTxn(NamedTuple):

@@ -9,27 +9,39 @@ cluster turns specs into sequenced transactions.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, FrozenSet, NamedTuple, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import Key, Partitioner
+from repro.partition.partitioner import (
+    Key,
+    Partitioner,
+    SortedKeys,
+    canonical_footprint,
+)
 from repro.txn.procedures import ProcedureRegistry
 
 
 class TxnSpec(NamedTuple):
-    """A client-side transaction request before sequencing."""
+    """A client-side transaction request before sequencing.
+
+    The footprint is already in the stored form of
+    :class:`~repro.txn.transaction.Transaction` — canonical
+    :class:`~repro.partition.partitioner.SortedKeys`, one object when
+    reads and writes coincide — so every submit and retry of the spec
+    hands the same two tuples through. :meth:`create` canonicalises raw
+    iterables; a generator that builds ``SortedKeys`` itself may call
+    the constructor directly.
+    """
 
     procedure: str
     args: Any
-    read_set: FrozenSet[Key]
-    write_set: FrozenSet[Key]
+    read_set: SortedKeys
+    write_set: SortedKeys
     dependent: bool = False
 
     @staticmethod
     def create(procedure: str, args: Any, read_set, write_set, dependent: bool = False):
-        return TxnSpec(
-            procedure, args, frozenset(read_set), frozenset(write_set), dependent
-        )
+        return TxnSpec(procedure, args, *canonical_footprint(read_set, write_set), dependent)
 
 
 class Workload:

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import FuncPartitioner, Key, Partitioner
+from repro.partition.partitioner import FuncPartitioner, Key, Partitioner, SortedKeys
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.workloads.base import TxnSpec, Workload
 
@@ -38,7 +38,7 @@ def _bump(ctx) -> int:
     """Microbenchmark logic: read all records, write each incremented."""
     total = 0
     read, write = ctx.read, ctx.write
-    for key in ctx.txn.sorted_writes():
+    for key in ctx.txn.write_set:
         value = read(key) or 0
         total += value
         write(key, value + 1)
@@ -163,5 +163,5 @@ class Microbenchmark(Workload):
             # Swap the last cold access for an archive (disk-tier) record.
             keys[-1] = arch[origin_partition][rng.randrange(self.archive_set_size)]
 
-        key_set = frozenset(keys)
-        return TxnSpec("micro", None, read_set=key_set, write_set=key_set)
+        footprint = SortedKeys(keys)
+        return TxnSpec("micro", None, read_set=footprint, write_set=footprint)

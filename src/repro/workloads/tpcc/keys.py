@@ -8,9 +8,15 @@ mutate a read value (stores hand out references, not copies).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 Key = Tuple
+
+# (warehouse[w], district[w][d], customer[w][d][c], item[w][i],
+# stock[w][i]): every key of the five preloaded tables, built once.
+Tables = Tuple[
+    List[Key], List[List[Key]], List[List[List[Key]]], List[List[Key]], List[List[Key]]
+]
 
 
 def warehouse(w: int) -> Key:
@@ -58,3 +64,26 @@ def customer_name_index(w: int, d: int, name: str) -> Key:
 
 def warehouse_of(key: Key) -> int:
     return key[1]
+
+
+def tables(warehouses: int, scale) -> Tables:
+    """The key objects of every row the loader creates for
+    ``warehouses`` warehouses at ``scale`` (a ``TpccScale``), indexable
+    by the ids a request draws. The loader stores these objects and the
+    generator hands the same ones out, so a logged footprint adds no
+    key storage for a preloaded row (rows created later — orders, order
+    lines, last-order pointers — and the invalid item id still go
+    through the constructors above)."""
+    districts = scale.districts_per_warehouse
+    customers = scale.customers_per_district
+    items = scale.items
+    return (
+        [warehouse(w) for w in range(warehouses)],
+        [[district(w, d) for d in range(districts)] for w in range(warehouses)],
+        [
+            [[customer(w, d, c) for c in range(customers)] for d in range(districts)]
+            for w in range(warehouses)
+        ],
+        [[item(w, i) for i in range(items)] for w in range(warehouses)],
+        [[stock(w, i) for i in range(items)] for w in range(warehouses)],
+    )

@@ -7,7 +7,7 @@ byte-identical data, which the replay/recovery checkers require.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.errors import ConfigError
 from repro.workloads.tpcc import keys
@@ -58,22 +58,29 @@ def _initial_stock(i: int) -> int:
     return 10 + (i * 13) % 91
 
 
-def build_initial_data(scale: TpccScale, num_partitions: int) -> Dict[Any, Any]:
-    """The full initial key space for ``num_partitions`` partitions."""
+def build_initial_data(
+    scale: TpccScale, num_partitions: int, tables: Optional[keys.Tables] = None
+) -> Dict[Any, Any]:
+    """The full initial key space for ``num_partitions`` partitions,
+    keyed by the objects in ``tables`` (the workload passes the tables
+    its generator draws from; default: fresh ones)."""
     data: Dict[Any, Any] = {}
     total_warehouses = scale.total_warehouses(num_partitions)
+    warehouse, district, customer, item, stock = tables or keys.tables(
+        total_warehouses, scale
+    )
     for w in range(total_warehouses):
-        data[keys.warehouse(w)] = {"ytd": 0.0, "tax": 0.05 + (w % 10) / 200.0}
+        data[warehouse[w]] = {"ytd": 0.0, "tax": 0.05 + (w % 10) / 200.0}
         for i in range(scale.items):
-            data[keys.item(w, i)] = {"price": _item_price(i), "name": f"item-{i}"}
-            data[keys.stock(w, i)] = {
+            data[item[w][i]] = {"price": _item_price(i), "name": f"item-{i}"}
+            data[stock[w][i]] = {
                 "quantity": _initial_stock(i),
                 "ytd": 0,
                 "order_cnt": 0,
                 "remote_cnt": 0,
             }
         for d in range(scale.districts_per_warehouse):
-            data[keys.district(w, d)] = {
+            data[district[w][d]] = {
                 "next_o_id": 1,
                 "ytd": 0.0,
                 "tax": 0.05 + (d % 10) / 200.0,
@@ -86,7 +93,7 @@ def build_initial_data(scale: TpccScale, num_partitions: int) -> Dict[Any, Any]:
             for c in range(scale.customers_per_district):
                 name = customer_last_name(c)
                 names.setdefault(name, []).append(c)
-                data[keys.customer(w, d, c)] = {
+                data[customer[w][d][c]] = {
                     "balance": -10.0,
                     "ytd_payment": 10.0,
                     "payment_cnt": 1,

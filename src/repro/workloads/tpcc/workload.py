@@ -75,6 +75,9 @@ class TpccWorkload(Workload):
         # Client-side order-id assignment keeps New Order's write set
         # static (the trick that makes it an independent transaction).
         self._order_ids = itertools.count(1)
+        # keys.tables for the warehouse count in use, built on first use
+        # and rebuilt when the partition count changes.
+        self._keys: Optional[keys.Tables] = None
 
     # -- Workload interface ---------------------------------------------------
 
@@ -85,8 +88,16 @@ class TpccWorkload(Workload):
         per = self.scale.warehouses_per_partition
         return FuncPartitioner(num_partitions, lambda key: keys.warehouse_of(key) // per)
 
+    def _key_tables(self, total_warehouses: int) -> keys.Tables:
+        tables = self._keys
+        if tables is None or len(tables[0]) != total_warehouses:
+            tables = self._keys = keys.tables(total_warehouses, self.scale)
+        return tables
+
     def initial_data(self, catalog: Catalog):
-        return build_initial_data(self.scale, catalog.num_partitions)
+        partitions = catalog.num_partitions
+        tables = self._key_tables(self.scale.total_warehouses(partitions))
+        return build_initial_data(self.scale, partitions, tables)
 
     def generate(
         self, rng: random.Random, origin_partition: int, catalog: Catalog
@@ -138,13 +149,21 @@ class TpccWorkload(Workload):
             lines[-1] = (-1, supply_w, qty)
         lines = tuple(lines)
 
-        district_key = keys.district(w, d)
-        reads = {keys.warehouse(w), district_key, keys.customer(w, d, c)}
+        warehouses, districts, customers, items, stocks = self._key_tables(
+            total_warehouses
+        )
+        district_key = districts[w][d]
+        reads = {warehouses[w], district_key, customers[w][d][c]}
         writes = {district_key, keys.order(w, d, o_id),
                   keys.customer_last_order(w, d, c)}
         for number, (item_id, supply_w, qty) in enumerate(lines):
-            stock_key = keys.stock(supply_w, item_id)
-            reads.add(keys.item(w, item_id))
+            if item_id < 0:  # the unused item: no loaded row, no table entry
+                item_key = keys.item(w, item_id)
+                stock_key = keys.stock(supply_w, item_id)
+            else:
+                item_key = items[w][item_id]
+                stock_key = stocks[supply_w][item_id]
+            reads.add(item_key)
             reads.add(stock_key)
             writes.add(stock_key)
             writes.add(keys.order_line(w, d, o_id, number))
@@ -171,7 +190,10 @@ class TpccWorkload(Workload):
             return TxnSpec.create("payment_by_name", args, (), (), dependent=True)
         c = rng.randrange(scale.customers_per_district)
         args = {"w": w, "d": d, "c_w": c_w, "c_d": c_d, "c": c, "amount": amount}
-        footprint = {keys.warehouse(w), keys.district(w, d), keys.customer(c_w, c_d, c)}
+        warehouses, districts, customers, _items, _stocks = self._key_tables(
+            total_warehouses
+        )
+        footprint = {warehouses[w], districts[w][d], customers[c_w][c_d][c]}
         return TxnSpec.create("payment", args, footprint, footprint)
 
     def _order_status(self, rng: random.Random, w: int) -> TxnSpec:

@@ -17,7 +17,7 @@ from typing import Any, Dict, List
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import FuncPartitioner, Key, Partitioner, sort_token
+from repro.partition.partitioner import FuncPartitioner, Key, Partitioner, SortedKeys
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.workloads.base import TxnSpec, Workload
 
@@ -50,12 +50,12 @@ class ZipfGenerator:
 
 
 def _read_logic(ctx) -> Dict:
-    return {key: ctx.read(key) for key in ctx.txn.sorted_reads()}
+    return {key: ctx.read(key) for key in ctx.txn.read_set}
 
 
 def _update_logic(ctx) -> int:
     updated = 0
-    for key in ctx.txn.sorted_writes():
+    for key in ctx.txn.write_set:
         value = ctx.read(key) or 0
         ctx.write(key, value + 1)
         updated += 1
@@ -119,7 +119,7 @@ class YcsbWorkload(Workload):
         keys = set()
         while len(keys) < count:
             keys.add(("ycsb", partition, self._zipf.sample(rng)))
-        return sorted(keys, key=sort_token)
+        return list(keys)
 
     def generate(
         self, rng: random.Random, origin_partition: int, catalog: Catalog
@@ -136,7 +136,7 @@ class YcsbWorkload(Workload):
             keys += self._draw_keys(rng, partner, self.keys_per_txn // 2)
         else:
             keys = self._draw_keys(rng, origin_partition, self.keys_per_txn)
-        key_set = frozenset(keys)
+        footprint = SortedKeys(keys)
         if rng.random() < self.read_fraction:
-            return TxnSpec("ycsb_read", None, key_set, frozenset())
-        return TxnSpec("ycsb_update", None, key_set, key_set)
+            return TxnSpec("ycsb_read", None, footprint, SortedKeys())
+        return TxnSpec("ycsb_update", None, footprint, footprint)

@@ -49,7 +49,7 @@ def stray_write_logic(ctx):                  # planted FPT002
 
 def rmw_loop_logic(ctx):                     # the house _bump idiom
     read, write = ctx.read, ctx.write
-    for key in ctx.txn.sorted_writes():
+    for key in ctx.txn.write_set:
         value = read(key) or 0
         write(key, value + 1)
 
@@ -139,7 +139,7 @@ class TestLogicRules:
         assert rule_ids(Procedure("p", stray_write_logic)) == ["FPT002"]
 
     def test_write_set_loop_rmw_idiom_clean(self):
-        # `for key in ctx.txn.sorted_writes()` with aliased read/write:
+        # `for key in ctx.txn.write_set` with aliased read/write:
         # legal because the write set is contained in the read set.
         assert findings_for(Procedure("p", rmw_loop_logic)) == []
 
@@ -266,6 +266,25 @@ class W:
     def opaque(self, rng, origin):
         keys = [self._memo[0][origin][0]]
         return TxnSpec("opaque", None, frozenset(keys), frozenset(keys))
+
+    def split(self, rng, origin, n):
+        hot, cold = self._cached(n)
+        reads = {hot[origin][0], cold[origin][0]}
+        writes = {cold[origin][1]}
+        return TxnSpec.create("split", None, reads, writes)
+
+    def _cached(self, n):
+        tables = self._memo
+        if tables is None:
+            tables = self._memo = build_tables(n)
+        return tables
+
+
+def build_tables(n):
+    return (
+        [[("hot", p, i) for i in range(9)] for p in range(n)],
+        [[("cold", p, i) for i in range(99)] for p in range(n)],
+    )
 '''
 
 
@@ -285,6 +304,15 @@ class TestKeyTables:
         model = self._models()["tabled"]
         assert model.reads.templates == {("hot", 3), ("cold", 3)}
         assert model.writes.templates == {("hot", 3), ("cold", 3)}
+        assert model.exact
+
+    def test_unpacked_tables_keep_their_own_families(self):
+        # Through a memoising accessor over a builder (TPC-C's shape):
+        # each unpacked name holds its table's family, not the union,
+        # or a write set naming one table would over-declare the rest.
+        model = self._models()["split"]
+        assert model.reads.templates == {("hot", 3), ("cold", 3)}
+        assert model.writes.templates == {("cold", 3)}
         assert model.exact
 
     def test_a_table_the_walker_cannot_see_degrades_to_inexact(self):

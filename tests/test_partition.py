@@ -102,11 +102,18 @@ class TestCatalog:
 
         catalog = Catalog(ClusterConfig(num_partitions=3), FuncPartitioner(3, by_index))
         keys = [("k", i) for i in range(6)]
-        catalog.partition_of(keys[0])                       # one key known ahead
-        # Hit, miss and mixed inputs alike; a generator is walked once.
-        assert catalog.partitions_of(key for key in keys) == {0, 1, 2}
-        assert [catalog.partition_of(key) for key in keys] == [0, 1, 2, 0, 1, 2]
+        catalog.warm(keys[:1])                              # one key known ahead
+        catalog.warm(keys)                                  # what a load announces
         assert calls == keys                                # each computed once
+        # Hit, miss and mixed inputs alike; a generator is walked once.
+        late = [("late", i) for i in range(3)]
+        assert catalog.partitions_of(key for key in keys + late) == {0, 1, 2}
+        assert [catalog.partition_of(key) for key in keys] == [0, 1, 2, 0, 1, 2]
+        assert [catalog.partition_of(key) for key in late] == [0, 1, 2]
+        # An announced key is never computed again; a late one is
+        # computed each time it is asked about and never kept.
+        assert calls == keys + late + late
+        assert len(catalog._partition_cache) == len(keys)
 
 
 class TestSortTokens:

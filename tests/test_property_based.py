@@ -1,9 +1,19 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import pickle
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark, check_serializability
+from repro import (
+    CalvinCluster,
+    ClientProfile,
+    ClusterConfig,
+    Microbenchmark,
+    TxnSpec,
+    check_serializability,
+)
+from repro.partition import SortedKeys
 from repro.scheduler import DeterministicLockManager
 from repro.sim import Simulator
 from repro.storage import KVStore, ZigZagCheckpointer
@@ -53,14 +63,71 @@ def test_lock_manager_grants_all_eventually_in_order(footprints):
     position = {stxn.seq: i for i, stxn in enumerate(completed)}
     for i, first in enumerate(stxns):
         for second in stxns[i + 1:]:
-            w1 = first.txn.write_set
-            w2 = second.txn.write_set
+            w1 = set(first.txn.write_set)
+            w2 = set(second.txn.write_set)
             conflict = (
                 (w1 & second.txn.all_keys()) or (w2 & first.txn.all_keys())
             )
             if conflict:
                 assert position[first.seq] < position[second.seq]
     assert manager.active_txns == 0
+
+
+# ---------------------------------------------------------------------------
+# Footprints: one canonical, stored-once form
+# ---------------------------------------------------------------------------
+
+footprint_keys = st.one_of(
+    st.integers(-3, 30),
+    st.text("abc", max_size=2),
+    st.tuples(st.sampled_from(["hot", "cold"]), st.integers(0, 3), st.integers(0, 12)),
+)
+key_lists = st.lists(footprint_keys, max_size=12)
+
+
+def _canonical(keys):
+    return tuple(sorted(set(keys), key=repr))
+
+
+@given(key_lists, key_lists, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_footprint_has_one_canonical_form(reads, writes, rng):
+    """Whatever iterable, order or multiplicity a footprint arrives in,
+    the stored value is the duplicate-free sort-token-ordered tuple."""
+    txn = Transaction.create(1, "p", None, reads, writes)
+    spec = TxnSpec.create("p", None, reads, writes)
+    for record in (txn, spec):
+        assert type(record.read_set) is type(record.write_set) is SortedKeys
+        assert record.read_set == _canonical(reads)
+        assert record.write_set == _canonical(writes)
+        # Equal footprints are one object, unequal ones are not.
+        assert (record.write_set is record.read_set) == (set(reads) == set(writes))
+
+    def disordered(keys):
+        keys = keys + keys[: len(keys) // 2]
+        rng.shuffle(keys)
+        return iter(keys)
+
+    again = Transaction.create(1, "p", None, disordered(reads), disordered(writes))
+    assert again == txn and hash(again) == hash(txn) and repr(again) == repr(txn)
+    assert TxnSpec.create("p", None, disordered(reads), disordered(writes)) == spec
+
+    # Already canonical: taken as it stands, by identity (the retry
+    # path: every resubmission of a spec shares the spec's two tuples).
+    assert SortedKeys(txn.read_set) is txn.read_set
+    retry = Transaction.create(2, "p", None, spec.read_set, spec.write_set, restarts=1)
+    assert retry.read_set is spec.read_set and retry.write_set is spec.write_set
+
+    clone = pickle.loads(pickle.dumps(txn))
+    assert type(clone) is Transaction and clone == txn
+    assert type(clone.read_set) is type(clone.write_set) is SortedKeys
+    assert (clone.write_set is clone.read_set) == (txn.write_set is txn.read_set)
+    try:
+        clone.read_set = ()
+    except AttributeError:  # dataclasses.FrozenInstanceError
+        pass
+    else:
+        raise AssertionError("an unpickled transaction is not sealed")
 
 
 # ---------------------------------------------------------------------------

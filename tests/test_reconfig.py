@@ -193,7 +193,7 @@ class TestRouteProperty:
             for part in (local_reads, local_writes, read_only):
                 assert all(owner[key] == partition for key in part)
                 assert list(part) == sorted(part, key=sort_token)
-            assert set(read_only) == set(local_reads) - txn.write_set
+            assert set(read_only) == set(local_reads) - set(txn.write_set)
             seen_reads += local_reads
             seen_writes += local_writes
         # Disjoint and covering: every key in exactly one slice.

@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigError, FootprintViolation, TransactionAborted
-from repro.partition import Catalog, FuncPartitioner
+from repro.partition import Catalog, FuncPartitioner, SortedKeys
 from repro.txn import (
     DELETED,
     Footprint,
@@ -41,8 +41,10 @@ def make_txn(read_set, write_set, txn_id=1, dependent=False, token=None):
 
 class TestTransaction:
     def test_footprint_normalized(self):
-        txn = make_txn([("k", 0)], [("k", 1)])
-        assert isinstance(txn.read_set, frozenset)
+        txn = make_txn([("k", 1), ("k", 0), ("k", 1)], [("k", 1)])
+        assert type(txn.read_set) is SortedKeys
+        assert txn.read_set == (("k", 0), ("k", 1))
+        assert txn.write_set == (("k", 1),)
         assert txn.all_keys() == {("k", 0), ("k", 1)}
 
 
@@ -200,8 +202,6 @@ class TestReadOnlyRecords:
     def test_transaction_still_memoises_on_the_instance(self):
         catalog = make_catalog()
         txn = make_txn([("k", 0), ("k", 1)], [("k", 1)])
-        assert txn.sorted_reads() is txn.sorted_reads()
-        assert txn.sorted_writes() is txn.sorted_writes()
         assert catalog.route(txn, 0) is catalog.route(txn, 0)
         assert txn._route is not None
 
@@ -209,7 +209,6 @@ class TestReadOnlyRecords:
         catalog = make_catalog()
         fresh = make_txn([("k", 0)], [("k", 1)])
         used = make_txn([("k", 0)], [("k", 1)])
-        used.sorted_reads()
         catalog.route(used, 0)
         assert used == fresh
         assert repr(used) == repr(fresh)
@@ -221,11 +220,10 @@ class TestReadOnlyRecords:
             origin_partition=2, client=("client", 0, 3), dependent=True,
             footprint_token=(("k", 0), 4), submit_time=0.5, restarts=2,
         )
-        txn.sorted_reads()
         clone = pickle.loads(pickle.dumps(txn))
         assert type(clone) is Transaction
         assert clone == txn
-        assert clone.sorted_reads() == txn.sorted_reads()
+        assert type(clone.read_set) is type(clone.write_set) is SortedKeys
         with pytest.raises(dataclasses.FrozenInstanceError):
             clone.txn_id = 5
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import TxnSpec, Workload
+from repro.partition import SortedKeys
 
 
 class TestWorkloadBase:
@@ -26,8 +27,9 @@ class TestWorkloadBase:
 class TestTxnSpec:
     def test_create_normalizes_sets(self):
         spec = TxnSpec.create("p", None, ["a", "a", "b"], ["b"])
-        assert spec.read_set == frozenset({"a", "b"})
-        assert spec.write_set == frozenset({"b"})
+        assert spec.read_set == ("a", "b")
+        assert spec.write_set == ("b",)
+        assert type(spec.read_set) is type(spec.write_set) is SortedKeys
         assert not spec.dependent
 
     def test_specs_hashable_and_comparable(self):

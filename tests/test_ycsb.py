@@ -68,7 +68,7 @@ class TestYcsbWorkload:
         workload = YcsbWorkload(records_per_partition=100, read_fraction=1.0)
         spec = workload.generate(random.Random(1), 0, make_catalog(2, workload))
         assert spec.procedure == "ycsb_read"
-        assert spec.write_set == frozenset()
+        assert spec.write_set == ()
         assert len(spec.read_set) == 4
 
     def test_update_spec(self):
