@@ -62,12 +62,12 @@ def _mbps(bandwidth: float) -> float:
 def _max_link_utilization(cluster: CalvinCluster) -> float:
     network = cluster.network
     now = cluster.sim.now
-    if cluster.geo is None or now <= 0:
+    if network.geo is None or now <= 0:
         return 0.0
     return max(
         (
             network._channel_stat((link.src, link.dst), "busy_time") / now
-            for link in cluster.geo.links()
+            for link in network.geo.links()
         ),
         default=0.0,
     )

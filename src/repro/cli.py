@@ -752,9 +752,7 @@ def declare_topology_show(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_topology_show(args: argparse.Namespace) -> int:
-    topo = GEO_PRESETS[args.preset](
-        args.replicas, args.wan_latency, args.wan_bandwidth, 0.0005, 125e6
-    )
+    topo = GEO_PRESETS[args.preset](args.replicas, args.wan_latency, args.wan_bandwidth)
     print(topo.describe())
     return 0
 

@@ -22,6 +22,7 @@ from repro.core.metrics import Metrics, RunReport
 from repro.core.node import CalvinNode
 from repro.core.traffic import ClientProfile, OpenLoopClient
 from repro.errors import ConfigError, RecoveryError, SimulationError
+from repro.geo.presets import build_geo_topology
 from repro.obs import MetricsRegistry, NULL_RECORDER, TraceRecorder
 from repro.partition.catalog import (
     Catalog,
@@ -29,6 +30,7 @@ from repro.partition.catalog import (
     NodeId,
     is_migration_txn,
     migration_route,
+    node_address,
 )
 from repro.partition.partitioner import Key, Partitioner, warm_sort_tokens
 from repro.sim.events import Event
@@ -110,7 +112,7 @@ class Cluster(ABC):
         # Observability: a no-op recorder unless the caller wants spans
         # (zero overhead when off), and one registry for every component's
         # tallies plus the transaction-outcome instruments. Resolved
-        # before the network, which records HOP spans on geo topologies.
+        # before the network, which records HOP spans on routed topologies.
         self.tracer = tracer if tracer is not None else NULL_RECORDER
         self.network = self._build_network()
         self.metrics_registry = MetricsRegistry()
@@ -126,9 +128,26 @@ class Cluster(ABC):
     # -- engine hooks --------------------------------------------------------
 
     def _build_network(self) -> Network:
-        """The transport: one flat LAN unless the engine knows better."""
+        """The transport: a LAN inside each site (one per replica), joined
+        by the flat WAN pair or by the routed graph ``config.topology``
+        names. Nodes sit in their replica's site, clients in site 0 (the
+        input site, every address's default)."""
         config = self.config
-        return Network(self.sim, lan_topology(config.lan_latency, config.lan_bandwidth))
+        geo = build_geo_topology(config) if config.topology is not None else None
+        if geo is None and config.num_replicas > 1:
+            topology = wan_topology(
+                lan_latency=config.lan_latency,
+                wan_latency=config.wan_latency,
+                lan_bandwidth=config.lan_bandwidth,
+                wan_bandwidth=config.wan_bandwidth,
+            )
+        else:
+            topology = lan_topology(config.lan_latency, config.lan_bandwidth)
+        network = Network(self.sim, topology, geo=geo, tracer=self.tracer)
+        sites = geo.num_datacenters if geo is not None else config.num_replicas
+        for node_id in self.catalog.nodes():
+            network.place(node_address(node_id), node_id.replica % sites)
+        return network
 
     @abstractmethod
     def _stores_of(self, partition: int) -> Iterable[KVStore]:
@@ -288,10 +307,6 @@ class CalvinCluster(Cluster):
             from repro.reconfig.procedure import migration_procedure
 
             self.registry.register(migration_procedure())
-        # The geo topology, when one is configured (None on the flat
-        # point-to-point network).
-        self.geo = getattr(self.network, "geo", None)
-
         cold = None
         if config.disk_enabled and workload is not None:
             cold = workload.cold_predicate()
@@ -367,48 +382,6 @@ class CalvinCluster(Cluster):
             ).install()
             for node in self.nodes.values():
                 node.scheduler.retain_remote_reads = True
-
-    # -- construction helpers ------------------------------------------------
-
-    def _build_network(self):
-        """Build the transport: the flat point-to-point network unless a
-        geo topology preset is configured (the backward-compatible seam —
-        flat configs never touch the geo code paths)."""
-        config = self.config
-        if config.topology is None:
-            return Network(self.sim, self._build_topology())
-        # Imported lazily: the flat path must not pay for (or depend on)
-        # the geo subsystem.
-        from repro.geo.network import GeoNetwork
-        from repro.geo.presets import build_geo_topology
-
-        geo = build_geo_topology(config)
-        network = GeoNetwork(self.sim, geo, tracer=self.tracer)
-        num_dcs = geo.num_datacenters
-        for node_id in self.catalog.nodes():
-            network.place(
-                ("node", node_id.replica, node_id.partition),
-                node_id.replica % num_dcs,
-            )
-        # Clients sit in datacenter 0 (the input site).
-        return network
-
-    def _build_topology(self):
-        config = self.config
-        if config.num_replicas > 1:
-            topology = wan_topology(
-                lan_latency=config.lan_latency,
-                wan_latency=config.wan_latency,
-                lan_bandwidth=config.lan_bandwidth,
-                wan_bandwidth=config.wan_bandwidth,
-            )
-        else:
-            topology = lan_topology(config.lan_latency, config.lan_bandwidth)
-        for replica in range(config.num_replicas):
-            for partition in range(config.num_partitions):
-                topology.place(("node", replica, partition), site=replica)
-        # Clients sit in the input replica's datacenter (site 0, the default).
-        return topology
 
     def _stores_of(self, partition: int) -> Iterable[KVStore]:
         return [

@@ -43,7 +43,7 @@ class LinkChannel:
         self._next_flow_id = 0
         self._generation = 0
         self._last_advance = 0.0
-        # Tallies exported as gauges by GeoNetwork.register_metrics.
+        # Tallies exported as gauges by Network.register_metrics.
         self.flows_completed = 0
         self.bytes_carried = 0.0
         self.busy_time = 0.0

@@ -3,8 +3,8 @@
 ``ClusterConfig.topology`` names one of these presets; the builder
 derives the datacenter count from ``num_replicas`` (one DC per replica,
 minimum one) and reuses the existing ``wan_latency`` / ``wan_bandwidth``
-/ ``lan_*`` knobs, so a preset config stays a one-line change from a
-flat one.
+knobs, so a preset config stays a one-line change from a flat one (the
+LAN inside each datacenter is the network's flat topology).
 
 - ``chain``: dc0 - dc1 - ... - dcN-1 in a line; the worst-case diameter,
   every batch to the far end crosses every link (contention collapse).
@@ -26,37 +26,25 @@ from repro.geo.topology import GeoTopology
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import ClusterConfig
 
-Builder = Callable[[int, float, Optional[float], float, float], GeoTopology]
+Builder = Callable[[int, float, Optional[float]], GeoTopology]
 
 
-def _base(num_dcs: int, lan_latency: float, lan_bandwidth: float) -> GeoTopology:
-    topo = GeoTopology(lan_latency=lan_latency, lan_bandwidth=lan_bandwidth)
+def _base(num_dcs: int) -> GeoTopology:
+    topo = GeoTopology()
     for dc in range(num_dcs):
         topo.add_datacenter(dc)
     return topo
 
 
-def chain(
-    num_dcs: int,
-    wan_latency: float,
-    wan_bandwidth: Optional[float],
-    lan_latency: float,
-    lan_bandwidth: float,
-) -> GeoTopology:
-    topo = _base(num_dcs, lan_latency, lan_bandwidth)
+def chain(num_dcs: int, wan_latency: float, wan_bandwidth: Optional[float]) -> GeoTopology:
+    topo = _base(num_dcs)
     for dc in range(num_dcs - 1):
         topo.add_link(dc, dc + 1, wan_latency, wan_bandwidth)
     return topo
 
 
-def ring(
-    num_dcs: int,
-    wan_latency: float,
-    wan_bandwidth: Optional[float],
-    lan_latency: float,
-    lan_bandwidth: float,
-) -> GeoTopology:
-    topo = chain(num_dcs, wan_latency, wan_bandwidth, lan_latency, lan_bandwidth)
+def ring(num_dcs: int, wan_latency: float, wan_bandwidth: Optional[float]) -> GeoTopology:
+    topo = chain(num_dcs, wan_latency, wan_bandwidth)
     # Close the loop; a 2-DC "ring" is just the chain (the closing link
     # would duplicate the existing one).
     if num_dcs > 2:
@@ -64,28 +52,16 @@ def ring(
     return topo
 
 
-def mesh(
-    num_dcs: int,
-    wan_latency: float,
-    wan_bandwidth: Optional[float],
-    lan_latency: float,
-    lan_bandwidth: float,
-) -> GeoTopology:
-    topo = _base(num_dcs, lan_latency, lan_bandwidth)
+def mesh(num_dcs: int, wan_latency: float, wan_bandwidth: Optional[float]) -> GeoTopology:
+    topo = _base(num_dcs)
     for src in range(num_dcs):
         for dst in range(src + 1, num_dcs):
             topo.add_link(src, dst, wan_latency, wan_bandwidth)
     return topo
 
 
-def hub(
-    num_dcs: int,
-    wan_latency: float,
-    wan_bandwidth: Optional[float],
-    lan_latency: float,
-    lan_bandwidth: float,
-) -> GeoTopology:
-    topo = _base(num_dcs, lan_latency, lan_bandwidth)
+def hub(num_dcs: int, wan_latency: float, wan_bandwidth: Optional[float]) -> GeoTopology:
+    topo = _base(num_dcs)
     for spoke in range(1, num_dcs):
         topo.add_link(0, spoke, wan_latency, wan_bandwidth)
     return topo
@@ -111,12 +87,6 @@ def build_geo_topology(config: "ClusterConfig") -> GeoTopology:
             f"choose from {', '.join(sorted(GEO_PRESETS))}"
         ) from None
     num_dcs = max(1, config.num_replicas)
-    topo = builder(
-        num_dcs,
-        config.wan_latency,
-        config.wan_bandwidth,
-        config.lan_latency,
-        config.lan_bandwidth,
-    )
+    topo = builder(num_dcs, config.wan_latency, config.wan_bandwidth)
     topo.validate()
     return topo

@@ -74,7 +74,7 @@ class ReadOnlyClient:
         self._latency = cluster.metrics_registry.histogram("geo.ro.latency_ms")
         self._staleness = cluster.metrics_registry.histogram("geo.ro.staleness_epochs")
         cluster.network.register(self.address, self._on_message)
-        if cluster.geo is not None:
+        if cluster.network.geo is not None:
             cluster.network.place(self.address, datacenter)
 
     # -- client lifecycle (the surface quiesce()/run() relies on) ----------
@@ -121,7 +121,8 @@ class ReadOnlyClient:
         eligible replica always exists."""
         cluster = self.cluster
         catalog = cluster.catalog
-        geo = cluster.geo
+        geo = cluster.network.geo
+        site_of = cluster.network.topology.site_of
         if not self.replica_local:
             return 0
         candidates: List[Tuple[float, int]] = []
@@ -131,11 +132,9 @@ class ReadOnlyClient:
             if geo is None:
                 cost = 0.0 if replica == 0 else 1.0
             else:
-                client_dc = geo.dc_of(self.address)
+                client_dc = site_of(self.address)
                 cost = max(
-                    geo.path_latency(
-                        client_dc, geo.dc_of(("node", replica, partition))
-                    )
+                    geo.path_latency(client_dc, site_of(("node", replica, partition)))
                     for partition in partitions
                 )
             candidates.append((cost, replica))
@@ -203,7 +202,8 @@ def add_read_clients(
     datacenter ``i % num_datacenters`` — the replica-local reads setup;
     otherwise all clients sit at the input site (datacenter 0).
     """
-    num_dcs = cluster.geo.num_datacenters if cluster.geo is not None else 1
+    geo = cluster.network.geo
+    num_dcs = geo.num_datacenters if geo is not None else 1
     created = []
     for i in range(count):
         index = len(cluster.clients)

@@ -6,7 +6,8 @@ and WAN) and nothing about *where* traffic goes between them. A
 vertices, directed :class:`GeoLink` edges carry one-way propagation
 latency and a shared bandwidth capacity, and messages between
 datacenters follow link-state shortest paths with store-and-forward
-multi-hop forwarding (see :class:`repro.geo.network.GeoNetwork`).
+multi-hop forwarding (see :class:`repro.sim.network.Network`, which
+holds the graph and places addresses into its datacenters).
 
 Routing is deterministic by construction: Dijkstra settles vertices on
 the key ``(latency, hops, path)`` — ties on total latency break first
@@ -17,19 +18,17 @@ the same graph, an invariant the trace digests rely on.
 Route tables are lazy and versioned: any structural mutation (adding a
 datacenter or link) bumps ``version`` and invalidates them, the geo
 namespace of the flat network's route-cache invalidation story.
-Placements do not bump the version — routes are datacenter-level, so
-moving an address cannot stale them.
+Placement is address-level and lives on the network, so moving an
+address cannot stale a route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, NetworkError
-
-Address = Hashable
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,13 @@ class GeoLink:
 
 
 class GeoTopology:
-    """A datacenter graph with deterministic link-state routing.
+    """A datacenter graph with deterministic link-state routing."""
 
-    ``lan_latency``/``lan_bandwidth`` describe the intra-datacenter
-    fabric (traffic between two addresses placed in the same DC never
-    touches the WAN graph).
-    """
-
-    def __init__(self, lan_latency: float = 0.0005, lan_bandwidth: float = 125e6):
-        self.lan_latency = lan_latency
-        self.lan_bandwidth = lan_bandwidth
+    def __init__(self) -> None:
         self._datacenters: Dict[int, Datacenter] = {}
         self._links: Dict[Tuple[int, int], GeoLink] = {}
-        self._placement: Dict[Address, int] = {}
         # Structure version: bumped on datacenter/link mutation, checked
-        # by the lazy route tables below and by GeoNetwork's caches.
+        # by the lazy route tables below.
         self.version = 0
         # (src, dst) -> settled shortest path / its total latency; valid
         # for one structure version. _routed_sources marks single-source
@@ -123,21 +114,14 @@ class GeoTopology:
             self._links[(a, b)] = link
         self.version += 1
 
-    def place(self, address: Address, dc_id: int) -> None:
-        """Pin ``address`` into a datacenter (default: datacenter 0).
-
-        Placement is address-level, routes are datacenter-level, so
-        this deliberately does NOT bump ``version``.
-        """
-        if dc_id not in self._datacenters:
-            raise ConfigError(f"cannot place {address!r}: no datacenter {dc_id}")
-        self._placement[address] = dc_id
-
     # -- queries ----------------------------------------------------------
 
     @property
     def num_datacenters(self) -> int:
         return len(self._datacenters)
+
+    def has_datacenter(self, dc_id: int) -> bool:
+        return dc_id in self._datacenters
 
     def datacenters(self) -> List[Datacenter]:
         return [self._datacenters[dc_id] for dc_id in sorted(self._datacenters)]
@@ -151,9 +135,6 @@ class GeoTopology:
             return self._links[(src, dst)]
         except KeyError:
             raise NetworkError(f"no link {src}->{dst} in topology") from None
-
-    def dc_of(self, address: Address) -> int:
-        return self._placement.get(address, 0)
 
     # -- routing ----------------------------------------------------------
 

@@ -294,14 +294,7 @@ class Scheduler:
         """Run a fully-granted transaction. The seam engines override:
         the core engine executes locally; STAR routes multipartition
         transactions to its master node instead."""
-        process = self.sim.process(run_transaction(self, stxn))
-        process.add_callback(self._executor_finished)
-
-    def _executor_finished(self, event) -> None:
-        if not event.ok:
-            # An executor crash is a bug in the engine or a procedure
-            # (FootprintViolation etc.) — surface it, never swallow it.
-            raise event.value
+        self.sim.process(run_transaction(self, stxn))
 
     def finish_txn(self, stxn: SequencedTxn, result: Any, passive: bool) -> None:
         """Called by the executor once this node's work for ``stxn`` is done."""

@@ -9,7 +9,8 @@ This subpackage is the substrate on which the simulated Calvin cluster
 - :class:`~repro.sim.resources.Resource` — counted resources such as a
   node's worker pool or a disk's request queue,
 - :class:`~repro.sim.network.Network` — latency/bandwidth message
-  transport with per-link FIFO delivery,
+  transport with per-link FIFO delivery, optionally routed hop by hop
+  over a datacenter graph (:mod:`repro.geo`),
 - deterministic named RNG streams (:class:`~repro.sim.rng.RngStreams`),
 - measurement helpers (:mod:`repro.sim.stats`).
 

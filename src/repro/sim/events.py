@@ -49,7 +49,6 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, delivering ``value`` to waiters."""
-        # Inlined _trigger (hot path): identical semantics, one frame less.
         if self._triggered:
             raise SimulationError("event triggered twice")
         self._triggered = True
@@ -61,10 +60,22 @@ class Event:
         return self
 
     def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception, re-raised in waiting processes."""
+        """Trigger the event with an exception, re-raised in waiting processes.
+
+        A failure nobody waits on is never dropped: if no callback is
+        registered by the time it is dispatched, the exception propagates
+        out of ``Simulator.run`` (SimPy's rule).
+        """
         if not isinstance(exception, BaseException):
             raise SimulationError("Event.fail requires an exception instance")
-        self._trigger(exception, ok=False)
+        if self._triggered:
+            raise SimulationError("event triggered twice")
+        self._triggered = True
+        self._ok = False
+        self.value = exception
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim.now, seq, self._run_failure_callbacks, (), None))
         return self
 
     def add_callback(self, callback: Callback) -> None:
@@ -79,19 +90,16 @@ class Event:
         else:
             self._callbacks.append(callback)
 
-    def _trigger(self, value: Any, ok: bool) -> None:
-        if self._triggered:
-            raise SimulationError("event triggered twice")
-        self._triggered = True
-        self._ok = ok
-        self.value = value
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now, seq, self._run_callbacks, (), None))
-
     def _run_callbacks(self) -> None:
         callbacks, self._callbacks = self._callbacks, None
         for callback in callbacks or ():
+            callback(self)
+
+    def _run_failure_callbacks(self) -> None:
+        callbacks, self._callbacks = self._callbacks, None
+        if not callbacks:
+            raise self.value
+        for callback in callbacks:
             callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -6,26 +6,49 @@ over the link's bandwidth, then clamps it to preserve FIFO ordering per
 directed link — TCP-like ordering, which the Calvin scheduler's
 remote-read protocol and Paxos both assume.
 
-Topologies map each address to a *site* (datacenter). Intra-site links
-use the LAN profile, inter-site links the WAN profile; this is how the
-replication experiment models geographically distant replicas.
+Topologies map each address to a *site* (datacenter); ``Network.place``
+is the one way placements are written. Intra-site links use the LAN
+profile, inter-site links the WAN profile; this is how the replication
+experiment models geographically distant replicas.
+
+Optionally the network also holds a routed WAN graph
+(:class:`repro.geo.topology.GeoTopology`, one vertex per site). Traffic
+between addresses in *different* sites then leaves the flat path: it is
+carried hop by hop along the graph's deterministic shortest path,
+store-and-forward, each hop draining its bytes through that link's
+shared :class:`~repro.geo.bandwidth.LinkChannel`. Fair bandwidth sharing
+can complete a small late message before a large early one, so the
+routed path keeps TCP-style ordering with a reorder buffer: sends take a
+per-pair sequence number and final delivery is released strictly in
+send order. Same-site traffic always takes the flat path.
+
+Both paths share one contract: the fault filter is consulted once per
+send (drop/hold decided there), one FIFO clamp per directed address
+pair, and one delivery tail in which ``extra_delay`` lands *after* the
+FIFO point (deliberate reordering) and ``copies`` fan out.
 
 ``send`` is on the critical path of every message hop, so the
-common (fault-free) case avoids recomputation: link specs are memoised
-per address pair, transfer times per (spec, size) — all link profiles
-are jitter-free, so the sample for a given size never changes — and
-same-tick deliveries on one link coalesce into a single heap entry when
-that is provably order-preserving (the pending batch is still the most
-recently scheduled entry and the arrival times are identical).
+common (fault-free, flat) case avoids recomputation: link specs are
+memoised per address pair, transfer times per (spec, size) — all link
+profiles are jitter-free, so the sample for a given size never changes —
+and same-tick deliveries on one link coalesce into a single heap entry
+when that is provably order-preserving (the pending batch is still the
+most recently scheduled entry and the arrival times are identical).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from repro.errors import NetworkError
+from repro.errors import ConfigError, NetworkError
+from repro.geo.bandwidth import LinkChannel
+from repro.obs.recorder import NULL_RECORDER
+from repro.obs.spans import CAT_NET, SpanKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.geo.topology import GeoTopology
 
 Address = Hashable
 Handler = Callable[[Address, Any], None]
@@ -76,9 +99,8 @@ class Topology:
         self.intra_site = intra_site
         self.inter_site = inter_site
         self._sites: Dict[Address, int] = {}
-        self._overrides: Dict[Tuple[int, int], LinkSpec] = {}
-        # Memoised link() results; invalidated whenever placement or
-        # overrides change (mutations happen at setup time, not per-send).
+        # Memoised link() results; invalidated whenever placement
+        # changes (placements happen at setup time, not per-send).
         self._link_cache: Dict[Tuple[Address, Address], LinkSpec] = {}
         # Bumped on every mutation so downstream caches (the network's
         # per-route transfer times) know to invalidate themselves.
@@ -93,13 +115,6 @@ class Topology:
     def site_of(self, address: Address) -> int:
         return self._sites.get(address, 0)
 
-    def set_site_link(self, site_a: int, site_b: int, spec: LinkSpec) -> None:
-        """Override the link spec between two sites (both directions)."""
-        self._overrides[(site_a, site_b)] = spec
-        self._overrides[(site_b, site_a)] = spec
-        self._link_cache.clear()
-        self.version += 1
-
     def link(self, src: Address, dst: Address) -> LinkSpec:
         key = (src, dst)
         spec = self._link_cache.get(key)
@@ -110,10 +125,9 @@ class Topology:
     def _compute_link(self, src: Address, dst: Address) -> LinkSpec:
         if src == dst:
             return self.local
-        site_src, site_dst = self.site_of(src), self.site_of(dst)
-        if site_src == site_dst:
+        if self.site_of(src) == self.site_of(dst):
             return self.intra_site
-        return self._overrides.get((site_src, site_dst), self.inter_site)
+        return self.inter_site
 
 
 def lan_topology(latency: float = 0.0005, bandwidth: float = 125e6) -> Topology:
@@ -140,11 +154,21 @@ def wan_topology(
 
 
 class Network:
-    """Message transport over a :class:`Topology` on a simulator."""
+    """Message transport over a :class:`Topology` on a simulator, with
+    cross-site traffic routed over ``geo`` when a graph is attached."""
 
-    def __init__(self, sim, topology: Optional[Topology] = None):
+    def __init__(
+        self,
+        sim,
+        topology: Optional[Topology] = None,
+        geo: Optional["GeoTopology"] = None,
+        tracer=NULL_RECORDER,
+    ):
         self.sim = sim
         self.topology = topology or lan_topology()
+        self.geo = geo
+        self.tracer = tracer
+        self._tracing = tracer.enabled
         self._handlers: Dict[Address, Handler] = {}
         self._last_arrival: Dict[Tuple[Address, Address], float] = {}
         self.messages_sent = 0
@@ -169,6 +193,18 @@ class Network:
         self._pending_batches: Dict[
             Tuple[Address, Address], Tuple[float, int, List[Any]]
         ] = {}
+        # Routed path: (src_dc, dst_dc) -> shared capacity of that
+        # directed link, and the per-pair reorder buffer.
+        self._channels: Dict[Tuple[int, int], LinkChannel] = {}
+        self._pair_send_seq: Dict[Tuple[Address, Address], int] = {}
+        self._pair_next: Dict[Tuple[Address, Address], int] = {}
+        self._pair_ready: Dict[
+            Tuple[Address, Address], Dict[int, Tuple[Any, DeliveryVerdict]]
+        ] = {}
+        self.wan_messages = 0
+        self.wan_bytes = 0
+        self.hops_forwarded = 0
+        self.fifo_reorders = 0
 
     def register(self, address: Address, handler: Handler) -> None:
         """Attach ``handler(src, message)`` as the receiver for ``address``."""
@@ -180,6 +216,12 @@ class Network:
         """Detach ``address`` (e.g. to simulate a crashed node)."""
         self._handlers.pop(address, None)
 
+    def place(self, address: Address, site: int) -> None:
+        """Pin ``address`` into datacenter ``site`` (default: site 0)."""
+        if self.geo is not None and not self.geo.has_datacenter(site):
+            raise ConfigError(f"cannot place {address!r}: no datacenter {site}")
+        self.topology.place(address, site)
+
     def send(self, src: Address, dst: Address, message: Any, size: int = 256) -> None:
         """Deliver ``message`` from ``src`` to ``dst`` after the link delay.
 
@@ -189,6 +231,14 @@ class Network:
         """
         self.messages_sent += 1
         self.bytes_sent += size
+        path = None
+        if self.geo is not None:
+            site_of = self.topology.site_of
+            src_site, dst_site = site_of(src), site_of(dst)
+            if src_site != dst_site:
+                self.wan_messages += 1
+                self.wan_bytes += size
+                path = self.geo.path(src_site, dst_site)
         verdict = DELIVER
         if self.fault_filter is not None:
             verdict = self.fault_filter(self.sim.now, src, dst, message, size)
@@ -199,6 +249,15 @@ class Network:
                 # The filter has taken custody (it re-sends on heal).
                 self.messages_held += 1
                 return
+        if path is not None:
+            pair = (src, dst)
+            # Sequence numbers are allocated only for messages actually
+            # in flight — a dropped/held message must not stall its
+            # successors.
+            seq = self._pair_send_seq.get(pair, 0)
+            self._pair_send_seq[pair] = seq + 1
+            self._forward(pair, message, size, path, 0, verdict, seq)
+            return
         sim = self.sim
         cache = self._route_cache
         version = self.topology.version
@@ -234,9 +293,22 @@ class Network:
             heappush(sim._heap, (arrival, seq, self._deliver_batch, (key, messages), None))
             self._pending_batches[key] = (arrival, seq, messages)
             return
-        # Extra delay lands *after* the FIFO clamp and is not recorded in
-        # ``_last_arrival``: a later undelayed message can overtake this
-        # one, which is exactly the reordering fault being modelled.
+        self._schedule_delivery(src, dst, message, arrival, verdict)
+
+    def _schedule_delivery(
+        self,
+        src: Address,
+        dst: Address,
+        message: Any,
+        arrival: float,
+        verdict: DeliveryVerdict,
+    ) -> None:
+        """Schedule the delivery of a message past its FIFO point.
+
+        Extra delay lands *after* the FIFO clamp and is not recorded in
+        ``_last_arrival``: a later undelayed message can overtake this
+        one, which is exactly the reordering fault being modelled.
+        """
         if verdict.extra_delay > 0:
             self.messages_delayed += 1
             arrival += verdict.extra_delay
@@ -267,8 +339,99 @@ class Network:
         if handler is not None:
             handler(src, message)
 
+    # -- routed path -------------------------------------------------------
+
+    def _forward(
+        self,
+        pair: Tuple[Address, Address],
+        message: Any,
+        size: int,
+        path: Tuple[int, ...],
+        index: int,
+        verdict: DeliveryVerdict,
+        seq: int,
+    ) -> None:
+        """Carry the message over link ``path[index] -> path[index+1]``:
+        drain its bytes through the shared channel, then propagate."""
+        hop_src, hop_dst = path[index], path[index + 1]
+        link = self.geo.link(hop_src, hop_dst)
+        channel = self._channel(hop_src, hop_dst)
+        self.hops_forwarded += 1
+        sim = self.sim
+        start = sim.now
+
+        def transferred() -> None:
+            sim.schedule(link.latency, arrived)
+
+        def arrived() -> None:
+            if self._tracing:
+                self.tracer.record(
+                    SpanKind.HOP,
+                    start,
+                    sim.now,
+                    cat=CAT_NET,
+                    detail=(hop_src, hop_dst),
+                )
+            if index + 2 < len(path):
+                self._forward(pair, message, size, path, index + 1, verdict, seq)
+            else:
+                self._arrived_at_destination(pair, message, verdict, seq)
+
+        channel.submit(size, transferred)
+
+    def _channel(self, src_dc: int, dst_dc: int) -> LinkChannel:
+        key = (src_dc, dst_dc)
+        link = self.geo.link(src_dc, dst_dc)
+        channel = self._channels.get(key)
+        if channel is None or channel.bandwidth != link.bandwidth:
+            # New link, or a setup-time capacity change: in-flight flows
+            # on a replaced channel finish at the old capacity.
+            channel = self._channels[key] = LinkChannel(
+                self.sim, link.bandwidth, f"dc{src_dc}-dc{dst_dc}"
+            )
+        return channel
+
+    def _arrived_at_destination(
+        self,
+        pair: Tuple[Address, Address],
+        message: Any,
+        verdict: DeliveryVerdict,
+        seq: int,
+    ) -> None:
+        expected = self._pair_next.get(pair, 0)
+        if seq != expected:
+            # A later send finished its transfer first (fair sharing let
+            # it overtake); park it until its predecessors land.
+            self.fifo_reorders += 1
+        ready = self._pair_ready.setdefault(pair, {})
+        ready[seq] = (message, verdict)
+        src, dst = pair
+        while expected in ready:
+            msg, vd = ready.pop(expected)
+            expected += 1
+            arrival = self.sim.now
+            previous = self._last_arrival.get(pair)
+            if previous is not None and arrival <= previous:
+                arrival = previous + self._fifo_epsilon
+            self._last_arrival[pair] = arrival
+            self._schedule_delivery(src, dst, msg, arrival, vd)
+        self._pair_next[pair] = expected
+
+    # -- metrics -----------------------------------------------------------
+
+    def _channel_stat(self, key: Tuple[int, int], attr: str) -> float:
+        channel = self._channels.get(key)
+        return getattr(channel, attr) if channel is not None else 0.0
+
+    def _utilization(self, key: Tuple[int, int]) -> float:
+        channel = self._channels.get(key)
+        if channel is None or self.sim.now <= 0:
+            return 0.0
+        return channel.busy_time / self.sim.now
+
     def register_metrics(self, registry, prefix: str = "net") -> None:
-        """Expose transport tallies as gauges in ``registry``."""
+        """Expose transport tallies as gauges in ``registry`` (the routed
+        ones only when a graph is attached)."""
         registry.gauge(f"{prefix}.messages_sent", lambda: self.messages_sent)
         registry.gauge(f"{prefix}.bytes_sent", lambda: self.bytes_sent)
         registry.gauge(f"{prefix}.messages_dropped", lambda: self.messages_dropped)
@@ -276,3 +439,26 @@ class Network:
         registry.gauge(f"{prefix}.messages_duplicated", lambda: self.messages_duplicated)
         registry.gauge(f"{prefix}.messages_delayed", lambda: self.messages_delayed)
         registry.gauge(f"{prefix}.batched_deliveries", lambda: self.batched_deliveries)
+        if self.geo is None:
+            return
+        registry.gauge(f"{prefix}.wan_messages", lambda: self.wan_messages)
+        registry.gauge(f"{prefix}.wan_bytes", lambda: self.wan_bytes)
+        registry.gauge(f"{prefix}.hops_forwarded", lambda: self.hops_forwarded)
+        registry.gauge(f"{prefix}.fifo_reorders", lambda: self.fifo_reorders)
+        for link in self.geo.links():
+            key = (link.src, link.dst)
+            name = f"{prefix}.link.dc{link.src}-dc{link.dst}"
+            registry.gauge(
+                f"{name}.bytes", lambda k=key: self._channel_stat(k, "bytes_carried")
+            )
+            registry.gauge(
+                f"{name}.flows", lambda k=key: self._channel_stat(k, "flows_completed")
+            )
+            registry.gauge(
+                f"{name}.busy_time", lambda k=key: self._channel_stat(k, "busy_time")
+            )
+            registry.gauge(
+                f"{name}.queueing_delay",
+                lambda k=key: self._channel_stat(k, "queueing_delay"),
+            )
+            registry.gauge(f"{name}.utilization", lambda k=key: self._utilization(k))

@@ -100,6 +100,17 @@ class TestCli:
         with pytest.raises(SchedulerError):
             main(["demo"])
 
+    @pytest.mark.parametrize(
+        "preset, links", [("chain", 8), ("ring", 10), ("mesh", 20), ("hub", 8)]
+    )
+    def test_topology_show(self, preset, links, capsys):
+        assert main(["topology", "show", preset, "--replicas", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"5 datacenter(s), {links} directed link(s)"
+        assert "  dc0 -> dc1: 50.0 ms, 12.50 MB/s" in lines
+        routes = lines[lines.index("routes:") + 1:]
+        assert len(routes) == 5 * 4
+
     def test_demo_runs(self, capsys):
         assert main(["demo"]) == 0
         assert "committed" in capsys.readouterr().out

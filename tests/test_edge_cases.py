@@ -1,5 +1,7 @@
 """Targeted edge cases across layers, added after the main suites."""
 
+import pytest
+
 from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 from repro.sim import AnyOf, Simulator, Timeout
 
@@ -10,7 +12,8 @@ class TestSimCombinatorEdges:
         bad = sim.event()
         any_event = AnyOf(sim, [Timeout(sim, 5.0), bad])
         bad.fail(RuntimeError("child"))
-        sim.run(until=1.0)
+        with pytest.raises(RuntimeError, match="child"):
+            sim.run(until=1.0)  # nobody waits on the combined event
         assert any_event.ok is False
 
     def test_allof_over_already_triggered_children(self):

@@ -117,13 +117,8 @@ class TestFootprintEnforcedEverywhere:
         )
         cluster.load_workload_data()
         cluster.add_clients(ClientProfile(per_partition=1, max_txns=1))
-        if engine == "baseline":
-            # The 2PC coordinator process dies with the violation; the
-            # baseline does not re-raise it out of run().
+        with pytest.raises(FootprintViolation):
             cluster.run(duration=0.1)
-        else:
-            with pytest.raises(FootprintViolation):
-                cluster.run(duration=0.1)
         (violation,) = workload.caught
         assert "declared write set" in str(violation) or "declared read set" in str(violation)
         assert cluster.metrics.committed == 0

@@ -1,13 +1,17 @@
-"""GeoNetwork: multi-hop transport, bandwidth sharing, FIFO, caches."""
+"""The routed network path: multi-hop transport, bandwidth sharing, FIFO,
+caches, and the fault verdicts it shares with the flat path."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.geo import GeoNetwork, GeoTopology, LinkChannel
+from repro.geo import GeoTopology, LinkChannel
 from repro.obs import MetricsRegistry, SpanKind, TraceRecorder
 from repro.sim import Simulator
-from repro.sim.network import LinkSpec, Network, wan_topology
+from repro.config import ClusterConfig
+from repro.core.cluster import CalvinCluster
+from repro.sim.network import DELIVER, DeliveryVerdict, Network, wan_topology
+from repro.workloads import Microbenchmark
 
 
 def _chain_topo(num_dcs: int, latency: float = 0.01, bandwidth=None) -> GeoTopology:
@@ -22,9 +26,9 @@ def _chain_topo(num_dcs: int, latency: float = 0.01, bandwidth=None) -> GeoTopol
 def _geo_net(topo: GeoTopology, tracer=None):
     sim = Simulator()
     net = (
-        GeoNetwork(sim, topo, tracer=tracer)
+        Network(sim, geo=topo, tracer=tracer)
         if tracer is not None
-        else GeoNetwork(sim, topo)
+        else Network(sim, geo=topo)
     )
     return sim, net
 
@@ -58,7 +62,7 @@ class TestMultiHop:
         net.send("a", "b", "local", size=100)
         sim.run()
         # LAN latency only, and no WAN accounting.
-        assert got[0][0] == pytest.approx(net.geo.lan_latency, rel=0.01)
+        assert got[0][0] == pytest.approx(net.topology.intra_site.latency, rel=0.01)
         assert net.wan_messages == 0
         assert net.hops_forwarded == 0
 
@@ -159,30 +163,15 @@ class TestBandwidthSharing:
 class TestRouteCacheInvalidation:
     """Topology mutations must invalidate routes already in use."""
 
-    def test_flat_set_site_link_invalidates_route_cache(self):
-        sim = Simulator()
-        net = Network(sim, wan_topology(wan_latency=0.05, wan_bandwidth=None))
-        net.topology.place("a", 0)
-        net.topology.place("b", 1)
-        got = _sink(net, "b")
-        net.send("a", "b", "before", size=0)
-        sim.run()
-        net.topology.set_site_link(0, 1, LinkSpec(latency=0.2, bandwidth=None))
-        start = sim.now
-        net.send("a", "b", "after", size=0)
-        sim.run()
-        assert got[0][0] == pytest.approx(0.05, abs=1e-6)
-        assert got[1][0] - start == pytest.approx(0.2, abs=1e-6)
-
     def test_flat_place_invalidates_route_cache(self):
         sim = Simulator()
         net = Network(sim, wan_topology(wan_latency=0.05, wan_bandwidth=None))
-        net.topology.place("a", 0)
-        net.topology.place("b", 1)
+        net.place("a", 0)
+        net.place("b", 1)
         got = _sink(net, "b")
         net.send("a", "b", "wan", size=0)
         sim.run()
-        net.topology.place("b", 0)  # move into a's datacenter
+        net.place("b", 0)  # move into a's datacenter
         start = sim.now
         net.send("a", "b", "lan", size=0)
         sim.run()
@@ -257,8 +246,6 @@ class TestFaultSemantics:
         drop_first = {"armed": True}
 
         def fault_filter(now, src, dst, message, size):
-            from repro.sim.network import DELIVER, DeliveryVerdict
-
             if drop_first["armed"]:
                 drop_first["armed"] = False
                 return DeliveryVerdict(drop=True)
@@ -270,3 +257,80 @@ class TestFaultSemantics:
         sim.run()
         assert [msg for _, msg in got] == ["kept"]
         assert net.messages_dropped == 1
+
+
+def _two_site_net(routed: bool):
+    """Addresses a (site 0) and b (site 1), 10 ms apart, over the flat
+    WAN pair or over a routed one-link graph."""
+    sim = Simulator()
+    if routed:
+        net = Network(sim, geo=_chain_topo(2, latency=0.01))
+    else:
+        net = Network(sim, wan_topology(wan_latency=0.01, wan_bandwidth=None))
+    net.place("a", 0)
+    got = _sink(net, "b", dc=1)
+    return sim, net, got
+
+
+VERDICTS = {
+    "drop": DeliveryVerdict(drop=True),
+    "hold": DeliveryVerdict(hold=True),
+    "extra_delay": DeliveryVerdict(extra_delay=0.05),
+    "copies": DeliveryVerdict(copies=3),
+}
+
+
+class TestSharedDeliveryTail:
+    """Both paths apply one fault verdict per send, after one FIFO clamp."""
+
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    @pytest.mark.parametrize("path", ["flat", "routed"])
+    def test_verdict_on_first_of_two_sends(self, path, verdict):
+        sim, net, got = _two_site_net(routed=path == "routed")
+        pending = [VERDICTS[verdict]]
+        net.fault_filter = lambda *_: pending.pop() if pending else DELIVER
+        net.send("a", "b", "first", size=0)
+        net.send("a", "b", "second", size=0)
+        sim.run()
+        assert net.wan_messages == (2 if path == "routed" else 0)
+        firsts = [at for at, msg in got if msg == "first"]
+        (second,) = [at for at, msg in got if msg == "second"]
+        assert second == pytest.approx(0.01, abs=1e-6)
+        if verdict == "drop":
+            assert firsts == [] and net.messages_dropped == 1
+        elif verdict == "hold":
+            # Custody, not a sequence number: the successor still lands.
+            assert firsts == [] and net.messages_held == 1
+        elif verdict == "extra_delay":
+            # Past the FIFO point, so the successor overtakes.
+            assert firsts == [pytest.approx(0.06, abs=1e-6)]
+            assert [msg for _, msg in got] == ["second", "first"]
+            assert net.messages_delayed == 1
+        else:
+            assert len(firsts) == 3 and net.messages_duplicated == 2
+            assert firsts[0] == pytest.approx(0.01, abs=1e-6)
+            gaps = [later - earlier for earlier, later in zip(firsts, firsts[1:])]
+            assert gaps == [pytest.approx(net._fifo_epsilon, rel=1e-3)] * 2
+
+
+class TestRegistry:
+    ROUTED = ("net.wan_messages", "net.wan_bytes", "net.hops_forwarded", "net.fifo_reorders")
+
+    def _names(self, **overrides):
+        config = ClusterConfig(
+            num_partitions=2, num_replicas=3, replication_mode="paxos", **overrides
+        )
+        cluster = CalvinCluster(config, workload=Microbenchmark())
+        return set(cluster.metrics_registry.names())
+
+    def test_flat_cluster_registers_no_routed_gauges(self):
+        names = self._names()
+        assert "net.messages_sent" in names
+        assert not [n for n in names if n.startswith(("net.wan_", "net.link."))]
+
+    def test_routed_cluster_registers_every_routed_gauge(self):
+        names = self._names(topology="ring")
+        assert set(self.ROUTED) <= names
+        for src, dst in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)):
+            for stat in ("bytes", "flows", "busy_time", "queueing_delay", "utilization"):
+                assert f"net.link.dc{src}-dc{dst}.{stat}" in names

@@ -7,6 +7,7 @@ import pytest
 from repro.config import ClusterConfig
 from repro.errors import ConfigError, NetworkError
 from repro.geo import GEO_PRESETS, GeoTopology, build_geo_topology
+from repro.sim import Network, Simulator
 
 
 def _topo(num_dcs: int) -> GeoTopology:
@@ -43,9 +44,9 @@ class TestConstruction:
             topo.add_link(0, 1, latency=0.01, bandwidth=0)
 
     def test_place_requires_existing_datacenter(self):
-        topo = _topo(2)
-        with pytest.raises(ConfigError, match="no datacenter 5"):
-            topo.place("client", 5)
+        network = Network(Simulator(), geo=_topo(2))
+        with pytest.raises(ConfigError, match="cannot place 'client': no datacenter 5"):
+            network.place("client", 5)
 
     def test_symmetric_links_add_both_directions(self):
         topo = _topo(2)
@@ -73,27 +74,27 @@ class TestConstruction:
 
 class TestRouting:
     def test_chain_routes_through_every_intermediate(self):
-        topo = GEO_PRESETS["chain"](4, 0.01, None, 0.0005, 125e6)
+        topo = GEO_PRESETS["chain"](4, 0.01, None)
         assert topo.path(0, 3) == (0, 1, 2, 3)
         assert topo.path_latency(0, 3) == pytest.approx(0.03)
         assert topo.path(2, 2) == (2,)
         assert topo.path_latency(2, 2) == 0.0
 
     def test_ring_takes_the_short_way_around(self):
-        topo = GEO_PRESETS["ring"](4, 0.01, None, 0.0005, 125e6)
+        topo = GEO_PRESETS["ring"](4, 0.01, None)
         # The closing link 3-0 makes the far end one hop away.
         assert topo.path(0, 3) == (0, 3)
         assert topo.path_latency(0, 3) == pytest.approx(0.01)
 
     def test_mesh_is_single_hop_everywhere(self):
-        topo = GEO_PRESETS["mesh"](5, 0.01, None, 0.0005, 125e6)
+        topo = GEO_PRESETS["mesh"](5, 0.01, None)
         for src in range(5):
             for dst in range(5):
                 if src != dst:
                     assert topo.path(src, dst) == (src, dst)
 
     def test_hub_relays_spoke_to_spoke_traffic(self):
-        topo = GEO_PRESETS["hub"](4, 0.01, None, 0.0005, 125e6)
+        topo = GEO_PRESETS["hub"](4, 0.01, None)
         assert topo.path(1, 3) == (1, 0, 3)
         assert topo.path_latency(1, 3) == pytest.approx(0.02)
 
@@ -154,14 +155,16 @@ class TestRouteInvalidation:
         assert topo.version > before
 
     def test_place_does_not_bump_version(self):
-        # Placement is address-level; routes are datacenter-level.
+        # Placement is address-level and lives on the network; routes
+        # are datacenter-level.
         topo = _topo(2)
         topo.add_link(0, 1, latency=0.01)
+        network = Network(Simulator(), geo=topo)
         before = topo.version
-        topo.place("client", 1)
+        network.place("client", 1)
         assert topo.version == before
-        assert topo.dc_of("client") == 1
-        assert topo.dc_of("unplaced") == 0
+        assert network.topology.site_of("client") == 1
+        assert network.topology.site_of("unplaced") == 0
 
 
 class TestPresets:
@@ -186,16 +189,16 @@ class TestPresets:
             build_geo_topology(ClusterConfig(num_partitions=2))
 
     def test_two_dc_ring_degenerates_to_chain(self):
-        topo = GEO_PRESETS["ring"](2, 0.01, None, 0.0005, 125e6)
+        topo = GEO_PRESETS["ring"](2, 0.01, None)
         assert len(topo.links()) == 2  # one bilateral pair, no duplicate
 
     def test_preset_link_counts(self):
-        assert len(GEO_PRESETS["chain"](4, 0.01, None, 0.0005, 125e6).links()) == 6
-        assert len(GEO_PRESETS["mesh"](4, 0.01, None, 0.0005, 125e6).links()) == 12
-        assert len(GEO_PRESETS["hub"](4, 0.01, None, 0.0005, 125e6).links()) == 6
+        assert len(GEO_PRESETS["chain"](4, 0.01, None).links()) == 6
+        assert len(GEO_PRESETS["mesh"](4, 0.01, None).links()) == 12
+        assert len(GEO_PRESETS["hub"](4, 0.01, None).links()) == 6
 
     def test_describe_lists_links_and_routes(self):
-        topo = GEO_PRESETS["hub"](3, 0.05, 12.5e6, 0.0005, 125e6)
+        topo = GEO_PRESETS["hub"](3, 0.05, 12.5e6)
         text = topo.describe()
         assert "3 datacenter(s)" in text
         assert "dc0 -> dc1: 50.0 ms" in text

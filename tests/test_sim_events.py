@@ -113,7 +113,8 @@ class TestAllOf:
         bad = Event(sim)
         combined = AllOf(sim, [good, bad])
         bad.fail(RuntimeError("child died"))
-        sim.run()
+        with pytest.raises(RuntimeError, match="child died"):
+            sim.run()  # nobody waits on the combined event
         assert combined.ok is False
         assert isinstance(combined.value, RuntimeError)
 

@@ -44,14 +44,6 @@ class TestTopology:
         assert topology.link("a", "b").latency == 0.001
         assert topology.link("a", "c").latency == 0.1
 
-    def test_site_link_override(self):
-        topology = wan_topology()
-        topology.place("a", 0)
-        topology.place("c", 1)
-        topology.set_site_link(0, 1, LinkSpec(0.222))
-        assert topology.link("a", "c").latency == 0.222
-        assert topology.link("c", "a").latency == 0.222
-
     def test_unplaced_defaults_to_site_zero(self):
         topology = wan_topology()
         topology.place("far", 1)

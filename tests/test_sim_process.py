@@ -57,7 +57,8 @@ class TestProcess:
             raise RuntimeError("kaput")
 
         process = sim.process(worker())
-        sim.run()
+        with pytest.raises(RuntimeError, match="kaput"):
+            sim.run()  # nobody waits on the process: its failure surfaces
         assert process.ok is False
         assert isinstance(process.value, RuntimeError)
 
@@ -83,7 +84,8 @@ class TestProcess:
             yield 42
 
         process = sim.process(worker())
-        sim.run()
+        with pytest.raises(SimulationError, match="non-event"):
+            sim.run()
         assert process.ok is False
         assert isinstance(process.value, SimulationError)
 
