@@ -27,20 +27,25 @@ send (drop/hold decided there), one FIFO clamp per directed address
 pair, and one delivery tail in which ``extra_delay`` lands *after* the
 FIFO point (deliberate reordering) and ``copies`` fan out.
 
-``send`` is on the critical path of every message hop, so the
-common (fault-free, flat) case avoids recomputation: link specs are
-memoised per address pair, transfer times per (spec, size) — all link
-profiles are jitter-free, so the sample for a given size never changes —
-and same-tick deliveries on one link coalesce into a single heap entry
-when that is provably order-preserving (the pending batch is still the
-most recently scheduled entry and the arrival times are identical).
+``send`` is on the critical path of every message hop, so everything
+the network knows about a directed address pair lives in one record,
+:class:`_Pair`, found by one dictionary lookup: the FIFO clamp, the
+link spec and its transfer time per message size (all link profiles are
+jitter-free, so the sample for a given size never changes; re-read when
+the topology's version moves), the destination's handler, and the routed
+path's sequence numbers and reorder buffer. A fault-free flat send is
+one heap push of ``pair.deliver``. ``register``/``unregister`` update
+the handler on every record addressed to that destination, so a message
+reaches whatever is registered at delivery time — a crashed receiver
+drops what is still in flight to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
+from math import inf
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigError, NetworkError
 from repro.geo.bandwidth import LinkChannel
@@ -99,30 +104,19 @@ class Topology:
         self.intra_site = intra_site
         self.inter_site = inter_site
         self._sites: Dict[Address, int] = {}
-        # Memoised link() results; invalidated whenever placement
-        # changes (placements happen at setup time, not per-send).
-        self._link_cache: Dict[Tuple[Address, Address], LinkSpec] = {}
-        # Bumped on every mutation so downstream caches (the network's
-        # per-route transfer times) know to invalidate themselves.
+        # Bumped on every mutation so the network's per-pair records
+        # know to re-read their link.
         self.version = 0
 
     def place(self, address: Address, site: int) -> None:
         """Assign ``address`` to datacenter ``site``."""
         self._sites[address] = site
-        self._link_cache.clear()
         self.version += 1
 
     def site_of(self, address: Address) -> int:
         return self._sites.get(address, 0)
 
     def link(self, src: Address, dst: Address) -> LinkSpec:
-        key = (src, dst)
-        spec = self._link_cache.get(key)
-        if spec is None:
-            spec = self._link_cache[key] = self._compute_link(src, dst)
-        return spec
-
-    def _compute_link(self, src: Address, dst: Address) -> LinkSpec:
         if src == dst:
             return self.local
         if self.site_of(src) == self.site_of(dst):
@@ -153,6 +147,40 @@ def wan_topology(
     )
 
 
+class _Pair:
+    """The network's one record for a directed ``src -> dst`` pair.
+
+    ``last`` is the FIFO clamp (the latest arrival scheduled on the
+    pair); it outlives topology changes. ``version``/``spec``/``delays``
+    cache the link and its transfer time per message size for one
+    topology version. ``handler`` mirrors the destination's registration.
+    ``send_seq``/``next_seq``/``ready`` are the routed path's per-pair
+    sequence numbers and reorder buffer.
+    """
+
+    __slots__ = (
+        "src", "dst", "handler", "last", "version", "spec", "delays",
+        "send_seq", "next_seq", "ready",
+    )
+
+    def __init__(self, src: Address, dst: Address, handler: Optional[Handler]):
+        self.src = src
+        self.dst = dst
+        self.handler = handler
+        self.last = -inf
+        self.version = -1
+        self.spec: Optional[LinkSpec] = None
+        self.delays: Dict[int, float] = {}
+        self.send_seq = 0
+        self.next_seq = 0
+        self.ready: Dict[int, Tuple[Any, DeliveryVerdict]] = {}
+
+    def deliver(self, message: Any) -> None:
+        handler = self.handler
+        if handler is not None:
+            handler(self.src, message)
+
+
 class Network:
     """Message transport over a :class:`Topology` on a simulator, with
     cross-site traffic routed over ``geo`` when a graph is attached."""
@@ -170,7 +198,7 @@ class Network:
         self.tracer = tracer
         self._tracing = tracer.enabled
         self._handlers: Dict[Address, Handler] = {}
-        self._last_arrival: Dict[Tuple[Address, Address], float] = {}
+        self._pairs: Dict[Tuple[Address, Address], _Pair] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
         # Fault-injection hook: consulted once per send (see faults/).
@@ -179,28 +207,12 @@ class Network:
         self.messages_held = 0
         self.messages_duplicated = 0
         self.messages_delayed = 0
-        self.batched_deliveries = 0
         # Minimum spacing between same-link deliveries; preserves FIFO
         # while keeping equal-latency messages effectively simultaneous.
         self._fifo_epsilon = 1e-9
-        # (src, dst, size) -> transfer time, valid for one topology
-        # version. Specs are frozen and jitter-free, so within a version
-        # a sample never goes stale.
-        self._route_cache: Dict[Tuple[Address, Address, int], float] = {}
-        self._route_version = self.topology.version
-        # link -> (arrival, seq-at-schedule, messages) for the delivery
-        # batch most recently scheduled on that link (see send()).
-        self._pending_batches: Dict[
-            Tuple[Address, Address], Tuple[float, int, List[Any]]
-        ] = {}
         # Routed path: (src_dc, dst_dc) -> shared capacity of that
-        # directed link, and the per-pair reorder buffer.
+        # directed link.
         self._channels: Dict[Tuple[int, int], LinkChannel] = {}
-        self._pair_send_seq: Dict[Tuple[Address, Address], int] = {}
-        self._pair_next: Dict[Tuple[Address, Address], int] = {}
-        self._pair_ready: Dict[
-            Tuple[Address, Address], Dict[int, Tuple[Any, DeliveryVerdict]]
-        ] = {}
         self.wan_messages = 0
         self.wan_bytes = 0
         self.hops_forwarded = 0
@@ -211,10 +223,30 @@ class Network:
         if address in self._handlers:
             raise NetworkError(f"address already registered: {address!r}")
         self._handlers[address] = handler
+        self._set_handler(address, handler)
 
     def unregister(self, address: Address) -> None:
         """Detach ``address`` (e.g. to simulate a crashed node)."""
         self._handlers.pop(address, None)
+        self._set_handler(address, None)
+
+    def _set_handler(self, address: Address, handler: Optional[Handler]) -> None:
+        # Setup and crash/restart only, so a walk over every pair is fine.
+        for pair in self._pairs.values():
+            if pair.dst == address:
+                pair.handler = handler
+
+    def _pair(self, src: Address, dst: Address) -> _Pair:
+        """The record for ``src -> dst``, created on first use, with its
+        link re-read for the topology's current version."""
+        pair = self._pairs.get((src, dst))
+        if pair is None:
+            pair = self._pairs[src, dst] = _Pair(src, dst, self._handlers.get(dst))
+        topology = self.topology
+        pair.version = topology.version
+        pair.spec = topology.link(src, dst)
+        pair.delays = {}
+        return pair
 
     def place(self, address: Address, site: int) -> None:
         """Pin ``address`` into datacenter ``site`` (default: site 0)."""
@@ -249,65 +281,42 @@ class Network:
                 # The filter has taken custody (it re-sends on heal).
                 self.messages_held += 1
                 return
+        pair = self._pairs.get((src, dst))
+        if pair is None or pair.version != self.topology.version:
+            pair = self._pair(src, dst)
         if path is not None:
-            pair = (src, dst)
             # Sequence numbers are allocated only for messages actually
             # in flight — a dropped/held message must not stall its
             # successors.
-            seq = self._pair_send_seq.get(pair, 0)
-            self._pair_send_seq[pair] = seq + 1
+            seq = pair.send_seq
+            pair.send_seq = seq + 1
             self._forward(pair, message, size, path, 0, verdict, seq)
             return
         sim = self.sim
-        cache = self._route_cache
-        version = self.topology.version
-        if version != self._route_version:
-            cache.clear()
-            self._route_version = version
-        route = (src, dst, size)
-        delay = cache.get(route)
+        delay = pair.delays.get(size)
         if delay is None:
-            delay = cache[route] = self.topology.link(src, dst).transfer_time(size)
+            delay = pair.delays[size] = pair.spec.transfer_time(size)
         arrival = sim.now + delay
-        key = (src, dst)
-        previous = self._last_arrival.get(key)
-        if previous is not None and arrival <= previous:
-            arrival = previous + self._fifo_epsilon
-        self._last_arrival[key] = arrival
+        if arrival <= pair.last:
+            arrival = pair.last + self._fifo_epsilon
+        pair.last = arrival
         if verdict.extra_delay == 0.0 and verdict.copies == 1:
-            # Fast path: coalesce into the link's pending delivery batch
-            # when provably order-preserving — the batch arrives at the
-            # exact same time AND its heap entry is still the most
-            # recently scheduled entry overall (no other event could
-            # interleave between the batch and this message).
-            batch = self._pending_batches.get(key)
-            if batch is not None and batch[0] == arrival and batch[1] == sim._seq:
-                batch[2].append(message)
-                self.batched_deliveries += 1
-                return
-            messages = [message]
             # Inlined schedule_at: arrival >= now by construction (link
             # delay is non-negative and the FIFO clamp only moves it
             # forward), so the past-clamp branch can never fire.
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (arrival, seq, self._deliver_batch, (key, messages), None))
-            self._pending_batches[key] = (arrival, seq, messages)
+            heappush(sim._heap, (arrival, seq, pair.deliver, (message,), None))
             return
-        self._schedule_delivery(src, dst, message, arrival, verdict)
+        self._schedule_delivery(pair, message, arrival, verdict)
 
     def _schedule_delivery(
-        self,
-        src: Address,
-        dst: Address,
-        message: Any,
-        arrival: float,
-        verdict: DeliveryVerdict,
+        self, pair: _Pair, message: Any, arrival: float, verdict: DeliveryVerdict
     ) -> None:
         """Schedule the delivery of a message past its FIFO point.
 
         Extra delay lands *after* the FIFO clamp and is not recorded in
-        ``_last_arrival``: a later undelayed message can overtake this
-        one, which is exactly the reordering fault being modelled.
+        ``pair.last``: a later undelayed message can overtake this one,
+        which is exactly the reordering fault being modelled.
         """
         if verdict.extra_delay > 0:
             self.messages_delayed += 1
@@ -316,34 +325,14 @@ class Network:
             self.messages_duplicated += verdict.copies - 1
         for copy in range(max(1, verdict.copies)):
             self.sim.schedule_at(
-                arrival + copy * self._fifo_epsilon, self._deliver, src, dst, message
+                arrival + copy * self._fifo_epsilon, pair.deliver, message
             )
-
-    def _deliver_batch(
-        self, key: Tuple[Address, Address], messages: List[Any]
-    ) -> None:
-        batch = self._pending_batches.get(key)
-        if batch is not None and batch[2] is messages:
-            del self._pending_batches[key]
-        src, dst = key
-        handlers = self._handlers
-        for message in messages:
-            # Re-resolve per message: a handler may unregister its own
-            # address mid-batch (crash during delivery).
-            handler = handlers.get(dst)
-            if handler is not None:
-                handler(src, message)
-
-    def _deliver(self, src: Address, dst: Address, message: Any) -> None:
-        handler = self._handlers.get(dst)
-        if handler is not None:
-            handler(src, message)
 
     # -- routed path -------------------------------------------------------
 
     def _forward(
         self,
-        pair: Tuple[Address, Address],
+        pair: _Pair,
         message: Any,
         size: int,
         path: Tuple[int, ...],
@@ -392,30 +381,24 @@ class Network:
         return channel
 
     def _arrived_at_destination(
-        self,
-        pair: Tuple[Address, Address],
-        message: Any,
-        verdict: DeliveryVerdict,
-        seq: int,
+        self, pair: _Pair, message: Any, verdict: DeliveryVerdict, seq: int
     ) -> None:
-        expected = self._pair_next.get(pair, 0)
+        expected = pair.next_seq
         if seq != expected:
             # A later send finished its transfer first (fair sharing let
             # it overtake); park it until its predecessors land.
             self.fifo_reorders += 1
-        ready = self._pair_ready.setdefault(pair, {})
+        ready = pair.ready
         ready[seq] = (message, verdict)
-        src, dst = pair
         while expected in ready:
             msg, vd = ready.pop(expected)
             expected += 1
             arrival = self.sim.now
-            previous = self._last_arrival.get(pair)
-            if previous is not None and arrival <= previous:
-                arrival = previous + self._fifo_epsilon
-            self._last_arrival[pair] = arrival
-            self._schedule_delivery(src, dst, msg, arrival, vd)
-        self._pair_next[pair] = expected
+            if arrival <= pair.last:
+                arrival = pair.last + self._fifo_epsilon
+            pair.last = arrival
+            self._schedule_delivery(pair, msg, arrival, vd)
+        pair.next_seq = expected
 
     # -- metrics -----------------------------------------------------------
 
@@ -438,7 +421,6 @@ class Network:
         registry.gauge(f"{prefix}.messages_held", lambda: self.messages_held)
         registry.gauge(f"{prefix}.messages_duplicated", lambda: self.messages_duplicated)
         registry.gauge(f"{prefix}.messages_delayed", lambda: self.messages_delayed)
-        registry.gauge(f"{prefix}.batched_deliveries", lambda: self.batched_deliveries)
         if self.geo is None:
             return
         registry.gauge(f"{prefix}.wan_messages", lambda: self.wan_messages)

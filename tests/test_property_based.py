@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import itertools
 import pickle
+from math import inf
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from repro import (
 )
 from repro.partition import SortedKeys
 from repro.scheduler import DeterministicLockManager
-from repro.sim import Simulator
+from repro.sim import Network, Simulator, wan_topology
 from repro.storage import KVStore, ZigZagCheckpointer
 from repro.txn.transaction import SequencedTxn, Transaction
 
@@ -228,3 +230,112 @@ def test_simulator_executes_in_time_then_fifo_order(delays):
     sim.run()
     # Stable sort by time: equal-time callbacks keep scheduling order.
     assert fired == sorted(fired, key=lambda pair: (pair[0], pair[1]))
+
+
+# ---------------------------------------------------------------------------
+# Network: per-pair FIFO delivery matches a reference model under moves,
+# crashes and (re-)registrations
+# ---------------------------------------------------------------------------
+
+ADDRESSES = ["a", "b", "c"]
+sends = st.tuples(
+    st.just("send"),
+    st.sampled_from(ADDRESSES),
+    st.sampled_from(ADDRESSES),
+    st.sampled_from([0, 300, 5_000]),
+)
+network_ops = st.lists(
+    st.one_of(
+        # Sends twice over: a move or a crash only shows on a pair that
+        # carries traffic on both sides of it.
+        sends,
+        sends,
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.0004, 0.002, 0.03])),
+        st.tuples(st.just("place"), st.sampled_from(ADDRESSES), st.integers(0, 1)),
+        st.tuples(st.just("unregister"), st.sampled_from(ADDRESSES)),
+        st.tuples(st.just("register"), st.sampled_from(ADDRESSES)),
+    ),
+    min_size=8,
+    max_size=60,
+)
+
+
+def _topology():
+    return wan_topology(lan_latency=0.001, wan_latency=0.01, wan_bandwidth=1e6)
+
+
+def _reference_deliveries(ops):
+    """The contract, with plain dicts: a per-pair last arrival, the link's
+    transfer time, an epsilon clamp, and the handler (here: its
+    registration number) looked up at delivery time."""
+    topology, now, sites, last, pending, delivered = _topology(), 0.0, {}, {}, [], []
+    registrations = itertools.count()
+    handlers = {"a": next(registrations), "b": next(registrations)}
+
+    def drain(until):
+        due = sorted(entry for entry in pending if entry[0] <= until)
+        pending[:] = [entry for entry in pending if entry[0] > until]
+        for arrival, _, src, dst, message in due:
+            if dst in handlers:
+                delivered.append((dst, src, message, arrival, handlers[dst]))
+
+    for index, op in enumerate(ops):
+        if op[0] == "send":
+            _, src, dst, size = op
+            if src == dst:
+                spec = topology.local
+            elif sites.get(src, 0) == sites.get(dst, 0):
+                spec = topology.intra_site
+            else:
+                spec = topology.inter_site
+            arrival = now + spec.transfer_time(size)
+            if (src, dst) in last and arrival <= last[src, dst]:
+                arrival = last[src, dst] + 1e-9
+            last[src, dst] = arrival
+            pending.append((arrival, index, src, dst, index))
+        elif op[0] == "advance":
+            drain(now + op[1])
+            now = now + op[1]
+        elif op[0] == "place":
+            sites[op[1]] = op[2]
+        elif op[0] == "unregister":
+            handlers.pop(op[1], None)
+        elif op[1] not in handlers:
+            handlers[op[1]] = next(registrations)
+    drain(inf)
+    return delivered
+
+
+@given(network_ops)
+@settings(max_examples=200, deadline=None)
+def test_network_matches_reference_model(ops):
+    sim = Simulator()
+    network = Network(sim, _topology())
+    delivered = []
+    registrations = itertools.count()
+    registered = set()
+
+    def register(address):
+        number = next(registrations)
+        registered.add(address)
+        network.register(
+            address,
+            lambda src, msg: delivered.append((address, src, msg, sim.now, number)),
+        )
+
+    register("a")
+    register("b")
+    for index, op in enumerate(ops):
+        if op[0] == "send":
+            network.send(op[1], op[2], index, size=op[3])
+        elif op[0] == "advance":
+            sim.run(until=sim.now + op[1])
+        elif op[0] == "place":
+            network.place(op[1], op[2])
+        elif op[0] == "unregister":
+            registered.discard(op[1])
+            network.unregister(op[1])
+        elif op[1] not in registered:
+            register(op[1])
+    sim.run()
+    assert delivered == _reference_deliveries(ops)

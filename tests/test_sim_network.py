@@ -103,34 +103,8 @@ class TestNetwork:
 
 
 class TestBatchCoalescing:
-    """The same-tick delivery batch fast path (send's inlined schedule)."""
-
-    def test_equal_arrivals_coalesce_into_one_delivery(self, sim):
-        network, inbox = make_network(sim)
-        network.send("a", "b", "first")
-        # The FIFO clamp spaces same-tick arrivals by an epsilon, which
-        # blocks coalescing; forget the link history to line the second
-        # send up at the exact same arrival time.
-        network._last_arrival.clear()
-        network.send("a", "b", "second")
-        sim.run()
-        assert network.batched_deliveries == 1
-        assert [(msg, at) for _, _, msg, at in inbox] == [
-            ("first", inbox[0][3]),
-            ("second", inbox[0][3]),  # same instant, FIFO order kept
-        ]
-
-    def test_interleaved_event_defeats_coalescing(self, sim):
-        network, inbox = make_network(sim)
-        network.send("a", "b", "first")
-        network._last_arrival.clear()
-        # Any event scheduled after the batch means appending to it
-        # could reorder; the seq guard must reject the coalesce.
-        sim.schedule(0.0, lambda: None)
-        network.send("a", "b", "second")
-        sim.run()
-        assert network.batched_deliveries == 0
-        assert [msg for _, _, msg, _ in inbox] == ["first", "second"]
+    """Same-tick sends on one link: one heap entry per message, spaced
+    and ordered by the FIFO clamp."""
 
     def test_handler_crash_mid_batch_drops_rest_of_batch(self, sim):
         network = Network(sim)
@@ -142,10 +116,8 @@ class TestBatchCoalescing:
 
         network.register("b", receiver)
         network.send("a", "b", "first")
-        network._last_arrival.clear()
-        network.send("a", "b", "second")
+        network.send("a", "b", "second")  # in flight on the same pair
         sim.run()
-        assert network.batched_deliveries == 1
         assert seen == ["first"]
 
     def test_fifo_epsilon_keeps_same_tick_sends_ordered(self, sim):
@@ -153,7 +125,45 @@ class TestBatchCoalescing:
         network.send("a", "b", "first")
         network.send("a", "b", "second")
         sim.run()
-        # Without clearing the link history the clamp spaces them out.
-        assert network.batched_deliveries == 0
         times = [at for _, _, _, at in inbox]
         assert times[0] < times[1]
+
+
+class TestPairRecord:
+    """What the per-pair record must keep across placement and
+    registration changes while a message is in flight."""
+
+    def test_fifo_clamp_survives_a_move_to_a_nearer_site(self, sim):
+        network, inbox = make_network(
+            sim, wan_topology(lan_latency=0.001, wan_latency=0.1, wan_bandwidth=None)
+        )
+        network.place("b", 1)
+        network.send("a", "b", "far", size=0)
+        network.place("b", 0)  # now 1 ms away, but "far" is still in flight
+        network.send("a", "b", "near", size=0)
+        sim.run()
+        assert [msg for _, _, msg, _ in inbox] == ["far", "near"]
+        assert inbox[1][3] == pytest.approx(0.1, abs=1e-6)
+
+    def test_inflight_message_to_an_unregistered_address_is_dropped(self, sim):
+        network, inbox = make_network(sim)
+        network.send("a", "b", "lost")
+        sim.schedule(0.0001, network.unregister, "b")  # crash before arrival
+        sim.run()
+        assert inbox == []
+
+    def test_reregistered_address_receives_on_its_new_handler(self, sim):
+        network, inbox = make_network(sim)
+        fresh = []
+        network.send("a", "b", "msg")
+        network.unregister("b")
+        network.register("b", lambda src, msg: fresh.append((src, msg)))
+        sim.run()
+        assert inbox == [] and fresh == [("a", "msg")]
+
+    def test_send_before_registration_is_delivered_once_registered(self, sim):
+        network, inbox = make_network(sim)
+        network.send("a", "late", "early bird")
+        network.register("late", lambda src, msg: inbox.append(("late", src, msg, sim.now)))
+        sim.run()
+        assert [msg for _, _, msg, _ in inbox] == ["early bird"]
