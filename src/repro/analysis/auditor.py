@@ -1,23 +1,22 @@
 """Runtime footprint auditing: measure declared vs. actually-used keys.
 
-The static FPT rules (:mod:`repro.analysis.footprint_rules`) reason
-about key *templates*; this module closes the loop at runtime. An
-opt-in :class:`FootprintAuditor` — wired like the
+Every engine's :class:`~repro.txn.context.TxnContext` already rejects
+an access outside the declared footprint; this module measures the
+other direction. An opt-in :class:`FootprintAuditor` — wired like the
 ``DeterminismSanitizer``, via ``--audit-footprints`` on run/bench/chaos
 or programmatically via :class:`audit_scope` — swaps the executor's
 :class:`~repro.txn.context.TxnContext` for a recording subclass and
 tallies, per procedure:
 
 - **under-declared accesses** — reads/writes rejected by the footprint
-  check (the runtime face of FPT001/FPT002); recorded eagerly because
+  check; recorded eagerly because
   the ``FootprintViolation`` keeps propagating,
 - **over-declared keys** — declared read/write-set keys a committed
   transaction never touched: locks held for nothing, the contention
   the paper's Fig. 7 sweep shows dominating throughput
   (``audit.footprint.*`` metrics plus a per-procedure table),
 
-and cross-validates the static FPT006 verdicts against what actually
-ran. Auditing is pure bookkeeping on the Python side: it schedules no
+Auditing is pure bookkeeping on the Python side: it schedules no
 events and perturbs no decision, so audited runs produce bit-identical
 trace digests.
 
@@ -30,7 +29,7 @@ transaction's access set exactly once).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 from repro.errors import FootprintViolation
 from repro.txn.context import TxnContext
@@ -227,24 +226,6 @@ class FootprintAuditor:
             lines.append("  (no committed transactions observed)")
         lines.append(f"  under-declared accesses: {self.total_under_declared}")
         return "\n".join(lines)
-
-    def cross_validate(self, registry, *, spec_modules=None) -> Dict[str, Any]:
-        """Compare runtime over-declaration against the static FPT006
-        verdicts for the same registry."""
-        from repro.analysis.footprint import (
-            DEFAULT_SPEC_MODULES,
-            statically_over_declared,
-        )
-
-        if spec_modules is None:
-            spec_modules = DEFAULT_SPEC_MODULES
-        static = statically_over_declared(registry, spec_modules=spec_modules)
-        runtime = self.over_declared_procedures
-        return {
-            "agree": sorted(static & runtime),
-            "static_only": sorted(static - runtime),
-            "runtime_only": sorted(runtime - static),
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,12 @@
 Workflow (see ``docs/static_analysis.md``):
 
 1. ``repro lint src/repro`` scans every ``.py`` file under the given
-   paths with the DET rule set (:mod:`repro.analysis.rules`) and runs
-   the FPT footprint rules (:mod:`repro.analysis.footprint`) over every
-   registered house procedure.
-2. A finding on a line carrying ``# det: allow[DETnnn] reason`` or
-   ``# det: allow[FPTnnn] reason`` (or directly below a comment line of
-   that form) is *waived* — visible with ``--show-waived``, never
-   failing. A waiver must name the rule and give a reason; a bare
-   ``det: allow`` is ignored and reported so waivers cannot rot into
-   unexplained suppressions.
+   paths with the DET rule set (:mod:`repro.analysis.rules`).
+2. A finding on a line carrying ``# det: allow[DETnnn] reason`` (or
+   directly below a comment line of that form) is *waived* — visible
+   with ``--show-waived``, never failing. A waiver must name the rule
+   and give a reason; a bare ``det: allow`` is ignored and reported so
+   waivers cannot rot into unexplained suppressions.
 3. Anything left is *active* and makes the exit code 1.
 """
 
@@ -22,17 +19,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.footprint_rules import FPT_RULES
 from repro.analysis.rules import Finding, RULES, scan_source
 from repro.errors import ConfigError
 
-#: Every rule ``repro lint`` knows, across families. Waivers and
-#: ``--rules`` selection validate against this.
-ALL_RULES: Dict[str, str] = {**RULES, **FPT_RULES}
-
 _WAIVER_RE = re.compile(
-    r"#\s*det:\s*allow\[(?P<rules>(?:DET|FPT)\d{3}"
-    r"(?:\s*,\s*(?:DET|FPT)\d{3})*)\]\s*(?P<reason>.*)"
+    r"#\s*det:\s*allow\[(?P<rules>DET\d{3}(?:\s*,\s*DET\d{3})*)\]"
+    r"\s*(?P<reason>.*)"
 )
 _BARE_WAIVER_RE = re.compile(r"#\s*det:\s*allow(?!\[)")
 
@@ -165,7 +157,7 @@ def parse_waivers(source: str, path: str) -> Tuple[List[Waiver], List[str]]:
         rules = tuple(
             part.strip() for part in match.group("rules").split(",")
         )
-        unknown = [rule for rule in rules if rule not in ALL_RULES]
+        unknown = [rule for rule in rules if rule not in RULES]
         if unknown:
             problems.append(
                 f"{path}:{lineno}: waiver names unknown rule(s) "
@@ -222,21 +214,9 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
 
 
 def lint_sources(
-    sources: Dict[str, str],
-    rules: Optional[Set[str]] = None,
-    extra_findings: Optional[Sequence[Finding]] = None,
+    sources: Dict[str, str], rules: Optional[Set[str]] = None
 ) -> LintReport:
-    """Lint in-memory ``{path: source}`` pairs (the testable core).
-
-    ``extra_findings`` carries findings produced outside the per-file
-    scan (the FPT footprint pass works per *procedure*, not per file);
-    they are merged per path so waivers apply to them exactly like to
-    DET findings. Extra findings on files absent from
-    ``sources`` get their waivers from disk, best effort.
-    """
-    extras_by_path: Dict[str, List[Finding]] = {}
-    for finding in extra_findings or ():
-        extras_by_path.setdefault(finding.path, []).append(finding)
+    """Lint in-memory ``{path: source}`` pairs (the testable core)."""
     report = LintReport()
     for path in sorted(sources):
         source = sources[path]
@@ -244,54 +224,27 @@ def lint_sources(
         if error is not None:
             report.errors.append(error)
             continue
-        findings = sorted(
-            findings + extras_by_path.pop(path.replace("\\", "/"), []),
-            key=lambda f: (f.line, f.col, f.rule),
-        )
         waivers, problems = parse_waivers(source, path.replace("\\", "/"))
         report.invalid_waivers.extend(problems)
         findings, unused = apply_waivers(findings, waivers)
         report.findings.extend(findings)
         report.unused_waivers.extend(unused)
         report.files_scanned += 1
-    for path in sorted(extras_by_path):
-        findings = extras_by_path[path]
-        try:
-            with open(path, encoding="utf-8") as handle:
-                waivers, problems = parse_waivers(handle.read(), path)
-        except OSError:
-            waivers, problems = [], []
-        report.invalid_waivers.extend(problems)
-        findings, unused = apply_waivers(findings, waivers)
-        report.findings.extend(findings)
-        report.unused_waivers.extend(unused)
     return report
 
 
 def lint_paths(
-    paths: Sequence[str],
-    rules: Optional[Set[str]] = None,
-    footprints: bool = True,
+    paths: Sequence[str], rules: Optional[Set[str]] = None
 ) -> LintReport:
-    """Lint files/directories; the public entry point (``repro.lint_paths``).
-
-    Unless ``footprints`` is False, the FPT rules also run over every
-    registered house procedure (their findings land on the workload
-    sources regardless of the scanned paths).
-    """
+    """Lint files/directories; the public entry point (``repro.lint_paths``)."""
     if rules is not None:
-        unknown = set(rules) - set(ALL_RULES)
+        unknown = set(rules) - set(RULES)
         if unknown:
             raise ConfigError(
-                f"unknown rule(s) {sorted(unknown)}; known: {sorted(ALL_RULES)}"
+                f"unknown rule(s) {sorted(unknown)}; known: {sorted(RULES)}"
             )
     sources: Dict[str, str] = {}
     for path in iter_python_files(paths):
         with open(path, encoding="utf-8") as handle:
             sources[path] = handle.read()
-    extra_findings: List[Finding] = []
-    if footprints and (rules is None or rules & set(FPT_RULES)):
-        from repro.analysis.footprint import analyze_repository
-
-        extra_findings = analyze_repository(rules)
-    return lint_sources(sources, rules, extra_findings)
+    return lint_sources(sources, rules)

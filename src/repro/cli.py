@@ -38,13 +38,11 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro import CalvinDB
 from repro.analysis import (
     DeterminismSanitizer,
-    FPT_RULES,
     RULES,
     audit_scope,
     bisect_runs,
     lint_paths,
 )
-from repro.analysis.footprint import default_registry
 from repro.bench import elastic, geo, saturation, shootout
 from repro.bench.charts import ascii_chart
 from repro.bench.compare import compare_files
@@ -761,8 +759,7 @@ def cmd_topology_show(args: argparse.Namespace) -> int:
 
 
 def declare_lint(parser: argparse.ArgumentParser) -> None:
-    """static analysis over sources (DET rules) and registered
-    procedures (FPT footprint rules)"""
+    """determinism lint over Python sources (DET rules)"""
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files/directories to scan (default src/repro)",
@@ -770,7 +767,7 @@ def declare_lint(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default="text", choices=("text", "json"))
     parser.add_argument(
         "--rules", metavar="LIST", default=None,
-        help="comma-separated rule subset, e.g. DET001,FPT006",
+        help="comma-separated rule subset, e.g. DET001,DET003",
     )
     parser.add_argument(
         "--show-waived", action="store_true",
@@ -780,27 +777,16 @@ def declare_lint(parser: argparse.ArgumentParser) -> None:
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--no-footprints", action="store_true",
-        help="skip the FPT footprint pass over registered procedures "
-             "(source-file DET rules only)",
-    )
     parser.set_defaults(handler=cmd_lint)
 
 
 def render_rule_catalogue() -> str:
-    """The ``repro lint --list-rules`` text: rule families grouped, one
-    line per rule (pinned by test_analysis_lint)."""
-    families = (
-        ("DET — determinism rules (scan Python sources)", RULES),
-        ("FPT — footprint rules (check registered procedures)", FPT_RULES),
-    )
-    width = max(len(rule) for _, rules in families for rule in rules)
-    lines: List[str] = []
-    for title, rules in families:
-        lines.append(title)
-        for rule in sorted(rules):
-            lines.append(f"  {rule.ljust(width)}  {rules[rule]}")
+    """The ``repro lint --list-rules`` text: a title, then one line per
+    rule (pinned by test_analysis_lint)."""
+    width = max(len(rule) for rule in RULES)
+    lines = ["DET — determinism rules (scan Python sources)"]
+    for rule in sorted(RULES):
+        lines.append(f"  {rule.ljust(width)}  {RULES[rule]}")
     return "\n".join(lines)
 
 
@@ -811,7 +797,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     rules = None
     if args.rules:
         rules = {part.strip() for part in args.rules.split(",") if part.strip()}
-    report = lint_paths(args.paths, rules=rules, footprints=not args.no_footprints)
+    report = lint_paths(args.paths, rules=rules)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -949,13 +935,6 @@ def _run_command(args: argparse.Namespace) -> int:
         merged = scope.merged()
         print()
         print(merged.render_table())
-        verdicts = merged.cross_validate(default_registry())
-        print(
-            "  static FPT006 cross-check: "
-            f"agree={verdicts['agree']} "
-            f"static-only={verdicts['static_only']} "
-            f"runtime-only={verdicts['runtime_only']}"
-        )
         return result
 
 

@@ -66,13 +66,12 @@ from repro.partition.partitioner import (
     canonical_footprint,
 )
 from repro.sim.events import Event
-from repro.txn.ollp import reconnoiter
+from repro.txn.ollp import MAX_RESTARTS, reconnoiter
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import Transaction
 
 _DRIVER_ADDRESS = ("driver", 0, 0)
-_MAX_RESTARTS = 10
 # Runaway guard for the interactive drain paths: far above anything a
 # single transaction needs, small enough to fail fast on a livelock.
 _MAX_DRAIN_EVENTS = 5_000_000
@@ -261,7 +260,7 @@ class CalvinDB:
             if result.status is not TxnStatus.RESTART:
                 return result
             restarts += 1
-            if restarts > _MAX_RESTARTS:
+            if restarts > MAX_RESTARTS:
                 return result
 
     # -- plumbing ------------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Tuple
 from repro.errors import ConsistencyError, TransactionAborted
 from repro.partition.partitioner import Key
 from repro.txn.context import DELETED, TxnContext
+from repro.txn.ollp import recheck_passes
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.result import TxnStatus
 from repro.txn.transaction import Transaction
@@ -168,11 +169,7 @@ def reference_execution(
         procedure = registry.get(txn.procedure)
         reads = {key: store[key] for key in txn.read_set if key in store}
         context = TxnContext(txn, reads)
-        if (
-            txn.dependent
-            and procedure.recheck is not None
-            and not procedure.recheck(context)
-        ):
+        if txn.dependent and not recheck_passes(procedure, context):
             statuses.append(TxnStatus.RESTART)
             continue
         try:

@@ -13,15 +13,13 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from repro.net.messages import ClientSubmit, TxnReply
 from repro.partition.catalog import NodeId, client_address, node_address
-from repro.txn.ollp import reconnoiter
+from repro.txn.ollp import MAX_RESTARTS, reconnoiter
 from repro.txn.result import TxnStatus
 from repro.txn.transaction import Transaction
 from repro.workloads.base import TxnSpec, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import Cluster
-
-_MAX_OLLP_RESTARTS = 10
 
 
 def submit_spec(client: Any, spec: TxnSpec, restarts: int) -> Transaction:
@@ -70,7 +68,7 @@ class ClosedLoopClient:
         think_time: float = 0.0,
         max_txns: Optional[int] = None,
         retry_backoff: float = 0.0,
-        max_restarts: int = _MAX_OLLP_RESTARTS,
+        max_restarts: int = MAX_RESTARTS,
     ):
         self.cluster = cluster
         self.partition = partition

@@ -30,10 +30,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional, TYPE_CHECKING, Tuple
 
-from repro.core.clients import _MAX_OLLP_RESTARTS, submit_spec
+from repro.core.clients import submit_spec
 from repro.errors import ConfigError
 from repro.net.messages import TxnReply
 from repro.partition.catalog import NodeId, client_address, node_address
+from repro.txn.ollp import MAX_RESTARTS
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import Transaction
 from repro.workloads.base import TxnSpec, Workload
@@ -237,7 +238,7 @@ class OpenLoopClient:
             else:
                 self.rejected += 1
             return
-        if result.status is TxnStatus.RESTART and restarts < _MAX_OLLP_RESTARTS:
+        if result.status is TxnStatus.RESTART and restarts < MAX_RESTARTS:
             # Stale OLLP footprint: reconnoiter again and resubmit.
             self._pending_retries += 1
             cluster.sim.schedule(0.0, self._resubmit, spec, restarts + 1)

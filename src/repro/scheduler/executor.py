@@ -23,6 +23,7 @@ from repro.partition.catalog import (
     node_address,
 )
 from repro.txn.context import TxnContext
+from repro.txn.ollp import recheck_passes
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import SequencedTxn
 
@@ -166,11 +167,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
 
     # OLLP recheck (Section 3.2.1): deterministic — every active
     # participant computes the same verdict from the same snapshot.
-    stale = (
-        txn.dependent
-        and procedure.recheck is not None
-        and not procedure.recheck(context)
-    )
+    stale = txn.dependent and not recheck_passes(procedure, context)
     if stale:
         status = TxnStatus.RESTART
     else:

@@ -28,6 +28,7 @@ from repro.obs import SpanKind
 from repro.partition.catalog import NodeId, node_address
 from repro.sim.events import Event
 from repro.txn.context import TxnContext
+from repro.txn.ollp import recheck_passes
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import GlobalSeq, SequencedTxn
 
@@ -160,11 +161,7 @@ class StarMaster:
         context = TxnContext(txn, reads)
         status: TxnStatus
         value: Any = None
-        stale = (
-            txn.dependent
-            and procedure.recheck is not None
-            and not procedure.recheck(context)
-        )
+        stale = txn.dependent and not recheck_passes(procedure, context)
         if stale:
             status = TxnStatus.RESTART
         else:

@@ -16,14 +16,20 @@ sequenced directly. OLLP handles them in two steps:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FootprintViolation
 from repro.partition.partitioner import Key
 from repro.txn.procedures import Procedure
 
 ReadFn = Callable[[Key], Any]
+
+#: Restarts a client allows one dependent transaction before it gives
+#: up and reports the RESTART (so at most ``MAX_RESTARTS + 1``
+#: submissions).
+MAX_RESTARTS = 10
 
 
 @dataclass(frozen=True)
@@ -56,4 +62,32 @@ def reconnoiter(procedure: Procedure, read_fn: ReadFn, args: Any) -> Footprint:
         raise ConfigError(
             f"reconnoiter of {procedure.name!r} must return a Footprint"
         )
+    try:
+        pickle.dumps(footprint.token)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ConfigError(
+            f"reconnoiter of {procedure.name!r} returned a token that is "
+            f"not plain data ({exc}); the token rides the input log"
+        ) from None
     return footprint
+
+
+def recheck_passes(procedure: Procedure, context) -> bool:
+    """Run a dependent transaction's recheck on its execution context.
+
+    True when the reconnoitered footprint still holds (or the procedure
+    has no recheck). The recheck reads through the same enforcing
+    context as the logic, so a read outside the footprint raises there;
+    a recheck that buffers a write raises here, because its verdict is
+    the only thing it may produce.
+    """
+    recheck = procedure.recheck
+    if recheck is None:
+        return True
+    verdict = recheck(context)
+    if context.writes:
+        raise FootprintViolation(
+            f"recheck of {procedure.name!r} wrote {len(context.writes)} "
+            "key(s); a recheck is read-only"
+        )
+    return bool(verdict)

@@ -8,13 +8,16 @@ from repro import (
     CalvinDB,
     ClientProfile,
     ClusterConfig,
+    ConfigError,
+    DeterminismViolation,
     FootprintViolation,
     TxnSpec,
     Workload,
     build_cluster,
 )
-from repro.core.checkers import reference_execution
+from repro.core.checkers import check_replica_consistency, reference_execution
 from repro.partition import FuncPartitioner
+from repro.txn import Footprint
 from repro.txn.procedures import Procedure
 from repro.txn.result import TxnStatus
 from repro.txn.transaction import Transaction
@@ -135,6 +138,177 @@ class TestFootprintEnforcedEverywhere:
                 cluster.registry,
             )
         assert len(workload.caught) == 1
+
+
+# -- planted footprint violations -------------------------------------------
+# One per way a procedure can break its footprint contract, each caught
+# (or, for a mutating reconnaissance, shown harmless) by a cluster run.
+
+ACCT = ("acct", 0)
+GHOST = ("ghost", 0)
+
+
+def clean_logic(ctx):
+    ctx.write(ACCT, (ctx.read(ACCT) or 0) + 1)
+
+
+def under_declared_read_logic(ctx):
+    ctx.read(ACCT)
+    ctx.read(GHOST)
+
+
+def stray_write_logic(ctx):
+    ctx.write(ACCT, 0)
+    ctx.delete(GHOST)
+
+
+def clean_reconnoiter(read_fn, args):
+    keys = [("acct", partition) for partition in range(args)]
+    return Footprint.create(keys, keys, token=read_fn(ACCT))
+
+
+def clean_recheck(ctx):
+    return ctx.read(ACCT) == ctx.txn.footprint_token
+
+
+_SEEN = []
+
+
+def mutating_reconnoiter(read_fn, args):
+    _SEEN.append(args)
+    return clean_reconnoiter(read_fn, args)
+
+
+def impure_reconnoiter(read_fn, args):
+    return Footprint.create([("acct", random.randrange(args))], [])
+
+
+def lambda_token_reconnoiter(read_fn, args):
+    return Footprint.create([ACCT], [ACCT], token=lambda: 1)
+
+
+def wandering_recheck(ctx):
+    return ctx.read(GHOST) is None
+
+
+def writing_recheck(ctx):
+    ctx.write(ACCT, 1000)
+    return True
+
+
+class _PlantedWorkload(Workload):
+    """Every client submits one planted procedure; independent ones
+    declare ``footprint``, dependent ones reconnoiter theirs."""
+
+    name = "planted"
+
+    def __init__(self, procedure, footprint=(), partitions=1):
+        self.procedure = procedure
+        self.footprint = footprint
+        self.partitions = partitions
+
+    def register(self, registry):
+        registry.register(self.procedure)
+
+    def build_partitioner(self, num_partitions):
+        return FuncPartitioner(num_partitions, lambda key: key[1] % num_partitions)
+
+    def initial_data(self, catalog):
+        return {("acct", partition): 1 for partition in range(self.partitions)}
+
+    def generate(self, rng, origin_partition, catalog):
+        return TxnSpec.create(
+            "p", self.partitions, self.footprint, self.footprint,
+            dependent=self.procedure.is_dependent,
+        )
+
+
+def _run_planted(workload, engine="core", **config):
+    cluster = build_cluster(
+        ClusterConfig(num_partitions=workload.partitions, engine=engine, **config),
+        workload=workload,
+    )
+    cluster.load_workload_data()
+    cluster.add_clients(ClientProfile(per_partition=1, max_txns=3))
+    cluster.run(duration=0.1)
+    cluster.quiesce()
+    return cluster
+
+
+def _dependent(reconnoiter, recheck=clean_recheck):
+    return Procedure("p", clean_logic, reconnoiter=reconnoiter, recheck=recheck)
+
+
+def _replicas_agree(cluster):
+    assert cluster.metrics.committed == 3
+    assert _SEEN
+    check_replica_consistency(cluster)
+
+
+def _over_declared(cluster):
+    (name,) = cluster.auditor.over_declared_procedures
+    assert cluster.auditor.procedures[name].over_reads == 3  # GHOST, per txn
+
+
+#: (case, planted procedure, declared footprint, config, expected): an
+#: exception the run must raise, or a check over the finished cluster.
+PLANTED = [
+    ("undeclared-read", Procedure("p", under_declared_read_logic),
+     [ACCT], {}, FootprintViolation),
+    ("undeclared-delete", Procedure("p", stray_write_logic),
+     [ACCT], {}, FootprintViolation),
+    ("ambient-reconnoiter", _dependent(impure_reconnoiter),
+     [], {"sanitize": True}, DeterminismViolation),
+    ("mutating-reconnoiter", _dependent(mutating_reconnoiter),
+     [], {"num_replicas": 2, "replication_mode": "async"}, _replicas_agree),
+    ("wandering-recheck", _dependent(clean_reconnoiter, wandering_recheck),
+     [], {}, FootprintViolation),
+    ("writing-recheck", _dependent(clean_reconnoiter, writing_recheck),
+     [], {}, FootprintViolation),
+    ("lambda-token", _dependent(lambda_token_reconnoiter),
+     [], {}, ConfigError),
+    ("over-declaration", Procedure("p", clean_logic),
+     [ACCT, GHOST], {"audit_footprints": True}, _over_declared),
+]
+
+
+class TestPlantedViolations:
+    """The footprint contract is enforced where footprints are used:
+    each planted violation fails the run that executes it."""
+
+    @pytest.mark.parametrize(
+        "procedure, footprint, config, expected",
+        [row[1:] for row in PLANTED], ids=[row[0] for row in PLANTED],
+    )
+    def test_run_catches(self, procedure, footprint, config, expected):
+        workload = _PlantedWorkload(procedure, footprint)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                _run_planted(workload, **config)
+        else:
+            expected(_run_planted(workload, **config))
+
+    def test_writing_recheck_on_the_star_master(self):
+        # Two partitions, so star runs the transaction on its master,
+        # the third copy of the recheck call besides the core executor
+        # (the table above) and the serial re-execution (below).
+        workload = _PlantedWorkload(
+            _dependent(clean_reconnoiter, writing_recheck), partitions=2
+        )
+        with pytest.raises(FootprintViolation, match="recheck of 'p' wrote") as caught:
+            _run_planted(workload, "star")
+        assert any(entry.path.name == "master.py" for entry in caught.traceback)
+
+    def test_writing_recheck_in_reexecution(self):
+        registry = build_cluster(
+            ClusterConfig(num_partitions=1),
+            workload=_PlantedWorkload(_dependent(clean_reconnoiter, writing_recheck)),
+        ).registry
+        txn = Transaction.create(1, "p", 1, [ACCT], [ACCT], dependent=True, footprint_token=1)
+        with pytest.raises(FootprintViolation, match="read-only"):
+            reference_execution(
+                {ACCT: 1}, [((0, 0, 0), txn, TxnStatus.COMMITTED)], registry
+            )
 
 
 class TestWideTransactions:

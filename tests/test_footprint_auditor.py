@@ -10,6 +10,7 @@ from repro.analysis import FootprintAuditor, audit_armed, audit_scope
 from repro.core.traffic import ClientProfile
 from repro.errors import FootprintViolation
 from repro.obs import TraceRecorder
+from repro.partition.catalog import MIGRATION_PROC
 from repro.txn import Transaction
 from repro.workloads.tpcc.workload import TpccWorkload
 from repro.workloads.ycsb import YcsbWorkload
@@ -49,8 +50,20 @@ class TestDigestNeutrality:
 
 
 class TestWorkloadReports:
-    def assert_clean(self, auditor, procedures):
-        assert set(auditor.procedures) == set(procedures)
+    """Every procedure a workload registers commits under audit with
+    nothing over- or under-declared.
+
+    ``__migration__`` is excluded: the data plane moves keys in
+    ``run_migration`` and never runs the registered logic on a context,
+    so there is nothing to audit. Its reference logic runs on the
+    enforcing ``TxnContext`` in ``check_serializability`` after every
+    split in ``tests/test_reconfig.py``.
+    """
+
+    def assert_clean(self, cluster):
+        auditor = cluster.auditor
+        procedures = set(cluster.registry.names()) - {MIGRATION_PROC}
+        assert set(auditor.procedures) == procedures
         for name in procedures:
             record = auditor.procedures[name]
             assert record.txns > 0
@@ -64,7 +77,7 @@ class TestWorkloadReports:
 
     def test_microbenchmark_reports_no_over_declaration(self):
         cluster = run_cluster(micro())
-        self.assert_clean(cluster.auditor, {"micro"})
+        self.assert_clean(cluster)
         snapshot = cluster.metrics_registry.snapshot()
         assert snapshot["audit.footprint.txns_observed"] > 0
         assert snapshot["audit.footprint.over_declared_reads"] == 0
@@ -72,21 +85,12 @@ class TestWorkloadReports:
         assert snapshot["audit.footprint.under_declared"] == 0
 
     def test_ycsb_reports_no_over_declaration(self):
-        cluster = run_cluster(YcsbWorkload(records_per_partition=200))
-        auditor = cluster.auditor
-        assert set(auditor.procedures) <= {"ycsb_read", "ycsb_update"}
-        self.assert_clean(auditor, set(auditor.procedures))
+        self.assert_clean(run_cluster(YcsbWorkload(records_per_partition=200)))
 
     def test_tpcc_reports_no_over_declaration(self):
-        cluster = run_cluster(TpccWorkload(), duration=0.4)
-        auditor = cluster.auditor
-        assert "new_order" in auditor.procedures
-        self.assert_clean(auditor, set(auditor.procedures))
-
-    def test_cross_validation_agrees_on_house_registry(self):
-        cluster = run_cluster(micro())
-        verdicts = cluster.auditor.cross_validate(cluster.registry)
-        assert verdicts == {"agree": [], "static_only": [], "runtime_only": []}
+        # Seed 3 commits every TPC-C procedure at least twice within the
+        # clients' 80 transactions (seed 2012 never draws order_status).
+        self.assert_clean(run_cluster(TpccWorkload(), seed=3))
 
     def test_auditor_off_by_default(self):
         cluster = run_cluster(micro(), audit=False)
