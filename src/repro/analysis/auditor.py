@@ -23,7 +23,8 @@ trace digests.
 Only replica-0 schedulers audit (replicas re-execute the same
 deterministic accesses), and only the reply partition's context is
 observed (its snapshot spans every participant, so it sees the whole
-transaction's access set exactly once).
+transaction's access set exactly once); on the star engine the master's
+one execution of a multipartition transaction is its observation.
 """
 
 from __future__ import annotations

@@ -8,10 +8,7 @@ from typing import Any, Dict, Iterable, Optional
 
 from repro.baseline.node import BaselineNode
 from repro.config import BaselineConfig, ClusterConfig
-from repro.core.clients import ClosedLoopClient
 from repro.core.cluster import Cluster
-from repro.core.traffic import ClientProfile
-from repro.errors import ConfigError
 from repro.obs import TraceRecorder
 from repro.partition.partitioner import Key, Partitioner
 from repro.storage.kvstore import KVStore
@@ -39,11 +36,10 @@ class BaselineCluster(Cluster):
         tracer: Optional[TraceRecorder] = None,
         record_history: bool = False,
     ):
-        if config.num_replicas != 1:
-            raise ConfigError("the baseline system models a single replica")
         self.baseline = baseline or BaselineConfig()
         self.baseline.validate()
         self.retry_backoff = self.baseline.retry_backoff
+        self.max_restarts = self.baseline.max_retries
         super().__init__(
             config, workload, registry, partitioner, record_history, tracer
         )
@@ -77,23 +73,6 @@ class BaselineCluster(Cluster):
 
     def _stores_of(self, partition: int) -> Iterable[KVStore]:
         return (self.nodes[partition].store,)
-
-    def _make_client(
-        self, profile: ClientProfile, partition: int, index: int, workload: Workload
-    ) -> ClosedLoopClient:
-        # No admission front-end to absorb open-loop overload.
-        if profile.mode != "closed":
-            raise ConfigError("the baseline system supports closed-loop clients only")
-        return ClosedLoopClient(
-            self,
-            partition,
-            index,
-            workload,
-            profile.think_time,
-            profile.max_txns,
-            retry_backoff=self.retry_backoff,
-            max_restarts=self.baseline.max_retries,
-        )
 
     def _drained(self) -> bool:
         return not any(node._coord for node in self.nodes.values())

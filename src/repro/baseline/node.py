@@ -32,7 +32,7 @@ from repro.baseline.messages import (
     PrepareVote,
 )
 from repro.config import BaselineConfig, ClusterConfig
-from repro.errors import ConfigError, NetworkError, TransactionAborted
+from repro.errors import ConfigError, NetworkError
 from repro.net.messages import ClientSubmit, TxnReply
 from repro.obs import NULL_RECORDER, SpanKind, TraceRecorder
 from repro.partition.catalog import Catalog, NodeId, node_address
@@ -42,6 +42,7 @@ from repro.sim.events import Event
 from repro.sim.resources import Resource
 from repro.storage.kvstore import KVStore
 from repro.txn.context import TxnContext
+from repro.txn.ollp import run_logic
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import Transaction
@@ -205,21 +206,15 @@ class BaselineNode:
             cpu += costs.multipartition_overhead_cpu
             cpu += costs.remote_read_serve_cpu * (len(participants) - 1)
         context = TxnContext(txn, reads)
-        try:
-            value = procedure.logic(context)
-            committed = True
-        except TransactionAborted as abort:
-            value = abort.reason
-            committed = False
-            context.writes.clear()
+        status, value = run_logic(procedure, context)
         yield self.sim.timeout(cpu)
         self.workers.release()
         self._span(SpanKind.EXECUTE, exec_start, txn.txn_id, detail="coordinator")
 
-        if not committed:
+        if status is not TxnStatus.COMMITTED:
             for partition in sorted(participants):
                 self.send(partition, Decision(txn.txn_id, commit=False))
-            self._finish(state, TxnStatus.ABORTED, value)
+            self._finish(state, status, value)
             return
 
         writes_by_partition = route.split_writes(context.writes)

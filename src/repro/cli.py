@@ -48,10 +48,10 @@ from repro.bench.charts import ascii_chart
 from repro.bench.compare import compare_files
 from repro.bench.io import save_csv, save_json
 from repro.bench.parallel import Cell, merge_registries, portable_registry, run_cells
-from repro.config import ADMISSION_POLICIES, ClusterConfig
+from repro.config import ADMISSION_POLICIES, ClusterConfig, DEFAULT_CONFIG
 from repro.core import checkers
 from repro.core.traffic import ClientProfile
-from repro.engines import build_cluster
+from repro.engines import FEATURES, UNSUPPORTED, build_cluster, features_of
 from repro.errors import ConfigError
 from repro.faults.profiles import FAULT_PROFILES
 from repro.geo.presets import GEO_PRESETS
@@ -170,17 +170,16 @@ def config_from_args(args: argparse.Namespace, **overrides) -> ClusterConfig:
     (including the replicas -> replication-mode rule every command used
     to restate inline); ``overrides`` win over the derived values.
     """
-    replicas = getattr(args, "replicas", 1)
     values = dict(
         num_partitions=getattr(args, "partitions", 2),
-        num_replicas=replicas,
-        replication_mode="paxos" if replicas > 1 else "none",
+        num_replicas=getattr(args, "replicas", 1),
         seed=args.seed,
         topology=getattr(args, "topology", None),
         sanitize=getattr(args, "sanitize", False),
         audit_footprints=getattr(args, "audit_footprints", False),
     )
     values.update(overrides)
+    values.setdefault("replication_mode", "paxos" if values["num_replicas"] > 1 else "none")
     return ClusterConfig(**values)
 
 
@@ -509,30 +508,21 @@ def declare_trace(parser: argparse.ArgumentParser) -> None:
 
 
 def _traced_microbenchmark(system: str, args: argparse.Namespace):
-    """Run one system's microbenchmark with a live tracer; returns the tracer."""
-    if system == "calvin":
-        config = config_from_args(
-            args, **_fault_overrides(args.profile, args.duration)
-        )
-    else:
-        # The baseline and star engines model a single replica on the
-        # flat network without fault injection, and only Calvin-derived
-        # clusters (star is one) carry a footprint auditor.
-        ignored = [
-            name
-            for name, default in (("replicas", 1), ("topology", None), ("profile", None))
-            if getattr(args, name) != default
-        ]
-        if args.audit_footprints and system == "baseline":
-            ignored.append("audit-footprints")
-        if ignored:
-            flags = ", ".join(f"--{name}" for name in ignored)
-            print(f"note: the {system} run models one replica on the flat "
-                  f"network without faults; {flags} ignored", file=sys.stderr)
-        config = config_from_args(
-            args, engine=system, num_replicas=1, replication_mode="none",
-            topology=None,
-        )
+    """Run one system's microbenchmark with a live tracer; returns the
+    tracer. Flags switching on what the engine does not support
+    (``repro.engines.UNSUPPORTED``) are dropped and named on stderr."""
+    engine = "core" if system == "calvin" else system
+    overrides = dict(engine=engine, **_fault_overrides(args.profile, args.duration))
+    used = features_of(config_from_args(args, **overrides))
+    ignored = {feature: used[feature] for feature in used if feature in UNSUPPORTED[engine]}
+    if ignored:
+        labels = ", ".join(FEATURES[feature].label for feature in ignored)
+        print(f"note: the {engine} engine does not support {labels}; "
+              f"{', '.join(ignored.values())} ignored", file=sys.stderr)
+    for feature in ignored:
+        field = FEATURES[feature].field
+        overrides[field] = getattr(DEFAULT_CONFIG, field)
+    config = config_from_args(args, **overrides)
     tracer = TraceRecorder()
     _run_microbenchmark(
         config, args.duration, mp_fraction=args.mp_fraction, tracer=tracer

@@ -88,6 +88,8 @@ class ClusterConfig:
     # the CLI) builds the cluster class the field names; a cluster
     # class constructed directly pins the field to its own engine and
     # re-validates, so cluster.config.engine always names the builder.
+    # validate() refuses any field that switches on a feature the
+    # engine does not support (repro.engines.UNSUPPORTED).
     engine: str = "core"
     # Lock-manager threads per node. The paper uses one (requests are
     # strictly serialized); sharding the lock table by key preserves
@@ -147,8 +149,6 @@ class ClusterConfig:
     # required (>0) whenever admission_policy != "none". Capacity per
     # node is admission_epoch_budget / epoch_duration txns/sec.
     admission_epoch_budget: Optional[int] = None
-    # Checkpointing mode: "none", "naive" (stop-the-world) or "zigzag".
-    checkpoint_mode: str = "none"
     # Runtime determinism sanitizer: when True, every Simulator.run of
     # this cluster arms trip wires that raise DeterminismViolation if
     # simulated code touches the process-global RNG, the wall clock, or
@@ -174,8 +174,7 @@ class ClusterConfig:
     # remaining partitions are pre-provisioned spares: their nodes are
     # built and their schedulers follow the epoch stream from epoch 0,
     # but their sequencers stay dormant (no epoch batches, no client
-    # input) until ClusterAdmin.add_node arms a join epoch. Requires
-    # the core engine; incompatible with partial_hosting.
+    # input) until ClusterAdmin.add_node arms a join epoch.
     active_partitions: Optional[int] = None
 
     def validate(self) -> None:
@@ -206,8 +205,6 @@ class ClusterConfig:
                 )
             if self.admission_queue_capacity < 1:
                 raise ConfigError("admission_queue_capacity must be >= 1")
-        if self.checkpoint_mode not in ("none", "naive", "zigzag"):
-            raise ConfigError(f"unknown checkpoint mode: {self.checkpoint_mode!r}")
         if not 0.0 <= self.disk_estimate_error <= 1.0:
             raise ConfigError("disk_estimate_error must be in [0, 1]")
         if self.fault_profile is not None:
@@ -258,14 +255,6 @@ class ClusterConfig:
                     "partial_hosting: replica 0 must host every partition "
                     "(it ships writesets for straddling transactions)"
                 )
-            if self.engine != "core":
-                raise ConfigError(
-                    "partial_hosting requires the core engine"
-                )
-            if self.fault_profile is not None:
-                raise ConfigError(
-                    "partial_hosting cannot be combined with fault injection"
-                )
             if self.num_replicas < 2:
                 raise ConfigError(
                     "partial_hosting needs num_replicas >= 2 (replica 0 "
@@ -276,19 +265,14 @@ class ClusterConfig:
                 raise ConfigError(
                     "active_partitions must be in [1, num_partitions]"
                 )
-            if self.engine != "core":
-                raise ConfigError("active_partitions requires the core engine")
-            if self.partial_hosting is not None:
-                raise ConfigError(
-                    "active_partitions cannot be combined with partial_hosting"
-                )
         # Imported lazily: repro.engines imports this module.
-        from repro.engines import ENGINES
+        from repro.engines import ENGINES, features_of, require_all
 
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; known: {sorted(ENGINES)}"
             )
+        require_all(self.engine, features_of(self))
         self.costs.validate()
 
     @property

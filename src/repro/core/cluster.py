@@ -21,6 +21,7 @@ from repro.core.clients import ClosedLoopClient
 from repro.core.metrics import Metrics, RunReport
 from repro.core.node import CalvinNode
 from repro.core.traffic import ClientProfile, OpenLoopClient
+from repro.engines import features_of, require, require_all, requires
 from repro.errors import ConfigError, RecoveryError, SimulationError
 from repro.geo.presets import build_geo_topology
 from repro.obs import MetricsRegistry, NULL_RECORDER, TraceRecorder
@@ -40,6 +41,7 @@ from repro.sim.rng import RngStreams
 from repro.storage.checkpoint import CheckpointSnapshot
 from repro.storage.inputlog import LogEntry
 from repro.storage.kvstore import KVStore
+from repro.txn.ollp import MAX_RESTARTS
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.result import TxnStatus
 from repro.txn.transaction import GlobalSeq, SequencedTxn, Transaction
@@ -79,6 +81,8 @@ class Cluster(ABC):
     deterministic_order: bool = True
     #: Delay before a client resubmits a RESTART outcome.
     retry_backoff: float = 0.0
+    #: Resubmissions a closed-loop client allows one request.
+    max_restarts: int = MAX_RESTARTS
 
     def __init__(
         self,
@@ -153,16 +157,6 @@ class Cluster(ABC):
     def _stores_of(self, partition: int) -> Iterable[KVStore]:
         """Every store holding a copy of ``partition`` (bulk-load targets)."""
 
-    def _make_client(
-        self, profile: ClientProfile, partition: int, index: int, workload: Workload
-    ) -> AnyClient:
-        """One client of the population ``profile`` describes."""
-        if profile.mode == "open":
-            return OpenLoopClient(self, partition, index, profile, workload)
-        return ClosedLoopClient(
-            self, partition, index, workload, profile.think_time, profile.max_txns
-        )
-
     @abstractmethod
     def node(self, replica: int, partition: int) -> Any:
         """The node serving ``partition`` at ``replica`` (replica 0 takes
@@ -230,6 +224,8 @@ class Cluster(ABC):
                 "add_clients(ClientProfile(per_partition=..., ...))"
             )
         profile.validate()
+        if profile.mode == "open":
+            require(self.engine, "open_loop", "mode='open'")
         workload = profile.workload or self.workload
         if workload is None:
             raise ConfigError("no workload for clients")
@@ -239,9 +235,14 @@ class Cluster(ABC):
         # to them.
         for partition in self.catalog.initial_origins:
             for _ in range(profile.per_partition):
-                client = self._make_client(
-                    profile, partition, len(self.clients), workload
-                )
+                index = len(self.clients)
+                if profile.mode == "open":
+                    client = OpenLoopClient(self, partition, index, profile, workload)
+                else:
+                    client = ClosedLoopClient(
+                        self, partition, index, workload, profile.think_time,
+                        profile.max_txns, self.retry_backoff, self.max_restarts,
+                    )
                 self.clients.append(client)
                 created.append(client)
         return created
@@ -299,6 +300,9 @@ class CalvinCluster(Cluster):
             config, workload, registry, partitioner, record_history, tracer
         )
         config = self.config
+        if fault_plan is not None:
+            used = {**features_of(config), "faults": f"fault_plan={fault_plan.name!r}"}
+            require_all(self.engine, used)
         # The serial reference checker must be able to execute any
         # procedure appearing in the history, including control-plane
         # migrations; the identity-copy reference logic is inert unless
@@ -466,13 +470,13 @@ class CalvinCluster(Cluster):
 
     # -- checkpointing --------------------------------------------------------------
 
-    def schedule_checkpoint(self, at_time: float, mode: Optional[str] = None) -> Event:
-        """Checkpoint replica 0 at the first epoch boundary after ``at_time``.
+    def schedule_checkpoint(self, at_time: float, mode: str) -> Event:
+        """Checkpoint replica 0 at the first epoch boundary after ``at_time``
+        (``mode``: ``"naive"`` stop-the-world or ``"zigzag"``).
 
         Returns an event triggering with the list of per-partition
         snapshots (also stored in :attr:`checkpoints`).
         """
-        mode = mode or self.config.checkpoint_mode
         if mode not in ("naive", "zigzag"):
             raise ConfigError(f"cannot checkpoint with mode {mode!r}")
         done = Event(self.sim)
@@ -653,6 +657,7 @@ class CalvinCluster(Cluster):
     # -- recovery / deterministic replay ----------------------------------------------
 
     @classmethod
+    @requires("replay")
     def replay(
         cls,
         config: ClusterConfig,
@@ -669,10 +674,7 @@ class CalvinCluster(Cluster):
         checkpoint's epoch watermark.
         """
         replay_config = config.with_changes(
-            num_replicas=1,
-            replication_mode="none",
-            disk_enabled=False,
-            checkpoint_mode="none",
+            num_replicas=1, replication_mode="none", disk_enabled=False
         )
         cluster = cls(
             replay_config,

@@ -28,7 +28,7 @@ from random import Random
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import ClusterConfig
-from repro.core.checkers import reference_execution
+from repro.core.checkers import check_serializability
 from repro.engines import get_engine
 from repro.errors import ConfigError, ConsistencyError
 from repro.net.messages import ClientSubmit
@@ -190,41 +190,6 @@ def check_identical_outcome(reference: EngineRun, other: EngineRun) -> None:
         )
 
 
-def check_serializable_outcome(run: EngineRun) -> None:
-    """The run's own completion history serially explains its state.
-
-    For ``core``/``star`` the history order is the agreed global
-    sequence; for ``baseline`` it is the completion order, which strict
-    2PL makes a valid serialization order.
-    """
-    # Wait-die victims (baseline RESTARTs on non-dependent txns) applied
-    # nothing and were re-run later — drop them from the replay. OLLP
-    # RESTARTs on dependent txns stay: reference_execution re-derives them.
-    history = [
-        entry
-        for entry in run.cluster.sorted_history()
-        if entry[2] is not TxnStatus.RESTART or entry[1].dependent
-    ]
-    state, statuses = reference_execution(
-        run.cluster.initial_data, history, run.cluster.registry
-    )
-    reported = [status for _seq, _txn, status in history]
-    if statuses != reported:
-        raise ConsistencyError(
-            f"{run.engine}: serial replay statuses diverge from reported ones"
-        )
-    if state != run.final_state:
-        differing = [
-            key
-            for key in state.keys() | run.final_state.keys()
-            if state.get(key) != run.final_state.get(key)
-        ]
-        raise ConsistencyError(
-            f"{run.engine}: serial replay of the completion history does not "
-            f"reproduce the final state ({len(differing)} keys differ)"
-        )
-
-
 def compare_engines(
     workload: Workload,
     config: ClusterConfig,
@@ -239,7 +204,9 @@ def compare_engines(
 
     Deterministic-order engines are checked pairwise-identical against
     the first of them; every engine is additionally checked
-    self-serializable. Returns the per-engine runs for further asserts.
+    self-serializable (:func:`repro.core.checkers.check_serializability`
+    over its own history order). Returns the per-engine runs for further
+    asserts.
     """
     if schedule is None:
         schedule = scripted_schedule(
@@ -256,7 +223,7 @@ def compare_engines(
     for other in deterministic[1:]:
         check_identical_outcome(deterministic[0], other)
     for run in runs.values():
-        check_serializable_outcome(run)
+        check_serializability(run.cluster)
     return runs
 
 
@@ -264,7 +231,6 @@ __all__ = [
     "EngineRun",
     "ScriptedSubmission",
     "check_identical_outcome",
-    "check_serializable_outcome",
     "compare_engines",
     "run_scripted",
     "scripted_schedule",

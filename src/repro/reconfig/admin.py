@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.engines import features_of, require_all
 from repro.errors import ConfigError
 from repro.obs import CAT_NODE, SpanKind
 from repro.partition.catalog import MIGRATION_PROC, NodeId, node_address
@@ -63,15 +64,7 @@ class ClusterAdmin:
 
     def __init__(self, cluster: "CalvinCluster"):
         config = cluster.config
-        if config.engine != "core":
-            raise ConfigError(
-                f"elastic reconfiguration requires the core engine "
-                f"(got {config.engine!r})"
-            )
-        if config.partial_hosting is not None:
-            raise ConfigError(
-                "elastic reconfiguration is incompatible with partial hosting"
-            )
+        require_all(config.engine, {"reconfig": None, **features_of(config)})
         if getattr(cluster, "reconfig_admin", None) is not None:
             raise ConfigError("cluster already has a ClusterAdmin")
         self.cluster = cluster

@@ -11,9 +11,8 @@ the contention-index experiment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
-from repro.errors import TransactionAborted
 from repro.net.messages import RemoteRead, TxnReply, WriteSetApply
 from repro.obs import SpanKind
 from repro.partition.catalog import (
@@ -23,7 +22,7 @@ from repro.partition.catalog import (
     node_address,
 )
 from repro.txn.context import TxnContext
-from repro.txn.ollp import recheck_passes
+from repro.txn.ollp import run_logic
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import SequencedTxn
 
@@ -162,22 +161,8 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         context = TxnContext(txn, reads)
     else:
         context = auditor.make_context(txn, reads)
-    status: TxnStatus
-    value: Any = None
-
-    # OLLP recheck (Section 3.2.1): deterministic — every active
-    # participant computes the same verdict from the same snapshot.
-    stale = txn.dependent and not recheck_passes(procedure, context)
-    if stale:
-        status = TxnStatus.RESTART
-    else:
-        try:
-            value = procedure.logic(context)
-            status = TxnStatus.COMMITTED
-        except TransactionAborted as abort:
-            status = TxnStatus.ABORTED
-            value = abort.reason
-            context.writes.clear()
+    # OLLP recheck (Section 3.2.1), then the logic.
+    status, value = run_logic(procedure, context)
 
     if not multipartition:
         # Sole participant: every write is local.

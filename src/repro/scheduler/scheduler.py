@@ -172,6 +172,7 @@ class Scheduler:
     def _advance_epochs(self) -> None:
         while True:
             if self._pause_epoch is not None and self._next_epoch >= self._pause_epoch:
+                self._maybe_quiesced()  # idle: no finishing txn will check
                 return
             per_epoch = self._arrived.get(self._next_epoch)
             # The barrier waits for exactly the origins active at this

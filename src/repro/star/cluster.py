@@ -20,7 +20,6 @@ from typing import Dict, Optional
 
 from repro.config import ClusterConfig
 from repro.core.cluster import CalvinCluster
-from repro.errors import ConfigError
 from repro.star.master import MASTER_PARTITION, StarMaster
 from repro.star.node import StarNode
 from repro.star.phase import PARTITIONED, SINGLE_MASTER, PhaseController
@@ -28,9 +27,8 @@ from repro.txn.result import TxnStatus
 
 
 class StarCluster(CalvinCluster):
-    """A simulated STAR deployment (v1 scope: single replica, memory
-    -resident storage, no checkpointing, no fault injection — the knobs
-    below reject anything else)."""
+    """A simulated STAR deployment (its scope is the ``star`` row of
+    :data:`repro.engines.UNSUPPORTED`)."""
 
     # deterministic_order stays True: STAR keeps Calvin's agreed global
     # order (phases gate only *where* multipartition transactions run),
@@ -39,19 +37,6 @@ class StarCluster(CalvinCluster):
     node_class = StarNode
 
     def __init__(self, config: ClusterConfig, **kwargs):
-        if config.num_replicas != 1:
-            raise ConfigError(
-                "the star engine models a single replica "
-                f"(got num_replicas={config.num_replicas}): its phase "
-                "switching assumes one copy of every partition; see "
-                "docs/engines.md#limitations"
-            )
-        if config.disk_enabled:
-            raise ConfigError("the star engine does not support disk storage yet")
-        if config.checkpoint_mode != "none":
-            raise ConfigError("the star engine does not support checkpointing yet")
-        if config.fault_profile is not None or kwargs.get("fault_plan") is not None:
-            raise ConfigError("the star engine does not support fault injection yet")
         # Per-phase committed counters (per-phase throughput = counter
         # delta / phase time; the bench harness reads these).
         self.committed_by_phase: Dict[str, int] = {PARTITIONED: 0, SINGLE_MASTER: 0}
@@ -106,12 +91,3 @@ class StarCluster(CalvinCluster):
             return
         super().start()
         self.controller.start()
-
-    @classmethod
-    def replay(cls, *args, **kwargs):
-        # run_until_idle never terminates under the phase loop, and a
-        # log replay has no client stream to estimate phases from.
-        raise ConfigError(
-            "the star engine does not support log replay; replay with "
-            "engine='core' (same agreed order, same final state)"
-        )

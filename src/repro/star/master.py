@@ -22,13 +22,12 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
-from repro.errors import TransactionAborted
 from repro.net.messages import StarReady, StarRelease
 from repro.obs import SpanKind
 from repro.partition.catalog import NodeId, node_address
 from repro.sim.events import Event
 from repro.txn.context import TxnContext
-from repro.txn.ollp import recheck_passes
+from repro.txn.ollp import run_logic
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import GlobalSeq, SequencedTxn
 
@@ -130,7 +129,8 @@ class StarMaster:
         everything distributed: no remote-read fan-out or wait, no
         per-participant multipartition overhead; instead one
         ``MASTER_TXN_OVERHEAD_CPU`` charge for pushing the writes
-        back out to the partition replicas.
+        back out to the partition replicas. Its context reports to the
+        footprint auditor exactly as the executor's does.
         """
         sim = self.sim
         costs = self.config.costs
@@ -158,20 +158,9 @@ class StarMaster:
 
         apply_start = sim.now
         procedure = self.registry.get(txn.procedure)
-        context = TxnContext(txn, reads)
-        status: TxnStatus
-        value: Any = None
-        stale = txn.dependent and not recheck_passes(procedure, context)
-        if stale:
-            status = TxnStatus.RESTART
-        else:
-            try:
-                value = procedure.logic(context)
-                status = TxnStatus.COMMITTED
-            except TransactionAborted as abort:
-                status = TxnStatus.ABORTED
-                value = abort.reason
-                context.writes.clear()
+        auditor = scheduler.auditor
+        context = TxnContext(txn, reads) if auditor is None else auditor.make_context(txn, reads)
+        status, value = run_logic(procedure, context)
 
         cpu = (
             procedure.logic_cpu
@@ -196,6 +185,9 @@ class StarMaster:
                 txn_id=txn.txn_id, seq=stxn.seq, detail="star-master",
             )
         scheduler.workers.release()
+        if auditor is not None:
+            # The master's one execution is the transaction's report.
+            auditor.observe(txn, context, status, True)
 
         # Release every participant (locks drop on arrival; the reply
         # partition answers the client from the riding result).

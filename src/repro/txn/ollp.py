@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet
+from typing import Any, Callable, FrozenSet, Tuple
 
-from repro.errors import ConfigError, FootprintViolation
+from repro.errors import ConfigError, FootprintViolation, TransactionAborted
 from repro.partition.partitioner import Key
 from repro.txn.procedures import Procedure
+from repro.txn.result import TxnStatus
 
 ReadFn = Callable[[Key], Any]
 
@@ -91,3 +92,16 @@ def recheck_passes(procedure: Procedure, context) -> bool:
             "key(s); a recheck is read-only"
         )
     return bool(verdict)
+
+
+def run_logic(procedure: Procedure, context) -> Tuple[TxnStatus, Any]:
+    """The one logic step of every engine and of the serial checker:
+    RESTART on a failed recheck, ABORTED (reason; writes dropped) on
+    :class:`TransactionAborted`, else COMMITTED with the logic's value."""
+    if context.txn.dependent and not recheck_passes(procedure, context):
+        return TxnStatus.RESTART, None
+    try:
+        return TxnStatus.COMMITTED, procedure.logic(context)
+    except TransactionAborted as abort:
+        context.writes.clear()
+        return TxnStatus.ABORTED, abort.reason

@@ -5,6 +5,7 @@ import pytest
 from repro import ClientProfile, ClusterConfig, Microbenchmark
 from repro.baseline import BaselineCluster, GroupCommitLog, TwoPhaseLockTable
 from repro.baseline.locks import DIED, GRANTED
+from repro.core import checkers
 from repro.errors import ConfigError
 from repro.scheduler.lockmanager import LockMode
 from repro.sim import Simulator
@@ -155,6 +156,22 @@ class TestBaselineCluster:
         cluster.run(duration=0.5)
         cluster.quiesce()
         assert cluster.metrics.restarts > 0  # contention causes deaths
+
+    def test_wait_die_victims_are_serializable(self):
+        # A wait-die RESTART applied nothing and ran again later: the
+        # serial replay skips it instead of reporting an outcome mismatch.
+        workload = Microbenchmark(mp_fraction=0.3, hot_set_size=1, cold_set_size=60)
+        cluster = BaselineCluster(
+            ClusterConfig(num_partitions=2, seed=4), workload=workload,
+            record_history=True,
+        )
+        cluster.load_workload_data()
+        cluster.add_clients(ClientProfile(per_partition=10, max_txns=10))
+        cluster.run(duration=0.5)
+        cluster.quiesce()
+        assert cluster.metrics.restarts > 0
+        checked = checkers.check_serializability(cluster)
+        assert checked == len(cluster.history) - cluster.metrics.restarts > 0
 
     def test_rejects_multiple_replicas(self):
         config = ClusterConfig(num_partitions=2, num_replicas=2, replication_mode="async")

@@ -89,8 +89,10 @@ class TestTraceCommand:
         assert digest_of(first) == digest_of(second) is not None
 
     def test_dropped_flags_are_noted_on_stderr_only(self, capsys):
-        """The star and baseline runs model one replica on the flat
-        network; the flags they drop are named, and only on stderr."""
+        """The star and baseline runs drop what their engine does not
+        support (repro.engines.UNSUPPORTED): named, and only on stderr.
+        Star supports topologies, so --topology is kept; with one
+        replica it is one datacenter and the run is unchanged."""
         base = ["trace", "--system", "star", "--duration", "0.2",
                 "--format", "chrome"]
         assert main(base) == 0
@@ -100,11 +102,26 @@ class TestTraceCommand:
         noted = capsys.readouterr()
         note = [line for line in noted.err.splitlines() if line.startswith("note:")]
         assert len(note) == 1
-        assert "star" in note[0] and "--replicas, --topology ignored" in note[0]
-        assert "--profile" not in note[0]
+        assert note[0] == (
+            "note: the star engine does not support replication; "
+            "num_replicas=2 ignored"
+        )
         # Same single-replica run either way, and stdout stays pure JSON.
         assert noted.out == plain.out
         assert json.loads(noted.out)["traceEvents"]
+
+    def test_baseline_drops_faults_and_audit(self, capsys):
+        assert main(["trace", "--system", "baseline", "--duration", "0.2",
+                     "--profile", "chaos-mix", "--audit-footprints"]) == 0
+        captured = capsys.readouterr()
+        assert (
+            "note: the baseline engine does not support fault injection, "
+            "footprint auditing; fault_profile='chaos-mix', "
+            "audit_footprints=True ignored"
+        ) in captured.err
+        # The ambient --audit-footprints scope still reports (nothing to
+        # audit on the baseline) instead of refusing the command.
+        assert "footprint audit" in captured.out
 
     def test_calvin_run_drops_nothing(self, capsys):
         assert main(["trace", "--system", "calvin", "--duration", "0.2",

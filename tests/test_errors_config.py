@@ -41,10 +41,6 @@ class TestConfigSurface:
         with pytest.raises(ConfigError):
             ClusterConfig(epoch_duration=0).validate()
 
-    def test_checkpoint_mode_validated(self):
-        with pytest.raises(ConfigError):
-            ClusterConfig(checkpoint_mode="sometimes").validate()
-
     def test_disk_estimate_error_range(self):
         with pytest.raises(ConfigError):
             ClusterConfig(disk_estimate_error=2.0).validate()

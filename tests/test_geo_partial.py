@@ -47,7 +47,7 @@ class TestConfigValidation:
                 dict(partial_hosting=((0,), (0,), (1,))),
                 "replica 0 must host every partition",
             ),
-            (dict(engine="star"), "requires the core engine"),
+            (dict(engine="star"), "star engine does not support partial hosting"),
         ],
     )
     def test_invalid_hosting_rejected(self, overrides, message):

@@ -151,7 +151,11 @@ def test_cluster_contract_core_only_fields_refused_on_direct_construction():
     from repro.baseline.cluster import BaselineCluster
 
     config = ClusterConfig(num_partitions=2, active_partitions=1)
-    with pytest.raises(ConfigError, match="active_partitions requires the core engine"):
+    with pytest.raises(
+        ConfigError,
+        match=r"baseline engine does not support elastic reconfiguration: "
+              r".*\(got active_partitions=1\)",
+    ):
         BaselineCluster(config, workload=_micro())
 
 
