@@ -86,10 +86,11 @@ DET001_WHITELIST = ("sim/rng.py", "txn/context.py")
 DET005_ENV_WHITELIST = ("cli.py", "config.py")
 
 #: Subpackages whose iteration order feeds event scheduling, message
-#: emission, or digests (DET003/DET006 set-sum scope).
+#: emission, or digests (DET003/DET006 set-sum scope). Footprint code
+#: is here because a footprint keeps its declared order in the input log.
 CRITICAL_PACKAGES = (
     "sim/", "net/", "sequencer/", "scheduler/", "paxos/", "faults/", "obs/",
-    "geo/", "reconfig/",
+    "geo/", "reconfig/", "workloads/", "txn/", "partition/",
 )
 
 #: Calls through which a set's iteration order escapes into an ordered

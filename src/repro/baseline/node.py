@@ -36,7 +36,6 @@ from repro.errors import ConfigError, NetworkError
 from repro.net.messages import ClientSubmit, TxnReply
 from repro.obs import NULL_RECORDER, SpanKind, TraceRecorder
 from repro.partition.catalog import Catalog, NodeId, node_address
-from repro.partition.partitioner import sort_token
 from repro.scheduler.lockmanager import LockMode
 from repro.sim.events import Event
 from repro.sim.resources import Resource
@@ -272,12 +271,14 @@ class BaselineNode:
         costs = self.config.costs
         ts = request.ts
         write_set = set(request.write_keys)
+        # Locks are taken one at a time, in repr order: the order decides
+        # who waits and who dies, so it must not follow hash order.
         requests: List[Tuple[Any, LockMode]] = [
-            (key, LockMode.WRITE) for key in sorted(write_set, key=sort_token)
+            (key, LockMode.WRITE) for key in sorted(write_set, key=repr)
         ]
         requests += [
             (key, LockMode.READ)
-            for key in sorted(set(request.read_keys) - write_set, key=sort_token)
+            for key in sorted(set(request.read_keys) - write_set, key=repr)
         ]
         lock_start = self.sim.now
         for key, mode in requests:

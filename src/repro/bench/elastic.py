@@ -24,7 +24,6 @@ from repro.config import ClusterConfig
 from repro.core.cluster import CalvinCluster
 from repro.core.traffic import ClientProfile
 from repro.errors import ConfigError
-from repro.partition.partitioner import sort_token
 from repro.reconfig import AutoscalePolicy, Autoscaler, ClusterAdmin
 from repro.workloads.microbenchmark import Microbenchmark
 
@@ -51,7 +50,7 @@ def shape_digest(cluster) -> str:
             ).encode()
         )
     state = cluster.final_state()
-    for key in sorted(state, key=sort_token):
+    for key in sorted(state, key=repr):
         digest.update(repr((key, state[key])).encode())
     admin = getattr(cluster, "reconfig_admin", None)
     if admin is not None:

@@ -34,8 +34,8 @@ def submit_spec(client: Any, spec: TxnSpec, restarts: int) -> Transaction:
     if spec.dependent:
         procedure = cluster.registry.get(spec.procedure)
         footprint = reconnoiter(procedure, cluster.analytics_read, spec.args)
-        read_set = footprint.read_set.union(read_set)
-        write_set = footprint.write_set.union(write_set)
+        read_set = (*footprint.read_set, *read_set)
+        write_set = (*footprint.write_set, *write_set)
         token = footprint.token
     txn = Transaction.create(
         cluster.next_txn_id(),

@@ -33,7 +33,7 @@ from repro.partition.catalog import (
     migration_route,
     node_address,
 )
-from repro.partition.partitioner import Key, Partitioner, warm_sort_tokens
+from repro.partition.partitioner import Key, Partitioner
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network, lan_topology, wan_topology
@@ -194,11 +194,9 @@ class Cluster(ABC):
 
     def load(self, data: Dict[Key, Any]) -> None:
         """Bulk-load initial records into every copy of every partition."""
-        # Hot paths sort key collections by cached sort token and route
-        # them by cached owner; warming the whole key universe here
-        # keeps both on the C-level cache-hit path from the first epoch
-        # on. Neither table keeps a key it is asked about later.
-        warm_sort_tokens(data)
+        # Routing finds each loaded key's owner in the catalog's cache
+        # from the first epoch on; the cache keeps no key it is asked
+        # about later.
         self.catalog.warm(data)
         per_partition: Dict[int, Dict[Key, Any]] = {}
         for key, value in data.items():

@@ -8,20 +8,20 @@ partitioners map record keys to partitions.
 
 from repro.partition.catalog import Catalog, NodeId, client_address, node_address
 from repro.partition.partitioner import (
+    FootprintKeys,
     FuncPartitioner,
     HashPartitioner,
     Partitioner,
-    SortedKeys,
     stable_hash,
 )
 
 __all__ = [
     "Catalog",
+    "FootprintKeys",
     "FuncPartitioner",
     "HashPartitioner",
     "NodeId",
     "Partitioner",
-    "SortedKeys",
     "client_address",
     "node_address",
     "stable_hash",

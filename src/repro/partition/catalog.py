@@ -67,7 +67,7 @@ def client_address(replica: int, client_index: int) -> Tuple[str, int, int]:
 
 
 # One partition's share of a footprint: ``(reads, writes, read_only)``,
-# each in sort-token order. ``(writes, read_only)`` is the lock plan:
+# each in footprint order. ``(writes, read_only)`` is the lock plan:
 # WRITE locks, then READ locks on the keys read but not written. A plain
 # tuple on purpose: one is retained per participant of every logged
 # transaction, and the cyclic GC stops tracking a plain tuple of key
@@ -76,7 +76,7 @@ Slice = Tuple[Tuple[Key, ...], Tuple[Key, ...], Tuple[Key, ...]]
 
 
 def split_slice(local: Slice, bucket_of: Callable[[Key], int]) -> Dict[int, Slice]:
-    """Cut ``local`` by ``bucket_of(key)``. Filtering keeps sort-token
+    """Cut ``local`` by ``bucket_of(key)``. Filtering keeps footprint
     order, so every piece is again a slice (and a valid lock plan)."""
     shared = local[0] is local[1]  # read_set == write_set: cut once, keep one tuple
     pieces: Dict[int, Tuple[List[Key], List[Key], List[Key]]] = {}
@@ -145,11 +145,11 @@ class Route(dict):
 class _PartitionCache(dict):
     """Memo of the partitioner (CRC32 over a repr per call, which used
     to dominate profiles) for the keys a load announced
-    (:meth:`Catalog.warm`). The sort-token table's policy
-    (:class:`~repro.partition.partitioner._SortTokens`): a miss is
-    computed and not kept, because a key no load announced (a TPC-C
-    order row) is typically routed once in its life, and keeping each
-    would grow the cache with the length of the run."""
+    (:meth:`Catalog.warm`). A miss is computed and not kept, because a
+    key no load announced (a TPC-C order row) is typically routed once
+    in its life, and keeping each would grow the cache with the length
+    of the run. The cache belongs to the catalog, so it dies with the
+    cluster."""
 
     __slots__ = ("_partition_of",)
 

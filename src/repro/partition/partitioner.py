@@ -8,7 +8,6 @@ clusters.
 
 from __future__ import annotations
 
-import sys
 import zlib
 from typing import Callable, Hashable, Tuple
 
@@ -22,44 +21,23 @@ def stable_hash(key: Key) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-class _SortTokens(dict):
-    """``repr`` of every key warmed at load, interned. A miss computes
-    its token and does not keep it: the table outlives every cluster in
-    the process, and a key no load announced (a TPC-C order row) is
-    typically sorted once in its life. The catalog's partition cache
-    (:class:`~repro.partition.catalog._PartitionCache`) follows the
-    same policy, warmed by the same load."""
+class FootprintKeys(tuple):
+    """Duplicate-free keys in the order the workload declared them: the
+    one stored form of a footprint (``TxnSpec`` / ``Transaction``
+    ``read_set`` and ``write_set``). The type is the proof of canonical
+    form — the constructor is the only way in, and it hands an instance
+    back as the same object — so the lock plan and the routing slices
+    iterate a footprint as it stands, and a resubmitted request is
+    re-checked by identity, not key by key. A hash set of the same keys
+    is built only where membership is asked, and dies with that call.
 
-    __slots__ = ()
-
-    def __missing__(self, key: Key) -> str:
-        return repr(key)
-
-
-_SORT_TOKENS = _SortTokens()
-
-#: ``repr(key)``, from the table when the key was warmed. Hot paths order
-#: key collections with ``sorted(keys, key=sort_token)`` — the
-#: process-stable order of ``sorted(keys, key=repr)`` (unlike salted
-#: ``hash``), through a C-level key function: hits and misses alike stay
-#: inside the one ``sorted`` pass, with no Python frame per element.
-sort_token: Callable[[Key], str] = _SORT_TOKENS.__getitem__
-
-
-def sorted_keys(keys) -> list:
-    """``sorted(keys, key=repr)`` through the token table."""
-    return sorted(keys, key=sort_token)
-
-
-class SortedKeys(tuple):
-    """Duplicate-free keys in sort-token order: the one stored form of a
-    footprint (``TxnSpec`` / ``Transaction`` ``read_set`` and
-    ``write_set``). The type is the proof of canonical form — the
-    constructor is the only way in, and it hands an instance back as
-    the same object — so the lock plan and the routing slices iterate a
-    footprint as it stands, and a resubmitted request is re-checked by
-    identity, not key by key. A hash set of the same keys is built only
-    where membership is asked, and dies with that call.
+    Declaration order rides the input log, so it must be the same in
+    every process: a sequence keeps its own order (first occurrence
+    wins), while a ``set`` or ``frozenset``, whose iteration order
+    follows the per-process salted ``hash``, is taken in ``repr`` order.
+    Which order one transaction's keys are in decides nothing in
+    Calvin: locks are granted in global sequence order, whatever order
+    each transaction requests its own keys in (paper Section 3.1).
     """
 
     __slots__ = ()
@@ -67,27 +45,21 @@ class SortedKeys(tuple):
     def __new__(cls, keys=()):
         if keys.__class__ is cls:
             return keys
-        return tuple.__new__(cls, sorted_keys(set(keys)))
+        if isinstance(keys, (set, frozenset)):
+            return tuple.__new__(cls, sorted(keys, key=repr))
+        return tuple.__new__(cls, dict.fromkeys(keys))
 
 
-def canonical_footprint(read_set, write_set) -> Tuple[SortedKeys, SortedKeys]:
+def canonical_footprint(read_set, write_set) -> Tuple[FootprintKeys, FootprintKeys]:
     """``(reads, writes)`` in canonical form, as *one object* when the
-    two hold the same keys: ``reads is writes`` is how the routing and
-    enforcement paths recognise a read-modify-write footprint."""
-    reads = SortedKeys(read_set)
+    two hold the same keys in the same order: ``reads is writes`` is how
+    the routing and enforcement paths recognise a read-modify-write
+    footprint."""
+    reads = FootprintKeys(read_set)
     if write_set is read_set:
         return reads, reads
-    writes = SortedKeys(write_set)
+    writes = FootprintKeys(write_set)
     return reads, (reads if writes == reads else writes)
-
-
-def warm_sort_tokens(keys) -> None:
-    """Precompute sort tokens for ``keys`` (a workload's key universe
-    at load time), so hot-path sorts find them in the table."""
-    tokens = _SORT_TOKENS
-    for key in keys:
-        if key not in tokens:
-            tokens[key] = sys.intern(repr(key))
 
 
 class Partitioner:

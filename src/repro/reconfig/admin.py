@@ -29,7 +29,6 @@ from repro.engines import features_of, require_all
 from repro.errors import ConfigError
 from repro.obs import CAT_NODE, SpanKind
 from repro.partition.catalog import MIGRATION_PROC, NodeId, node_address
-from repro.partition.partitioner import sort_token
 from repro.reconfig.plan import (
     KIND_JOIN,
     KIND_LEAVE,
@@ -123,8 +122,8 @@ class ClusterAdmin:
         with the same arguments would run right now.
 
         Pure: consumes no ids, arms nothing. The keys are the tail
-        ``fraction`` of the source store in stable sort order — the
-        same order the lock manager and the stores use everywhere else.
+        ``fraction`` of the source store in ``repr`` order, which is
+        the same in every process (``hash`` order is not).
         """
         return self._plan(
             source, fraction, dest, at_epoch, self._migration_counter + 1
@@ -148,9 +147,7 @@ class ClusterAdmin:
             dest = self._default_dest(source, origins)
         elif dest == source:
             raise ConfigError("split source and destination coincide")
-        keys = sorted(
-            self.cluster.node(0, source).store.keys(), key=sort_token
-        )
+        keys = sorted(self.cluster.node(0, source).store.keys(), key=repr)
         moving = keys[len(keys) - int(len(keys) * fraction):]
         if not moving:
             raise ConfigError(f"partition {source} has no keys to move")

@@ -23,8 +23,10 @@ Implementation notes (this is the scheduler's hottest data structure):
   request arriving promotes the marker to a real queue holding an
   equivalent granted request. Sole holders are always granted, so the
   promotion preserves the counter invariants.
-- Keys are ordered by :func:`sort_token` (cached interned reprs)
-  instead of ``sorted(..., key=repr)`` — same order, no repr per call.
+- Keys are requested in footprint order, unsorted. Which order one
+  transaction requests its own keys in cannot change a grant: every
+  queue is in sequence order, and ``release`` reports newly ready
+  transactions sorted by sequence.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulerError
-from repro.partition.partitioner import Key, sort_token
+from repro.partition.partitioner import Key
 from repro.txn.transaction import GlobalSeq, SequencedTxn
 
 
@@ -161,12 +163,10 @@ class DeterministicLockManager:
         if stxn.seq in self._txns:
             raise SchedulerError(f"duplicate lock acquisition for {stxn.seq}")
 
-        write_set = set(write_keys)
+        writes = dict.fromkeys(write_keys)
         # A key both read and written gets one WRITE lock.
         return self._acquire_requests(
-            stxn,
-            sorted(write_set, key=sort_token),
-            sorted(set(read_keys) - write_set, key=sort_token),
+            stxn, writes, [key for key in dict.fromkeys(read_keys) if key not in writes]
         )
 
     def acquire_plan(
@@ -175,13 +175,13 @@ class DeterministicLockManager:
         write_keys: Tuple[Key, ...],
         read_only_keys: Tuple[Key, ...],
     ) -> bool:
-        """:meth:`acquire` with the set algebra and sorting already done.
+        """:meth:`acquire` with the set algebra already done.
 
-        The arguments must be what acquire would build: write keys in
-        sort-token order, then read-*only* keys in sort-token order —
-        the ``writes`` and ``read_only`` parts of a routing
-        :data:`~repro.partition.catalog.Slice`, resolved once per
-        transaction instead of once per admission.
+        The arguments must be what acquire would build: the distinct
+        write keys, then the distinct read-*only* keys, each in
+        footprint order — the ``writes`` and ``read_only`` parts of a
+        routing :data:`~repro.partition.catalog.Slice`, resolved once
+        per transaction instead of once per admission.
         """
         if stxn.seq <= self._last_acquired:
             raise SchedulerError(

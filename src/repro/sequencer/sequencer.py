@@ -16,7 +16,6 @@ from repro.config import ClusterConfig
 from repro.net.messages import ClientSubmit, PrefetchRequest, ReplicaBatch, SubBatch
 from repro.obs import CAT_EPOCH, NULL_RECORDER, SpanKind, TraceRecorder
 from repro.partition.catalog import Catalog, NodeId, node_address
-from repro.partition.partitioner import sort_token
 from repro.sequencer.replication import ReplicationStrategy
 from repro.storage.inputlog import InputLog, LogEntry
 from repro.txn.transaction import SequencedTxn, Transaction
@@ -209,8 +208,9 @@ class Sequencer:
         # The sequencer applies the *policy* predicate for every key;
         # warmth of remote partitions is unknown here, so it is
         # conservative (its own engine's predicate is cluster policy).
+        # In repr order: prefetch messages and fetches go out in it.
         predicate = self.engine._cold_predicate
-        return [key for key in sorted(txn.all_keys(), key=sort_token) if predicate(key)]
+        return sorted((key for key in txn.all_keys() if predicate(key)), key=repr)
 
     def _defer_for_prefetch(self, txn: Transaction, cold_keys) -> None:
         self.txns_deferred += 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import StorageError
-from repro.partition.partitioner import Key, sort_token
+from repro.partition.partitioner import Key
 from repro.storage.kvstore import KVStore
 
 _TOMBSTONE = object()
@@ -106,8 +106,8 @@ class ZigZagCheckpointer:
             raise StorageError("checkpoint already in progress")
         self._active = True
         self._stable = {}
-        # Sorted walk order: deterministic and replica-identical.
-        self._pending = sorted(self.store.keys(), key=sort_token)
+        # repr walk order: the same in every process and every replica.
+        self._pending = sorted(self.store.keys(), key=repr)
         self._cursor = 0
         self._snapshot = CheckpointSnapshot(
             partition=self.partition, epoch=epoch, mode=self.mode, started_at=now

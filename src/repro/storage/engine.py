@@ -63,11 +63,14 @@ class StorageEngine:
         return self._cold_predicate(key) and key not in self.warm
 
     def cold_keys_of(self, keys: Iterable[Key]) -> List[Key]:
-        """The subset of ``keys`` that is currently disk resident."""
+        """The subset of ``keys`` that is currently disk resident, in
+        ``repr`` order: fetches are issued and admitted to the FIFO warm
+        cache in it, so eviction never depends on the order a footprint
+        declared its keys in."""
         if not self.disk_enabled:
             return []
         predicate, warm = self._cold_predicate, self.warm
-        return [key for key in keys if predicate(key) and key not in warm]
+        return sorted((key for key in keys if predicate(key) and key not in warm), key=repr)
 
     # -- access -------------------------------------------------------------
 

@@ -34,9 +34,9 @@ class TxnContext:
     ``reads`` is the collected snapshot and must be keyed by declared
     read keys only — every engine builds it from the route's read
     slices, absent rows included (value None) — because the footprint
-    is stored as sorted tuples (:class:`Transaction`), not hash sets,
-    and the snapshot doubles as the membership test: a hit is a
-    declared read, and only a miss scans the declared tuple. Writes
+    is stored as tuples in footprint order (:class:`Transaction`), not
+    hash sets, and the snapshot doubles as the membership test: a hit
+    is a declared read, and only a miss scans the declared tuple. Writes
     are checked against the same snapshot when the footprint is one
     read-modify-write set, else against a set that lives as long as
     this context.

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, FrozenSet, Tuple
+from typing import Any, Callable, Tuple
 
 from repro.errors import ConfigError, FootprintViolation, TransactionAborted
-from repro.partition.partitioner import Key
+from repro.partition.partitioner import FootprintKeys, Key, canonical_footprint
 from repro.txn.procedures import Procedure
 from repro.txn.result import TxnStatus
 
@@ -35,10 +35,11 @@ MAX_RESTARTS = 10
 
 @dataclass(frozen=True)
 class Footprint:
-    """The result of a reconnaissance pass."""
+    """The result of a reconnaissance pass, in the stored form of a
+    transaction's footprint (:class:`FootprintKeys`, declaration order)."""
 
-    read_set: FrozenSet[Key]
-    write_set: FrozenSet[Key]
+    read_set: FootprintKeys
+    write_set: FootprintKeys
     # Evidence for the recheck, e.g. the counter values the footprint
     # was derived from. Must be picklable/plain data: it rides in the
     # replicated input log.
@@ -46,7 +47,7 @@ class Footprint:
 
     @staticmethod
     def create(read_set, write_set, token: Any = None) -> "Footprint":
-        return Footprint(frozenset(read_set), frozenset(write_set), token)
+        return Footprint(*canonical_footprint(read_set, write_set), token)
 
 
 def reconnoiter(procedure: Procedure, read_fn: ReadFn, args: Any) -> Footprint:

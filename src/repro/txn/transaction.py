@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import Any, NamedTuple, Set, Tuple
 
-from repro.partition.partitioner import Key, SortedKeys, canonical_footprint
+from repro.partition.partitioner import FootprintKeys, Key, canonical_footprint
 
 # Global sequence number: (epoch, origin_partition, index within batch).
 # Tuple comparison gives exactly Calvin's interleaving rule — all batches
@@ -28,8 +28,8 @@ class _TransactionSlots:
     txn_id: int
     procedure: str
     args: Any
-    read_set: SortedKeys
-    write_set: SortedKeys
+    read_set: FootprintKeys
+    write_set: FootprintKeys
     origin_partition: int = 0
     client: Any = None
     dependent: bool = False
@@ -50,12 +50,13 @@ class Transaction(_TransactionSlots):
     ``read_set``/``write_set`` are the keys the logic may touch; Calvin
     sequences and locks from these alone, so executing outside them is a
     :class:`~repro.errors.FootprintViolation`. Each is stored once, as a
-    :class:`~repro.partition.partitioner.SortedKeys` — a duplicate-free
-    tuple in sort-token order, which is the order lock plans, routing
-    slices and procedure loops want — and the two are *one object* when
-    they hold the same keys. Every sequenced transaction stays in the
-    input log, so this is what a transaction costs for good; nothing
-    keeps a hash set of a footprint (docs/performance.md, "Memory").
+    :class:`~repro.partition.partitioner.FootprintKeys` — a duplicate-free
+    tuple in the order the workload declared the keys, which lock
+    plans, routing slices and procedure loops iterate as it stands — and
+    the two are *one object* when they hold the same keys. Every
+    sequenced transaction stays in the input log, so this is what a
+    transaction costs for good; nothing keeps a hash set of a footprint
+    (docs/performance.md, "Memory").
     ``footprint_token`` carries the reconnaissance evidence for
     dependent (OLLP) transactions.
 
@@ -102,8 +103,8 @@ class Transaction(_TransactionSlots):
     ) -> "Transaction":
         """Build a transaction. A footprint that is already canonical
         (a spec's, on every submit and retry) is taken as it stands;
-        raw iterables are deduplicated, ordered and shared here."""
-        if read_set.__class__ is not SortedKeys or write_set.__class__ is not SortedKeys:
+        raw iterables are deduplicated and shared here."""
+        if read_set.__class__ is not FootprintKeys or write_set.__class__ is not FootprintKeys:
             read_set, write_set = canonical_footprint(read_set, write_set)
         txn = _TransactionSlots(
             txn_id,

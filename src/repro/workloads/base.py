@@ -13,9 +13,9 @@ from typing import Any, Callable, Dict, NamedTuple, Optional
 
 from repro.partition.catalog import Catalog
 from repro.partition.partitioner import (
+    FootprintKeys,
     Key,
     Partitioner,
-    SortedKeys,
     canonical_footprint,
 )
 from repro.txn.procedures import ProcedureRegistry
@@ -26,17 +26,17 @@ class TxnSpec(NamedTuple):
 
     The footprint is already in the stored form of
     :class:`~repro.txn.transaction.Transaction` — canonical
-    :class:`~repro.partition.partitioner.SortedKeys`, one object when
+    :class:`~repro.partition.partitioner.FootprintKeys`, one object when
     reads and writes coincide — so every submit and retry of the spec
     hands the same two tuples through. :meth:`create` canonicalises raw
-    iterables; a generator that builds ``SortedKeys`` itself may call
-    the constructor directly.
+    iterables, keeping the order a sequence declares; a generator that
+    builds ``FootprintKeys`` itself may call the constructor directly.
     """
 
     procedure: str
     args: Any
-    read_set: SortedKeys
-    write_set: SortedKeys
+    read_set: FootprintKeys
+    write_set: FootprintKeys
     dependent: bool = False
 
     @staticmethod

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import FuncPartitioner, Key, Partitioner, SortedKeys
+from repro.partition.partitioner import FootprintKeys, FuncPartitioner, Key, Partitioner
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.workloads.base import TxnSpec, Workload
 
@@ -163,5 +163,5 @@ class Microbenchmark(Workload):
             # Swap the last cold access for an archive (disk-tier) record.
             keys[-1] = arch[origin_partition][rng.randrange(self.archive_set_size)]
 
-        footprint = SortedKeys(keys)
+        footprint = FootprintKeys(keys)
         return TxnSpec("micro", None, read_set=footprint, write_set=footprint)

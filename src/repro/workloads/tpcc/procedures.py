@@ -139,12 +139,12 @@ def _chosen_customer(ids: Tuple[int, ...]) -> int:
 def payment_by_name_reconnoiter(read_fn: ReadFn, args: Dict) -> Footprint:
     index_key = keys.customer_name_index(args["c_w"], args["c_d"], args["last"])
     ids = read_fn(index_key) or ()
-    reads = {keys.warehouse(args["w"]), keys.district(args["w"], args["d"]), index_key}
-    writes = {keys.warehouse(args["w"]), keys.district(args["w"], args["d"])}
+    reads = [keys.warehouse(args["w"]), keys.district(args["w"], args["d"]), index_key]
+    writes = reads[:2]
     if ids:
         customer_key = keys.customer(args["c_w"], args["c_d"], _chosen_customer(ids))
-        reads.add(customer_key)
-        writes.add(customer_key)
+        reads.append(customer_key)
+        writes.append(customer_key)
     return Footprint.create(reads, writes, token=tuple(ids))
 
 
@@ -174,11 +174,11 @@ def order_status_reconnoiter(read_fn: ReadFn, args: Dict) -> Footprint:
     w, d, c = args["w"], args["d"], args["c"]
     pointer_key = keys.customer_last_order(w, d, c)
     pointer = read_fn(pointer_key)
-    reads = {keys.customer(w, d, c), pointer_key}
+    reads = [keys.customer(w, d, c), pointer_key]
     if pointer is not None:
         o_id, ol_cnt = pointer
-        reads.add(keys.order(w, d, o_id))
-        reads.update(keys.order_line(w, d, o_id, n) for n in range(ol_cnt))
+        reads.append(keys.order(w, d, o_id))
+        reads += (keys.order_line(w, d, o_id, n) for n in range(ol_cnt))
     return Footprint.create(reads, (), token=pointer)
 
 
@@ -221,18 +221,17 @@ def order_status_by_name_reconnoiter(read_fn: ReadFn, args: Dict) -> Footprint:
     w, d = args["w"], args["d"]
     index_key = keys.customer_name_index(w, d, args["last"])
     ids = read_fn(index_key) or ()
-    reads = {index_key}
+    reads = [index_key]
     pointer = None
     if ids:
         c = _chosen_customer(ids)
         pointer_key = keys.customer_last_order(w, d, c)
         pointer = read_fn(pointer_key)
-        reads.add(keys.customer(w, d, c))
-        reads.add(pointer_key)
+        reads += (keys.customer(w, d, c), pointer_key)
         if pointer is not None:
             o_id, ol_cnt = pointer
-            reads.add(keys.order(w, d, o_id))
-            reads.update(keys.order_line(w, d, o_id, n) for n in range(ol_cnt))
+            reads.append(keys.order(w, d, o_id))
+            reads += (keys.order_line(w, d, o_id, n) for n in range(ol_cnt))
     return Footprint.create(reads, (), token=(tuple(ids), pointer))
 
 
@@ -265,10 +264,10 @@ def order_status_by_name_logic(ctx: TxnContext) -> Dict:
 
 def delivery_reconnoiter(read_fn: ReadFn, args: Dict) -> Footprint:
     w, districts = args["w"], args["districts"]
-    reads, writes, heads = set(), set(), []
+    reads, writes, heads = [], [], []
     for d in range(districts):
         district_key = keys.district(w, d)
-        reads.add(district_key)
+        reads.append(district_key)
         district = read_fn(district_key)
         queue = district["undelivered"] if district else ()
         if not queue:
@@ -280,20 +279,16 @@ def delivery_reconnoiter(read_fn: ReadFn, args: Dict) -> Footprint:
             # in delivery_recheck restarts the transaction.
             heads.append(None)
             continue
-        writes.add(district_key)
+        writes.append(district_key)
         o_id, ol_cnt = queue[0]
         heads.append((o_id, ol_cnt))
         order_key = keys.order(w, d, o_id)
-        reads.add(order_key)
-        writes.add(order_key)
         order = read_fn(order_key)
         customer_key = keys.customer(w, d, order["c_id"] if order else 0)
-        reads.add(customer_key)
-        writes.add(customer_key)
-        for n in range(ol_cnt):
-            line_key = keys.order_line(w, d, o_id, n)
-            reads.add(line_key)
-            writes.add(line_key)
+        rows = [order_key, customer_key]
+        rows += (keys.order_line(w, d, o_id, n) for n in range(ol_cnt))
+        reads += rows
+        writes += rows
     return Footprint.create(reads, writes, token=tuple(heads))
 
 
@@ -354,14 +349,14 @@ def stock_level_reconnoiter(read_fn: ReadFn, args: Dict) -> Footprint:
     district_key = keys.district(w, d)
     district = read_fn(district_key)
     recent = district["recent"] if district else ()
-    reads = {district_key}
+    reads = [district_key]
     for o_id, ol_cnt in recent:
         for n in range(ol_cnt):
             line_key = keys.order_line(w, d, o_id, n)
-            reads.add(line_key)
+            reads.append(line_key)
             line = read_fn(line_key)
             if line is not None:
-                reads.add(keys.stock(line["supply_w"], line["i_id"]))
+                reads.append(keys.stock(line["supply_w"], line["i_id"]))
     return Footprint.create(reads, (), token=recent)
 
 

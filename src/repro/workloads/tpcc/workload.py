@@ -53,7 +53,7 @@ class TpccWorkload(Workload):
             raise ConfigError("TPC-C mix weights must sum to a positive value")
         unknown = set(mix) - set(DEFAULT_MIX)
         if unknown:
-            raise ConfigError(f"unknown TPC-C transaction types in mix: {unknown}")
+            raise ConfigError(f"unknown TPC-C transaction types in mix: {sorted(unknown)}")
         self.mix = {name: weight / total for name, weight in mix.items()}
         # Type names and the running sums of their weights, for _pick_type.
         self._mix_names = tuple(self.mix)
@@ -153,9 +153,9 @@ class TpccWorkload(Workload):
             total_warehouses
         )
         district_key = districts[w][d]
-        reads = {warehouses[w], district_key, customers[w][d][c]}
-        writes = {district_key, keys.order(w, d, o_id),
-                  keys.customer_last_order(w, d, c)}
+        reads = [warehouses[w], district_key, customers[w][d][c]]
+        writes = [district_key, keys.order(w, d, o_id),
+                  keys.customer_last_order(w, d, c)]
         for number, (item_id, supply_w, qty) in enumerate(lines):
             if item_id < 0:  # the unused item: no loaded row, no table entry
                 item_key = keys.item(w, item_id)
@@ -163,10 +163,8 @@ class TpccWorkload(Workload):
             else:
                 item_key = items[w][item_id]
                 stock_key = stocks[supply_w][item_id]
-            reads.add(item_key)
-            reads.add(stock_key)
-            writes.add(stock_key)
-            writes.add(keys.order_line(w, d, o_id, number))
+            reads += (item_key, stock_key)
+            writes += (stock_key, keys.order_line(w, d, o_id, number))
         args = {"w": w, "d": d, "c": c, "o_id": o_id, "lines": lines}
         return TxnSpec.create("new_order", args, reads, writes)
 
@@ -193,7 +191,7 @@ class TpccWorkload(Workload):
         warehouses, districts, customers, _items, _stocks = self._key_tables(
             total_warehouses
         )
-        footprint = {warehouses[w], districts[w][d], customers[c_w][c_d][c]}
+        footprint = (warehouses[w], districts[w][d], customers[c_w][c_d][c])
         return TxnSpec.create("payment", args, footprint, footprint)
 
     def _order_status(self, rng: random.Random, w: int) -> TxnSpec:

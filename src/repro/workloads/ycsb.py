@@ -17,7 +17,7 @@ from typing import Any, Dict, List
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import FuncPartitioner, Key, Partitioner, SortedKeys
+from repro.partition.partitioner import FootprintKeys, FuncPartitioner, Key, Partitioner
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.workloads.base import TxnSpec, Workload
 
@@ -116,9 +116,9 @@ class YcsbWorkload(Workload):
         }
 
     def _draw_keys(self, rng: random.Random, partition: int, count: int) -> List[Key]:
-        keys = set()
+        keys: Dict[Key, None] = {}  # insertion-ordered: draw order, not hash order
         while len(keys) < count:
-            keys.add(("ycsb", partition, self._zipf.sample(rng)))
+            keys[("ycsb", partition, self._zipf.sample(rng))] = None
         return list(keys)
 
     def generate(
@@ -136,7 +136,7 @@ class YcsbWorkload(Workload):
             keys += self._draw_keys(rng, partner, self.keys_per_txn // 2)
         else:
             keys = self._draw_keys(rng, origin_partition, self.keys_per_txn)
-        footprint = SortedKeys(keys)
+        footprint = FootprintKeys(keys)
         if rng.random() < self.read_fraction:
-            return TxnSpec("ycsb_read", None, footprint, SortedKeys())
+            return TxnSpec("ycsb_read", None, footprint, FootprintKeys())
         return TxnSpec("ycsb_update", None, footprint, footprint)

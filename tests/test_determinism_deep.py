@@ -1,5 +1,9 @@
 """Deep determinism: identical runs are identical at the event level."""
 
+import os
+import subprocess
+import sys
+
 from repro import (
     CalvinCluster,
     ClientProfile,
@@ -119,3 +123,61 @@ class TestFaultedRunEquivalence:
         empty = build_and_run_replicated(fault_plan=FaultPlan(name="empty"))
         assert clean.replica_fingerprints() == empty.replica_fingerprints()
         assert clean.merged_log() == empty.merged_log()
+
+
+# Run in a fresh interpreter per hash seed: prints one line per workload
+# with everything a footprint's key order could leak into.
+_HASH_SEED_RUN = """
+import hashlib
+from repro import (CalvinCluster, ClientProfile, ClusterConfig, TpccWorkload,
+                   YcsbWorkload)
+from repro.obs import TraceRecorder
+from repro.storage.recovery import fingerprint_data
+
+workloads = {
+    "tpcc": TpccWorkload(),  # default mix: dependent (OLLP) types included
+    "ycsb": YcsbWorkload(records_per_partition=200, keys_per_txn=4, mp_fraction=0.5),
+}
+for name, workload in workloads.items():
+    tracer = TraceRecorder()
+    cluster = CalvinCluster(ClusterConfig(num_partitions=2, seed=21),
+                            workload=workload, tracer=tracer)
+    cluster.load_workload_data()
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=8))
+    cluster.run(duration=0.2)
+    cluster.quiesce()
+    footprints = hashlib.sha256()
+    logged = 0
+    for entry in cluster.merged_log():
+        for txn in entry.txns:
+            footprints.update(repr((txn.txn_id, txn.read_set, txn.write_set)).encode())
+            logged += 1
+    dependent = sum(txn.dependent for entry in cluster.merged_log() for txn in entry.txns)
+    print(name, tracer.digest(), fingerprint_data(cluster.final_state()),
+          footprints.hexdigest(), logged, dependent)
+"""
+
+
+class TestAcrossHashSeeds:
+    def test_two_hash_seeds_run_identically(self):
+        """A footprint keeps its declared order in the input log, so no
+        declaration may follow the salted ``hash``: under two
+        PYTHONHASHSEED values the same seed gives the same trace, final
+        state and logged footprints, key by key."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            done = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_RUN],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        rows = [line.split() for line in outputs[0].splitlines()]
+        assert [row[0] for row in rows] == ["tpcc", "ycsb"]
+        assert all(int(row[4]) > 20 for row in rows)  # transactions logged
+        assert int(rows[0][5]) > 0                   # dependent TPC-C types ran

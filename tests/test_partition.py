@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import CalvinCluster, ClientProfile, TpccWorkload
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.partition import (
@@ -13,12 +12,6 @@ from repro.partition import (
     client_address,
     node_address,
     stable_hash,
-)
-from repro.partition.partitioner import (
-    _SORT_TOKENS,
-    sort_token,
-    sorted_keys,
-    warm_sort_tokens,
 )
 
 
@@ -114,41 +107,6 @@ class TestCatalog:
         # computed each time it is asked about and never kept.
         assert calls == keys + late + late
         assert len(catalog._partition_cache) == len(keys)
-
-
-class TestSortTokens:
-    """Key order is ``sorted(keys, key=repr)``; the process-wide token
-    table only ever holds keys that a load warmed."""
-
-    WARM = [("warm", i) for i in range(30)]
-    COLD = [("cold", i, "x") for i in range(30)] + [("warm", 1000), ("a",), 7, "s"]
-
-    @pytest.fixture(autouse=True)
-    def warmed(self):
-        warm_sort_tokens(self.WARM)
-
-    @pytest.mark.parametrize("pick", ["hit", "miss", "mixed"])
-    def test_order_is_repr_order(self, pick):
-        keys = {"hit": self.WARM, "miss": self.COLD, "mixed": self.WARM + self.COLD}[pick]
-        keys = keys[::-1]
-        size = len(_SORT_TOKENS)
-        assert sorted_keys(keys) == sorted(keys, key=repr)
-        assert sorted_keys(iter(keys)) == sorted(keys, key=repr)
-        assert sorted(keys, key=sort_token) == sorted(keys, key=repr)
-        assert [sort_token(key) for key in keys] == [repr(key) for key in keys]
-        assert len(_SORT_TOKENS) == size                    # a miss is not kept
-
-    def test_a_tpcc_window_leaves_the_table_as_load_left_it(self):
-        cluster = CalvinCluster(
-            ClusterConfig(num_partitions=2, seed=5),
-            workload=TpccWorkload(mix={"new_order": 1.0}),
-        )
-        cluster.load_workload_data()
-        size = len(_SORT_TOKENS)
-        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
-        cluster.run(duration=0.3)
-        assert cluster.metrics.committed >= 40      # each created ~12 new keys
-        assert len(_SORT_TOKENS) == size
 
 
 class TestAddresses:

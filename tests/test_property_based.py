@@ -15,7 +15,7 @@ from repro import (
     TxnSpec,
     check_serializability,
 )
-from repro.partition import SortedKeys
+from repro.partition import FootprintKeys
 from repro.scheduler import DeterministicLockManager
 from repro.sim import Network, Simulator, wan_topology
 from repro.storage import KVStore, ZigZagCheckpointer
@@ -75,6 +75,78 @@ def test_lock_manager_grants_all_eventually_in_order(footprints):
     assert manager.active_txns == 0
 
 
+def _grant_schedule(batch, steps, rng, via_plan=True):
+    """Run ``batch`` through one lock manager with each transaction's
+    keys requested in an ``rng``-drawn order: acquire in sequence order,
+    interleaved by ``steps`` with releases of the earliest ready
+    transaction. Returns everything a grant decision can show."""
+    ready = []
+    manager = DeterministicLockManager(ready.append)
+    pending = [
+        SequencedTxn((0, 0, index), Transaction.create(index + 1, "p", None, reads, writes))
+        for index, (reads, writes) in enumerate(batch)
+    ]
+    pending.reverse()
+    released = set()
+
+    def acquire():
+        stxn = pending.pop()
+        reads, writes = list(stxn.txn.read_set), list(stxn.txn.write_set)
+        if via_plan:
+            read_only = [key for key in reads if key not in writes]
+            rng.shuffle(writes)
+            rng.shuffle(read_only)
+            manager.acquire_plan(stxn, tuple(writes), tuple(read_only))
+        else:  # the raw footprint: acquire() does the set algebra
+            rng.shuffle(reads)
+            rng.shuffle(writes)
+            manager.acquire(stxn, reads, writes)
+
+    for release_first in itertools.chain(steps, itertools.repeat(True)):
+        waiting = [stxn for stxn in ready if stxn.seq not in released]
+        if waiting and (release_first or not pending):
+            earliest = min(waiting)
+            released.add(earliest.seq)
+            manager.release(earliest)
+        elif pending:
+            acquire()
+        else:
+            break
+    assert len(released) == len(batch)
+    assert manager.active_txns == 0 and manager.queued_requests == 0
+    assert not manager._queues
+    return [stxn.seq for stxn in ready], manager.grants, manager.immediate_grants
+
+
+# Three keys: most transactions share one, so sole-holder markers get
+# promoted and queues of readers and writers form.
+lock_batches = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(KEYS[:3]), max_size=3, unique=True),  # reads
+        st.lists(st.sampled_from(KEYS[:3]), max_size=3, unique=True),  # writes
+    ).filter(lambda rw: rw[0] or rw[1]),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(
+    lock_batches,
+    st.lists(st.booleans(), max_size=30),
+    st.randoms(use_true_random=False),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_grants_ignore_the_order_a_transaction_requests_its_keys_in(batch, steps, rng_a, rng_b):
+    """Footprints are stored in declared order, not sorted: sound only
+    because the order of one transaction's lock requests cannot move a
+    grant. Two independent key permutations, and the raw acquire(),
+    give one ready sequence, one grant count, one immediate-grant count."""
+    first = _grant_schedule(batch, steps, rng_a)
+    assert _grant_schedule(batch, steps, rng_b) == first
+    assert _grant_schedule(batch, steps, rng_b, via_plan=False) == first
+
+
 # ---------------------------------------------------------------------------
 # Footprints: one canonical, stored-once form
 # ---------------------------------------------------------------------------
@@ -88,41 +160,51 @@ key_lists = st.lists(footprint_keys, max_size=12)
 
 
 def _canonical(keys):
-    return tuple(sorted(set(keys), key=repr))
+    return tuple(dict.fromkeys(keys))
 
 
 @given(key_lists, key_lists, st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_footprint_has_one_canonical_form(reads, writes, rng):
-    """Whatever iterable, order or multiplicity a footprint arrives in,
-    the stored value is the duplicate-free sort-token-ordered tuple."""
+    """Whatever iterable or multiplicity a footprint arrives in, the
+    stored value is the duplicate-free tuple in declared order (first
+    occurrence wins); an unordered set is taken in repr order."""
     txn = Transaction.create(1, "p", None, reads, writes)
     spec = TxnSpec.create("p", None, reads, writes)
     for record in (txn, spec):
-        assert type(record.read_set) is type(record.write_set) is SortedKeys
+        assert type(record.read_set) is type(record.write_set) is FootprintKeys
         assert record.read_set == _canonical(reads)
         assert record.write_set == _canonical(writes)
         # Equal footprints are one object, unequal ones are not.
-        assert (record.write_set is record.read_set) == (set(reads) == set(writes))
+        assert (record.write_set is record.read_set) == (_canonical(reads) == _canonical(writes))
 
-    def disordered(keys):
-        keys = keys + keys[: len(keys) // 2]
-        rng.shuffle(keys)
-        return iter(keys)
+    def repeated(keys):
+        # Repeats after the first occurrences move nothing.
+        again = keys[: len(keys) // 2]
+        rng.shuffle(again)
+        return iter(keys + again)
 
-    again = Transaction.create(1, "p", None, disordered(reads), disordered(writes))
+    again = Transaction.create(1, "p", None, repeated(reads), repeated(writes))
     assert again == txn and hash(again) == hash(txn) and repr(again) == repr(txn)
-    assert TxnSpec.create("p", None, disordered(reads), disordered(writes)) == spec
+    assert TxnSpec.create("p", None, repeated(reads), repeated(writes)) == spec
+
+    # A set has no declared order, and its iteration order follows the
+    # salted hash: whatever order it was filled in, repr order is stored.
+    shuffled = list(reads)
+    rng.shuffle(shuffled)
+    unordered = Transaction.create(1, "p", None, set(reads), frozenset(shuffled))
+    assert unordered.read_set == tuple(sorted(set(reads), key=repr))
+    assert unordered.write_set is unordered.read_set
 
     # Already canonical: taken as it stands, by identity (the retry
     # path: every resubmission of a spec shares the spec's two tuples).
-    assert SortedKeys(txn.read_set) is txn.read_set
+    assert FootprintKeys(txn.read_set) is txn.read_set
     retry = Transaction.create(2, "p", None, spec.read_set, spec.write_set, restarts=1)
     assert retry.read_set is spec.read_set and retry.write_set is spec.write_set
 
     clone = pickle.loads(pickle.dumps(txn))
     assert type(clone) is Transaction and clone == txn
-    assert type(clone.read_set) is type(clone.write_set) is SortedKeys
+    assert type(clone.read_set) is type(clone.write_set) is FootprintKeys
     assert (clone.write_set is clone.read_set) == (txn.write_set is txn.read_set)
     try:
         clone.read_set = ()

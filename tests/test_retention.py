@@ -15,7 +15,7 @@ import gc
 import tracemalloc
 
 from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
-from repro.partition import SortedKeys
+from repro.partition import FootprintKeys
 
 # Measured in this shape: 720 B on CPython 3.11 (1 456 B with the
 # frozenset and the sorted-tuple memo this replaced).
@@ -81,7 +81,7 @@ def test_a_logged_transaction_keeps_no_hash_set_of_its_footprint():
     logged = _logged(cluster)
     assert len(logged) > 100
     for txn in logged:
-        assert type(txn.read_set) is type(txn.write_set) is SortedKeys
+        assert type(txn.read_set) is type(txn.write_set) is FootprintKeys
         assert txn.write_set is txn.read_set  # read-modify-write: one object
         fields = [getattr(txn, f.name) for f in dataclasses.fields(txn) if f.init]
         assert not any(

@@ -115,12 +115,13 @@ class TestSimulatedDisk:
 
 
 class TestStorageEngine:
-    def make_engine(self, disk_enabled=True):
+    def make_engine(self, disk_enabled=True, jitter=0.0, warm_capacity=None):
         sim = Simulator()
         engine = StorageEngine(
-            sim, 0, CostModel(disk_latency_jitter=0.0), RngStreams(1).stream("d"),
+            sim, 0, CostModel(disk_latency_jitter=jitter), RngStreams(1).stream("d"),
             disk_enabled=disk_enabled,
             cold_predicate=lambda key: key[0] == "arch",
+            warm_capacity=warm_capacity,
         )
         return sim, engine
 
@@ -143,6 +144,24 @@ class TestStorageEngine:
         _sim, engine = self.make_engine()
         keys = [("arch", 1), ("hot", 2), ("arch", 3)]
         assert engine.cold_keys_of(keys) == [("arch", 1), ("arch", 3)]
+
+    def test_cold_keys_are_fetched_and_admitted_in_repr_order(self):
+        # A footprint keeps its declared order, but the disk must not:
+        # fetch order decides the latency draws, completion order the
+        # FIFO warm cache's evictions.
+        outcomes = []
+        for declared in ([("arch", 10), ("arch", 9)], [("arch", 9), ("arch", 10)]):
+            sim, engine = self.make_engine(jitter=0.004, warm_capacity=1)
+            cold = engine.cold_keys_of(declared)
+            admitted = []
+            for key in cold:
+                engine.fetch(key).add_callback(lambda _event, key=key: admitted.append(key))
+            sim.run()
+            warm = [key for key in cold if key in engine.warm]
+            outcomes.append((cold, admitted, warm, sim.now))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [("arch", 10), ("arch", 9)]  # repr order
+        assert len(outcomes[0][2]) == 1                        # one evicted
 
     def test_expected_latency_error(self):
         _sim, engine = self.make_engine()

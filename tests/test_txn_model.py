@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigError, FootprintViolation, TransactionAborted
-from repro.partition import Catalog, FuncPartitioner, SortedKeys
+from repro.partition import Catalog, FootprintKeys, FuncPartitioner
 from repro.txn import (
     DELETED,
     Footprint,
@@ -41,11 +41,17 @@ def make_txn(read_set, write_set, txn_id=1, dependent=False, token=None):
 
 class TestTransaction:
     def test_footprint_normalized(self):
+        # A sequence keeps its declared order, first occurrence winning;
+        # a set has none (hash order is salted), so it is taken in repr
+        # order.
         txn = make_txn([("k", 1), ("k", 0), ("k", 1)], [("k", 1)])
-        assert type(txn.read_set) is SortedKeys
-        assert txn.read_set == (("k", 0), ("k", 1))
+        assert type(txn.read_set) is FootprintKeys
+        assert txn.read_set == (("k", 1), ("k", 0))
         assert txn.write_set == (("k", 1),)
         assert txn.all_keys() == {("k", 0), ("k", 1)}
+        unordered = make_txn({("k", 10), ("k", 9), ("k", 2)}, frozenset())
+        assert unordered.read_set == (("k", 10), ("k", 2), ("k", 9))
+        assert unordered.write_set == ()
 
 
 class TestRoute:
@@ -223,7 +229,7 @@ class TestReadOnlyRecords:
         clone = pickle.loads(pickle.dumps(txn))
         assert type(clone) is Transaction
         assert clone == txn
-        assert type(clone.read_set) is type(clone.write_set) is SortedKeys
+        assert type(clone.read_set) is type(clone.write_set) is FootprintKeys
         with pytest.raises(dataclasses.FrozenInstanceError):
             clone.txn_id = 5
 
@@ -359,8 +365,8 @@ class TestOllp:
     def test_reconnoiter_builds_footprint(self):
         proc = self.make_dependent()
         footprint = reconnoiter(proc, lambda key: "target", None)
-        assert footprint.read_set == {"pointer", "target"}
-        assert footprint.write_set == {"target"}
+        assert footprint.read_set == ("pointer", "target")  # a set: repr order
+        assert footprint.write_set == ("target",)
         assert footprint.token == "target"
 
     def test_reconnoiter_on_independent_rejected(self):
@@ -379,14 +385,15 @@ class TestOllp:
 
     def test_create_normalizes_iterables(self):
         # Reconnaissance code builds sets, lists, generators — create()
-        # freezes them all the same way.
+        # stores them all as a transaction does, ready to be sequenced.
         footprint = Footprint.create(
-            ["a", "b", "a"], (key for key in ("b",))
+            ["b", "a", "b"], (key for key in ("b",))
         )
-        assert footprint.read_set == frozenset({"a", "b"})
-        assert footprint.write_set == frozenset({"b"})
-        assert isinstance(footprint.read_set, frozenset)
-        assert isinstance(footprint.write_set, frozenset)
+        assert footprint.read_set == ("b", "a")
+        assert footprint.write_set == ("b",)
+        assert type(footprint.read_set) is type(footprint.write_set) is FootprintKeys
+        shared = Footprint.create(["a", "b"], ["a", "b"])
+        assert shared.write_set is shared.read_set
 
     def test_footprint_token_pickle_round_trip(self):
         # The token rides in the replicated input log, so it must

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import TxnSpec, Workload
-from repro.partition import SortedKeys
+from repro.partition import FootprintKeys
 
 
 class TestWorkloadBase:
@@ -29,7 +29,7 @@ class TestTxnSpec:
         spec = TxnSpec.create("p", None, ["a", "a", "b"], ["b"])
         assert spec.read_set == ("a", "b")
         assert spec.write_set == ("b",)
-        assert type(spec.read_set) is type(spec.write_set) is SortedKeys
+        assert type(spec.read_set) is type(spec.write_set) is FootprintKeys
         assert not spec.dependent
 
     def test_specs_hashable_and_comparable(self):
