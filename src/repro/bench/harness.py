@@ -89,11 +89,6 @@ class LockStatsSampler:
             return 0.0
         return sum(s[1] for s in self.samples) / len(self.samples)
 
-    def mean_queued(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s[2] for s in self.samples) / len(self.samples)
-
     def peak_queued(self) -> int:
         return max((s[2] for s in self.samples), default=0)
 

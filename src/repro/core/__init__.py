@@ -11,22 +11,21 @@ from repro.core.checkers import (
     check_serializability,
     reference_execution,
 )
-from repro.core.clients import ClosedLoopClient
+from repro.core.clients import Client
 from repro.core.cluster import CalvinCluster, Cluster
 from repro.core.metrics import Metrics, RunReport
 from repro.core.node import CalvinNode
-from repro.core.traffic import AdmissionController, ClientProfile, OpenLoopClient
+from repro.core.traffic import AdmissionController, ClientProfile
 
 __all__ = [
     "AdmissionController",
     "CalvinCluster",
     "CalvinDB",
     "CalvinNode",
+    "Client",
     "ClientProfile",
-    "ClosedLoopClient",
     "Cluster",
     "Metrics",
-    "OpenLoopClient",
     "RunReport",
     "TxnHandle",
     "check_conflict_order",

@@ -1,185 +1,250 @@
-"""Closed-loop benchmark clients.
+"""Benchmark clients.
 
-Each client keeps exactly one transaction outstanding against its local
-node (replica 0), matching how the paper saturates the system. Dependent
-transactions go through OLLP reconnaissance before submission and are
-re-reconnoitered and resubmitted when the execution-time recheck reports
-a stale footprint.
+One :class:`Client` class serves both client models a
+:class:`~repro.core.traffic.ClientProfile` describes. A *closed* client
+keeps exactly one request outstanding against its local node (replica
+0), matching how the paper saturates the system; an *open* client
+starts requests on an arrival process whether or not earlier ones have
+finished, so offered load is an independent variable. Everything else
+is one path: dependent transactions go through OLLP reconnaissance
+before submission, RESTART outcomes are resubmitted under the engine's
+``max_restarts`` and ``retry_backoff``, and admission rejections are
+resubmitted or given up by the same rule.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Dict, TYPE_CHECKING
 
 from repro.net.messages import ClientSubmit, TxnReply
 from repro.partition.catalog import NodeId, client_address, node_address
-from repro.txn.ollp import MAX_RESTARTS, reconnoiter
+from repro.txn.ollp import reconnoiter
 from repro.txn.result import TxnStatus
 from repro.txn.transaction import Transaction
 from repro.workloads.base import TxnSpec, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import Cluster
+    from repro.core.traffic import ClientProfile
 
 
-def submit_spec(client: Any, spec: TxnSpec, restarts: int) -> Transaction:
-    """Turn ``spec`` into a transaction and send it to ``client``'s origin.
+class Client:
+    """One client of either mode; ``profile.mode`` decides only four things.
 
-    The one submit path under every client kind: dependent specs go
-    through OLLP reconnaissance first; the caller records what is in
-    flight.
+    1. When the next request starts: an open client on its arrival
+       timer, a closed one when the previous request ends, after
+       ``think_time``.
+    2. What ``max_txns`` bounds: arrivals (open) or replies, restarts
+       included (closed).
+    3. A rejection with no retry-after hint (a shed): a closed client
+       retries it after one epoch, an open client loses it.
+    4. The RNG stream family (``"openloop"`` or ``"client"``) and the
+       per-client latency histogram ``client.open{i}.latency`` (open
+       only).
+
+    ``retried`` counts rejections that will be resubmitted (a
+    backpressure hint is honoured unless ``profile.retry_rejected`` is
+    off), ``rejected`` the ones given up. Every reply that is not a
+    rejection ends an attempt: it counts in ``completed`` and adds a
+    latency sample.
     """
-    cluster = client.cluster
-    read_set, write_set, token = spec.read_set, spec.write_set, None
-    if spec.dependent:
-        procedure = cluster.registry.get(spec.procedure)
-        footprint = reconnoiter(procedure, cluster.analytics_read, spec.args)
-        read_set = (*footprint.read_set, *read_set)
-        write_set = (*footprint.write_set, *write_set)
-        token = footprint.token
-    txn = Transaction.create(
-        cluster.next_txn_id(),
-        spec.procedure,
-        spec.args,
-        read_set,
-        write_set,
-        client.partition,
-        client.address,
-        spec.dependent,
-        token,
-        cluster.sim.now,
-        restarts,
-    )
-    client.submitted += 1
-    message = ClientSubmit(txn)
-    cluster.network.send(client.address, client._target, message, message.size_estimate())
-    return txn
-
-
-class ClosedLoopClient:
-    """One outstanding transaction at a time, zero think time by default."""
 
     def __init__(
         self,
         cluster: "Cluster",
         partition: int,
         index: int,
+        profile: "ClientProfile",
         workload: Workload,
-        think_time: float = 0.0,
-        max_txns: Optional[int] = None,
-        retry_backoff: float = 0.0,
-        max_restarts: int = MAX_RESTARTS,
     ):
         self.cluster = cluster
         self.partition = partition
+        self.profile = profile
         self.workload = workload
-        self.think_time = think_time
-        self.max_txns = max_txns
-        self.retry_backoff = retry_backoff
-        self.max_restarts = max_restarts
+        self.max_txns = profile.max_txns
+        self.open = profile.mode == "open"
         self.address = client_address(0, index)
-        self.rng = cluster.rngs.stream("client", index)
+        # Separate stream families: adding open-loop clients must never
+        # perturb the draws closed-loop clients see.
+        self.rng = cluster.rngs.stream("openloop" if self.open else "client", index)
         self._target = node_address(NodeId(0, partition))
-        self._inflight: Optional[TxnSpec] = None
-        self._inflight_txn_id: Optional[int] = None
-        self._restarts = 0
-        self.stale_replies = 0
+        self._shed_retry = 0.0 if self.open else cluster.config.epoch_duration
+        self._inflight: Dict[int, TxnSpec] = {}
+        self._pending_resubmits = 0
+        self._burst_position = 0
+        self._started = False
+        self.arrivals = 0
         self.submitted = 0
         self.completed = 0
+        self.retried = 0
         self.rejected = 0
-        self._pending_resubmits = 0
+        self.stale_replies = 0
+        self.latency = (
+            cluster.metrics_registry.histogram(f"client.open{index}.latency")
+            if self.open
+            else None
+        )
         cluster.network.register(self.address, self._on_message)
 
+    # -- lifecycle ---------------------------------------------------------
+
     def start(self) -> None:
-        self._submit_new()
+        if self._started:
+            return
+        self._started = True
+        if self.open:
+            self.cluster.sim.schedule(self._next_gap(), self._arrive)
+        else:
+            self._start_request()
 
     def redirect(self, partition: int) -> None:
         """Re-home this client onto another origin partition.
 
-        Scheduled by the control plane when this client's origin leaves
-        the cluster; the next submission targets the new origin.
+        The control plane schedules the redirect at the retiring
+        origin's hand-off time, so every same-seed run moves the same
+        clients at the same instant. Replies for in-flight requests
+        still arrive (the reply path uses the client address).
         """
         self.partition = partition
         self._target = node_address(NodeId(0, partition))
 
     @property
-    def idle(self) -> bool:
-        """True when nothing is outstanding and no resubmission is due."""
-        return (
-            self._inflight is None
-            and self._pending_resubmits == 0
-            and self.finished
-        )
+    def finished(self) -> bool:
+        """The ``max_txns`` bound is reached (never True when unbounded)."""
+        if self.max_txns is None:
+            return False
+        return (self.arrivals if self.open else self.completed) >= self.max_txns
 
     @property
-    def finished(self) -> bool:
-        return self.max_txns is not None and self.completed >= self.max_txns
+    def idle(self) -> bool:
+        """Nothing outstanding, no resubmission due, no request to come."""
+        return not self._inflight and self._pending_resubmits == 0 and self.finished
 
-    # -- submission ---------------------------------------------------------
+    # -- starting requests -------------------------------------------------
 
-    def _submit_new(self) -> None:
+    def _next_gap(self) -> float:
+        profile = self.profile
+        if profile.arrival == "poisson":
+            return self.rng.expovariate(profile.rate)
+        if profile.arrival == "uniform":
+            return 1.0 / profile.rate
+        # burst: burst_size arrivals back-to-back, then one long gap.
+        self._burst_position += 1
+        if self._burst_position % profile.burst_size == 0:
+            return profile.effective_burst_period()
+        return 0.0
+
+    def _arrive(self) -> None:
+        self._start_request()
+        if not self.finished:
+            self.cluster.sim.schedule(self._next_gap(), self._arrive)
+
+    def _start_request(self) -> None:
         if self.finished:
             return
+        self.arrivals += 1
         spec = self.workload.generate(self.rng, self.partition, self.cluster.catalog)
-        self._restarts = 0
-        self._submit(spec)
+        self._submit(spec, 0)
 
-    def _submit(self, spec: TxnSpec) -> None:
-        txn = submit_spec(self, spec, self._restarts)
-        self._inflight = spec
-        self._inflight_txn_id = txn.txn_id
+    def _request_ended(self) -> None:
+        if self.open:
+            return
+        if self.profile.think_time > 0:
+            self.cluster.sim.schedule(self.profile.think_time, self._start_request)
+        else:
+            self._start_request()
 
-    def _resubmit_rejected(self, spec: TxnSpec) -> None:
+    # -- submission --------------------------------------------------------
+
+    def _submit(self, spec: TxnSpec, restarts: int) -> None:
+        """Turn ``spec`` into a transaction and send it to the origin."""
+        cluster = self.cluster
+        read_set, write_set, token = spec.read_set, spec.write_set, None
+        if spec.dependent:
+            procedure = cluster.registry.get(spec.procedure)
+            footprint = reconnoiter(procedure, cluster.analytics_read, spec.args)
+            read_set = (*footprint.read_set, *read_set)
+            write_set = (*footprint.write_set, *write_set)
+            token = footprint.token
+        txn = Transaction.create(
+            cluster.next_txn_id(),
+            spec.procedure,
+            spec.args,
+            read_set,
+            write_set,
+            self.partition,
+            self.address,
+            spec.dependent,
+            token,
+            cluster.sim.now,
+            restarts,
+        )
+        self.submitted += 1
+        self._inflight[txn.txn_id] = spec
+        message = ClientSubmit(txn)
+        cluster.network.send(self.address, self._target, message, message.size_estimate())
+
+    def _resubmit_after(self, delay: float, spec: TxnSpec, restarts: int) -> None:
+        self._pending_resubmits += 1
+        self.cluster.sim.schedule(delay, self._resubmit, spec, restarts)
+
+    def _resubmit(self, spec: TxnSpec, restarts: int) -> None:
         self._pending_resubmits -= 1
-        self._submit(spec)
+        self._submit(spec, restarts)
 
-    # -- replies --------------------------------------------------------------
+    # -- replies -----------------------------------------------------------
 
     def _on_message(self, src: Any, message: Any) -> None:
         assert isinstance(message, TxnReply), f"client got {message!r}"
         result = message.result
-        if result.txn_id != self._inflight_txn_id:
-            # Duplicate or reordered reply from a faulty network for a
-            # request this closed-loop client already accounted for.
+        spec = self._inflight.pop(result.txn_id, None)
+        if spec is None:
+            # Duplicate or reordered delivery from a faulty network.
             self.stale_replies += 1
             return
+        # Every reply echoes the attempt's restart count, so the map
+        # keeps only the spec (one allocation less per request).
+        restarts = result.restarts
         cluster = self.cluster
-        now = cluster.sim.now
         if result.status is TxnStatus.REJECTED:
             # Admission control refused the request before sequencing.
-            # Resubmit the same spec (fresh txn id — the sequencer's
-            # dedupe set already saw the old one) after the retry-after
-            # hint, or after one epoch for a plain shed, so a throttled
-            # closed-loop client stays live without spinning.
-            self.rejected += 1
-            spec = self._inflight
-            self._inflight = None
-            self._inflight_txn_id = None
-            delay = result.retry_after or cluster.config.epoch_duration
-            self._pending_resubmits += 1
-            cluster.sim.schedule(delay, self._resubmit_rejected, spec)
-            return
-        if now >= cluster.metrics.window_start:
-            cluster.metrics.record_latency(result.latency)
-        spec = self._inflight
-        self._inflight = None
-        self._inflight_txn_id = None
-        self.completed += 1
-
-        if (
-            result.status is TxnStatus.RESTART
-            and spec is not None
-            and self._restarts < self.max_restarts
-        ):
-            # Stale OLLP footprint (Calvin) or wait-die death (baseline):
-            # resubmit, optionally after a backoff.
-            self._restarts += 1
-            if self.retry_backoff > 0:
-                cluster.sim.schedule(self.retry_backoff, self._submit, spec)
+            # A resubmission gets a fresh txn id: the sequencer's dedupe
+            # set already saw the old one.
+            delay = result.retry_after
+            if not delay:
+                delay = self._shed_retry
+            elif not self.profile.retry_rejected:
+                delay = 0.0
+            if delay:
+                self.retried += 1
+                self._resubmit_after(delay, spec, restarts)
             else:
-                self._submit(spec)
+                self.rejected += 1
+                self._request_ended()
             return
-        if self.think_time > 0:
-            cluster.sim.schedule(self.think_time, self._submit_new)
-        else:
-            self._submit_new()
+        if cluster.sim.now >= cluster.metrics.window_start:
+            latency = result.latency
+            cluster.metrics.record_latency(latency)
+            if self.latency is not None:
+                self.latency.add(latency)
+        self.completed += 1
+        if result.status is TxnStatus.RESTART and restarts < cluster.max_restarts:
+            # Stale OLLP footprint (Calvin) or wait-die death (baseline):
+            # reconnoiter again and resubmit, after the engine's backoff.
+            if cluster.retry_backoff > 0:
+                self._resubmit_after(cluster.retry_backoff, spec, restarts + 1)
+            else:
+                self._submit(spec, restarts + 1)
+            return
+        self._request_ended()
+
+    # -- introspection -----------------------------------------------------
+
+    def latency_stats(self) -> Dict[str, float]:
+        """Per-client latency percentiles (open clients, window only)."""
+        return {
+            "count": self.latency.count,
+            "p50": self.latency.percentile(50),
+            "p95": self.latency.percentile(95),
+            "p99": self.latency.percentile(99),
+        }

@@ -13,14 +13,14 @@ benchmarks, while examples usually go through the friendlier
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple, Type, Union
+from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple, Type
 
 from repro.analysis.auditor import FootprintAuditor, adopt_auditor, audit_armed
 from repro.config import ClusterConfig
-from repro.core.clients import ClosedLoopClient
+from repro.core.clients import Client
 from repro.core.metrics import Metrics, RunReport
 from repro.core.node import CalvinNode
-from repro.core.traffic import ClientProfile, OpenLoopClient
+from repro.core.traffic import ClientProfile
 from repro.engines import features_of, require, require_all, requires
 from repro.errors import ConfigError, RecoveryError, SimulationError
 from repro.geo.presets import build_geo_topology
@@ -56,8 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # agreed order: its first element is the completion index.)
 HistoryEntry = Tuple[GlobalSeq, Transaction, TxnStatus]
 
-AnyClient = Union[ClosedLoopClient, OpenLoopClient]
-
 
 class Cluster(ABC):
     """The substrate under every execution engine, and the engine seam.
@@ -81,7 +79,8 @@ class Cluster(ABC):
     deterministic_order: bool = True
     #: Delay before a client resubmits a RESTART outcome.
     retry_backoff: float = 0.0
-    #: Resubmissions a closed-loop client allows one request.
+    #: RESTART resubmissions every client, closed or open, allows one
+    #: request.
     max_restarts: int = MAX_RESTARTS
 
     def __init__(
@@ -125,7 +124,7 @@ class Cluster(ABC):
         self.metrics = Metrics(registry=self.metrics_registry)
         self.record_history = record_history
         self.history: List[HistoryEntry] = []
-        self.clients: List[AnyClient] = []
+        self.clients: List[Client] = []
         self._txn_counter = 0
         self._initial_data: Dict[Key, Any] = {}
 
@@ -214,7 +213,7 @@ class Cluster(ABC):
 
     # -- running -------------------------------------------------------------
 
-    def add_clients(self, profile: ClientProfile) -> List[AnyClient]:
+    def add_clients(self, profile: ClientProfile) -> List[Client]:
         """Create one client population described by a :class:`ClientProfile`."""
         if not isinstance(profile, ClientProfile):
             raise ConfigError(
@@ -227,20 +226,13 @@ class Cluster(ABC):
         workload = profile.workload or self.workload
         if workload is None:
             raise ConfigError("no workload for clients")
-        created: List[AnyClient] = []
+        created: List[Client] = []
         # Only active origins accept input; spares get their clients
         # when the control plane (or the autoscaler) redirects traffic
         # to them.
         for partition in self.catalog.initial_origins:
             for _ in range(profile.per_partition):
-                index = len(self.clients)
-                if profile.mode == "open":
-                    client = OpenLoopClient(self, partition, index, profile, workload)
-                else:
-                    client = ClosedLoopClient(
-                        self, partition, index, workload, profile.think_time,
-                        profile.max_txns, self.retry_backoff, self.max_restarts,
-                    )
+                client = Client(self, partition, len(self.clients), profile, workload)
                 self.clients.append(client)
                 created.append(client)
         return created
@@ -249,8 +241,7 @@ class Cluster(ABC):
         """Start everything, warm up, measure for ``duration``; report."""
         self.start()
         for client in self.clients:
-            if client.submitted == 0:
-                client.start()
+            client.start()
         if warmup > 0:
             self.sim.run(until=self.sim.now + warmup)
         self.metrics.begin_window(self.sim.now)

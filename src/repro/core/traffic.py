@@ -1,19 +1,18 @@
-"""Open-loop traffic: client profiles, arrival processes, admission control.
+"""Open-loop traffic: client profiles and admission control.
 
 The paper's headline numbers are statements about a system *under
 offered load*: throughput scales until the hardware saturates, then
 admission at the sequencer front-end decides what happens to the excess.
 Closed-loop clients (one outstanding request each) can only approach
-saturation asymptotically; this module adds the other half of the
-methodology:
+saturation asymptotically; open-loop clients submit on an *arrival
+process* (Poisson, uniform or bursty, driven by the deterministic sim
+RNG) regardless of how many requests are still outstanding, so offered
+load is an independent variable. Both are one
+:class:`repro.core.clients.Client`; this module holds the rest:
 
 - :class:`ClientProfile` — one typed description of a client population,
   shared by closed-loop and open-loop clients, the benchmark harness and
   the CLI flags.
-- :class:`OpenLoopClient` — submits transactions on an *arrival process*
-  (Poisson, uniform or bursty, driven by the deterministic sim RNG)
-  regardless of how many are still outstanding, so offered load is an
-  independent variable.
 - :class:`AdmissionController` — a bounded intake queue in front of each
   input sequencer, drained at a fixed per-epoch budget, with a
   configurable overflow policy (``queue`` | ``shed`` | ``backpressure``).
@@ -28,20 +27,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Optional, TYPE_CHECKING, Tuple
+from typing import Deque, Optional, TYPE_CHECKING, Tuple
 
-from repro.core.clients import submit_spec
 from repro.errors import ConfigError
 from repro.net.messages import TxnReply
-from repro.partition.catalog import NodeId, client_address, node_address
-from repro.txn.ollp import MAX_RESTARTS
+from repro.partition.catalog import NodeId
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import Transaction
-from repro.workloads.base import TxnSpec, Workload
+from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ClusterConfig
-    from repro.core.cluster import Cluster
     from repro.sequencer.sequencer import Sequencer
     from repro.sim.kernel import Simulator
 
@@ -99,166 +95,6 @@ class ClientProfile:
         if self.burst_period is not None:
             return self.burst_period
         return self.burst_size / self.rate
-
-
-class OpenLoopClient:
-    """Submits transactions on an arrival process, completions be damned.
-
-    Offered load is an independent variable: the client schedules its
-    next arrival from its RNG stream whether or not earlier requests
-    have completed (or were shed). Latency is recorded per client into
-    the cluster's metrics registry, so p50/p95/p99 histograms are
-    available per client and in aggregate.
-    """
-
-    def __init__(
-        self,
-        cluster: "Cluster",
-        partition: int,
-        index: int,
-        profile: ClientProfile,
-        workload: Workload,
-    ):
-        self.cluster = cluster
-        self.partition = partition
-        self.index = index
-        self.profile = profile
-        self.workload = workload
-        self.max_txns = profile.max_txns
-        self.address = client_address(0, index)
-        # A dedicated stream family: open-loop arrivals must never
-        # perturb the draws existing closed-loop clients see.
-        self.rng = cluster.rngs.stream("openloop", index)
-        self._target = node_address(NodeId(0, partition))
-        self._inflight: Dict[int, Tuple[TxnSpec, int]] = {}
-        self._burst_position = 0
-        self._pending_retries = 0
-        self._started = False
-        self._stopped = False
-        # Tallies (offered = arrivals generated, incl. retries).
-        self.arrivals = 0
-        self.submitted = 0
-        self.completed = 0
-        self.rejected = 0
-        self.retried = 0
-        self.stale_replies = 0
-        self.latency = cluster.metrics_registry.histogram(
-            f"client.open{index}.latency"
-        )
-        cluster.network.register(self.address, self._on_message)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        if self._started or self._stopped:
-            return
-        self._started = True
-        self.cluster.sim.schedule(self._next_gap(), self._arrive)
-
-    def stop(self) -> None:
-        """Stop generating new arrivals (outstanding requests drain)."""
-        self._stopped = True
-
-    def redirect(self, partition: int) -> None:
-        """Re-home this client onto another origin partition.
-
-        The control plane schedules the redirect at the retiring
-        origin's hand-off time, so every same-seed run moves the same
-        clients at the same instant. Replies for in-flight requests
-        still arrive (the reply path uses the client address).
-        """
-        self.partition = partition
-        self._target = node_address(NodeId(0, partition))
-
-    @property
-    def finished(self) -> bool:
-        """All bounded arrivals generated (never True when unbounded)."""
-        if self._stopped:
-            return True
-        return self.max_txns is not None and self.arrivals >= self.max_txns
-
-    @property
-    def idle(self) -> bool:
-        """Nothing outstanding, no retries pending, no arrivals to come."""
-        return self.finished and not self._inflight and self._pending_retries == 0
-
-    # -- arrival process ---------------------------------------------------
-
-    def _next_gap(self) -> float:
-        profile = self.profile
-        if profile.arrival == "poisson":
-            return self.rng.expovariate(profile.rate)
-        if profile.arrival == "uniform":
-            return 1.0 / profile.rate
-        # burst: burst_size arrivals back-to-back, then one long gap.
-        self._burst_position += 1
-        if self._burst_position % profile.burst_size == 0:
-            return profile.effective_burst_period()
-        return 0.0
-
-    def _arrive(self) -> None:
-        if self._stopped or (
-            self.max_txns is not None and self.arrivals >= self.max_txns
-        ):
-            return
-        self.arrivals += 1
-        spec = self.workload.generate(self.rng, self.partition, self.cluster.catalog)
-        self._submit(spec, restarts=0)
-        if self.max_txns is None or self.arrivals < self.max_txns:
-            self.cluster.sim.schedule(self._next_gap(), self._arrive)
-
-    # -- submission --------------------------------------------------------
-
-    def _submit(self, spec: TxnSpec, restarts: int) -> None:
-        txn = submit_spec(self, spec, restarts)
-        self._inflight[txn.txn_id] = (spec, restarts)
-
-    def _resubmit(self, spec: TxnSpec, restarts: int) -> None:
-        self._pending_retries -= 1
-        self._submit(spec, restarts)
-
-    # -- replies -----------------------------------------------------------
-
-    def _on_message(self, src: Any, message: Any) -> None:
-        assert isinstance(message, TxnReply), f"open-loop client got {message!r}"
-        result = message.result
-        entry = self._inflight.pop(result.txn_id, None)
-        if entry is None:
-            # Duplicate/reordered delivery from a faulty network.
-            self.stale_replies += 1
-            return
-        spec, restarts = entry
-        cluster = self.cluster
-        if result.status is TxnStatus.REJECTED:
-            retry_after = result.retry_after
-            if retry_after > 0 and self.profile.retry_rejected and not self._stopped:
-                self.retried += 1
-                self._pending_retries += 1
-                cluster.sim.schedule(retry_after, self._resubmit, spec, restarts)
-            else:
-                self.rejected += 1
-            return
-        if result.status is TxnStatus.RESTART and restarts < MAX_RESTARTS:
-            # Stale OLLP footprint: reconnoiter again and resubmit.
-            self._pending_retries += 1
-            cluster.sim.schedule(0.0, self._resubmit, spec, restarts + 1)
-            return
-        self.completed += 1
-        if cluster.sim.now >= cluster.metrics.window_start:
-            latency = result.latency
-            cluster.metrics.record_latency(latency)
-            self.latency.add(latency)
-
-    # -- introspection -----------------------------------------------------
-
-    def latency_stats(self) -> Dict[str, float]:
-        """Per-client latency percentiles (measurement window only)."""
-        return {
-            "count": self.latency.count,
-            "p50": self.latency.percentile(50),
-            "p95": self.latency.percentile(95),
-            "p99": self.latency.percentile(99),
-        }
 
 
 class AdmissionController:

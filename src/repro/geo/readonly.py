@@ -69,6 +69,7 @@ class ReadOnlyClient:
         self.local_replica_hits = 0
         self._query_counter = 0
         self._inflight: Optional[int] = None
+        self._started = False
         self._expected: Dict[int, Dict] = {}
         self._started_at = 0.0
         self._latency = cluster.metrics_registry.histogram("geo.ro.latency_ms")
@@ -80,6 +81,9 @@ class ReadOnlyClient:
     # -- client lifecycle (the surface quiesce()/run() relies on) ----------
 
     def start(self) -> None:
+        if self._started:
+            return
+        self._started = True
         self._submit()
 
     @property

@@ -93,10 +93,6 @@ class StarMaster:
         self._gate_open = False
 
     @property
-    def gate_open(self) -> bool:
-        return self._gate_open
-
-    @property
     def backlog_depth(self) -> int:
         return len(self._backlog)
 

@@ -39,11 +39,6 @@ class StarScheduler(Scheduler):
         self._star_waiting: Dict[GlobalSeq, SequencedTxn] = {}
         self.star_routed = 0
 
-    @property
-    def star_parked(self) -> int:
-        """Multipartition transactions holding locks, awaiting the master."""
-        return len(self._star_waiting)
-
     def _start_execution(self, stxn: SequencedTxn) -> None:
         if len(self.catalog.route(stxn.txn, stxn.seq[0]).participants) == 1:
             # Partitioned path: local deterministic execution, any phase.

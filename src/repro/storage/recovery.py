@@ -35,8 +35,3 @@ def fingerprint_data(data: Dict[Key, Any]) -> int:
     for key, value in data.items():
         digest ^= zlib.crc32(repr((key, value)).encode("utf-8"))
     return digest
-
-
-def stores_equal(a: KVStore, b: KVStore) -> bool:
-    """Exact content equality between two stores."""
-    return a.snapshot() == b.snapshot()

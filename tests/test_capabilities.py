@@ -28,7 +28,6 @@ import pytest
 
 from repro import CalvinCluster, ClientProfile, ClusterAdmin, ClusterConfig, Microbenchmark
 from repro.core import checkers
-from repro.core.traffic import OpenLoopClient
 from repro.engines import (
     ENGINES,
     EXCLUSIONS,
@@ -201,7 +200,7 @@ def _admission(engine):
 def _open_loop(engine):
     profile = ClientProfile(per_partition=2, mode="open", rate=200.0, max_txns=8)
     cluster = _run(engine, "open_loop", clients=profile)
-    assert all(isinstance(client, OpenLoopClient) for client in cluster.clients)
+    assert all(client.open for client in cluster.clients)
     assert sum(client.submitted for client in cluster.clients) > 0
 
 

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark, TxnStatus
+from repro.baseline.cluster import BaselineCluster
+from repro.net.messages import TxnReply
+from repro.txn.result import TransactionResult
 
 
 def make_cluster(**client_kwargs):
@@ -80,3 +83,36 @@ class TestPacing:
         cluster.run(duration=0.2, warmup=0.1)
         # Samples exist but fewer than total completions (warm-up excluded).
         assert 0 < cluster.metrics.latency.count <= cluster.clients[0].completed
+
+    def test_start_is_idempotent(self):
+        cluster = make_cluster(max_txns=3)
+        client = cluster.clients[0]
+        client.start()
+        client.start()
+        cluster.run(duration=0.1)
+        assert client.submitted == client.completed == 3
+
+
+class TestRestartRetry:
+    def test_backoff_resubmission_keeps_the_client_busy(self):
+        """A RESTART resubmission waiting out the engine's backoff is
+        work still to come: quiesce() must not return before it is sent."""
+        cluster = BaselineCluster(
+            ClusterConfig(num_partitions=1, seed=2),
+            workload=Microbenchmark(mp_fraction=0.0, hot_set_size=5, cold_set_size=50),
+        )
+        assert cluster.retry_backoff > 0
+        cluster.load_workload_data()
+        (client,) = cluster.add_clients(ClientProfile(per_partition=1, max_txns=1))
+        cluster.start()
+        client.start()
+        (txn_id,) = client._inflight
+        now = cluster.sim.now
+        restart = TransactionResult(txn_id, TxnStatus.RESTART, None, now, now)
+        client._on_message(None, TxnReply(restart))
+        assert client.finished  # the RESTART reply counts toward max_txns
+        assert not client.idle
+        cluster.sim.run(until=now + cluster.retry_backoff / 2)
+        assert client.submitted == 1 and not client.idle
+        cluster.quiesce()
+        assert client.submitted == 2

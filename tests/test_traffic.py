@@ -1,5 +1,7 @@
 """Tests for open-loop traffic: profiles, arrivals, admission control."""
 
+from typing import Optional
+
 import pytest
 
 from repro import (
@@ -254,7 +256,13 @@ class TestAdmissionConfig:
 
 
 class TestOverload:
-    def overloaded(self, policy: str, seed: int = 11) -> CalvinCluster:
+    def overloaded(
+        self,
+        policy: str,
+        seed: int = 11,
+        mode: str = "open",
+        max_txns: Optional[int] = None,
+    ) -> CalvinCluster:
         config = ClusterConfig(
             num_partitions=2,
             seed=seed,
@@ -269,10 +277,14 @@ class TestOverload:
             tracer=TraceRecorder(),
         )
         cluster.load_workload_data()
-        # ~3x the 1,000 txn/s/node admission capacity.
-        cluster.add_clients(
-            ClientProfile(per_partition=4, mode="open", rate=750.0)
-        )
+        if mode == "open":
+            # ~3x the 1,000 txn/s/node admission capacity.
+            profile = ClientProfile(per_partition=4, mode="open", rate=750.0)
+        else:
+            # More outstanding requests than an epoch's budget plus the
+            # queue can hold, so the queue overflows.
+            profile = ClientProfile(per_partition=80, max_txns=max_txns)
+        cluster.add_clients(profile)
         cluster.run(duration=0.4)
         return cluster
 
@@ -310,6 +322,20 @@ class TestOverload:
     def test_backpressure_clients_retry(self):
         cluster = self.overloaded("backpressure")
         assert sum(c.retried for c in cluster.clients) > 0
+
+    @pytest.mark.parametrize("policy", ["shed", "backpressure"])
+    def test_closed_clients_retry_every_rejection(self, policy):
+        """A closed client resubmits a shed after one epoch and a
+        backpressure rejection after its hint: it never gives one up,
+        and a bounded closed population still quiesces."""
+        cluster = self.overloaded(policy, mode="closed", max_txns=6)
+        stats = cluster.admission_stats()
+        assert stats["shed" if policy == "shed" else "backpressured"] > 0
+        assert sum(c.retried for c in cluster.clients) > 0
+        assert sum(c.rejected for c in cluster.clients) == 0
+        cluster.quiesce()
+        assert all(c.idle and c.completed == 6 for c in cluster.clients)
+        assert cluster.metrics.committed == 6 * len(cluster.clients)
 
     def test_per_client_latency_histograms(self):
         cluster = self.overloaded("shed")
