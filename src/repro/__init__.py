@@ -53,15 +53,14 @@ Public surface (everything in ``__all__``; anything else is internal):
   ``remove_node`` / ``plan``), with :class:`MigrationPlan` and
   :class:`ReconfigEvent` as its immutable records; see
   docs/reconfiguration.md.
-- **Determinism analysis** — :func:`lint_paths` (the ``repro lint``
-  entry point), :class:`DeterminismSanitizer` (runtime trip wires,
-  also reachable as ``ClusterConfig(sanitize=True)``), and
+- **Determinism analysis** — :class:`DeterminismSanitizer` (runtime
+  trip wires, also reachable as ``ClusterConfig(sanitize=True)``) and
   :class:`DeterminismViolation`.
 - **Checkers** — the ``check_*`` correctness oracles.
 - **Errors** — :class:`ReproError` and friends.
 """
 
-from repro.analysis import DeterminismSanitizer, lint_paths
+from repro.analysis import DeterminismSanitizer
 from repro.config import BaselineConfig, ClusterConfig, CostModel, DEFAULT_CONFIG
 from repro.core import (
     CalvinCluster,
@@ -167,7 +166,6 @@ __all__ = [
     "check_replica_prefix_consistency",
     "check_serializability",
     "get_engine",
-    "lint_paths",
     "random_plan",
     "trace_digest",
 ]

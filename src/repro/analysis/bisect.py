@@ -11,9 +11,9 @@ within one event hop of the bug.
 
 Two runs of the same build in the same process should *never* diverge;
 if they do, something consumed ambient state (the exact class of bug
-the DET lint rules and the runtime sanitizer exist to catch). The
-bisector is the third layer: when the first two miss, it turns the
-failure into a located one.
+the runtime sanitizer and the cross-process differential exist to
+catch). The bisector is the third layer: when the first two miss, it
+turns the failure into a located one.
 """
 
 from __future__ import annotations

@@ -1,30 +1,43 @@
 """Runtime determinism sanitizer: trap ambient nondeterminism in a run.
 
-The AST linter (:mod:`repro.analysis.rules`) catches what it can see;
-this module catches what it cannot — a dependency, an exec'd snippet,
-or a dynamically dispatched call reaching for the process-global RNG or
-the wall clock *while a simulated run is in flight*. Inside the context
-manager, the module-level entry points of ``random``, the wall-clock
-reads of ``time``, ``uuid.uuid1/uuid4`` and ``os.urandom`` are replaced
-with trip wires that raise :class:`~repro.errors.DeterminismViolation`
-naming the call site's offence.
+Catches a dependency, an exec'd snippet or a dynamically dispatched call
+reaching for the process-global RNG, host entropy, the wall clock or the
+host environment *while a simulated run is in flight*. Inside the
+context manager these are replaced with trip wires that raise
+:class:`~repro.errors.DeterminismViolation` naming the call site's
+offence:
+
+- the module-level entry points of ``random`` (``getstate``/``setstate``
+  and ``randbytes`` included);
+- ``random._urandom``, through which ``random.SystemRandom`` and every
+  ``secrets.*`` call draw, plus ``os.urandom`` and ``uuid.uuid1/uuid4``;
+- ``random.Random.seed`` with ``a=None``, so an unseeded ``Random()``
+  raises where it is built;
+- the wall-clock reads of ``time``;
+- ``os.environ``, swapped for a mapping that refuses every access
+  (``os.getenv`` reads through it).
 
 What stays usable, deliberately:
 
-- ``random.Random`` *instances* (every seeded stream from
-  :class:`repro.sim.rng.RngStreams`, the txn-id RNG) — instance methods
-  do not go through the patched module functions.
+- ``random.Random`` instances with a seed. Every stream of
+  :class:`repro.sim.rng.RngStreams`, the txn-id RNG and a constant-seeded
+  ``Random(k)`` built anywhere else (the equivalence oracle's schedule
+  stream) draw the same numbers in every process, so none is a
+  violation: determinism is about what a seed fixes, not about which
+  module holds the generator.
 - ``time.perf_counter`` — the sanctioned wall-clock of the perf
   harness, which measures the simulator from outside.
 - ``hashlib``/``hash`` — deterministic for bytes inputs.
 
-``datetime.datetime.now`` cannot be patched (attribute of a C type);
-the DET002 lint rule covers it statically.
+What no patch can reach — ``datetime.datetime.now`` (an attribute of a C
+type), set order under the salted ``str`` hash, ordering by ``id()`` —
+the cross-process differential catches instead
+(``tests/test_determinism_deep.py``; docs/static_analysis.md).
 
 Activation is reference-counted, so nesting (the cluster's quiesce loop
 re-entering ``Simulator.run`` per step, or a sanitized CLI command over
-a ``sanitize=True`` config) is safe, and the original functions are
-restored when the outermost context exits — even on error.
+a ``sanitize=True`` config) is safe, and the originals are restored when
+the outermost context exits — even on error.
 """
 
 from __future__ import annotations
@@ -33,53 +46,14 @@ import os
 import random
 import time
 import uuid
+from collections.abc import MutableMapping
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import DeterminismViolation
 
-#: ``(module, attribute)`` pairs replaced while the sanitizer is active.
-_PATCHED_SITES: List[Tuple[Any, str, str]] = (
-    [
-        (random, name,
-         "module-level random.{0}() shares process-global state; draw from "
-         "a named RngStreams stream (repro.sim.rng) instead")
-        for name in (
-            "random", "randint", "randrange", "uniform", "choice", "choices",
-            "shuffle", "sample", "seed", "getrandbits", "gauss",
-            "normalvariate", "lognormvariate", "expovariate", "betavariate",
-            "gammavariate", "paretovariate", "weibullvariate",
-            "vonmisesvariate", "triangular",
-        )
-        if hasattr(random, name)
-    ]
-    + [
-        (time, name,
-         "wall-clock read time.{0}() during a simulated run; use the "
-         "kernel's virtual sim.now")
-        for name in ("time", "monotonic", "time_ns", "monotonic_ns")
-        if hasattr(time, name)
-    ]
-    + [
-        (uuid, name,
-         "uuid.{0}() draws host entropy; derive identifiers from the seed "
-         "or a txn counter")
-        for name in ("uuid1", "uuid4")
-    ]
-    + [
-        (os, "urandom",
-         "os.urandom() is raw entropy; determinism requires seeded streams"),
-    ]
-)
 
-# Reference count + saved originals (module-global: the patches are).
-_depth = 0
-_saved: Dict[Tuple[int, str], Callable] = {}
-
-
-def _trip_wire(qualname: str, template: str) -> Callable:
-    message = template.format(qualname.split(".")[-1])
-
+def _trip_wire(qualname: str, message: str) -> Callable:
     def tripped(*_args: Any, **_kwargs: Any) -> Any:
         raise DeterminismViolation(f"{qualname}: {message}")
 
@@ -88,15 +62,89 @@ def _trip_wire(qualname: str, template: str) -> Callable:
     return tripped
 
 
+_seed = random.Random.seed
+
+
+def _seeded_only(self: random.Random, a: Any = None, version: int = 2) -> None:
+    if a is None:
+        raise DeterminismViolation(
+            "random.Random(): an unseeded generator seeds itself from host "
+            "entropy; pass a seed or draw from a named RngStreams stream"
+        )
+    _seed(self, a, version)
+
+
+class _SealedEnviron(MutableMapping):
+    """``os.environ`` while armed: every access raises."""
+
+    def _refuse(self, *_args: Any) -> Any:
+        raise DeterminismViolation(
+            "os.environ: the host environment differs between processes; "
+            "pass the setting through ClusterConfig"
+        )
+
+    __getitem__ = __setitem__ = __delitem__ = __iter__ = __len__ = copy = _refuse
+
+
+def _wires(module: Any, names: Tuple[str, ...], message: str) -> List[Tuple[Any, str, Any]]:
+    return [
+        (module, name, _trip_wire(f"{module.__name__}.{name}", message.format(name)))
+        for name in names
+        if hasattr(module, name)
+    ]
+
+
+#: ``(owner, attribute, replacement)`` triples installed while active.
+_PATCHED_SITES: List[Tuple[Any, str, Any]] = (
+    _wires(
+        random,
+        (
+            "random", "randint", "randrange", "uniform", "choice", "choices",
+            "shuffle", "sample", "seed", "getrandbits", "randbytes",
+            "getstate", "setstate", "gauss", "normalvariate",
+            "lognormvariate", "expovariate", "betavariate", "gammavariate",
+            "paretovariate", "weibullvariate", "vonmisesvariate",
+            "triangular", "binomialvariate",
+        ),
+        "module-level random.{0}() shares process-global state; draw from "
+        "a named RngStreams stream (repro.sim.rng) instead",
+    )
+    + _wires(
+        random, ("_urandom",),
+        "random.SystemRandom and the secrets module draw host entropy; "
+        "determinism requires seeded streams",
+    )
+    + [(random.Random, "seed", _seeded_only)]
+    + _wires(
+        time, ("time", "monotonic", "time_ns", "monotonic_ns"),
+        "wall-clock read time.{0}() during a simulated run; use the "
+        "kernel's virtual sim.now",
+    )
+    + _wires(
+        uuid, ("uuid1", "uuid4"),
+        "uuid.{0}() draws host entropy; derive identifiers from the seed "
+        "or a txn counter",
+    )
+    + _wires(
+        os, ("urandom",),
+        "os.urandom() is raw entropy; determinism requires seeded streams",
+    )
+    + [(os, "environ", _SealedEnviron())]
+)
+
+# Reference count + saved originals (module-global: the patches are).
+_depth = 0
+_saved: Dict[Tuple[int, str], Any] = {}
+
+
 def _activate() -> None:
     global _depth
     _depth += 1
     if _depth > 1:
         return
-    for module, attr, template in _PATCHED_SITES:
-        key = (id(module), attr)
-        _saved[key] = getattr(module, attr)
-        setattr(module, attr, _trip_wire(f"{module.__name__}.{attr}", template))
+    for owner, attr, replacement in _PATCHED_SITES:
+        _saved[(id(owner), attr)] = getattr(owner, attr)
+        setattr(owner, attr, replacement)
 
 
 def _deactivate() -> None:
@@ -106,8 +154,8 @@ def _deactivate() -> None:
     _depth -= 1
     if _depth > 0:
         return
-    for module, attr, _template in _PATCHED_SITES:
-        setattr(module, attr, _saved.pop((id(module), attr)))
+    for owner, attr, _replacement in _PATCHED_SITES:
+        setattr(owner, attr, _saved.pop((id(owner), attr)))
 
 
 def sanitizer_active() -> bool:

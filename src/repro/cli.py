@@ -36,13 +36,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import CalvinDB
-from repro.analysis import (
-    DeterminismSanitizer,
-    RULES,
-    audit_scope,
-    bisect_runs,
-    lint_paths,
-)
+from repro.analysis import DeterminismSanitizer, audit_scope, bisect_runs
 from repro.bench import elastic, geo, saturation, shootout
 from repro.bench.charts import ascii_chart
 from repro.bench.compare import compare_files
@@ -745,56 +739,6 @@ def cmd_topology_show(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- lint ------------------------------------------------------------------------
-
-
-def declare_lint(parser: argparse.ArgumentParser) -> None:
-    """determinism lint over Python sources (DET rules)"""
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files/directories to scan (default src/repro)",
-    )
-    parser.add_argument("--format", default="text", choices=("text", "json"))
-    parser.add_argument(
-        "--rules", metavar="LIST", default=None,
-        help="comma-separated rule subset, e.g. DET001,DET003",
-    )
-    parser.add_argument(
-        "--show-waived", action="store_true",
-        help="also print waived findings",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    parser.set_defaults(handler=cmd_lint)
-
-
-def render_rule_catalogue() -> str:
-    """The ``repro lint --list-rules`` text: a title, then one line per
-    rule (pinned by test_analysis_lint)."""
-    width = max(len(rule) for rule in RULES)
-    lines = ["DET — determinism rules (scan Python sources)"]
-    for rule in sorted(RULES):
-        lines.append(f"  {rule.ljust(width)}  {RULES[rule]}")
-    return "\n".join(lines)
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    if args.list_rules:
-        print(render_rule_catalogue())
-        return 0
-    rules = None
-    if args.rules:
-        rules = {part.strip() for part in args.rules.split(",") if part.strip()}
-    report = lint_paths(args.paths, rules=rules)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.render_text(show_waived=args.show_waived))
-    return 0 if report.ok else 1
-
-
 # -- bisect ----------------------------------------------------------------------
 
 
@@ -834,7 +778,7 @@ def cmd_bisect(args: argparse.Namespace) -> int:
         print(report.describe())
         if not report.equivalent:
             print("a same-seed divergence means ambient state leaked into "
-                  "the run — try --sanitize and `repro lint` to find it")
+                  "the run — try --sanitize to find it")
     return 0 if report.equivalent else 1
 
 
@@ -860,7 +804,6 @@ COMMANDS: Dict[Tuple[str, ...], Union[str, Declare]] = {
     ("bench", "elastic"): declare_bench_elastic,
     ("topology",): "inspect geo topology presets and their routes",
     ("topology", "show"): declare_topology_show,
-    ("lint",): declare_lint,
     ("bisect",): declare_bisect,
 }
 

@@ -13,6 +13,7 @@ benchmarks, while examples usually go through the friendlier
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple, Type
 
 from repro.analysis.auditor import FootprintAuditor, adopt_auditor, audit_armed
@@ -240,8 +241,11 @@ class Cluster(ABC):
     def run(self, duration: float, warmup: float = 0.0) -> RunReport:
         """Start everything, warm up, measure for ``duration``; report."""
         self.start()
-        for client in self.clients:
-            client.start()
+        # The first requests are generated (and reconnoitred) here,
+        # before the kernel loop: the sanitizer guards them too.
+        with self.sim.sanitizer or nullcontext():
+            for client in self.clients:
+                client.start()
         if warmup > 0:
             self.sim.run(until=self.sim.now + warmup)
         self.metrics.begin_window(self.sim.now)

@@ -78,9 +78,9 @@ def scripted_schedule(
 ) -> List[ScriptedSubmission]:
     """Pre-generate one engine-independent submission schedule."""
     catalog = Catalog(config, workload.build_partitioner(config.num_partitions))
-    # A dedicated stream: engines never draw from it, so the schedule is
-    # identical no matter which engine consumes it.
-    rng = Random((seed * 2654435761 + 97) % (2**31))  # det: allow[DET001] seeded schedule stream deliberately outside RngStreams so no engine shares it
+    # A dedicated stream outside RngStreams: engines never draw from it,
+    # so the schedule is identical no matter which engine consumes it.
+    rng = Random((seed * 2654435761 + 97) % (2**31))
     schedule: List[ScriptedSubmission] = []
     txn_id = 0
     for partition in range(config.num_partitions):

@@ -79,7 +79,7 @@ class GeoTopology:
         # (src, dst) -> settled shortest path / its total latency; valid
         # for one structure version. _routed_sources marks single-source
         # computations already folded in (dict, not set: values are
-        # iterated nowhere, and dicts keep the linter's DET003 quiet).
+        # iterated nowhere, and a dict iterates in insertion order).
         self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._latencies: Dict[Tuple[int, int], float] = {}
         self._routed_sources: Dict[int, bool] = {}

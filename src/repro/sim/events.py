@@ -113,8 +113,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         # Inlined Event.__init__ + schedule (hot path).
         self.sim = sim
         self.value = None

@@ -58,11 +58,11 @@ class Simulator:
         # run_until_triggered() when requested (ClusterConfig.sanitize).
         # None in the common case, so the hot loop pays one attribute
         # check per run() call, not per event.
-        self._sanitizer = None
+        self.sanitizer = None
         if sanitize:
             from repro.analysis.sanitizer import DeterminismSanitizer
 
-            self._sanitizer = DeterminismSanitizer()
+            self.sanitizer = DeterminismSanitizer()
         # Tally of schedule_at calls whose target time was already in the
         # past and got clamped to "now" — visible in metric snapshots so
         # model bugs that schedule backwards in time do not pass silently.
@@ -75,8 +75,8 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` units of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args, None))
 
@@ -88,8 +88,8 @@ class Simulator:
         Owned entries are subject to :meth:`suspend_owner` /
         :meth:`resume_owner` (crash/restart of a node's processes).
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args, owner))
 
@@ -106,8 +106,8 @@ class Simulator:
         and relative to everything else — but hoists the time arithmetic
         and method lookups out of the loop.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         when = self.now + delay
         seq = self._seq
         heap = self._heap
@@ -122,10 +122,13 @@ class Simulator:
 
         Past times are clamped to "now" (and tallied in
         ``schedule_at_clamped`` — a nonzero count usually means a model
-        bug computed a timestamp before the current virtual time).
+        bug computed a timestamp before the current virtual time). A NaN
+        ``when`` raises: it compares false with every heap entry.
         """
         delay = when - self.now
-        if delay < 0.0:
+        if not delay >= 0.0:
+            if when != when:
+                raise SimulationError("cannot schedule at time NaN")
             self.schedule_at_clamped += 1
             delay = 0.0
         self._seq += 1
@@ -207,7 +210,7 @@ class Simulator:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            with self._sanitizer or nullcontext():
+            with self.sanitizer or nullcontext():
                 yield
         finally:
             self._running = False

@@ -9,6 +9,7 @@ once it exits (the golden-digest equivalence test at the bottom is the
 
 import os
 import random
+import secrets
 import time
 import uuid
 
@@ -38,6 +39,8 @@ class TestTripWires:
                 lambda: random.shuffle([1, 2]),
                 lambda: random.seed(7),
                 lambda: random.getrandbits(8),
+                lambda: random.randbytes(4),
+                random.getstate,
             ):
                 with pytest.raises(DeterminismViolation):
                     fn()
@@ -51,10 +54,33 @@ class TestTripWires:
 
     def test_entropy_trips(self):
         with DeterminismSanitizer():
+            for fn in (
+                uuid.uuid4,
+                lambda: os.urandom(8),
+                lambda: random.SystemRandom().random(),
+                lambda: secrets.token_hex(4),
+                lambda: secrets.randbelow(10),
+            ):
+                with pytest.raises(DeterminismViolation):
+                    fn()
+
+    def test_unseeded_generator_trips(self):
+        with DeterminismSanitizer():
+            with pytest.raises(DeterminismViolation, match="unseeded"):
+                random.Random()
             with pytest.raises(DeterminismViolation):
-                uuid.uuid4()  # det: allow[DET005] the trip-wire under test
-            with pytest.raises(DeterminismViolation):
-                os.urandom(8)  # det: allow[DET005] the trip-wire under test
+                random.Random(7).seed()
+
+    def test_environment_trips(self):
+        with DeterminismSanitizer():
+            for fn in (
+                lambda: os.environ["PATH"],
+                lambda: "PATH" in os.environ,
+                lambda: os.getenv("PATH"),
+                lambda: dict(os.environ),
+            ):
+                with pytest.raises(DeterminismViolation, match="os.environ"):
+                    fn()
 
     def test_violation_message_names_the_call(self):
         with DeterminismSanitizer():
@@ -62,12 +88,13 @@ class TestTripWires:
                 time.time()
 
     def test_seeded_streams_unaffected(self):
-        # random.Random instances own their state; only the hidden
-        # module-global instance is a determinism hazard.
+        # A seeded random.Random owns its state and draws the same
+        # numbers in every process, wherever it is built; only the
+        # hidden module-global instance and host-seeded ones are hazards.
         with DeterminismSanitizer():
             a = random.Random(42).random()
             b = random.Random(42).random()
-        assert a == b
+        assert a == b == random.Random(42).random()
 
     def test_perf_counter_unaffected(self):
         # The perf harness times the simulator from the outside.
@@ -77,10 +104,12 @@ class TestTripWires:
 
 class TestLifecycle:
     def test_restored_after_exit(self):
-        before = time.time
+        before = time.time, os.environ, random.Random.seed
         with DeterminismSanitizer():
             pass
-        assert time.time is before
+        assert (time.time, os.environ, random.Random.seed) == before
+        assert os.environ is before[1]
+        assert isinstance(random.Random().random(), float)
         assert isinstance(random.random(), float)
         assert time.time() > 0
 

@@ -1,17 +1,32 @@
-"""Deep determinism: identical runs are identical at the event level."""
+"""Deep determinism: identical runs are identical at the event level,
+across processes, and every planted hazard is caught at runtime."""
 
+import math
 import os
+import random
+import secrets
 import subprocess
 import sys
+import time
+import uuid
+from pathlib import Path
 
+import pytest
+
+import repro
+import tests.test_capabilities as cells
 from repro import (
     CalvinCluster,
     ClientProfile,
     ClusterConfig,
+    DeterminismViolation,
     FaultPlan,
     Microbenchmark,
     TpccWorkload,
 )
+from repro.engines import UNSUPPORTED
+from repro.errors import SimulationError
+from tests.differential import PLANTS, WORKLOADS
 
 
 def build_and_run(seed=33, workload_factory=None):
@@ -125,59 +140,108 @@ class TestFaultedRunEquivalence:
         assert clean.merged_log() == empty.merged_log()
 
 
-# Run in a fresh interpreter per hash seed: prints one line per workload
-# with everything a footprint's key order could leak into.
-_HASH_SEED_RUN = """
-import hashlib
-from repro import (CalvinCluster, ClientProfile, ClusterConfig, TpccWorkload,
-                   YcsbWorkload)
-from repro.obs import TraceRecorder
-from repro.storage.recovery import fingerprint_data
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(repro.__file__).resolve().parent.parent
+#: The two interpreters of the differential: hash seed, allocator and
+#: wall clock differ; nothing a run may depend on does.
+INTERPRETERS = (
+    {"PYTHONHASHSEED": "0"},
+    {"PYTHONHASHSEED": "1", "PYTHONMALLOC": "malloc"},
+)
 
-workloads = {
-    "tpcc": TpccWorkload(),  # default mix: dependent (OLLP) types included
-    "ycsb": YcsbWorkload(records_per_partition=200, keys_per_txn=4, mp_fraction=0.5),
-}
-for name, workload in workloads.items():
-    tracer = TraceRecorder()
-    cluster = CalvinCluster(ClusterConfig(num_partitions=2, seed=21),
-                            workload=workload, tracer=tracer)
-    cluster.load_workload_data()
-    cluster.add_clients(ClientProfile(per_partition=4, max_txns=8))
-    cluster.run(duration=0.2)
-    cluster.quiesce()
-    footprints = hashlib.sha256()
-    logged = 0
-    for entry in cluster.merged_log():
-        for txn in entry.txns:
-            footprints.update(repr((txn.txn_id, txn.read_set, txn.write_set)).encode())
-            logged += 1
-    dependent = sum(txn.dependent for entry in cluster.merged_log() for txn in entry.txns)
-    print(name, tracer.digest(), fingerprint_data(cluster.final_state()),
-          footprints.hexdigest(), logged, dependent)
-"""
+
+def differential(*argv):
+    """``python -m tests.differential *argv`` in both interpreters at
+    once; their two outputs."""
+    base = {key: value for key, value in os.environ.items() if key != "PYTHONMALLOC"}
+    base["PYTHONPATH"] = os.pathsep.join([str(SRC), str(ROOT)])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "tests.differential", *argv], cwd=ROOT,
+            env={**base, **interpreter}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+        )
+        for interpreter in INTERPRETERS
+    ]
+    outputs = []
+    for run in runs:
+        out, err = run.communicate()
+        assert run.returncode == 0, err
+        outputs.append(out)
+    return outputs
 
 
 class TestAcrossHashSeeds:
     def test_two_hash_seeds_run_identically(self):
-        """A footprint keeps its declared order in the input log, so no
-        declaration may follow the salted ``hash``: under two
-        PYTHONHASHSEED values the same seed gives the same trace, final
-        state and logged footprints, key by key."""
-        import repro
+        """Every supported capability cell and every workload gives the
+        same trace, final state and logged footprints, key by key, under
+        two hash seeds and two allocators: no order follows the salted
+        ``hash`` or ``id()``, and nothing reads the wall clock."""
+        a, b = differential()
+        assert a == b
+        rows = {line.split()[0]: line.split()[1:] for line in a.splitlines()}
+        supported = {
+            f"{feature}-{engine}.0" for feature, engine in cells.CELLS
+            if UNSUPPORTED[engine].get(feature) is None
+        }
+        assert set(rows) == supported | set(WORKLOADS)
+        assert all(int(rows[name][3]) > 20 for name in WORKLOADS)  # logged
+        assert int(rows["tpcc"][4]) > 0  # dependent TPC-C types ran
 
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        outputs = []
-        for hash_seed in ("0", "1"):
-            done = subprocess.run(
-                [sys.executable, "-c", _HASH_SEED_RUN],
-                capture_output=True, text=True,
-                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
-            )
-            assert done.returncode == 0, done.stderr
-            outputs.append(done.stdout)
-        assert outputs[0] == outputs[1]
-        rows = [line.split() for line in outputs[0].splitlines()]
-        assert [row[0] for row in rows] == ["tpcc", "ycsb"]
-        assert all(int(row[4]) > 20 for row in rows)  # transactions logged
-        assert int(rows[0][5]) > 0                   # dependent TPC-C types ran
+
+# -- planted determinism hazards ---------------------------------------------
+# One per hazard a run must not depend on, each failing a tier-1 check.
+
+
+class _HazardWorkload(Microbenchmark):
+    """A microbenchmark whose every ``generate`` first calls ``hazard``
+    with the cluster's simulator."""
+
+    def __init__(self, hazard):
+        super().__init__(mp_fraction=0.0, hot_set_size=10, cold_set_size=100)
+        self.hazard = hazard
+        self.sim = None
+
+    def generate(self, rng, origin_partition, catalog):
+        self.hazard(self.sim)
+        return super().generate(rng, origin_partition, catalog)
+
+
+#: (case, the hazard, what the sanitized run raises).
+HAZARDS = [
+    ("ambient-random", lambda sim: random.random(), DeterminismViolation),
+    ("randbytes", lambda sim: random.randbytes(4), DeterminismViolation),
+    ("unseeded-Random", lambda sim: random.Random().random(), DeterminismViolation),
+    ("time.time", lambda sim: time.time(), DeterminismViolation),
+    ("secrets.token_bytes", lambda sim: secrets.token_bytes(4), DeterminismViolation),
+    ("os.urandom", lambda sim: os.urandom(4), DeterminismViolation),
+    ("uuid4", lambda sim: uuid.uuid4(), DeterminismViolation),
+    ("os.environ.get", lambda sim: os.environ.get("HOME"), DeterminismViolation),
+    ("os.getenv", lambda sim: os.getenv("HOME"), DeterminismViolation),
+    ("nan-delay", lambda sim: sim.schedule(math.inf - math.inf, len, ()), SimulationError),
+]
+
+
+class TestPlantedHazards:
+    """Each hazard is caught by the run that meets it: ambient state by
+    the sanitizer, a NaN delay by the kernel, and what no patch reaches
+    (set order, address order, ``datetime.now``) by the differential."""
+
+    @pytest.mark.parametrize(
+        "hazard, caught", [row[1:] for row in HAZARDS], ids=[row[0] for row in HAZARDS]
+    )
+    def test_run_catches(self, hazard, caught):
+        workload = _HazardWorkload(hazard)
+        cluster = CalvinCluster(
+            ClusterConfig(num_partitions=1, sanitize=True), workload=workload
+        )
+        workload.sim = cluster.sim
+        cluster.load_workload_data()
+        cluster.add_clients(ClientProfile(per_partition=1, max_txns=1))
+        with pytest.raises(caught):
+            cluster.run(duration=0.1)
+
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    def test_differential_catches(self, plant):
+        a, b = differential(plant)
+        assert a and a != b

@@ -54,7 +54,6 @@ EXPECTED_EXPORTS = [
     "check_replica_prefix_consistency",
     "check_serializability",
     "get_engine",
-    "lint_paths",
     "random_plan",
     "trace_digest",
 ]

@@ -71,6 +71,30 @@ class TestScheduling:
         assert sim.events_executed == 101
 
 
+NAN = float("nan")
+NAN_ENTRIES = {
+    "schedule": lambda sim: sim.schedule(NAN, len, ()),
+    "schedule_owned": lambda sim: sim.schedule_owned("node", NAN, len, ()),
+    "schedule_many": lambda sim: sim.schedule_many(None, NAN, [(len, ((),))]),
+    "schedule_at": lambda sim: sim.schedule_at(NAN, len, ()),
+    "timeout": lambda sim: sim.timeout(NAN),
+}
+
+
+class TestNaNTime:
+    """A NaN time compares false with every heap entry: pushed, it would
+    dispatch ahead of earlier-due events and leave the clock at NaN."""
+
+    @pytest.mark.parametrize("entry", sorted(NAN_ENTRIES))
+    def test_nan_rejected(self, sim, entry):
+        fired = []
+        sim.schedule(0.1, fired.append, "due")
+        with pytest.raises(SimulationError):
+            NAN_ENTRIES[entry](sim)
+        assert sim.run(until=1.0) == 1.0
+        assert fired == ["due"]
+
+
 class TestRun:
     def test_run_until_stops_time(self, sim):
         fired = []
