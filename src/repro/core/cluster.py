@@ -35,6 +35,7 @@ from repro.partition.catalog import (
     node_address,
 )
 from repro.partition.partitioner import Key, Partitioner
+from repro.sequencer.sequencer import BatchShare
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network, lan_topology, wan_topology
@@ -308,6 +309,9 @@ class CalvinCluster(Cluster):
         if config.disk_enabled and workload is not None:
             cold = workload.cold_predicate()
 
+        # The sequencers' per-batch share (Sequencer.dispatch): empty
+        # whenever every replica has dispatched every batch.
+        self.batch_share: BatchShare = {}
         self.nodes: Dict[NodeId, CalvinNode] = {}
         for node_id in self.catalog.nodes():
             self.nodes[node_id] = self.node_class(
@@ -318,6 +322,7 @@ class CalvinCluster(Cluster):
                 config,
                 self.registry,
                 self.rngs,
+                self.batch_share,
                 cold_predicate=cold,
                 on_complete=self._completion_hook if node_id.replica == 0 else None,
                 # Traces on every replica: the live fault checkers compare

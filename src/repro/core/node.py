@@ -32,7 +32,7 @@ from repro.sequencer.replication import (
     NoReplication,
     PaxosReplication,
 )
-from repro.sequencer.sequencer import Sequencer
+from repro.sequencer.sequencer import BatchShare, Sequencer
 from repro.sim.events import Event
 from repro.storage.checkpoint import (
     CheckpointSnapshot,
@@ -73,6 +73,7 @@ class CalvinNode:
         config: ClusterConfig,
         registry: ProcedureRegistry,
         rngs: "RngStreams",
+        batch_share: BatchShare,
         cold_predicate=None,
         on_complete: Optional[Callable] = None,
         record_trace: bool = False,
@@ -123,6 +124,7 @@ class CalvinNode:
             input_log=self.input_log,
             engine=self.engine,
             replication=self._make_replication(),
+            batch_share=batch_share,
             tracer=tracer,
         )
         if config.admission_policy != "none" and self.sequencer.accepts_input:

@@ -103,25 +103,24 @@ class Route(dict):
     and ``reply`` is the one that reports the result. ``read_holders``
     are the partitions every active participant collects reads from.
 
-    The record is the mapping itself rather than an object holding one:
-    a route is retained with every logged transaction, and this halves
+    A route travels in flight, on the
+    :class:`~repro.txn.transaction.SequencedTxn` every participant
+    receives, and dies with it: the input log keeps only the
+    transaction, from which any replica recomputes it. The record is
+    the mapping itself rather than an object holding one, which halves
     what each costs the allocator and the cyclic GC.
     """
 
-    __slots__ = ("catalog", "version", "participants", "active", "reply", "read_holders")
+    __slots__ = ("participants", "active", "reply", "read_holders")
 
     def __init__(
         self,
-        catalog: "Catalog",
-        version: int,
         participants: FrozenSet[int],
         active: FrozenSet[int],
         read_holders: FrozenSet[int],
         slices: Dict[int, Slice],
     ):
         super().__init__(slices)
-        self.catalog = catalog
-        self.version = version
         self.participants = participants
         self.active = active
         self.reply = min(active)
@@ -190,7 +189,7 @@ class Catalog:
             self._hosted_sorted = tuple(
                 tuple(hosted) for hosted in config.partial_hosting
             )
-        # Routes are retained with every logged transaction; distinct
+        # Routes are retained by every transaction in flight; distinct
         # partition sets are few, so each is stored once.
         self._partition_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
         # -- elastic reconfiguration (repro.reconfig) --------------------
@@ -356,8 +355,8 @@ class Catalog:
                 "routing overrides must be armed in epoch order "
                 f"(got {effective_epoch} after {self._override_epochs[-1]})"
             )
-        # Always a new entry, even at an already-armed epoch: routes are
-        # memoised per routing version, so every arm must start one.
+        # Always a new entry, even at an already-armed epoch: every arm
+        # starts a routing version.
         base = self._override_maps[-1] if self._override_maps else {}
         self._override_epochs.append(effective_epoch)
         self._override_maps.append({**base, **moves})
@@ -378,21 +377,13 @@ class Catalog:
         return self.partition_of(key)
 
     def route(self, txn, epoch: int) -> Route:
-        """The :class:`Route` of ``txn`` sequenced in ``epoch``.
-
-        Memoised on the transaction per (catalog, routing version): a
-        static cluster resolves each transaction once, an elastic one
-        once per override it lives through, and a replay under a fresh
-        catalog resolves again.
-        """
-        version = bisect_right(self._override_epochs, epoch)
-        route = txn._route
-        if route is None or route.version != version or route.catalog is not self:
-            route = self._resolve(txn, epoch, version)
-            object.__setattr__(txn, "_route", route)
-        return route
-
-    def _resolve(self, txn, epoch: int, version: int) -> Route:
+        """The :class:`Route` of ``txn`` sequenced in ``epoch``: a pure
+        function of the two and the routing armed for ``epoch``, built
+        afresh on every call. The sequencer resolves each batch once per
+        cluster (:meth:`Sequencer.dispatch
+        <repro.sequencer.sequencer.Sequencer.dispatch>`) and the route
+        rides on the sequenced transaction from there; the checkers, the
+        2PC baseline and a recovery resend call this directly."""
         if txn.procedure == MIGRATION_PROC:
             # Pinned to (source, dest): at its own epoch the moving keys
             # already route to the destination, yet the data still lives
@@ -404,8 +395,7 @@ class Catalog:
             both = self._interned((source, dest))
             side = ((), txn.write_set, ())
             route = Route(
-                self, version, both, both,
-                self._interned((source,)), {source: side, dest: side},
+                both, both, self._interned((source,)), {source: side, dest: side}
             )
             route.reply = dest  # the side that applies the copy reports it
             return route
@@ -417,6 +407,7 @@ class Catalog:
             written = set(writes)
             read_only = tuple(key for key in reads if key not in written)
         whole = (reads, writes, read_only)
+        version = bisect_right(self._override_epochs, epoch)
         read_owners = self._owners(reads, epoch, version)
         read_holders = self._interned(read_owners)
         if reads is writes:
@@ -436,7 +427,7 @@ class Catalog:
             owner = dict(zip(reads, read_owners))
             owner.update(zip(writes, write_owners))
             slices = split_slice(whole, owner.__getitem__)
-        return Route(self, version, participants, active, read_holders, slices)
+        return Route(participants, active, read_holders, slices)
 
     def _interned(self, partitions) -> FrozenSet[int]:
         key = frozenset(partitions)

@@ -51,9 +51,9 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         yield from run_migration(sched, stxn)
         return
 
-    # Phase 1 — read/write set analysis, done once per transaction by
-    # the catalog; every participant reads the same record.
-    route = catalog.route(txn, seq[0])
+    # Phase 1 — read/write set analysis, done once per batch by the
+    # sequencer; every participant reads the record riding on ``stxn``.
+    route = stxn.route
     participants = route.participants
     multipartition = len(participants) > 1
     if multipartition and sched.node_id.replica != 0:
@@ -339,14 +339,13 @@ def apply_replicated(sched: "Scheduler", stxn: SequencedTxn):
     """
     sim = sched.sim
     costs = sched.config.costs
-    catalog = sched.catalog
     txn = stxn.txn
     seq = stxn.seq
     mine = sched.node_id.partition
     tracer = sched.tracer
     replica, txn_id = sched.node_id.replica, txn.txn_id
 
-    if mine not in catalog.route(txn, seq[0]).active:
+    if mine not in stxn.route.active:
         # No writes can land on a passive participant; nothing to wait for.
         yield sched.workers.request()
         yield sim.timeout(costs.txn_base_cpu)

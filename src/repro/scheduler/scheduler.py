@@ -195,14 +195,13 @@ class Scheduler:
         # CPU for its own keys, so shards lift the admission ceiling.
         admission = self._admission
         tracing = self._tracing
-        route = self.catalog.route
         mine = self.node_id.partition
         single_shard = len(self._lock_shards) == 1
         while admission:
             stxn = admission.popleft()
             if tracing:
                 self.tracer.mark(("admit", self.node_id, stxn.seq), self.sim.now)
-            local = route(stxn.txn, stxn.seq[0]).get(mine)
+            local = stxn.route.get(mine)
             if local is None:
                 raise SchedulerError(
                     f"{stxn.seq} dispatched to non-participant partition {mine}"

@@ -6,11 +6,17 @@ agreed global order is "all epoch-e batches in origin-partition order,
 then epoch e+1, ...". Schedulers reconstruct this by collecting one
 sub-batch per origin per epoch, so the sequencer sends a sub-batch to
 *every* scheduler of its replica each epoch, empty ones included.
+
+Each sub-batch carries its transactions as :class:`SequencedTxn`
+records, each with its route (phase 1's read/write set analysis).
+Every replica hosting an origin dispatches the same agreed batch, and
+the analysis is a pure function of it, so it is done once per cluster
+(see :meth:`Sequencer._sequenced`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, TYPE_CHECKING, Tuple
+from typing import Any, Callable, Dict, List, TYPE_CHECKING, Tuple
 
 from repro.config import ClusterConfig
 from repro.net.messages import ClientSubmit, PrefetchRequest, ReplicaBatch, SubBatch
@@ -25,6 +31,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.engine import StorageEngine
 
 SendFn = Callable[[Any, Any, int], None]
+# Batches resolved for every replica that dispatches them: (epoch,
+# origin) -> [the batch object, what Sequencer._resolve made of it,
+# dispatches still expected]. One per cluster, shared by its sequencers.
+BatchShare = Dict[Tuple[int, int], list]
 
 
 class Sequencer:
@@ -40,6 +50,7 @@ class Sequencer:
         input_log: InputLog,
         engine: "StorageEngine",
         replication: ReplicationStrategy,
+        batch_share: BatchShare,
         tracer: TraceRecorder = NULL_RECORDER,
     ):
         self.sim = sim
@@ -54,6 +65,9 @@ class Sequencer:
         self.engine = engine
         self.replication = replication
         replication.attach(self)
+        self._batch_share = batch_share
+        # Every replica hosting this origin dispatches each of its batches.
+        self._dispatchers = len(catalog.replicas_of_partition(node_id.partition))
         # Timers and pending fan-out are tagged with the node's address
         # so a kernel-level crash (suspend_owner) freezes them with the
         # rest of the node.
@@ -64,10 +78,11 @@ class Sequencer:
         # immediately (bit-for-bit the pre-admission behaviour).
         self.admission = None
 
-        # Optional hook called at every epoch tick with (epoch, batch),
-        # before the batch is published. Pure observation: installers
-        # must not mutate the batch or schedule simulator events (STAR's
-        # phase controller uses it to track the multipartition fraction).
+        # Optional hook called with (epoch, sequenced) for every batch
+        # this sequencer dispatches: its SequencedTxns in batch order,
+        # routes included. Pure observation: installers must not mutate
+        # the batch or schedule simulator events (STAR's phase controller
+        # uses it to track the multipartition fraction).
         self.batch_observer: Any = None
 
         self._buffer: List[Transaction] = []
@@ -263,8 +278,6 @@ class Sequencer:
             # post-flip routing.
             batch = tuple(pending) + batch
         self.txns_sequenced += len(batch)
-        if self.batch_observer is not None:
-            self.batch_observer(epoch, batch)
         if self._tracing:
             for txn in batch:
                 start = self.tracer.take_mark(("seq-arrival", txn.txn_id))
@@ -342,14 +355,9 @@ class Sequencer:
                 ("dispatch", self.node_id.replica, origin, epoch), self.sim.now
             )
 
-        per_partition: List[List[SequencedTxn]] = [
-            [] for _ in range(self.catalog.num_partitions)
-        ]
-        route = self.catalog.route
-        for index, txn in enumerate(txns):
-            stxn = SequencedTxn((epoch, origin, index), txn)
-            for partition in route(txn, epoch).participants:
-                per_partition[partition].append(stxn)
+        sequenced, per_partition = self._sequenced(epoch, txns)
+        if self.batch_observer is not None:
+            self.batch_observer(epoch, sequenced)
 
         # Sequencer CPU: batch assembly/serialization delay. The sends
         # are owned by the node so a crash freezes (not loses) them.
@@ -358,7 +366,7 @@ class Sequencer:
         replica = self.node_id.replica
         calls = []
         for partition in self.catalog.hosted_partitions(replica):
-            message = SubBatch(epoch, origin, tuple(per_partition[partition]))
+            message = SubBatch(epoch, origin, per_partition[partition])
             address = node_address(NodeId(replica, partition))
             calls.append((self.send, (address, message, message.size_estimate())))
         if self.catalog.partial and replica == 0:
@@ -372,32 +380,71 @@ class Sequencer:
                 if self.catalog.is_hosted(peer, origin):
                     continue  # the peer's own (peer, origin) node dispatches
                 for partition in self.catalog.hosted_partitions(peer):
-                    message = SubBatch(epoch, origin, tuple(per_partition[partition]))
+                    message = SubBatch(epoch, origin, per_partition[partition])
                     address = node_address(NodeId(peer, partition))
                     calls.append(
                         (self.send, (address, message, message.size_estimate()))
                     )
         self.sim.schedule_many(self._owner, delay, calls)
 
+    def _sequenced(self, epoch: int, txns: Tuple[Transaction, ...]):
+        """The batch as :class:`SequencedTxn` records, and their
+        per-partition sub-batch tuples, resolved once per cluster.
+
+        The first replica to dispatch ``(epoch, origin)`` resolves the
+        batch; every other replica that dispatches *the same batch
+        object* reuses the result, and the last expected dispatcher
+        drops it from the share. A batch that is merely equal (what a
+        diverging replica would dispatch) is resolved afresh, so the
+        share never masks a divergence. An empty batch, the common
+        case at low load, has nothing to resolve and is not shared.
+        """
+        if self._dispatchers == 1 or not txns:
+            return self._resolve(epoch, txns)
+        key = (epoch, self.node_id.partition)
+        share = self._batch_share.get(key)
+        if share is None:
+            resolved = self._resolve(epoch, txns)
+            share = self._batch_share[key] = [txns, resolved, self._dispatchers]
+        elif share[0] is txns:
+            resolved = share[1]
+        else:
+            resolved = self._resolve(epoch, txns)
+        share[2] -= 1
+        if not share[2]:
+            del self._batch_share[key]
+        return resolved
+
+    def _resolve(self, epoch: int, txns: Tuple[Transaction, ...]):
+        origin = self.node_id.partition
+        route = self.catalog.route
+        sequenced: List[SequencedTxn] = []
+        per_partition: List[List[SequencedTxn]] = [
+            [] for _ in range(self.catalog.num_partitions)
+        ]
+        for index, txn in enumerate(txns):
+            txn_route = route(txn, epoch)
+            stxn = SequencedTxn((epoch, origin, index), txn, txn_route)
+            sequenced.append(stxn)
+            for partition in txn_route.participants:
+                per_partition[partition].append(stxn)
+        return sequenced, [tuple(stxns) for stxns in per_partition]
+
     def resend_to(self, partition: int, from_epoch: int = 0) -> int:
         """Re-fan-out logged batches to one scheduler of this replica.
 
         Recovery hook (paper Section 2: a rejoining node is brought up to
         date from a peer's input log): re-derives the per-partition
-        sub-batches of every logged epoch ``>= from_epoch`` and re-sends
+        sub-batches of every logged epoch ``>= from_epoch`` — routes
+        included, recomputed from the logged transactions — and re-sends
         them to ``partition``'s scheduler, whose intake is idempotent.
         Returns the number of sub-batches re-sent.
         """
         resent = 0
         origin = self.node_id.partition
-        route = self.catalog.route
         for entry in self.input_log.entries_from(from_epoch):
-            stxns = tuple(
-                SequencedTxn((entry.epoch, origin, index), txn)
-                for index, txn in enumerate(entry.txns)
-                if partition in route(txn, entry.epoch).participants
-            )
-            message = SubBatch(entry.epoch, origin, stxns)
+            _, per_partition = self._resolve(entry.epoch, entry.txns)
+            message = SubBatch(entry.epoch, origin, per_partition[partition])
             target = NodeId(self.node_id.replica, partition)
             self.send(node_address(target), message, message.size_estimate())
             resent += 1

@@ -54,7 +54,7 @@ class StarCluster(CalvinCluster):
         self.master = StarMaster(master_node, stores)
         master_node.star_master = self.master
         self.controller = PhaseController(
-            self.sim, config, self.catalog, self.master, tracer=self.tracer
+            self.sim, config, self.master, tracer=self.tracer
         )
         for partition in range(config.num_partitions):
             sequencer = self.node(0, partition).sequencer

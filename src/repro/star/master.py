@@ -48,7 +48,6 @@ class StarMaster:
     def __init__(self, node: "StarNode", stores: Dict[int, Any]):
         self.node = node
         self.sim = node.sim
-        self.catalog = node.catalog
         self.config = node.config
         self.registry = node.scheduler.registry
         self.tracer = node.tracer
@@ -71,7 +70,7 @@ class StarMaster:
         """One participant reports its local locks granted."""
         stxn = message.stxn
         seq = stxn.seq
-        needed = len(self.catalog.route(stxn.txn, seq[0]).participants)
+        needed = len(stxn.route.participants)
         count = self._ready_counts.get(seq, 0) + 1
         if count < needed:
             self._ready_counts[seq] = count
@@ -130,7 +129,6 @@ class StarMaster:
         """
         sim = self.sim
         costs = self.config.costs
-        catalog = self.catalog
         txn = stxn.txn
         scheduler = self.node.scheduler
         granted_time = sim.now
@@ -138,7 +136,7 @@ class StarMaster:
         yield scheduler.workers.request()
         exec_start = sim.now
 
-        route = catalog.route(txn, stxn.seq[0])
+        route = stxn.route
         reads: Dict = {}
         for partition in sorted(route.read_holders):
             reads.update(self.stores[partition].get_many(route[partition][0]))

@@ -31,7 +31,6 @@ from repro.obs import CAT_NODE, NULL_RECORDER, SpanKind, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ClusterConfig
-    from repro.partition.catalog import Catalog
     from repro.sim.kernel import Simulator
     from repro.star.master import StarMaster
 
@@ -57,13 +56,11 @@ class PhaseController:
         self,
         sim: "Simulator",
         config: "ClusterConfig",
-        catalog: "Catalog",
         master: "StarMaster",
         tracer: TraceRecorder = NULL_RECORDER,
     ):
         self.sim = sim
         self.config = config
-        self.catalog = catalog
         self.master = master
         self.tracer = tracer
         self.phase = PARTITIONED
@@ -74,11 +71,12 @@ class PhaseController:
 
     # -- observation (installed as every input sequencer's batch_observer) --
 
-    def observe_batch(self, epoch: int, batch) -> None:
-        self.txns_observed += len(batch)
-        route = self.catalog.route
-        for txn in batch:
-            if len(route(txn, epoch).participants) > 1:
+    def observe_batch(self, epoch: int, sequenced) -> None:
+        """Count one dispatched batch, reading the routes its
+        sequencer already resolved."""
+        self.txns_observed += len(sequenced)
+        for stxn in sequenced:
+            if len(stxn.route.participants) > 1:
                 self.multipartition_observed += 1
 
     @property

@@ -40,7 +40,7 @@ class StarScheduler(Scheduler):
         self.star_routed = 0
 
     def _start_execution(self, stxn: SequencedTxn) -> None:
-        if len(self.catalog.route(stxn.txn, stxn.seq[0]).participants) == 1:
+        if len(stxn.route.participants) == 1:
             # Partitioned path: local deterministic execution, any phase.
             super()._start_execution(stxn)
             return
@@ -59,8 +59,7 @@ class StarScheduler(Scheduler):
                 f"StarRelease for unknown seq {message.seq} at {self.node_id}"
             )
         txn = stxn.txn
-        reply_partition = self.catalog.route(txn, stxn.seq[0]).reply
-        report = message.result if self.node_id.partition == reply_partition else None
+        report = message.result if self.node_id.partition == stxn.route.reply else None
         if report is not None and txn.client is not None and self.node_id.replica == 0:
             reply = TxnReply(report)
             self.send(txn.client, reply, reply.size_estimate())

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import Any, NamedTuple, Set, Tuple
+from dataclasses import FrozenInstanceError, dataclass, fields
+from typing import Any, NamedTuple, Set, TYPE_CHECKING, Tuple
 
 from repro.partition.partitioner import FootprintKeys, Key, canonical_footprint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.partition.catalog import Route
 
 # Global sequence number: (epoch, origin_partition, index within batch).
 # Tuple comparison gives exactly Calvin's interleaving rule — all batches
@@ -36,12 +39,6 @@ class _TransactionSlots:
     footprint_token: Any = None
     submit_time: float = 0.0
     restarts: int = 0
-    # Memo field, excluded from comparisons and repr (input-log replay
-    # checks compare transactions across independent runs whose
-    # memoization states differ). Written by Catalog.route via
-    # ``object.__setattr__``: the routing record, per (catalog, routing
-    # version); reads are plain (fast) slot loads.
-    _route: Any = field(default=None, init=False, repr=False, compare=False)
 
 
 class Transaction(_TransactionSlots):
@@ -63,10 +60,12 @@ class Transaction(_TransactionSlots):
     Read-only once built: every hot path and every replica hands the
     same instance around, so :meth:`create` — the one constructor —
     seals it, and assigning or deleting a field afterwards raises
-    :class:`dataclasses.FrozenInstanceError`. ``_route`` memoises the
-    one routing record. Who participates, who is active, who replies
-    and which keys are local are not questions a transaction answers:
-    ask :meth:`Catalog.route <repro.partition.catalog.Catalog.route>`.
+    :class:`dataclasses.FrozenInstanceError`. Who participates, who is
+    active, who replies and which keys are local are not questions a
+    transaction answers, and it keeps no answer to them: the
+    :class:`~repro.partition.catalog.Route` that
+    :meth:`Catalog.route <repro.partition.catalog.Catalog.route>`
+    computes for its epoch travels on the :class:`SequencedTxn`.
     """
 
     __slots__ = ()
@@ -82,10 +81,8 @@ class Transaction(_TransactionSlots):
 
     def __reduce__(self):
         # Pickle and copy rebuild through the one constructor, so the
-        # clone is sealed too; memo state stays behind.
-        return Transaction.create, tuple(
-            getattr(self, f.name) for f in fields(self) if f.init
-        )
+        # clone is sealed too.
+        return Transaction.create, tuple(getattr(self, f.name) for f in fields(self))
 
     @staticmethod
     def create(
@@ -119,8 +116,7 @@ class Transaction(_TransactionSlots):
             submit_time,
             restarts,
         )
-        # Seal: same slot layout, so CPython allows the class swap; from
-        # here on only the memo writer's ``object.__setattr__`` gets in.
+        # Seal: same slot layout, so CPython allows the class swap.
         txn.__class__ = Transaction
         return txn
 
@@ -130,7 +126,13 @@ class Transaction(_TransactionSlots):
 
 
 class SequencedTxn(NamedTuple):
-    """A transaction bound to its position in the global serial order.
+    """A transaction bound to its position in the global serial order,
+    carrying its :class:`~repro.partition.catalog.Route` under the
+    routing of its epoch (paper §3, phase 1).
+
+    The route lives exactly as long as the transaction is in flight:
+    the input log keeps only ``txn``, and a replay or a recovery resend
+    recomputes the route from it.
 
     Compared, ordered and hashed by ``seq`` alone — the position is the
     identity, and ``txn.args`` may be unhashable — so every tuple
@@ -139,6 +141,7 @@ class SequencedTxn(NamedTuple):
 
     seq: GlobalSeq
     txn: Transaction
+    route: "Route"
 
     def __eq__(self, other):
         return self.seq == other.seq if other.__class__ is SequencedTxn else NotImplemented

@@ -9,7 +9,7 @@ from repro.txn.transaction import SequencedTxn, Transaction
 
 def stxn(seq, txn_id=None):
     txn = Transaction.create(txn_id or seq[2] + 1, "p", None, [("k", 0)], [("k", 0)])
-    return SequencedTxn(seq, txn)
+    return SequencedTxn(seq, txn, None)  # locks never read the route
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ class TestSizeEstimates:
         assert large.size_estimate() > small.size_estimate()
 
     def test_subbatch_scales(self):
-        stxn = SequencedTxn((0, 0, 0), make_txn())
+        stxn = SequencedTxn((0, 0, 0), make_txn(), None)
         empty = SubBatch(0, 0, ())
         full = SubBatch(0, 0, (stxn,) * 5)
         assert full.size_estimate() > empty.size_estimate()

@@ -47,7 +47,7 @@ def test_lock_manager_grants_all_eventually_in_order(footprints):
     stxns = []
     for index, (reads, writes) in enumerate(footprints):
         txn = Transaction.create(index + 1, "p", None, reads, writes)
-        stxn = SequencedTxn((0, 0, index), txn)
+        stxn = SequencedTxn((0, 0, index), txn, None)
         stxns.append(stxn)
         manager.acquire(stxn, reads, writes)
 
@@ -83,7 +83,7 @@ def _grant_schedule(batch, steps, rng, via_plan=True):
     ready = []
     manager = DeterministicLockManager(ready.append)
     pending = [
-        SequencedTxn((0, 0, index), Transaction.create(index + 1, "p", None, reads, writes))
+        SequencedTxn((0, 0, index), Transaction.create(index + 1, "p", None, reads, writes), None)
         for index, (reads, writes) in enumerate(batch)
     ]
     pending.reverse()

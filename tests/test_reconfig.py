@@ -106,14 +106,14 @@ class TestEpochRouter:
         before = catalog.route(txn, 0)
         assert before.participants == {0} and before.reply == 0
         catalog.arm_override(3, {moved: 2})
-        assert catalog.route(txn, 2) is before  # same routing version
+        assert _route_value(catalog.route(txn, 2)) == _route_value(before)  # same version
         after = catalog.route(txn, 3)
-        assert after is catalog.route(txn, 7)
+        assert _route_value(after) == _route_value(catalog.route(txn, 7))
         assert after.participants == after.active == after.read_holders == {0, 2}
         assert after.reply == 0
         assert after[2] == ((moved,), (moved,), ())
         assert after[0] == ((stays,), (stays,), ())
-        # Routing back to an older epoch (log resend) re-resolves.
+        # Routing back to an older epoch (log resend) sees its routing.
         assert catalog.route(txn, 0).participants == {0}
 
     def test_migration_route_is_pinned_to_source_and_dest(self):
@@ -147,6 +147,11 @@ _arms = st.lists(
 )
 
 
+def _route_value(route):
+    """Everything a route says, for comparing two routes by value."""
+    return dict(route), route.participants, route.active, route.reply, route.read_holders
+
+
 def _is_subsequence(part, whole):
     rest = iter(whole)
     return all(key in rest for key in part)
@@ -177,12 +182,12 @@ class TestRouteProperty:
             for at in range(horizon):
                 route = catalog.route(txn, at)
                 self._check_route(catalog, txn, route, at)
-                same = by_version.setdefault(catalog.routing_version_at(at), route)
-                assert route is same  # one resolution per routing version
-            assert len({id(route) for route in by_version.values()}) == len(by_version)
-        # The replay case: a fresh catalog never trusts another's memo.
+                value = _route_value(route)
+                # A pure function of the routing version.
+                assert by_version.setdefault(catalog.routing_version_at(at), value) == value
+        # The replay case: a fresh catalog routes by its own arms alone.
         replay = _bare_catalog()
-        assert replay.route(txn, 0).catalog is replay
+        self._check_route(replay, txn, replay.route(txn, epoch), epoch)
 
     @staticmethod
     def _check_route(catalog, txn, route, epoch):

@@ -5,7 +5,8 @@ is rebuilt from), so the bytes one logged ``Transaction`` retains are
 the slope of the simulator's memory. docs/performance.md ("Memory: what
 a sequenced transaction leaves behind") has the per-site table; this
 file pins the slope and the representation that pays for it: a
-footprint is stored once, as sorted tuples, never as a hash set.
+footprint is stored once, as tuples, never as a hash set, and the
+route a transaction was sequenced under is not kept with it.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import tracemalloc
 
 from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 from repro.partition import FootprintKeys
+from repro.partition.catalog import Route
 
-# Measured in this shape: 720 B on CPython 3.11 (1 456 B with the
-# frozenset and the sorted-tuple memo this replaced).
-RETAINED_BYTES_PER_TXN = 1000
+# Measured in this shape: 377 B on CPython 3.10, 3.11 and 3.12 (721 B
+# with the memoised Route, 1 456 B with the frozenset and the
+# sorted-tuple memo before that).
+RETAINED_BYTES_PER_TXN = 400
 
 
 def _micro_cluster():
@@ -89,3 +92,17 @@ def test_a_logged_transaction_keeps_no_hash_set_of_its_footprint():
         )
     # The keys themselves are the loaded objects, so neither is key
     # storage the log's own (tests/test_gc_quiet.py pins that half).
+
+
+def test_a_logged_transaction_keeps_no_route():
+    # The route travels on the SequencedTxn in flight; the log holds
+    # what a replica is rebuilt from, and that is the transaction alone.
+    cluster = _micro_cluster()
+    cluster.sim.run(until=0.15)
+    logged = _logged(cluster)
+    assert len(logged) > 100
+    fields = [
+        getattr(txn, f.name) for txn in logged for f in dataclasses.fields(txn)
+    ]
+    reachable = list(_reachable([cluster.merged_log(), fields], set()))
+    assert not any(isinstance(value, Route) for value in reachable)

@@ -59,7 +59,8 @@ class TestEpochBarrier:
         txn = Transaction.create(
             1, "micro", None, [("hot", 0, 0)], [("hot", 0, 0)]
         )
-        conflicting = SubBatch(0, 0, (SequencedTxn((0, 0, 0), txn),))
+        route = cluster.catalog.route(txn, 0)
+        conflicting = SubBatch(0, 0, (SequencedTxn((0, 0, 0), txn, route),))
         with pytest.raises(SchedulerError):
             scheduler.receive_subbatch(conflicting)
 
@@ -100,6 +101,77 @@ class TestSequencer:
             cluster.node(0, p).sequencer.txns_sequenced for p in range(2)
         )
         assert sequenced >= 2 * 4 * 5
+
+
+def _count_resolves(cluster, monkeypatch):
+    """Record every transaction the cluster's catalog routes."""
+    routed = []
+    route = cluster.catalog.route
+
+    def counting(txn, epoch):
+        routed.append(txn.txn_id)
+        return route(txn, epoch)
+
+    monkeypatch.setattr(cluster.catalog, "route", counting)
+    return routed
+
+
+class TestBatchShare:
+    """Every replica hosting an origin dispatches the same agreed batch;
+    its routes are resolved once per cluster and shared while in flight."""
+
+    @pytest.mark.parametrize("mode", ["paxos", "async"])
+    def test_each_batch_is_resolved_once_and_the_share_empties(self, mode, monkeypatch):
+        cluster = tiny_cluster(num_replicas=3, replication_mode=mode)
+        routed = _count_resolves(cluster, monkeypatch)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
+        cluster.run(duration=0.3)
+        cluster.quiesce()
+        logged = {
+            replica: sorted(
+                txn.txn_id for entry in cluster.merged_log(replica) for txn in entry.txns
+            )
+            for replica in range(3)
+        }
+        assert len(logged[0]) >= 2 * 4 * 10
+        assert logged[0] == logged[1] == logged[2]
+        assert sorted(routed) == logged[0]  # once per cluster, not per replica
+        assert cluster.batch_share == {}
+
+    def test_an_equal_but_distinct_batch_is_resolved_afresh(self):
+        # Reuse is by batch identity, not by (epoch, origin): a replica
+        # dispatching a batch of its own (say, a diverging one) must not
+        # be handed another replica's sequenced transactions.
+        from repro.txn.transaction import Transaction
+
+        cluster = tiny_cluster(num_replicas=3, replication_mode="async")
+        here = next(iter(cluster.node(0, 0).store.keys()))
+        there = next(iter(cluster.node(0, 1).store.keys()))
+        batch = (
+            Transaction.create(1, "micro", None, [here], [here]),
+            Transaction.create(2, "micro", None, [here, there], [here, there]),
+        )
+        sent = {replica: [] for replica in range(3)}
+        for replica, messages in sent.items():
+            sequencer = cluster.node(replica, 0).sequencer
+            sequencer.send = lambda dst, message, size, out=messages: out.append(message)
+        cluster.node(0, 0).sequencer.dispatch(0, batch)
+        copy = tuple(list(batch))
+        assert copy == batch and copy is not batch
+        cluster.node(1, 0).sequencer.dispatch(0, copy)
+        assert cluster.batch_share  # replica 2 has yet to dispatch
+        cluster.node(2, 0).sequencer.dispatch(0, batch)
+        assert cluster.batch_share == {}
+        cluster.sim.run(until=0.01)
+        stxns = {
+            replica: [stxn for message in messages for stxn in message.txns]
+            for replica, messages in sent.items()
+        }
+        assert len(stxns[0]) == 3  # partition 0 twice, partition 1 once
+        views = {r: [(s.seq, s.txn, dict(s.route)) for s in stxns[r]] for r in stxns}
+        assert views[0] == views[1] == views[2]
+        assert all(mine is theirs for mine, theirs in zip(stxns[2], stxns[0]))
+        assert not any(mine is theirs for mine, theirs in zip(stxns[1], stxns[0]))
 
 
 class TestPauseQuiesce:

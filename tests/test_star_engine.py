@@ -165,7 +165,7 @@ def test_cluster_contract_core_only_fields_refused_on_direct_construction():
 
 def _controller() -> PhaseController:
     config = ClusterConfig(num_partitions=2, engine="star")
-    return PhaseController(sim=None, config=config, catalog=None, master=None)
+    return PhaseController(sim=None, config=config, master=None)
 
 
 def _set_fraction(controller: PhaseController, f: float, total: int = 1000):

@@ -27,6 +27,11 @@ def make_catalog(partitions=4):
     return Catalog(config, FuncPartitioner(partitions, lambda key: key[1]))
 
 
+def route_value(route):
+    """Everything a route says, for comparing two routes by value."""
+    return dict(route), route.participants, route.active, route.reply, route.read_holders
+
+
 def make_txn(read_set, write_set, txn_id=1, dependent=False, token=None):
     return Transaction.create(
         txn_id=txn_id,
@@ -112,21 +117,24 @@ class TestRoute:
         assert parts == {0: {("c", 0): 1, ("a", 0): 3}, 1: {("b", 1): 2}}
         assert list(parts[0]) == [("c", 0), ("a", 0)]
 
-    def test_resolved_once_per_catalog(self):
+    def test_route_is_a_pure_function(self):
+        # Same transaction, same routing version: the same route, built
+        # afresh each time (the sequenced transaction carries it, so
+        # nothing is memoised), and a replay's fresh catalog agrees.
         catalog = make_catalog()
         txn = make_txn([("k", 0)], [("k", 1)])
-        assert catalog.route(txn, 0) is catalog.route(txn, 9)
-        replay = make_catalog()
-        assert replay.route(txn, 0) is not catalog.route(txn, 0)
-        assert replay.route(txn, 0).catalog is replay
+        first, again = catalog.route(txn, 0), catalog.route(txn, 9)
+        assert first is not again
+        assert route_value(first) == route_value(again)
+        assert route_value(make_catalog().route(txn, 0)) == route_value(first)
 
 
 class TestSequencedTxn:
     def test_ordering_is_epoch_origin_index(self):
         txn = make_txn([("k", 0)], [])
-        early = SequencedTxn((1, 0, 5), txn)
-        later_origin = SequencedTxn((1, 1, 0), txn)
-        later_epoch = SequencedTxn((2, 0, 0), txn)
+        early = SequencedTxn((1, 0, 5), txn, None)
+        later_origin = SequencedTxn((1, 1, 0), txn, None)
+        later_epoch = SequencedTxn((2, 0, 0), txn, None)
         assert early < later_origin < later_epoch
         assert early.epoch == 1
 
@@ -161,7 +169,7 @@ def _field_names(cls):
 
 def _sample(cls):
     """An instance to poke at; no record here validates field types."""
-    if cls is Transaction:  # memo slots are fields but not parameters
+    if cls is Transaction:  # built only through Transaction.create
         return make_txn([("k", 0)], [("k", 0)])
     return cls(*[0] * len(_field_names(cls)))
 
@@ -205,11 +213,16 @@ class TestReadOnlyRecords:
         with pytest.raises(TypeError, match="create"):
             Transaction(1, "p", None, frozenset(), frozenset())
 
-    def test_transaction_still_memoises_on_the_instance(self):
+    def test_sealing_has_no_memo_back_door(self):
+        # Every slot is a constructor field, so a sealed transaction has
+        # no slot that even object.__setattr__ may fill after the fact.
         catalog = make_catalog()
         txn = make_txn([("k", 0), ("k", 1)], [("k", 1)])
-        assert catalog.route(txn, 0) is catalog.route(txn, 0)
-        assert txn._route is not None
+        catalog.route(txn, 0)
+        slots = {name for cls in type(txn).__mro__ for name in getattr(cls, "__slots__", ())}
+        assert slots == {f.name for f in dataclasses.fields(txn) if f.init}
+        with pytest.raises(AttributeError):
+            object.__setattr__(txn, "_route", catalog.route(txn, 0))
 
     def test_memo_state_is_not_identity(self):
         catalog = make_catalog()
@@ -238,12 +251,12 @@ class TestReadOnlyRecords:
         one = Transaction.create(1, "p", {"n": 1}, [("k", 0)], [])
         same = Transaction.create(1, "p", {"n": 1}, [("k", 0)], [])
         assert one is not same and one == same
-        a, b = SequencedTxn((1, 0, 0), one), SequencedTxn((1, 0, 0), same)
+        a, b = SequencedTxn((1, 0, 0), one, None), SequencedTxn((1, 0, 0), same, None)
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert a <= b and a >= b and not a < b
-        assert a != SequencedTxn((1, 0, 1), one)
-        later = [SequencedTxn((2, 0, 0), one), SequencedTxn((1, 1, 0), one), a]
+        assert a != SequencedTxn((1, 0, 1), one, None)
+        later = [SequencedTxn((2, 0, 0), one, None), SequencedTxn((1, 1, 0), one, None), a]
         assert [s.seq for s in sorted(later)] == [(1, 0, 0), (1, 1, 0), (2, 0, 0)]
 
 
