@@ -35,6 +35,7 @@ from repro.partition.catalog import (
     node_address,
 )
 from repro.partition.partitioner import Key, Partitioner
+from repro.scheduler.executor import OutcomeShare
 from repro.sequencer.sequencer import BatchShare
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -312,6 +313,11 @@ class CalvinCluster(Cluster):
         # The sequencers' per-batch share (Sequencer.dispatch): empty
         # whenever every replica has dispatched every batch.
         self.batch_share: BatchShare = {}
+        # Each replica's phase-5 outcome share (executor.OutcomeShare):
+        # empty whenever every active participant has applied.
+        self.outcome_shares: List[OutcomeShare] = [
+            {} for _ in range(config.num_replicas)
+        ]
         self.nodes: Dict[NodeId, CalvinNode] = {}
         for node_id in self.catalog.nodes():
             self.nodes[node_id] = self.node_class(
@@ -323,6 +329,7 @@ class CalvinCluster(Cluster):
                 self.registry,
                 self.rngs,
                 self.batch_share,
+                self.outcome_shares[node_id.replica],
                 cold_predicate=cold,
                 on_complete=self._completion_hook if node_id.replica == 0 else None,
                 # Traces on every replica: the live fault checkers compare

@@ -26,6 +26,7 @@ from repro.net.messages import (
 from repro.obs import CAT_NODE, NULL_RECORDER, SpanKind, TraceRecorder
 from repro.partition.catalog import Catalog, NodeId, node_address
 from repro.paxos.messages import Accept, Accepted, Learn, Nack, Prepare, Promise
+from repro.scheduler.executor import OutcomeShare
 from repro.scheduler.scheduler import Scheduler
 from repro.sequencer.replication import (
     AsyncReplication,
@@ -74,6 +75,7 @@ class CalvinNode:
         registry: ProcedureRegistry,
         rngs: "RngStreams",
         batch_share: BatchShare,
+        outcomes: OutcomeShare,
         cold_predicate=None,
         on_complete: Optional[Callable] = None,
         record_trace: bool = False,
@@ -110,6 +112,7 @@ class CalvinNode:
             config,
             registry,
             self.engine,
+            outcomes,
             send=self.send,
             on_complete=on_complete,
             record_trace=record_trace,

@@ -13,6 +13,7 @@ degenerates to the dense ``range`` answer, byte for byte.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import filterfalse
 from typing import (
     Any,
     Callable,
@@ -77,7 +78,9 @@ Slice = Tuple[Tuple[Key, ...], Tuple[Key, ...], Tuple[Key, ...]]
 
 def split_slice(local: Slice, bucket_of: Callable[[Key], int]) -> Dict[int, Slice]:
     """Cut ``local`` by ``bucket_of(key)``. Filtering keeps footprint
-    order, so every piece is again a slice (and a valid lock plan)."""
+    order, so every piece is again a slice (and a valid lock plan). The
+    scheduler cuts its lock shards with it; :meth:`Catalog.route` cuts
+    by owner from the owner lists it already has."""
     shared = local[0] is local[1]  # read_set == write_set: cut once, keep one tuple
     pieces: Dict[int, Tuple[List[Key], List[Key], List[Key]]] = {}
     for part, keys in enumerate(local):
@@ -383,7 +386,13 @@ class Catalog:
         cluster (:meth:`Sequencer.dispatch
         <repro.sequencer.sequencer.Sequencer.dispatch>`) and the route
         rides on the sequenced transaction from there; the checkers, the
-        2PC baseline and a recovery resend call this directly."""
+        2PC baseline and a recovery resend call this directly.
+
+        Each key's owner is looked up once, into one list per side. A
+        footprint whose lists name one owner is that owner's slice,
+        uncut; any other is cut in one pass over its (key, owner) pairs,
+        with the same slices, slice order and interned sets a per-key
+        :func:`split_slice` would give."""
         if txn.procedure == MIGRATION_PROC:
             # Pinned to (source, dest): at its own epoch the moving keys
             # already route to the destination, yet the data still lives
@@ -401,32 +410,62 @@ class Catalog:
             return route
         reads = txn.read_set
         writes = txn.write_set
-        if reads is writes:
-            read_only: Tuple[Key, ...] = ()
-        else:
-            written = set(writes)
-            read_only = tuple(key for key in reads if key not in written)
-        whole = (reads, writes, read_only)
+        shared = reads is writes
         version = bisect_right(self._override_epochs, epoch)
         read_owners = self._owners(reads, epoch, version)
-        read_holders = self._interned(read_owners)
-        if reads is writes:
-            write_owners = read_owners
-            writers = participants = read_holders
-        else:
-            write_owners = self._owners(writes, epoch, version)
-            writers = self._interned(write_owners)
-            participants = self._interned(read_holders | writers)
-        if not participants:
+        write_owners = read_owners if shared else self._owners(writes, epoch, version)
+        owners = read_owners or write_owners
+        if not owners:
             raise ConfigError(f"transaction {txn.txn_id} has an empty footprint")
+        first = owners[0]
+        if read_owners.count(first) == len(read_owners) and (
+            shared or write_owners.count(first) == len(write_owners)
+        ):
+            # One owner: the whole footprint is its slice, uncut.
+            sole = self._interned((first,))
+            if shared:
+                read_only: Tuple[Key, ...] = ()
+            else:
+                written = set(writes)
+                read_only = tuple(key for key in reads if key not in written)
+            # Its sole participant is also its sole executor, read-only
+            # or not.
+            read_holders = sole if reads else self._interned(())
+            return Route(sole, sole, read_holders, {first: (reads, writes, read_only)})
+        # Several owners: one pass over each side's (key, owner) pairs
+        # cuts it, keeping footprint order; slices come in order of first
+        # appearance, reads then writes.
+        pieces: Dict[int, Tuple[List[Key], List[Key]]] = {}
+        for key, partition in zip(reads, read_owners):
+            piece = pieces.get(partition)
+            if piece is None:
+                pieces[partition] = piece = ([], [])
+            piece[0].append(key)
+        read_holders = self._interned(pieces)  # before writes add theirs
+        slices: Dict[int, Slice] = {}
+        if shared:
+            writers = participants = read_holders
+            for partition, (local, _) in pieces.items():
+                local_keys = tuple(local)
+                slices[partition] = (local_keys, local_keys, ())
+        else:
+            for key, partition in zip(writes, write_owners):
+                piece = pieces.get(partition)
+                if piece is None:
+                    pieces[partition] = piece = ([], [])
+                piece[1].append(key)
+            writers = self._interned(write_owners)
+            participants = self._interned(pieces)
+            is_written = set(writes).__contains__
+            for partition, (local_reads, local_writes) in pieces.items():
+                local_read_keys = tuple(local_reads)
+                slices[partition] = (
+                    local_read_keys,
+                    tuple(local_writes),
+                    tuple(filterfalse(is_written, local_read_keys)),
+                )
         # A read-only transaction still needs one executor of its logic.
         active = writers or self._interned((min(participants),))
-        if len(participants) == 1:
-            slices = {min(participants): whole}
-        else:
-            owner = dict(zip(reads, read_owners))
-            owner.update(zip(writes, write_owners))
-            slices = split_slice(whole, owner.__getitem__)
         return Route(participants, active, read_holders, slices)
 
     def _interned(self, partitions) -> FrozenSet[int]:

@@ -24,10 +24,21 @@ from repro.partition.catalog import (
 from repro.txn.context import TxnContext
 from repro.txn.ollp import run_logic
 from repro.txn.result import TransactionResult, TxnStatus
-from repro.txn.transaction import SequencedTxn
+from repro.txn.transaction import GlobalSeq, SequencedTxn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduler.scheduler import Scheduler
+
+# Phase-5 outcomes of one replica's multipartition transactions, shared
+# by its schedulers: seq -> [reads snapshot, status, value, deleted,
+# writes cut by partition, active participants still to apply]. The
+# first active participant to run the logic leaves its outcome here; a
+# later one whose own snapshot compares equal applies its part of it
+# instead of running the logic again, and the last one drops it. A
+# participant whose snapshot differs runs the logic itself and leaves
+# the entry alone, so a diverging participant is never masked; the
+# share never crosses replicas, so replicas stay independent executions.
+OutcomeShare = Dict[GlobalSeq, list]
 
 
 def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
@@ -36,6 +47,14 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     Spawned the moment the last local lock is granted; the generator's
     first step runs at that same virtual instant, so ``sim.now`` on
     entry is the lock-grant timestamp.
+
+    Every participant pays its own modelled CPU, messages, locks and
+    spans. In phase 5 the outcome of a multipartition transaction with
+    several active participants is computed once per replica: the first
+    of them to get there runs the logic and leaves the outcome in the
+    scheduler's :data:`OutcomeShare`, and the others apply their part of
+    it when their own snapshot compares equal. A scheduler with an
+    auditor attached runs the logic itself every time.
     """
     sim = sched.sim
     granted_time = sim.now
@@ -65,7 +84,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         if hosted is not None and not participants <= hosted:
             yield from apply_replicated(sched, stxn)
             return
-    local_read_keys, local_write_keys, _ = route[mine]
+    local_read_keys = route[mine][0]
 
     tracer = sched.tracer
     replica, txn_id = sched.node_id.replica, txn.txn_id
@@ -157,22 +176,37 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     apply_start = sim.now
     procedure = sched.registry.get(txn.procedure)
     auditor = sched.auditor
-    if auditor is None:
-        context = TxnContext(txn, reads)
+    sole_executor = len(route.active) == 1
+    # Every active participant runs the same logic on the same snapshot,
+    # so one run per replica decides the outcome (see OutcomeShare).
+    outcomes = None if sole_executor or auditor is not None else sched.outcomes
+    outcome = None if outcomes is None else outcomes.get(seq)
+    if outcome is not None and outcome[0] == reads:
+        _, status, value, deleted, parts, _ = outcome
+        outcome[5] -= 1
+        if not outcome[5]:
+            del outcomes[seq]
+        local_writes = parts.get(mine, {})
     else:
-        context = auditor.make_context(txn, reads)
-    # OLLP recheck (Section 3.2.1), then the logic.
-    status, value = run_logic(procedure, context)
-
-    if not multipartition:
-        # Sole participant: every write is local.
-        local_writes = context.writes
-    else:
-        # In the logic's write order, which is the store's apply order.
-        mine_writes = frozenset(local_write_keys)
-        local_writes = {
-            key: val for key, val in context.writes.items() if key in mine_writes
-        }
+        if auditor is None:
+            context = TxnContext(txn, reads)
+        else:
+            context = auditor.make_context(txn, reads)
+        # OLLP recheck (Section 3.2.1), then the logic.
+        status, value = run_logic(procedure, context)
+        deleted = context.deleted
+        if sole_executor:
+            # Every write is local.
+            local_writes = context.writes
+        else:
+            # Cut once, each part in the logic's write order, which is
+            # the store's apply order.
+            parts = route.split_writes(context.writes)
+            local_writes = parts.get(mine, {})
+            if outcomes is not None and outcome is None:
+                outcomes[seq] = [
+                    reads, status, value, deleted, parts, len(route.active) - 1
+                ]
     cpu = (
         procedure.logic_cpu
         + costs.write_cpu * len(local_writes)
@@ -181,7 +215,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     if cpu > 0:
         yield sim.timeout(cpu)
     if status is TxnStatus.COMMITTED and local_writes:
-        sched.engine.store.apply_writes(local_writes, context.deleted)
+        sched.engine.store.apply_writes(local_writes, deleted)
 
     if multipartition and catalog.partial and sched.node_id.replica == 0:
         # Ship this partition's deterministic outcome to peer replicas

@@ -24,7 +24,7 @@ from repro.net.messages import RemoteRead, SubBatch, WriteSetApply
 from repro.obs import CAT_EPOCH, NULL_RECORDER, SpanKind, TraceRecorder
 from repro.partition.catalog import Catalog, NodeId, node_address, split_slice
 from repro.partition.partitioner import stable_hash
-from repro.scheduler.executor import run_transaction
+from repro.scheduler.executor import OutcomeShare, run_transaction
 from repro.scheduler.lockmanager import DeterministicLockManager
 from repro.sim.events import Event
 from repro.sim.resources import Resource
@@ -55,6 +55,7 @@ class Scheduler:
         config: ClusterConfig,
         registry: ProcedureRegistry,
         engine: "StorageEngine",
+        outcomes: OutcomeShare,
         send: SendFn,
         on_complete: Optional[CompletionHook] = None,
         record_trace: bool = False,
@@ -71,6 +72,8 @@ class Scheduler:
         self.config = config
         self.registry = registry
         self.engine = engine
+        # This replica's phase-5 outcome share (executor.OutcomeShare).
+        self.outcomes = outcomes
         self.send = send
         self.on_complete = on_complete
         # Opt-in footprint auditor (repro.analysis.auditor); the cluster

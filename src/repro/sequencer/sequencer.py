@@ -88,7 +88,11 @@ class Sequencer:
         self._buffer: List[Transaction] = []
         self._epoch = 0
         self._dispatched_epochs = set()
-        self._seen_txn_ids = set()
+        # Every txn id ever submitted here, rejected ones included, as
+        # a bitmap: id >> 6 -> a mask with bit id & 63 set. Ids are
+        # handed out consecutively, so one small entry stands for up
+        # to 64 of them, and the id ints themselves are not kept.
+        self._seen_txn_ids: Dict[int, int] = {}
         self._started = False
         # -- elastic reconfiguration (repro.reconfig) --------------------
         # Control-plane transactions registered for a future epoch; each
@@ -192,9 +196,13 @@ class Sequencer:
         """
         if not self.accepts_input:
             raise RuntimeError("client input submitted to a non-input replica")
-        if txn.txn_id in self._seen_txn_ids:
+        txn_id = txn.txn_id
+        word = txn_id >> 6
+        bit = 1 << (txn_id & 63)
+        seen = self._seen_txn_ids.get(word, 0)
+        if seen & bit:
             return
-        self._seen_txn_ids.add(txn.txn_id)
+        self._seen_txn_ids[word] = seen | bit
         if self.admission is not None:
             self.admission.offer(txn)
         else:

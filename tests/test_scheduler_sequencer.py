@@ -2,9 +2,18 @@
 through small live clusters (the components are deeply wired to the
 node, so black-box behavioural assertions are the honest unit)."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
-from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
+from repro import (
+    CalvinCluster,
+    ClientProfile,
+    ClusterConfig,
+    Microbenchmark,
+    TpccWorkload,
+)
 from repro.errors import SchedulerError
 from tests.conftest import BankWorkload
 
@@ -103,6 +112,46 @@ class TestSequencer:
         assert sequenced >= 2 * 4 * 5
 
 
+    def test_a_duplicated_submit_of_a_rejected_request_is_ignored(self):
+        # The dedupe record keeps every id submitted, rejected ones
+        # included: a lossy network may deliver a rejected request's
+        # ClientSubmit twice, and the copy must not be offered again.
+        from repro.net.messages import TxnReply
+        from repro.txn.result import TxnStatus
+        from repro.txn.transaction import Transaction
+
+        config = ClusterConfig(
+            num_partitions=1,
+            seed=1,
+            admission_policy="shed",
+            admission_epoch_budget=1,
+            admission_queue_capacity=1,
+        )
+        cluster = CalvinCluster(config, workload=Microbenchmark(cold_set_size=50))
+        cluster.load_workload_data()
+        sequencer = cluster.node(0, 0).sequencer
+        admission = sequencer.admission
+        replies = []
+        admission.send = lambda dst, message, size: replies.append(message)
+        key = next(iter(cluster.node(0, 0).store.keys()))
+        # Ids that share a bit position in different words, negative and
+        # very large ones: none is a duplicate of another.
+        ids = [0, 64, 2**70, -1, 63, -65, 2**70 + 64]
+        txns = [Transaction.create(i, "micro", None, [key], [key]) for i in ids]
+        for txn in txns:
+            sequencer.submit(txn)
+        # The budget admits the first, the queue holds the second, the
+        # rest are shed.
+        assert admission.offered == len(ids)
+        assert all(isinstance(message, TxnReply) for message in replies)
+        assert [m.result.txn_id for m in replies] == ids[2:]
+        assert {m.result.status for m in replies} == {TxnStatus.REJECTED}
+        for txn in reversed(txns):
+            sequencer.submit(txn)
+        assert admission.offered == len(ids)
+        assert len(replies) == len(ids) - 2
+
+
 def _count_resolves(cluster, monkeypatch):
     """Record every transaction the cluster's catalog routes."""
     routed = []
@@ -172,6 +221,162 @@ class TestBatchShare:
         assert views[0] == views[1] == views[2]
         assert all(mine is theirs for mine, theirs in zip(stxns[2], stxns[0]))
         assert not any(mine is theirs for mine, theirs in zip(stxns[1], stxns[0]))
+
+
+class _RecordingShare(dict):
+    """An outcome share that counts the entries stored in it and can
+    plant a snapshot into the first one."""
+
+    def __init__(self, plant=False):
+        super().__init__()
+        self.stored = 0
+        self.plant = plant
+        self.planted = None
+
+    def __setitem__(self, seq, entry):
+        self.stored += 1
+        if self.plant and self.planted is None:
+            # Same keys, one value changed: what a participant that read
+            # a diverging snapshot would have stored.
+            snapshot = dict(entry[0])
+            key = next(iter(snapshot))
+            snapshot[key] = ("planted", snapshot[key])
+            entry[0] = snapshot
+            self.planted = (seq, list(entry))
+        super().__setitem__(seq, entry)
+
+
+def _record_shares(cluster, plant=False):
+    """Swap each replica's outcome share for a recording one."""
+    shares = [_RecordingShare(plant) for _ in cluster.outcome_shares]
+    cluster.outcome_shares = shares
+    for node_id, node in cluster.nodes.items():
+        node.scheduler.outcomes = shares[node_id.replica]
+    return shares
+
+
+def _count_logic(cluster, monkeypatch, name):
+    """Record the txn id of every run of procedure ``name``'s logic."""
+    runs = []
+    procedure = cluster.registry.get(name)
+
+    def counting(ctx):
+        runs.append(ctx.txn.txn_id)
+        return procedure.logic(ctx)
+
+    monkeypatch.setitem(
+        cluster.registry._procedures,
+        name,
+        dataclasses.replace(procedure, logic=counting),
+    )
+    return runs
+
+
+def _tpcc_cluster(**config_kwargs):
+    config = ClusterConfig(num_partitions=4, seed=3, **config_kwargs)
+    workload = TpccWorkload(mix={"new_order": 1.0}, remote_fraction=0.3)
+    cluster = CalvinCluster(config, workload=workload)
+    cluster.load_workload_data()
+    return cluster
+
+
+def _micro_cluster(**config_kwargs):
+    workload = Microbenchmark(mp_fraction=0.5, hot_set_size=10, cold_set_size=200)
+    cluster = CalvinCluster(ClusterConfig(seed=5, **config_kwargs), workload=workload)
+    cluster.load_workload_data()
+    return cluster
+
+
+_GEO = dict(
+    num_partitions=2,
+    num_replicas=3,
+    replication_mode="paxos",
+    topology="ring",
+    wan_latency=0.01,
+    wan_bandwidth=12.5e6,
+    partial_hosting=((0, 1), (0,), (1,)),
+)
+_CHAOS = dict(
+    num_partitions=2,
+    num_replicas=2,
+    replication_mode="paxos",
+    fault_profile="chaos-mix",
+    fault_horizon=0.6,
+)
+SHARE_SHAPES = {
+    "tpcc-4p": lambda: _tpcc_cluster(),
+    "micro-high": lambda: _micro_cluster(num_partitions=2),
+    "paxos-3r": lambda: _micro_cluster(
+        num_partitions=2, num_replicas=3, replication_mode="paxos"
+    ),
+    "geo-paxos-3r": lambda: _micro_cluster(**_GEO),
+    "chaos-mix": lambda: _micro_cluster(**_CHAOS),
+}
+
+
+class TestOutcomeShare:
+    """Every active participant of a multipartition transaction runs the
+    same logic on the same snapshot; each replica runs it once and its
+    other active participants apply their part of that outcome."""
+
+    def test_new_order_runs_once_per_new_order_per_replica(self, monkeypatch):
+        cluster = _tpcc_cluster(num_replicas=2, replication_mode="async")
+        runs = _count_logic(cluster, monkeypatch, "new_order")
+        shares = _record_shares(cluster)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=4))
+        cluster.run(duration=0.3)
+        cluster.quiesce()
+        sequenced = [
+            txn.txn_id
+            for entry in cluster.merged_log()
+            for txn in entry.txns
+            if txn.procedure == "new_order"
+        ]
+        assert len(sequenced) == 4 * 3 * 4
+        assert Counter(runs) == Counter({txn_id: 2 for txn_id in sequenced})
+        # Not vacuous: some New Orders had several active participants.
+        assert shares[0].stored == shares[1].stored > 0
+
+    @pytest.mark.parametrize("shape", sorted(SHARE_SHAPES))
+    def test_the_share_is_empty_after_quiesce(self, shape):
+        cluster = SHARE_SHAPES[shape]()
+        shares = _record_shares(cluster)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
+        cluster.run(duration=0.8 if shape == "chaos-mix" else 0.3)
+        cluster.quiesce()
+        assert shares[0].stored > 0
+        if shape == "geo-paxos-3r":
+            # Replicas 1 and 2 host one partition each: they apply
+            # shipped writesets and never execute a multipartition txn.
+            assert shares[1].stored == shares[2].stored == 0
+        if shape == "chaos-mix":
+            kinds = {entry[1] for entry in cluster.fault_injector.trace}
+            assert {"crash", "restart"} <= kinds
+        assert all(share == {} for share in shares)
+
+    def test_a_differing_snapshot_runs_the_logic_and_leaves_the_entry(
+        self, monkeypatch
+    ):
+        cluster = _micro_cluster(num_partitions=2)
+        runs = _count_logic(cluster, monkeypatch, "micro")
+        (share,) = _record_shares(cluster, plant=True)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
+        cluster.run(duration=0.3)
+        cluster.quiesce()
+        seq, planted = share.planted
+        # The other active participant's snapshot did not compare equal,
+        # so it ran the logic itself, and the entry is as it was planted.
+        assert share == {seq: planted}
+        txn = next(
+            txn
+            for entry in cluster.merged_log()
+            if entry.epoch == seq[0] and entry.origin_partition == seq[1]
+            for index, txn in enumerate(entry.txns)
+            if index == seq[2]
+        )
+        assert runs.count(txn.txn_id) == 2
+        # Every other multipartition txn still ran its logic once.
+        assert len(runs) == len(set(runs)) + 1
 
 
 class TestPauseQuiesce:

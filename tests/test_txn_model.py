@@ -6,10 +6,13 @@ import inspect
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigError, FootprintViolation, TransactionAborted
 from repro.partition import Catalog, FootprintKeys, FuncPartitioner
+from repro.partition.catalog import MIGRATION_PROC, is_migration_txn, migration_route
 from repro.txn import (
     DELETED,
     Footprint,
@@ -127,6 +130,145 @@ class TestRoute:
         assert first is not again
         assert route_value(first) == route_value(again)
         assert route_value(make_catalog().route(txn, 0)) == route_value(first)
+
+
+def reference_split_slice(local, bucket_of):
+    """``split_slice`` as ``Catalog.route`` used it before the one-pass
+    split: cut every key of every side by a per-key owner lookup."""
+    shared = local[0] is local[1]
+    pieces = {}
+    for part, keys in enumerate(local):
+        if shared and part == 1:
+            continue
+        for key in keys:
+            pieces.setdefault(bucket_of(key), ([], [], []))[part].append(key)
+    out = {}
+    for bucket, (reads, writes, read_only) in pieces.items():
+        read_keys = tuple(reads)
+        out[bucket] = (read_keys, read_keys if shared else tuple(writes), tuple(read_only))
+    return out
+
+
+def reference_route(catalog, txn, epoch):
+    """What ``Catalog.route`` answers, computed the long way: each key's
+    owner looked up alone, the footprint cut by a ``{key: owner}`` map.
+    Returns (slices, participants, active, read_holders, reply)."""
+    interned = catalog._interned
+    if is_migration_txn(txn):
+        source, dest = migration_route(txn)
+        both = interned((source, dest))
+        side = ((), txn.write_set, ())
+        return {source: side, dest: side}, both, both, interned((source,)), dest
+    reads, writes = txn.read_set, txn.write_set
+    if reads is writes:
+        read_only = ()
+    else:
+        written = set(writes)
+        read_only = tuple(key for key in reads if key not in written)
+    owner = {key: catalog.partition_of_at(key, epoch) for key in reads + writes}
+    read_holders = interned(owner[key] for key in reads)
+    writers = interned(owner[key] for key in writes)
+    participants = interned(read_holders | writers)
+    if not participants:
+        raise ConfigError("empty footprint")
+    active = writers or interned((min(participants),))
+    whole = (reads, writes, read_only)
+    if len(participants) == 1:
+        slices = {min(participants): whole}
+    else:
+        slices = reference_split_slice(whole, owner.__getitem__)
+    return slices, participants, active, read_holders, min(active)
+
+
+_keys = st.lists(
+    st.tuples(st.just("k"), st.integers(0, 3), st.integers(0, 4)),
+    max_size=8,
+    unique=True,
+)
+
+
+@st.composite
+def _footprints(draw):
+    """(reads, writes): read-modify-write, disjoint, read-only,
+    write-only or overlapping."""
+    shape = draw(st.sampled_from(["rmw", "disjoint", "read-only", "write-only", "overlap"]))
+    keys = draw(_keys)
+    if shape == "rmw":
+        return keys, keys
+    if shape == "read-only":
+        return keys, []
+    if shape == "write-only":
+        return [], keys
+    cut = draw(st.integers(0, len(keys)))
+    if shape == "disjoint":
+        return keys[:cut], keys[cut:]
+    return keys, draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+
+
+class TestRouteProperty:
+    """``Catalog.route`` cuts a footprint in one pass over the owner
+    lists; it must say exactly what the per-key cut said."""
+
+    @given(
+        partitions=st.integers(1, 4),
+        footprint=_footprints(),
+        moves=st.dictionaries(
+            st.tuples(st.just("k"), st.integers(0, 3), st.integers(0, 4)),
+            st.integers(0, 3),
+            max_size=6,
+        ),
+        epoch=st.integers(0, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_route_matches_the_per_key_cut(self, partitions, footprint, moves, epoch):
+        catalog = Catalog(
+            ClusterConfig(num_partitions=partitions),
+            FuncPartitioner(partitions, lambda key: key[1] % partitions),
+        )
+        moves = {key: dest % partitions for key, dest in moves.items()}
+        if moves:
+            catalog.arm_override(2, moves)
+        reads, writes = footprint
+        txn = make_txn(reads, writes)
+        if reads == writes:
+            assert txn.read_set is txn.write_set
+        if not reads and not writes:
+            with pytest.raises(ConfigError):
+                catalog.route(txn, epoch)
+            return
+        self._assert_same(catalog, txn, epoch)
+
+    @given(source=st.integers(0, 3), offset=st.integers(1, 3), keys=_keys.filter(bool))
+    @settings(max_examples=50, deadline=None)
+    def test_a_migration_keeps_its_pinned_route(self, source, offset, keys):
+        catalog = make_catalog()
+        dest = (source + offset) % 4
+        catalog.arm_override(1, {key: dest for key in keys})
+        txn = Transaction.create(
+            txn_id=7,
+            procedure=MIGRATION_PROC,
+            args=(0, source, dest),
+            read_set=keys,
+            write_set=keys,
+        )
+        for epoch in (0, 1):
+            self._assert_same(catalog, txn, epoch)
+
+    @staticmethod
+    def _assert_same(catalog, txn, epoch):
+        route = catalog.route(txn, epoch)
+        slices, participants, active, read_holders, reply = reference_route(
+            catalog, txn, epoch
+        )
+        assert list(route.items()) == list(slices.items())  # key order too
+        for (reads, writes, _), (ref_reads, ref_writes, _) in zip(
+            route.values(), slices.values()
+        ):
+            assert (reads is writes) == (ref_reads is ref_writes)
+        assert route.participants is participants
+        assert route.active is active
+        assert route.read_holders is read_holders
+        assert route.reply == reply
 
 
 class TestSequencedTxn:
