@@ -1,10 +1,12 @@
-"""Benchmark harness: one module per paper figure/experiment.
+"""Benchmark harness: the paper's experiments and the sweeps around them.
 
-Each experiment module exposes ``run(scale=...) -> ExperimentResult``
-and can be executed directly (``python -m repro.bench.experiments.fig6_microbenchmark``).
-``scale`` trades fidelity for wall-clock time:
+:mod:`repro.bench.experiments` is the one table of paper experiments:
+each is a declaration of its grid, its cell and its shape claims, and
+``python -m repro run <name>`` sweeps it, prints the table and exits 1
+naming any claim the table fails. ``scale`` trades fidelity for
+wall-clock time:
 
-- ``"smoke"`` — seconds; used by the pytest-benchmark suite's sanity runs,
+- ``"smoke"`` — seconds per experiment; CI checks every shape here,
 - ``"quick"`` — tens of seconds; default, reproduces every trend,
 - ``"full"``  — minutes; largest clusters/longest windows.
 

@@ -118,13 +118,7 @@ def _cell(
     elif scenario != "static":
         raise ConfigError(f"unknown elastic scenario {scenario!r}")
 
-    cluster.start()
-    for client in cluster.clients:
-        client.start()
-    sim.run(until=profile.warmup)
-    cluster.metrics.begin_window(sim.now)
-    sim.run(until=total)
-    report = cluster.metrics.report(sim.now)
+    report = cluster.run(duration=profile.duration, warmup=profile.warmup)
     cluster.quiesce()
 
     latency = cluster.metrics.latency

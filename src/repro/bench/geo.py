@@ -231,11 +231,7 @@ def _read_rung(
         max_txns=None,
         replica_local=(mode == "local"),
     )
-    cluster.start()
-    for client in cluster.clients:
-        client.start()
-    sim = cluster.sim
-    sim.run(until=sim.now + profile.warmup)
+    cluster.run(duration=profile.warmup)
     # Fresh measurement window for the read-side instruments.
     latency = cluster.metrics_registry.histogram("geo.ro.latency_ms")
     staleness = cluster.metrics_registry.histogram("geo.ro.staleness_epochs")
@@ -243,11 +239,8 @@ def _read_rung(
     staleness.reset()
     reads_before = sum(client.completed for client in readers)
     remote_before = sum(client.local_replica_hits for client in readers)
-    cluster.metrics.begin_window(sim.now)
-    window_start = sim.now
-    sim.run(until=sim.now + profile.duration)
-    duration = sim.now - window_start
-    report = cluster.metrics.report(sim.now)
+    report = cluster.run(duration=profile.duration)
+    duration = report.duration
     reads = sum(client.completed for client in readers) - reads_before
     remote = sum(client.local_replica_hits for client in readers) - remote_before
     return (

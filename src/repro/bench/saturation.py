@@ -79,18 +79,13 @@ def _rung(
             rate=rate_per_client,
         )
     )
-    cluster.start()
-    for client in cluster.clients:
-        client.start()
-    sim = cluster.sim
-    sim.run(until=sim.now + profile.warmup)
+    cluster.run(duration=profile.warmup)
+    # The warm-up run opened a window at t=0: drop its latency samples.
+    cluster.metrics.latency.reset()
     before = cluster.admission_stats()
-    cluster.metrics.begin_window(sim.now)
-    window_start = sim.now
-    sim.run(until=sim.now + profile.duration)
-    duration = sim.now - window_start
+    report = cluster.run(duration=profile.duration)
+    duration = report.duration
     after = cluster.admission_stats()
-    report = cluster.metrics.report(sim.now)
 
     offered_rate = (after["offered"] - before["offered"]) / duration
     admitted_rate = (after["admitted"] - before["admitted"]) / duration

@@ -18,17 +18,14 @@ them. What it is:
   command that produces a result table.
 - :func:`main`, which parses, picks ``args.handler`` and calls it under
   the ``--sanitize`` / ``--audit-footprints`` scopes. Everything a
-  handler uses is imported at module level (and ``preload`` covers the
-  one data-dependent import) so the determinism guard never sees an
-  import: ``logging``, which ``concurrent.futures`` pulls in, reads the
-  wall clock when first imported.
+  handler uses is imported at module level, so the determinism guard
+  never sees an import: ``logging``, which ``concurrent.futures`` pulls
+  in, reads the wall clock when first imported.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
-import inspect
 import json
 import sys
 from contextlib import nullcontext
@@ -40,6 +37,7 @@ from repro.analysis import DeterminismSanitizer, audit_scope, bisect_runs
 from repro.bench import elastic, geo, saturation, shootout
 from repro.bench.charts import ascii_chart
 from repro.bench.compare import compare_files
+from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.io import save_csv, save_json
 from repro.bench.parallel import Cell, merge_registries, portable_registry, run_cells
 from repro.config import ADMISSION_POLICIES, ClusterConfig, DEFAULT_CONFIG
@@ -51,25 +49,6 @@ from repro.faults.profiles import FAULT_PROFILES
 from repro.geo.presets import GEO_PRESETS
 from repro.obs import TraceRecorder, chrome_trace, summary_table, write_chrome_trace
 from repro.workloads.microbenchmark import Microbenchmark
-
-EXPERIMENTS: Dict[str, str] = {
-    "fig5": "repro.bench.experiments.fig5_tpcc_scalability",
-    "fig6": "repro.bench.experiments.fig6_microbenchmark",
-    "fig7": "repro.bench.experiments.fig7_contention",
-    "fig8": "repro.bench.experiments.fig8_checkpointing",
-    "e5-disk": "repro.bench.experiments.e5_disk",
-    "e6-replication": "repro.bench.experiments.e6_replication",
-    "e7-recovery": "repro.bench.experiments.e7_recovery",
-    "e8-failover": "repro.bench.experiments.e8_failover",
-    "ablation-epoch": "repro.bench.experiments.ablation_epoch",
-    "ablation-workers": "repro.bench.experiments.ablation_workers",
-    "ablation-skew": "repro.bench.experiments.ablation_skew",
-    "ablation-lockmanager": "repro.bench.experiments.ablation_lockmanager",
-    "latency-breakdown": "repro.bench.experiments.latency_breakdown",
-    "ablation-fanout": "repro.bench.experiments.ablation_fanout",
-    "ollp-restarts": "repro.bench.experiments.ollp_restarts",
-}
-
 
 def common_parent(parser: argparse.ArgumentParser, **groups) -> None:
     """Mount shared flag groups on ``parser``, in the order named.
@@ -266,37 +245,26 @@ def declare_experiments(parser: argparse.ArgumentParser) -> None:
 def cmd_experiments(args: argparse.Namespace) -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
-        module = importlib.import_module(EXPERIMENTS[name])
-        summary = (module.__doc__ or "").strip().splitlines()[0]
-        print(f"{name.ljust(width)}  {summary}")
+        print(f"{name.ljust(width)}  {EXPERIMENTS[name].title}")
     return 0
 
 
 def declare_run(parser: argparse.ArgumentParser) -> None:
-    """run one experiment"""
+    """run one experiment and check its shape claims"""
     common_parent(parser, seed=True, sanitize=True, jobs=True, scale=True,
                   output="table", chart="table")
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    parser.set_defaults(handler=cmd_run, preload=_experiment_module)
-
-
-def _experiment_module(args: argparse.Namespace):
-    return importlib.import_module(EXPERIMENTS[args.experiment])
+    parser.set_defaults(handler=cmd_run)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    module = _experiment_module(args)
-    kwargs = {}
-    if args.jobs is not None:
-        # Grid experiments fan their sweep across processes; the
-        # single-scenario experiments have no grid to fan out.
-        if "jobs" in inspect.signature(module.run).parameters:
-            kwargs["jobs"] = args.jobs
-        else:
-            print(f"note: {args.experiment} has no sweep grid; "
-                  "--jobs ignored", file=sys.stderr)
-    emit(module.run(scale=args.scale, seed=args.seed, **kwargs), args)
-    return 0
+    result = run_experiment(args.experiment, scale=args.scale, seed=args.seed,
+                            jobs=args.jobs)
+    emit(result, args)
+    failed = EXPERIMENTS[args.experiment].failed_claims(result)
+    for claim in failed:
+        print(f"shape claim failed: {args.experiment}: {claim}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def declare_demo(parser: argparse.ArgumentParser) -> None:
@@ -848,10 +816,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run_command(args: argparse.Namespace) -> int:
     handler = args.handler
-    if hasattr(args, "preload"):
-        # The one import that depends on the arguments happens here,
-        # before the guard below can mistake it for the run.
-        args.preload(args)
     armed = getattr(args, "sanitize", False) and not hasattr(args, "sanitize_per_run")
     # Arm the trip wires for the whole command: cluster construction,
     # the simulated run(s), and reporting all happen inside.

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.io import (
     load_json,
     result_from_dict,
@@ -15,7 +16,7 @@ from repro.bench.io import (
     save_json,
 )
 from repro.bench.reporting import ExperimentResult
-from repro.cli import COMMANDS, EXPERIMENTS, build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.errors import ConfigError
 
 
@@ -67,12 +68,10 @@ class TestCli:
         assert args.scale == "smoke"
         assert args.seed == 7
 
-    def test_every_experiment_module_importable(self):
-        import importlib
-
-        for name, module_path in EXPERIMENTS.items():
-            module = importlib.import_module(module_path)
-            assert callable(module.run), name
+    def test_every_experiment_has_a_claim(self):
+        for name, experiment in EXPERIMENTS.items():
+            assert experiment.name == name
+            assert experiment.claims, name
 
     def test_experiments_listing(self, capsys):
         assert main(["experiments"]) == 0
