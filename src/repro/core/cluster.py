@@ -196,13 +196,13 @@ class Cluster(ABC):
 
     def load(self, data: Dict[Key, Any]) -> None:
         """Bulk-load initial records into every copy of every partition."""
-        # Routing finds each loaded key's owner in the catalog's cache
-        # from the first epoch on; the cache keeps no key it is asked
-        # about later.
-        self.catalog.warm(data)
+        # A partitioner that memoises owners (the hash one) learns the
+        # loaded keys here; it keeps no key it is asked about later.
+        partitioner = self.catalog.partitioner
+        partitioner.warm(data)
         per_partition: Dict[int, Dict[Key, Any]] = {}
-        for key, value in data.items():
-            per_partition.setdefault(self.catalog.partition_of(key), {})[key] = value
+        for (key, value), partition in zip(data.items(), partitioner.owners_of(data)):
+            per_partition.setdefault(partition, {})[key] = value
         for partition, chunk in per_partition.items():
             for store in self._stores_of(partition):
                 store.load_bulk(chunk)

@@ -11,6 +11,7 @@ from repro.partition.partitioner import (
     FootprintKeys,
     FuncPartitioner,
     HashPartitioner,
+    KeyFieldPartitioner,
     Partitioner,
     stable_hash,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "FootprintKeys",
     "FuncPartitioner",
     "HashPartitioner",
+    "KeyFieldPartitioner",
     "NodeId",
     "Partitioner",
     "client_address",

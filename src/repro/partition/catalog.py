@@ -144,24 +144,6 @@ class Route(dict):
         return parts
 
 
-class _PartitionCache(dict):
-    """Memo of the partitioner (CRC32 over a repr per call, which used
-    to dominate profiles) for the keys a load announced
-    (:meth:`Catalog.warm`). A miss is computed and not kept, because a
-    key no load announced (a TPC-C order row) is typically routed once
-    in its life, and keeping each would grow the cache with the length
-    of the run. The cache belongs to the catalog, so it dies with the
-    cluster."""
-
-    __slots__ = ("_partition_of",)
-
-    def __init__(self, partition_of: Callable[[Key], int]):
-        self._partition_of = partition_of
-
-    def __missing__(self, key: Key) -> int:
-        return self._partition_of(key)
-
-
 class Catalog:
     """Owns cluster layout (replicas × partitions, plus the partitioner)
     and the one routing decision: :meth:`route` maps a transaction and
@@ -178,7 +160,6 @@ class Catalog:
             )
         self.config = config
         self.partitioner = partitioner
-        self._partition_cache = _PartitionCache(partitioner.partition_of)
         # Partial replication: per-replica hosted-partition sets (None =
         # full replication). Frozensets answer membership, the sorted
         # tuples answer deterministic iteration.
@@ -274,17 +255,8 @@ class Catalog:
             and not participants <= self._hosting[replica]
         )
 
-    def warm(self, keys) -> None:
-        """Memoise the owner of each of ``keys`` (a load's key
-        universe), so routing finds them without the partitioner."""
-        cache = self._partition_cache
-        partition_of = self.partitioner.partition_of
-        for key in keys:
-            if key not in cache:
-                cache[key] = partition_of(key)
-
     def partition_of(self, key: Key) -> int:
-        return self._partition_cache[key]
+        return self.partitioner.partition_of(key)
 
     def partitions_of(self, keys) -> Set[int]:
         """The set of partitions covering ``keys`` (static map)."""
@@ -296,9 +268,8 @@ class Catalog:
             partition_of_at = self.partition_of_at
             return [partition_of_at(key, epoch) for key in keys]
         # Hot: with no override in force every routing decision funnels
-        # through here, in one C-level pass whether or not every key is
-        # in the cache.
-        return list(map(self._partition_cache.__getitem__, keys))
+        # through here, into the partitioner's one pass.
+        return self.partitioner.owners_of(keys)
 
     # -- elastic reconfiguration (repro.reconfig) -------------------------
 

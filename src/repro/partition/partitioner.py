@@ -9,11 +9,14 @@ clusters.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Hashable, Tuple
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.errors import ConfigError
 
 Key = Hashable
+
+_id_field = itemgetter(1)
 
 
 def stable_hash(key: Key) -> int:
@@ -73,20 +76,87 @@ class Partitioner:
     def partition_of(self, key: Key) -> int:
         raise NotImplementedError
 
+    def owners_of(self, keys: Iterable[Key]) -> List[int]:
+        """The partition of each of ``keys``, in order (one pass, so
+        ``keys`` may be a generator)."""
+        return list(map(self.partition_of, keys))
+
+    def warm(self, keys: Iterable[Key]) -> None:
+        """Take note of the keys a load holds (``Cluster.load``). A no-op
+        here: only a partitioner whose lookup is expensive keeps them."""
+
+
+class _OwnerMemo(dict):
+    """Owners of the keys a load announced. A miss is computed and not
+    kept, because a key no load announced (a TPC-C order row) is
+    typically routed once in its life, and keeping each would grow the
+    memo with the length of the run."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute: Callable[[Key], int]):
+        self._compute = compute
+
+    def __missing__(self, key: Key) -> int:
+        return self._compute(key)
+
 
 class HashPartitioner(Partitioner):
-    """Uniform hash partitioning over the stable hash of the whole key."""
+    """Uniform hash partitioning over the stable hash of the whole key.
+
+    The hash (CRC32 over a ``repr``) used to dominate profiles, so the
+    owner of every loaded key is memoised (:meth:`warm`); the memo
+    belongs to the partitioner, which dies with its cluster."""
+
+    def __init__(self, num_partitions: int):
+        super().__init__(num_partitions)
+        self._memo = _OwnerMemo(self._hash_owner)
+
+    def _hash_owner(self, key: Key) -> int:
+        return stable_hash(key) % self.num_partitions
 
     def partition_of(self, key: Key) -> int:
-        return stable_hash(key) % self.num_partitions
+        return self._memo[key]
+
+    def owners_of(self, keys: Iterable[Key]) -> List[int]:
+        return list(map(self._memo.__getitem__, keys))
+
+    def warm(self, keys: Iterable[Key]) -> None:
+        memo = self._memo
+        for key in keys:
+            if key not in memo:
+                memo[key] = self._hash_owner(key)
+
+
+class KeyFieldPartitioner(Partitioner):
+    """Partitioning by the id every key carries in ``key[1]``: the
+    owner of a key is ``owners[key[1]]``, from a table built once
+    (``range(n)`` when the id *is* the partition, as in the
+    microbenchmark and YCSB; warehouse → partition for TPC-C). A
+    footprint's owners are two C-level ``map`` passes, with no Python
+    frame per key."""
+
+    def __init__(self, num_partitions: int, owners: Sequence[int]):
+        super().__init__(num_partitions)
+        owners = tuple(owners)
+        if any(not 0 <= owner < num_partitions for owner in owners):
+            raise ConfigError(f"owner table names a partition outside [0, {num_partitions})")
+        self._owner_of_id = owners.__getitem__
+
+    def partition_of(self, key: Key) -> int:
+        return self._owner_of_id(key[1])
+
+    def owners_of(self, keys: Iterable[Key]) -> List[int]:
+        return list(map(self._owner_of_id, map(_id_field, keys)))
 
 
 class FuncPartitioner(Partitioner):
-    """Partitioning by a caller-supplied function (e.g. TPC-C by warehouse).
+    """Partitioning by a caller-supplied function.
 
     The function may return any integer; it is reduced modulo the
-    partition count, so "partition by warehouse id" is simply
-    ``lambda key: warehouse_of(key)``.
+    partition count, so "partition by the id in field 1" is simply
+    ``lambda key: key[1]``. Nothing is memoised: a function that is
+    expensive to call belongs in a partitioner of its own.
     """
 
     def __init__(self, num_partitions: int, func: Callable[[Key], int]):

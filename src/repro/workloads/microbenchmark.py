@@ -24,7 +24,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import FootprintKeys, FuncPartitioner, Key, Partitioner
+from repro.partition.partitioner import FootprintKeys, Key, KeyFieldPartitioner, Partitioner
+from repro.sim.rng import below, sample
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.workloads.base import TxnSpec, Workload
 
@@ -75,6 +76,8 @@ class Microbenchmark(Workload):
             raise ConfigError("mp_fraction must be in [0, 1]")
         if not 0.0 <= archive_fraction <= 1.0:
             raise ConfigError("archive_fraction must be in [0, 1]")
+        if archive_fraction > 0 and archive_set_size < 1:
+            raise ConfigError("archive_set_size must be >= 1 when archive_fraction > 0")
         if not 2 <= partitions_per_txn <= RECORDS_PER_TXN:
             raise ConfigError(
                 f"partitions_per_txn must be in [2, {RECORDS_PER_TXN}]"
@@ -106,7 +109,7 @@ class Microbenchmark(Workload):
 
     def build_partitioner(self, num_partitions: int) -> Partitioner:
         # Keys embed their partition explicitly: ("hot"|"cold"|"arch", p, i).
-        return FuncPartitioner(num_partitions, lambda key: key[1])
+        return KeyFieldPartitioner(num_partitions, range(num_partitions))
 
     def _key_lists(self, num_partitions: int) -> _KeyLists:
         keys = self._keys
@@ -140,28 +143,29 @@ class Microbenchmark(Workload):
             num_partitions > 1 and rng.random() < self.mp_fraction
         )
         # Every key is drawn *out of* the key lists: sampling a list
-        # consumes the RNG exactly as sampling range(len(list)) does.
+        # consumes the RNG exactly as sampling range(len(list)) does, and
+        # repro.sim.rng's draws are the stdlib's, draw for draw.
         tables = self._keys  # _key_lists' hit path, inlined: a frame per txn
         if tables is None or len(tables[0]) != num_partitions:
             tables = self._key_lists(num_partitions)
         hot, cold, arch = tables
+        getrandbits = rng.getrandbits
         keys: List[Key] = []
-        sample = rng.sample
         if multipartition:
             fanout = min(self.partitions_per_txn, num_partitions)
             others = [p for p in range(num_partitions) if p != origin_partition]
-            partitions = [origin_partition] + sample(others, fanout - 1)
+            partitions = [origin_partition] + sample(rng, others, fanout - 1)
             cold_each = (RECORDS_PER_TXN - fanout) // fanout
             for partition in partitions:
-                keys.append(hot[partition][rng.randrange(self.hot_set_size)])
-                keys += sample(cold[partition], cold_each)
+                keys.append(hot[partition][below(getrandbits, self.hot_set_size)])
+                keys += sample(rng, cold[partition], cold_each)
         else:
-            keys.append(hot[origin_partition][rng.randrange(self.hot_set_size)])
-            keys += sample(cold[origin_partition], RECORDS_PER_TXN - 1)
+            keys.append(hot[origin_partition][below(getrandbits, self.hot_set_size)])
+            keys += sample(rng, cold[origin_partition], RECORDS_PER_TXN - 1)
 
         if self.archive_fraction > 0 and rng.random() < self.archive_fraction:
             # Swap the last cold access for an archive (disk-tier) record.
-            keys[-1] = arch[origin_partition][rng.randrange(self.archive_set_size)]
+            keys[-1] = arch[origin_partition][below(getrandbits, self.archive_set_size)]
 
         footprint = FootprintKeys(keys)
         return TxnSpec("micro", None, read_set=footprint, write_set=footprint)

@@ -62,10 +62,6 @@ def customer_name_index(w: int, d: int, name: str) -> Key:
     return ("customer_name_idx", w, d, name)
 
 
-def warehouse_of(key: Key) -> int:
-    return key[1]
-
-
 def tables(warehouses: int, scale) -> Tables:
     """The key objects of every row the loader creates for
     ``warehouses`` warehouses at ``scale`` (a ``TpccScale``), indexable

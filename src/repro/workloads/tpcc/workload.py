@@ -9,7 +9,8 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import FuncPartitioner, Partitioner
+from repro.partition.partitioner import KeyFieldPartitioner, Partitioner
+from repro.sim.rng import below
 from repro.txn.procedures import ProcedureRegistry
 from repro.workloads.base import TxnSpec, Workload
 from repro.workloads.tpcc import keys
@@ -85,8 +86,10 @@ class TpccWorkload(Workload):
         register_procedures(registry)
 
     def build_partitioner(self, num_partitions: int) -> Partitioner:
+        # Every key carries its warehouse in key[1] (tpcc.keys).
         per = self.scale.warehouses_per_partition
-        return FuncPartitioner(num_partitions, lambda key: keys.warehouse_of(key) // per)
+        warehouses = range(self.scale.total_warehouses(num_partitions))
+        return KeyFieldPartitioner(num_partitions, [w // per for w in warehouses])
 
     def _key_tables(self, total_warehouses: int) -> keys.Tables:
         tables = self._keys
@@ -103,7 +106,7 @@ class TpccWorkload(Workload):
         self, rng: random.Random, origin_partition: int, catalog: Catalog
     ) -> TxnSpec:
         per_partition = self.scale.warehouses_per_partition
-        w = origin_partition * per_partition + rng.randrange(per_partition)
+        w = origin_partition * per_partition + below(rng.getrandbits, per_partition)
         total_warehouses = per_partition * catalog.num_partitions
         choice = self._pick_type(rng)
         if choice == "new_order":
@@ -125,23 +128,25 @@ class TpccWorkload(Workload):
         return self._mix_names[index % len(self._mix_names)]
 
     def _other_warehouse(self, rng: random.Random, w: int, total: int) -> int:
-        other = rng.randrange(total - 1)
+        other = below(rng.getrandbits, total - 1)
         return other + 1 if other >= w else other
 
     def _new_order(self, rng: random.Random, w: int, total_warehouses: int) -> TxnSpec:
         scale = self.scale
-        d = rng.randrange(scale.districts_per_warehouse)
-        c = rng.randrange(scale.customers_per_district)
+        getrandbits = rng.getrandbits
+        d = below(getrandbits, scale.districts_per_warehouse)
+        c = below(getrandbits, scale.customers_per_district)
         o_id = next(self._order_ids)
-        n_lines = rng.randint(self.min_order_lines, self.max_order_lines)
+        low = self.min_order_lines
+        n_lines = low + below(getrandbits, self.max_order_lines - low + 1)
 
         lines = []
         for _ in range(n_lines):
-            item_id = rng.randrange(scale.items)
+            item_id = below(getrandbits, scale.items)
             supply_w = w
             if total_warehouses > 1 and rng.random() < self.remote_fraction:
                 supply_w = self._other_warehouse(rng, w, total_warehouses)
-            qty = rng.randint(1, 10)
+            qty = 1 + below(getrandbits, 10)
             lines.append((item_id, supply_w, qty))
         if rng.random() < self.invalid_item_fraction:
             # TPC-C 2.4.1.5: the last line references an unused item.
@@ -170,15 +175,16 @@ class TpccWorkload(Workload):
 
     def _random_last_name(self, rng: random.Random) -> str:
         # Draw a name that is guaranteed to exist in the loaded data.
-        return customer_last_name(rng.randrange(self.scale.customers_per_district))
+        return customer_last_name(below(rng.getrandbits, self.scale.customers_per_district))
 
     def _payment(self, rng: random.Random, w: int, total_warehouses: int) -> TxnSpec:
         scale = self.scale
-        d = rng.randrange(scale.districts_per_warehouse)
+        getrandbits = rng.getrandbits
+        d = below(getrandbits, scale.districts_per_warehouse)
         c_w, c_d = w, d
         if total_warehouses > 1 and rng.random() < self.remote_payment_fraction:
             c_w = self._other_warehouse(rng, w, total_warehouses)
-            c_d = rng.randrange(scale.districts_per_warehouse)
+            c_d = below(getrandbits, scale.districts_per_warehouse)
         amount = round(rng.uniform(1.0, 5000.0), 2)
         if rng.random() < self.by_name_fraction:
             args = {
@@ -186,7 +192,7 @@ class TpccWorkload(Workload):
                 "last": self._random_last_name(rng), "amount": amount,
             }
             return TxnSpec.create("payment_by_name", args, (), (), dependent=True)
-        c = rng.randrange(scale.customers_per_district)
+        c = below(getrandbits, scale.customers_per_district)
         args = {"w": w, "d": d, "c_w": c_w, "c_d": c_d, "c": c, "amount": amount}
         warehouses, districts, customers, _items, _stocks = self._key_tables(
             total_warehouses
@@ -196,25 +202,25 @@ class TpccWorkload(Workload):
 
     def _order_status(self, rng: random.Random, w: int) -> TxnSpec:
         scale = self.scale
-        d = rng.randrange(scale.districts_per_warehouse)
+        d = below(rng.getrandbits, scale.districts_per_warehouse)
         if rng.random() < self.by_name_fraction:
             args = {"w": w, "d": d, "last": self._random_last_name(rng)}
             return TxnSpec.create("order_status_by_name", args, (), (), dependent=True)
-        args = {"w": w, "d": d, "c": rng.randrange(scale.customers_per_district)}
+        args = {"w": w, "d": d, "c": below(rng.getrandbits, scale.customers_per_district)}
         return TxnSpec.create("order_status", args, (), (), dependent=True)
 
     def _delivery(self, rng: random.Random, w: int) -> TxnSpec:
         args = {
             "w": w,
             "districts": self.scale.districts_per_warehouse,
-            "carrier": rng.randint(1, 10),
+            "carrier": 1 + below(rng.getrandbits, 10),
         }
         return TxnSpec.create("delivery", args, (), (), dependent=True)
 
     def _stock_level(self, rng: random.Random, w: int) -> TxnSpec:
         args = {
             "w": w,
-            "d": rng.randrange(self.scale.districts_per_warehouse),
-            "threshold": rng.randint(10, 20),
+            "d": below(rng.getrandbits, self.scale.districts_per_warehouse),
+            "threshold": 10 + below(rng.getrandbits, 11),
         }
         return TxnSpec.create("stock_level", args, (), (), dependent=True)

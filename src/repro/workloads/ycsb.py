@@ -17,7 +17,7 @@ from typing import Any, Dict, List
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
-from repro.partition.partitioner import FootprintKeys, FuncPartitioner, Key, Partitioner
+from repro.partition.partitioner import FootprintKeys, Key, KeyFieldPartitioner, Partitioner
 from repro.txn.procedures import Procedure, ProcedureRegistry
 from repro.workloads.base import TxnSpec, Workload
 
@@ -106,7 +106,8 @@ class YcsbWorkload(Workload):
         )
 
     def build_partitioner(self, num_partitions: int) -> Partitioner:
-        return FuncPartitioner(num_partitions, lambda key: key[1])
+        # Keys embed their partition explicitly: ("ycsb", p, i).
+        return KeyFieldPartitioner(num_partitions, range(num_partitions))
 
     def initial_data(self, catalog: Catalog) -> Dict[Key, Any]:
         return {

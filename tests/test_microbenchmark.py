@@ -30,6 +30,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             Microbenchmark(cold_set_size=5)
 
+    def test_archive_draws_need_an_archive(self):
+        # An empty archive would leave the archive draw nothing to pick.
+        with pytest.raises(ConfigError):
+            Microbenchmark(archive_fraction=0.1, archive_set_size=0)
+        Microbenchmark(archive_fraction=0.0, archive_set_size=0)
+
 
 class TestInitialData:
     def test_sizes(self):

@@ -8,11 +8,18 @@ from repro.partition import (
     Catalog,
     FuncPartitioner,
     HashPartitioner,
+    KeyFieldPartitioner,
     NodeId,
+    Partitioner,
     client_address,
     node_address,
     stable_hash,
 )
+from repro.workloads.microbenchmark import Microbenchmark
+from repro.workloads.tpcc import keys as tpcc_keys
+from repro.workloads.tpcc.loader import TpccScale
+from repro.workloads.tpcc.workload import TpccWorkload
+from repro.workloads.ycsb import YcsbWorkload
 
 
 class TestStableHash:
@@ -22,6 +29,14 @@ class TestStableHash:
     def test_spreads_values(self):
         buckets = {stable_hash(("k", i)) % 8 for i in range(100)}
         assert len(buckets) == 8
+
+
+class _ByIndex(Partitioner):
+    """A partitioner defining only ``partition_of``: the base class's
+    ``owners_of`` serves it."""
+
+    def partition_of(self, key):
+        return key[1] % self.num_partitions
 
 
 class TestPartitioners:
@@ -45,6 +60,73 @@ class TestPartitioners:
     def test_invalid_count(self):
         with pytest.raises(ConfigError):
             HashPartitioner(0)
+
+    def test_key_field_owner_table(self):
+        partitioner = KeyFieldPartitioner(2, [0, 0, 1, 1])
+        assert partitioner.partition_of(("x", 3)) == 1
+        assert partitioner.owners_of([("x", 0), ("y", 2, 9), ("z", 1)]) == [0, 1, 0]
+        with pytest.raises(ConfigError):
+            KeyFieldPartitioner(2, [0, 2])
+
+    @pytest.mark.parametrize("make", [
+        lambda: _ByIndex(3),
+        lambda: HashPartitioner(3),
+        lambda: KeyFieldPartitioner(3, range(3)),
+        lambda: FuncPartitioner(3, lambda key: key[1]),
+    ], ids=["base", "hash", "key-field", "func"])
+    def test_owners_of_is_partition_of_per_key(self, make):
+        partitioner = make()
+        keys = [("k", i % 3, i) for i in range(30)]
+        partitioner.warm(keys[:10])                         # memoised and not alike
+        expected = [partitioner.partition_of(key) for key in keys]
+        assert partitioner.owners_of(keys) == expected
+        assert partitioner.owners_of(iter(keys)) == expected
+
+
+def _old_owner(workload, partitions):
+    """The owner function each workload partitioned by before its keys
+    were routed through an owner table."""
+    if isinstance(workload, TpccWorkload):
+        per = workload.scale.warehouses_per_partition
+        return lambda key: (key[1] // per) % partitions
+    return lambda key: key[1] % partitions
+
+
+class TestKeyFieldRouting:
+    """Every key a workload creates is owned where the per-key function
+    it replaced put it."""
+
+    @pytest.mark.parametrize("partitions", [1, 2, 3])
+    @pytest.mark.parametrize("workload", [
+        Microbenchmark(hot_set_size=5, cold_set_size=12, archive_set_size=7,
+                       archive_fraction=0.5),
+        YcsbWorkload(records_per_partition=40),
+        TpccWorkload(scale=TpccScale(warehouses_per_partition=3, districts_per_warehouse=2,
+                                     customers_per_district=4, items=6)),
+    ], ids=["micro", "ycsb", "tpcc"])
+    def test_loaded_keys(self, workload, partitions):
+        partitioner = workload.build_partitioner(partitions)
+        catalog = Catalog(ClusterConfig(num_partitions=partitions), partitioner)
+        keys = list(workload.initial_data(catalog))
+        old = _old_owner(workload, partitions)
+        assert partitioner.owners_of(keys) == list(map(old, keys))
+        assert [partitioner.partition_of(key) for key in keys] == list(map(old, keys))
+
+    @pytest.mark.parametrize("partitions", [1, 2, 4])
+    def test_tpcc_rows_created_after_load(self, partitions):
+        workload = TpccWorkload(scale=TpccScale(warehouses_per_partition=3))
+        partitioner = workload.build_partitioner(partitions)
+        old = _old_owner(workload, partitions)
+        created = []
+        for w in range(workload.scale.total_warehouses(partitions)):
+            created += [
+                tpcc_keys.order(w, 9, 17),
+                tpcc_keys.order_line(w, 9, 17, 14),
+                tpcc_keys.customer_last_order(w, 9, 99),
+                tpcc_keys.item(w, -1),                       # the invalid item
+                tpcc_keys.stock(w, -1),
+            ]
+        assert partitioner.owners_of(created) == list(map(old, created))
 
 
 class TestCatalog:
@@ -87,16 +169,20 @@ class TestCatalog:
         assert len(partitions) > 1
 
     def test_owner_lookup_is_one_pass_and_memoised(self):
+        # The hash partitioner is the one that memoises: its lookup is a
+        # CRC32 over a repr. Counted here through its one computing hook.
         calls = []
 
-        def by_index(key):
-            calls.append(key)
-            return key[1]
+        class CountingHash(HashPartitioner):
+            def _hash_owner(self, key):
+                calls.append(key)
+                return key[1] % self.num_partitions
 
-        catalog = Catalog(ClusterConfig(num_partitions=3), FuncPartitioner(3, by_index))
+        partitioner = CountingHash(3)
+        catalog = Catalog(ClusterConfig(num_partitions=3), partitioner)
         keys = [("k", i) for i in range(6)]
-        catalog.warm(keys[:1])                              # one key known ahead
-        catalog.warm(keys)                                  # what a load announces
+        partitioner.warm(keys[:1])                          # one key known ahead
+        partitioner.warm(keys)                              # what a load announces
         assert calls == keys                                # each computed once
         # Hit, miss and mixed inputs alike; a generator is walked once.
         late = [("late", i) for i in range(3)]
@@ -106,7 +192,7 @@ class TestCatalog:
         # An announced key is never computed again; a late one is
         # computed each time it is asked about and never kept.
         assert calls == keys + late + late
-        assert len(catalog._partition_cache) == len(keys)
+        assert len(partitioner._memo) == len(keys)
 
 
 class TestAddresses:

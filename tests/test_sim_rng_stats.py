@@ -1,8 +1,16 @@
 """Unit tests for RNG streams and measurement helpers."""
 
+import random
+
 import pytest
 
 from repro.sim import Counter, LatencySample, RngStreams, ThroughputSeries
+from repro.sim.rng import below, sample
+
+_SEEDS = range(200)
+# Both set-size thresholds of Random.sample are crossed: 21 for k <= 5,
+# 21 + 64 = 85 for 6 <= k <= 12.
+_SIZES = (1, 2, 3, 7, 8, 9, 21, 22, 85, 86, 1000, 1024, 1025, 10_000)
 
 
 class TestRngStreams:
@@ -37,6 +45,34 @@ class TestRngStreams:
         parent = RngStreams(5)
         child = parent.fork("sub")
         assert parent.stream("s").random() != child.stream("s").random()
+
+
+class TestExactStreamDraws:
+    """``below`` and ``sample`` return the stdlib's values and leave the
+    stream where the stdlib leaves it: a change to CPython's ``random``
+    fails here, not in a digest."""
+
+    @staticmethod
+    def _pair(seed):
+        return random.Random(seed), random.Random(seed)
+
+    def test_below_is_randrange_and_randint(self):
+        for seed in _SEEDS:
+            for n in _SIZES:
+                stdlib, ours = self._pair(seed)
+                assert below(ours.getrandbits, n) == stdlib.randrange(n)
+                assert ours.random() == stdlib.random()
+                assert 5 + below(ours.getrandbits, n) == stdlib.randint(5, 4 + n)
+                assert ours.random() == stdlib.random()
+
+    def test_sample_is_random_sample(self):
+        for seed in _SEEDS:
+            for n in _SIZES:
+                population = [("key", i) for i in range(n)]
+                for k in range(min(n, 12) + 1):
+                    stdlib, ours = self._pair(seed)
+                    assert sample(ours, population, k) == stdlib.sample(population, k)
+                    assert ours.random() == stdlib.random()
 
 
 class TestCounter:
