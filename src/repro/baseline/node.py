@@ -206,7 +206,7 @@ class BaselineNode:
             cpu += costs.remote_read_serve_cpu * (len(participants) - 1)
         context = TxnContext(txn, reads)
         status, value = run_logic(procedure, context)
-        yield self.sim.timeout(cpu)
+        yield cpu
         self.workers.release()
         self._span(SpanKind.EXECUTE, exec_start, txn.txn_id, detail="coordinator")
 
@@ -303,7 +303,7 @@ class BaselineNode:
         if request.coordinator_partition != self.partition:
             cpu += costs.multipartition_overhead_cpu / 2
         values = {key: self.store.get(key) for key in request.read_keys}
-        yield self.sim.timeout(max(cpu, 1e-9))
+        yield max(cpu, 1e-9)
         self.workers.release()
         self._span(SpanKind.EXECUTE, exec_start, request.txn_id, detail="participant")
         self.send(
@@ -324,9 +324,7 @@ class BaselineNode:
         if decision.commit and writes:
             apply_start = self.sim.now
             yield self.workers.request()
-            yield self.sim.timeout(
-                max(self.config.costs.write_cpu * len(writes), 1e-9)
-            )
+            yield max(self.config.costs.write_cpu * len(writes), 1e-9)
             self.store.apply_writes(writes)
             self.workers.release()
             self._span(SpanKind.APPLY, apply_start, decision.txn_id)

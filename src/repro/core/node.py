@@ -234,9 +234,7 @@ class CalvinNode:
         """
         costs = self.config.costs
         yield self.scheduler.workers.request()
-        yield self.sim.timeout(
-            costs.txn_base_cpu + costs.read_cpu * len(query.keys)
-        )
+        yield costs.txn_base_cpu + costs.read_cpu * len(query.keys)
         values = {key: self.store.get(key) for key in query.keys}
         epoch = self.scheduler.next_epoch
         self.scheduler.workers.release()
@@ -304,7 +302,7 @@ class CalvinNode:
             # worker slot — this is the Figure 8 throughput dip.
             yield self.scheduler.workers.request()
             emitted = checkpointer.dump_slice(_CHECKPOINT_SLICE)
-            yield self.sim.timeout(max(1e-9, emitted * record_cpu))
+            yield max(1e-9, emitted * record_cpu)
             self.scheduler.workers.release()
         snapshot = checkpointer.finish(self.sim.now)
         self._record_checkpoint_span(dump_start, "zigzag")

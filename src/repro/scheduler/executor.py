@@ -117,7 +117,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         active = route.active
         is_active = mine in active
         cpu += costs.multipartition_overhead_cpu
-        yield sim.timeout(cpu)
+        yield cpu
 
         # Phase 3 — serve remote reads: push local values to every
         # *other* active participant.
@@ -164,7 +164,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
             reads.update(values)
             messages_received += 1
     else:
-        yield sim.timeout(cpu)
+        yield cpu
         if tracer.enabled:
             tracer.record(
                 SpanKind.EXECUTE, exec_start, sim.now,
@@ -213,7 +213,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         + costs.remote_read_serve_cpu * messages_received
     )
     if cpu > 0:
-        yield sim.timeout(cpu)
+        yield cpu
     if status is TxnStatus.COMMITTED and local_writes:
         sched.engine.store.apply_writes(local_writes, deleted)
 
@@ -294,7 +294,7 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
             + costs.multipartition_overhead_cpu
             + costs.read_cpu * len(keys)
         )
-        yield sim.timeout(cpu)
+        yield cpu
         message = RemoteRead(seq, mine, values)
         sched.record_served_read(message, {dest})
         target = NodeId(replica, dest)
@@ -303,7 +303,7 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
         # Purge: the range now lives at the destination. Deletes go
         # through the store (write watchers observe the pre-images, so
         # a concurrent checkpoint stays consistent).
-        yield sim.timeout(costs.write_cpu * len(keys))
+        yield costs.write_cpu * len(keys)
         store = sched.engine.store
         for key in keys:
             if key in store:
@@ -322,7 +322,7 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
     # for the wait (locks stay held, pinning every epoch >= flip
     # transaction over the range behind the copy-in).
     cpu = costs.txn_base_cpu + costs.multipartition_overhead_cpu
-    yield sim.timeout(cpu)
+    yield cpu
     if source not in sched.remote_reads_for(seq):
         wait_start = sim.now
         sched.workers.release()
@@ -337,9 +337,7 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
     values = sched.remote_reads_for(seq)[source]
     apply_start = sim.now
     writes = {key: val for key, val in values.items() if val is not None}
-    yield sim.timeout(
-        costs.write_cpu * len(writes) + costs.remote_read_serve_cpu
-    )
+    yield costs.write_cpu * len(writes) + costs.remote_read_serve_cpu
     if writes:
         sched.engine.store.apply_writes(writes, False)
     result = TransactionResult(
@@ -382,7 +380,7 @@ def apply_replicated(sched: "Scheduler", stxn: SequencedTxn):
     if mine not in stxn.route.active:
         # No writes can land on a passive participant; nothing to wait for.
         yield sched.workers.request()
-        yield sim.timeout(costs.txn_base_cpu)
+        yield costs.txn_base_cpu
         sched.workers.release()
         sched.finish_txn(stxn, None, passive=True)
         return
@@ -403,7 +401,7 @@ def apply_replicated(sched: "Scheduler", stxn: SequencedTxn):
     yield sched.workers.request()
     apply_start = sim.now
     cpu = costs.txn_base_cpu + costs.write_cpu * len(message.writes)
-    yield sim.timeout(cpu)
+    yield cpu
     if message.committed and message.writes:
         # DELETED sentinels ride inside the writes dict, exactly as in
         # a local apply.

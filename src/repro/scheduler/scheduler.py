@@ -241,7 +241,7 @@ class Scheduler:
             # read and written counts twice.
             cost = per_key_cpu * (len(reads) + len(writes))
             if cost > 0:
-                yield self.sim.timeout(cost)
+                yield cost
             shard.acquire_plan(stxn, writes, read_only)
         self._shard_active[index] = False
 

@@ -6,11 +6,17 @@ Callbacks registered on an event run when it triggers; a
 the event's value. Events trigger through the simulator's event queue
 (never synchronously inside ``succeed``), which keeps execution order
 independent of callback registration depth and therefore deterministic.
+A triggered event's callback round is due at the current instant, so it
+joins the kernel's same-instant lane.
+
+A process that only waits for time builds no event: it yields a bare
+delay (see :mod:`repro.sim.process`). :class:`Timeout` is the event to
+hold when one is needed — for ``all_of``, for ``run_until_triggered``,
+or to deliver a value.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -54,9 +60,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self.value = value
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now, seq, self._run_callbacks, (), None))
+        self.sim._lane.append((self._run_callbacks, (), None))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -73,9 +77,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self.value = exception
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now, seq, self._run_failure_callbacks, (), None))
+        self.sim._lane.append((self._run_failure_callbacks, (), None))
         return self
 
     def add_callback(self, callback: Callback) -> None:
@@ -113,16 +115,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if not delay >= 0:
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        # Inlined Event.__init__ + schedule (hot path).
-        self.sim = sim
-        self.value = None
-        self._callbacks = []
-        self._triggered = False
-        self._ok = None
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now + delay, seq, self._expire, (value,), None))
+        super().__init__(sim)
+        sim.schedule(delay, self._expire, value)
 
     def _expire(self, value: Any) -> None:
         self.succeed(value)

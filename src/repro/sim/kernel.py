@@ -1,9 +1,29 @@
 """The discrete-event simulation loop.
 
-:class:`Simulator` keeps a binary heap of ``(time, sequence, fn, args,
-owner)`` entries. Equal-time entries run in scheduling order (FIFO),
-which makes runs bit-for-bit reproducible for a fixed seed — a property
-the replica-consistency experiments depend on.
+:class:`Simulator` dispatches ``fn(*args)`` entries in ``(time,
+sequence)`` order: by virtual time, and equal-time entries in the order
+they were scheduled (FIFO). That makes runs bit-for-bit reproducible for
+a fixed seed — a property the replica-consistency experiments depend on.
+
+The order is kept in two queues:
+
+- a binary heap of ``(time, sequence, fn, args, owner)`` entries for
+  work due *later* than ``now``;
+- the same-instant lane, a FIFO ``deque`` of ``(fn, args, owner)``
+  entries for work due *at* ``now`` — zero delays, delays too small to
+  move the clock, past ``schedule_at`` times, triggered events, process
+  starts. More than half of a typical run's dispatches are due now, and
+  the lane gives each of them an append and a pop instead of a heap
+  sift.
+
+Why two queues keep ``(time, sequence)`` order exactly: an entry can
+only be pushed into the heap while its time lies in the future, so
+every heap entry due at ``now`` is older (has a smaller sequence number)
+than everything pushed once the clock reached ``now``, which all went to
+the lane, in push order. The loops advance the clock only when the lane
+is empty; when they do, every heap entry due at the new instant moves
+into the (empty) lane, in sequence order, before the first of them is
+dispatched. Lane entries therefore need no sequence number of their own.
 
 Entries may carry an *owner* tag (any hashable). Owners can be
 suspended — their due entries are parked instead of dispatched — and
@@ -13,20 +33,22 @@ restart a node's timer-driven processes without losing determinism.
 
 The dispatch loop is the hottest code in the repository: every message
 hop, CPU charge, and timer in a run passes through it. ``run`` therefore
-binds the heap, ``heappop`` and the suspended-owner set to locals and
-skips the park branch entirely while no owner is suspended (the common
-case — fault-free runs never pay for crash support).
+binds both queues and their pop methods to locals and skips the park
+branch entirely while no owner is suspended (the common case —
+fault-free runs never pay for crash support).
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from math import inf
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Generator,
     Hashable,
@@ -43,6 +65,17 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
 HeapEntry = Tuple[float, int, Callable[..., None], tuple, Optional[Hashable]]
+LaneEntry = Tuple[Callable[..., None], tuple, Optional[Hashable]]
+
+
+def _horizon(until: Optional[float]) -> float:
+    """The time a run may not pass; a NaN one is refused, since it
+    compares false with every time and would bound nothing."""
+    if until is None:
+        return inf
+    if until != until:
+        raise SimulationError("cannot run until time NaN")
+    return until
 
 
 class Simulator:
@@ -50,8 +83,12 @@ class Simulator:
 
     def __init__(self, sanitize: bool = False) -> None:
         self.now: float = 0.0
+        # Entries due later than ``now``; sequence numbers order ties.
         self._heap: List[HeapEntry] = []
         self._seq = 0
+        # Entries due at ``now``, in scheduling order (see the module
+        # docstring for why the two queues keep (time, seq) order).
+        self._lane: Deque[LaneEntry] = deque()
         self._running = False
         self.events_executed = 0
         # Determinism sanitizer: armed around every run()/
@@ -73,12 +110,32 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn(*args)`` after ``delay`` units of virtual time."""
+    def _push(
+        self, delay: float, fn: Callable[..., None], args: tuple, owner: Optional[Hashable]
+    ) -> None:
         if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args, None))
+        now = self.now
+        when = now + delay
+        if when == now:
+            # Zero, or too small to move the clock: due now.
+            self._lane.append((fn, args, owner))
+        else:
+            self._seq = seq = self._seq + 1
+            heapq.heappush(self._heap, (when, seq, fn, args, owner))
+
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` units of virtual time."""
+        # Inlined _push (hot path).
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
+        now = self.now
+        when = now + delay
+        if when == now:
+            self._lane.append((fn, args, None))
+        else:
+            self._seq = seq = self._seq + 1
+            heapq.heappush(self._heap, (when, seq, fn, args, None))
 
     def schedule_owned(
         self, owner: Optional[Hashable], delay: float, fn: Callable[..., None], *args: Any
@@ -88,10 +145,7 @@ class Simulator:
         Owned entries are subject to :meth:`suspend_owner` /
         :meth:`resume_owner` (crash/restart of a node's processes).
         """
-        if not delay >= 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args, owner))
+        self._push(delay, fn, args, owner)
 
     def schedule_many(
         self,
@@ -102,13 +156,16 @@ class Simulator:
         """Bulk-insert ``(fn, args)`` pairs at one delay, in order.
 
         Equivalent to calling :meth:`schedule_owned` once per pair —
-        consecutive sequence numbers preserve FIFO order among the batch
-        and relative to everything else — but hoists the time arithmetic
-        and method lookups out of the loop.
+        FIFO order among the batch and relative to everything else is
+        preserved — but hoists the time arithmetic and method lookups
+        out of the loop.
         """
         if not delay >= 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
         when = self.now + delay
+        if when == self.now:
+            self._lane.extend([(fn, args, owner) for fn, args in calls])
+            return
         seq = self._seq
         heap = self._heap
         push = heapq.heappush
@@ -131,8 +188,7 @@ class Simulator:
                 raise SimulationError("cannot schedule at time NaN")
             self.schedule_at_clamped += 1
             delay = 0.0
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args, None))
+        self._push(delay, fn, args, None)
 
     # -- crash/restart hooks --------------------------------------------
 
@@ -232,33 +288,49 @@ class Simulator:
         returns never collects, and forcing a collection between runs
         is the caller's business.
         """
-        horizon = inf if until is None else until
+        horizon = _horizon(until)
         budget = inf if max_events is None else max_events
         heap = self._heap
         pop = heapq.heappop
+        lane = self._lane
+        popleft = lane.popleft
+        append = lane.append
         suspended = self._suspended
         executed = 0
         try:
             with self._dispatching():
-                while heap:
-                    entry = heap[0]
-                    when = entry[0]
-                    if when > horizon:
-                        break
-                    pop(heap)
-                    self.now = when
-                    if suspended:
-                        owner = entry[4]
-                        if owner is not None and owner in suspended:
-                            self._parked.setdefault(owner, []).append((entry[2], entry[3]))
+                # A horizon behind the clock dispatches nothing, not even
+                # what is due now; inside it the clock never passes it.
+                if self.now <= horizon:
+                    while True:
+                        if lane:
+                            fn, args, owner = popleft()
+                        elif heap:
+                            entry = heap[0]
+                            when = entry[0]
+                            if when > horizon:
+                                break
+                            pop(heap)
+                            self.now = when
+                            # The rest of this instant's heap entries are older
+                            # than anything its handlers will push: they queue
+                            # first.
+                            while heap and heap[0][0] == when:
+                                _, _, fn, args, owner = pop(heap)
+                                append((fn, args, owner))
+                            _, _, fn, args, owner = entry
+                        else:
+                            break
+                        if suspended and owner is not None and owner in suspended:
+                            self._parked.setdefault(owner, []).append((fn, args))
                             continue
-                    entry[2](*entry[3])
-                    executed += 1
-                    if executed >= budget:
-                        raise SimulationError(
-                            f"simulation exceeded max_events={max_events}; "
-                            "likely a livelock in the model"
-                        )
+                        fn(*args)
+                        executed += 1
+                        if executed >= budget:
+                            raise SimulationError(
+                                f"simulation exceeded max_events={max_events}; "
+                                "likely a livelock in the model"
+                            )
                 # Horizon reached or queue drained: the clock moves up
                 # to ``until``, never back.
                 if until is not None and until > self.now:
@@ -279,28 +351,39 @@ class Simulator:
         runaway guard for drains that never converge. Automatic garbage
         collection is suspended and restored exactly as in :meth:`run`.
         """
-        horizon = inf if limit is None else limit
+        horizon = _horizon(limit)
         budget = inf if max_events is None else max_events
         heap = self._heap
         pop = heapq.heappop
+        lane = self._lane
+        popleft = lane.popleft
+        append = lane.append
         suspended = self._suspended
         executed = 0
         try:
             with self._dispatching():
                 while not event.triggered or event._callbacks is not None:
-                    if not heap:
+                    if lane:
+                        if self.now > horizon:
+                            raise SimulationError(f"event not triggered before t={limit}")
+                        fn, args, owner = popleft()
+                    elif heap:
+                        entry = heap[0]
+                        when = entry[0]
+                        if when > horizon:
+                            raise SimulationError(f"event not triggered before t={limit}")
+                        pop(heap)
+                        self.now = when
+                        while heap and heap[0][0] == when:
+                            _, _, fn, args, owner = pop(heap)
+                            append((fn, args, owner))
+                        _, _, fn, args, owner = entry
+                    else:
                         raise SimulationError("event queue drained before event triggered")
-                    entry = heap[0]
-                    if entry[0] > horizon:
-                        raise SimulationError(f"event not triggered before t={limit}")
-                    pop(heap)
-                    self.now = entry[0]
-                    if suspended:
-                        owner = entry[4]
-                        if owner is not None and owner in suspended:
-                            self._parked.setdefault(owner, []).append((entry[2], entry[3]))
-                            continue
-                    entry[2](*entry[3])
+                    if suspended and owner is not None and owner in suspended:
+                        self._parked.setdefault(owner, []).append((fn, args))
+                        continue
+                    fn(*args)
                     executed += 1
                     if executed >= budget:
                         raise SimulationError(
@@ -315,8 +398,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of entries currently queued."""
-        return len(self._heap)
+        """Number of entries currently queued, due now or later."""
+        return len(self._heap) + len(self._lane)
 
     def register_metrics(self, registry, prefix: str = "sim") -> None:
         """Expose kernel tallies as gauges in ``registry``."""

@@ -34,7 +34,8 @@ link spec and its transfer time per message size (all link profiles are
 jitter-free, so the sample for a given size never changes; re-read when
 the topology's version moves), the destination's handler, and the routed
 path's sequence numbers and reorder buffer. A fault-free flat send is
-one heap push of ``pair.deliver``. ``register``/``unregister`` update
+one heap push of ``pair.deliver`` (one lane append when the link's
+delay is zero). ``register``/``unregister`` update
 the handler on every record addressed to that destination, so a message
 reaches whatever is registered at delivery time — a crashed receiver
 drops what is still in flight to it.
@@ -303,9 +304,13 @@ class Network:
         if verdict.extra_delay == 0.0 and verdict.copies == 1:
             # Inlined schedule_at: arrival >= now by construction (link
             # delay is non-negative and the FIFO clamp only moves it
-            # forward), so the past-clamp branch can never fire.
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (arrival, seq, pair.deliver, (message,), None))
+            # forward), so the past-clamp branch can never fire. A
+            # zero-latency arrival is due now and joins the kernel's lane.
+            if arrival == sim.now:
+                sim._lane.append((pair.deliver, (message,), None))
+            else:
+                sim._seq = seq = sim._seq + 1
+                heappush(sim._heap, (arrival, seq, pair.deliver, (message,), None))
             return
         self._schedule_delivery(pair, message, arrival, verdict)
 

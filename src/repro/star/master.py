@@ -140,7 +140,7 @@ class StarMaster:
         reads: Dict = {}
         for partition in sorted(route.read_holders):
             reads.update(self.stores[partition].get_many(route[partition][0]))
-        yield sim.timeout(costs.txn_base_cpu + costs.read_cpu * len(reads))
+        yield costs.txn_base_cpu + costs.read_cpu * len(reads)
 
         if self.tracer.enabled:
             self.tracer.record(
@@ -162,7 +162,7 @@ class StarMaster:
             + MASTER_TXN_OVERHEAD_CPU
         )
         if cpu > 0:
-            yield sim.timeout(cpu)
+            yield cpu
         if status is TxnStatus.COMMITTED and context.writes:
             for partition, chunk in route.split_writes(context.writes).items():
                 self.stores[partition].apply_writes(chunk, context.deleted)

@@ -104,20 +104,20 @@ class PhaseController:
         while True:
             start = self.sim.now
             self.phase = PARTITIONED
-            yield self.sim.timeout(self.partitioned_epochs() * epoch)
+            yield self.partitioned_epochs() * epoch
             self._end_phase(start, PARTITIONED)
-            yield self.sim.timeout(SWITCH_LATENCY)
+            yield SWITCH_LATENCY
 
             start = self.sim.now
             self.phase = SINGLE_MASTER
             self.master.open_gate()
             # Minimum drain window, then run until the master goes idle.
-            yield self.sim.timeout(epoch)
+            yield epoch
             while self.master.busy:
                 yield self.master.drained_event()
             self.master.close_gate()
             self._end_phase(start, SINGLE_MASTER)
-            yield self.sim.timeout(SWITCH_LATENCY)
+            yield SWITCH_LATENCY
 
     def _end_phase(self, start: float, name: str) -> None:
         self.phase_switches += 1

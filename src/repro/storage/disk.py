@@ -137,7 +137,7 @@ class SimulatedDisk:
         while True:
             latency = self.access_latency()
             self.total_latency += latency
-            yield self.sim.timeout(latency)
+            yield latency
             fault = self.fault_mode
             if (
                 fault is not None

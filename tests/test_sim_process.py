@@ -80,8 +80,10 @@ class TestProcess:
         assert len(caught) == 1
 
     def test_yielding_non_event_fails(self, sim):
+        # A number is a bare delay; anything else that is not an Event
+        # is refused.
         def worker():
-            yield 42
+            yield "42"
 
         process = sim.process(worker())
         with pytest.raises(SimulationError, match="non-event"):
@@ -123,3 +125,83 @@ class TestProcess:
         sim.run()
         assert process.value == ["a", "b"]
         assert sim.now == pytest.approx(2.0)
+
+
+class TestBareDelay:
+    """A process may yield a number instead of ``sim.timeout(number)``."""
+
+    @staticmethod
+    def _trace(wait, delay):
+        """Two waiting processes among same-instant bystanders; the
+        dispatch trace, the clock and ``events_executed``."""
+        sim = Simulator()
+        trace = []
+
+        def worker(name):
+            trace.append((name, "start", sim.now))
+            yield wait(sim, delay)
+            trace.append((name, "woke", sim.now))
+            sim.schedule(0.0, trace.append, (name, "after", sim.now))
+
+        def start():
+            sim.schedule(delay, trace.append, ("bystander", "before", sim.now))
+            sim.process(worker("p"))
+            sim.schedule(0.0, trace.append, ("bystander", "now", sim.now))
+            sim.process(worker("q"))
+            sim.schedule(delay, trace.append, ("bystander", "after", sim.now))
+
+        # At t=1.0, 1e-17 is too small to move the clock.
+        sim.schedule(1.0, start)
+        sim.run()
+        return trace, sim.now, sim.events_executed
+
+    @pytest.mark.parametrize("delay", [0, 0.0, 1e-17, 0.5, 2])
+    def test_same_dispatches_as_a_timeout(self, delay):
+        bare = self._trace(lambda sim, d: d, delay)
+        timeout = self._trace(lambda sim, d: sim.timeout(d), delay)
+        assert bare == timeout
+
+    @pytest.mark.parametrize("delay", [0, 0.0, 2])
+    def test_resumes_with_none(self, sim, delay):
+        def worker():
+            value = yield delay
+            return value, sim.now
+
+        process = sim.process(worker())
+        sim.run()
+        assert process.ok
+        assert process.value == (None, float(delay))
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), True], ids=["negative", "nan", "bool"])
+    def test_invalid_delay_fails_the_process(self, sim, delay):
+        def worker():
+            yield delay
+
+        process = sim.process(worker())
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert process.ok is False
+        assert isinstance(process.value, SimulationError)
+
+    def test_invalid_delay_is_thrown_at_the_yield(self, sim):
+        def worker():
+            try:
+                yield -1.0
+            except SimulationError:
+                yield 1.0
+                return "recovered"
+
+        process = sim.process(worker())
+        sim.run()
+        assert process.value == "recovered"
+        assert sim.now == 1.0
+
+    @pytest.mark.parametrize("target", ["0.5", None, [1.0]], ids=["str", "none", "list"])
+    def test_neither_number_nor_event_fails(self, sim, target):
+        def worker():
+            yield target
+
+        process = sim.process(worker())
+        with pytest.raises(SimulationError, match="yielded non-event"):
+            sim.run()
+        assert process.ok is False
