@@ -1,4 +1,4 @@
-"""The experiment table: one declaration per paper figure, claim or ablation.
+"""The experiment table: one declaration per paper figure, claim, ablation or sweep.
 
 Each :class:`Experiment` names its table (label, title, headers,
 notes), the grid of independent cells a :class:`ScaleProfile` asks for,
@@ -16,19 +16,28 @@ picklable data, so its output depends on its arguments alone.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import LockStatsSampler, ScaleProfile, machine_sweep, measure
+from repro.bench.harness import (
+    LockStatsSampler,
+    SATURATION_CLIENTS,
+    ScaleProfile,
+    machine_sweep,
+    measure,
+)
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
-from repro.config import ClusterConfig, CostModel
+from repro.config import ClusterConfig, CostModel, DEFAULT_CONFIG
 from repro.core.checkers import check_replica_consistency
 from repro.core.cluster import CalvinCluster
 from repro.core.traffic import ClientProfile
 from repro.errors import ConsistencyError
 from repro.faults.plan import FaultPlan
+from repro.geo.readonly import add_read_clients
 from repro.obs import SpanKind, TraceRecorder, phase_means
+from repro.reconfig import AutoscalePolicy, Autoscaler, ClusterAdmin
 from repro.workloads.microbenchmark import Microbenchmark
 from repro.workloads.tpcc import TpccWorkload
 from repro.workloads.ycsb import YcsbWorkload
@@ -590,6 +599,339 @@ def _ollp_cell(share: float, profile: ScaleProfile, seed: int) -> Tuple:
     )
 
 
+# -- Saturation: the open-loop admission knee --------------------------------------
+#
+# Open-loop clients offer a ladder of loads, as fractions of the admission
+# capacity: committed throughput climbs with offered load until the
+# per-epoch admission budget saturates, then plateaus while p99 and the
+# intake queue grow -- the half of the paper's methodology closed-loop
+# clients cannot produce.
+
+# Admission budget per sequencing epoch: 2,000 txn/s per node at the 10 ms
+# epoch, far below what execution absorbs, so the knee is the admission
+# front-end's (its position is exact), not scheduler contention's.
+EPOCH_BUDGET = 20
+_SATURATION_PARTITIONS = 2
+_SATURATION_CAPACITY = EPOCH_BUDGET / DEFAULT_CONFIG.epoch_duration * _SATURATION_PARTITIONS
+_OPEN_CLIENTS = 8  # per partition
+
+# Offered load as fractions of aggregate admission capacity.
+_FRACTIONS = {
+    "smoke": (0.5, 1.0, 1.75),
+    "quick": (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0),
+    "full": (0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0, 3.0),
+}
+
+
+def _admission_config(partitions: int, seed: int, policy: str, **fields) -> ClusterConfig:
+    """A cluster whose sequencers admit ``EPOCH_BUDGET`` txns per epoch."""
+    return ClusterConfig(
+        num_partitions=partitions,
+        seed=seed,
+        admission_policy=policy,
+        admission_epoch_budget=EPOCH_BUDGET,
+        admission_queue_capacity=2 * EPOCH_BUDGET,
+        **fields,
+    )
+
+
+def _saturation_cell(
+    fraction: float,
+    profile: ScaleProfile,
+    seed: int,
+    policy: str = "backpressure",
+    arrival: str = "poisson",
+) -> Tuple:
+    config = _admission_config(_SATURATION_PARTITIONS, seed, policy)
+    node_capacity = EPOCH_BUDGET / config.epoch_duration
+    workload = Microbenchmark(mp_fraction=0.1, hot_set_size=10_000, cold_set_size=10_000)
+    cluster = CalvinCluster(config, workload=workload, record_history=False)
+    cluster.load_workload_data()
+    cluster.add_clients(ClientProfile(
+        per_partition=_OPEN_CLIENTS,
+        mode="open",
+        arrival=arrival,
+        rate=fraction * node_capacity / _OPEN_CLIENTS,
+    ))
+    cluster.run(duration=profile.warmup)
+    # The warm-up run opened a window at t=0: drop its latency samples.
+    cluster.metrics.latency.reset()
+    before = cluster.admission_stats()
+    report = cluster.run(duration=profile.duration)
+    after = cluster.admission_stats()
+    rejected = sum(after[key] - before[key] for key in ("shed", "dropped", "backpressured"))
+    latency = cluster.metrics.latency
+    return (
+        fraction,
+        (after["offered"] - before["offered"]) / report.duration,
+        (after["admitted"] - before["admitted"]) / report.duration,
+        report.throughput,
+        latency.percentile(50) * 1e3,
+        latency.percentile(95) * 1e3,
+        latency.percentile(99) * 1e3,
+        after["peak_queue_depth"],
+        rejected,
+    )
+
+
+# -- Engine shoot-out: Calvin vs 2PL+2PC vs STAR -----------------------------------
+#
+# One saturated window per (contention, multipartition %) cell per engine,
+# all on the paper's microbenchmark through the repro.engines seam. STAR's
+# trade (PAPERS.md): at low multipartition fractions it skips Calvin's
+# remote-read fan-out by running the rare distributed transactions on the
+# master's full-replica view; as that work dominates, everything funnels
+# through the one master and STAR sinks below the single-node reference
+# (a 1-partition core run of the same per-partition workload).
+
+_ENGINES = ("core", "baseline", "star")
+# (label, per-partition hot set size); the contention index is 1/size.
+_SHOOTOUT_CONTENTION = (("low", 10000), ("high", 100))
+_SHOOTOUT_MP = (0.0, 0.05, 0.1, 0.3, 0.5, 1.0)
+_SHOOTOUT_PARTITIONS = 4
+
+
+def _shootout_cell(
+    engine: str, hot_set_size: int, mp_fraction: float, partitions: int,
+    profile: ScaleProfile, seed: int,
+) -> float:
+    # The phase-switch trade only shows at depth: under-saturated clients
+    # turn STAR's multipartition batching latency into lost throughput,
+    # so scale sets the window lengths only, never the client count.
+    workload = Microbenchmark(
+        hot_set_size=hot_set_size, cold_set_size=10000, mp_fraction=mp_fraction
+    )
+    config = ClusterConfig(num_partitions=partitions, seed=seed, engine=engine)
+    return measure(workload, config, profile, clients_per_partition=SATURATION_CLIENTS).throughput
+
+
+def _shootout_grid(profile: ScaleProfile) -> List[Tuple]:
+    # Per contention level, the single-node reference (multipartition
+    # draws collapse on one partition, so one run covers every mp point),
+    # then one cell per (mp fraction, engine).
+    cells: List[Tuple] = []
+    for _label, hot_set_size in _SHOOTOUT_CONTENTION:
+        cells.append(("core", hot_set_size, 0.0, 1))
+        cells += [
+            (engine, hot_set_size, mp_fraction, _SHOOTOUT_PARTITIONS)
+            for mp_fraction in _SHOOTOUT_MP
+            for engine in _ENGINES
+        ]
+    return cells
+
+
+def _shootout_fold(result: ExperimentResult, rates: List[float]) -> None:
+    rates = iter(rates)
+    for label, hot_set_size in _SHOOTOUT_CONTENTION:
+        reference = next(rates)
+        for mp_fraction in _SHOOTOUT_MP:
+            core, baseline, star = (next(rates) for _engine in _ENGINES)
+            result.add_row(
+                label, hot_set_size, round(mp_fraction * 100, 1),
+                round(core, 1), round(baseline, 1), round(star, 1), round(reference, 1),
+                round(star / core, 2) if core else 0.0,
+            )
+
+
+def _shootout_rows(result: ExperimentResult, contention: str, low: float, high: float):
+    """The rows at ``contention`` with ``low < mp_% <= high``."""
+    return [
+        row for row in result.as_dicts()
+        if row["contention"] == contention and low < row["mp_%"] <= high
+    ]
+
+
+# -- Geo: WAN contention collapse on a routed chain --------------------------------
+#
+# A chain of datacenters replicates the input through Paxos while
+# multipartition commits cross the same links. As per-link bandwidth
+# shrinks, the shared channels congest and throughput collapses.
+
+# Per-link WAN bandwidth ladder, bytes/second: the low rungs are where
+# per-hop transfer time rivals propagation for KB-scale batches.
+_BANDWIDTHS = {
+    "smoke": (float("inf"), 1.25e5),
+    "quick": (float("inf"), 1.25e6, 2.5e5, 1.25e5),
+    "full": (float("inf"), 1.25e6, 5e5, 2.5e5, 1.25e5, 6.25e4),
+}
+_GEO_PARTITIONS = 2
+
+
+def _max_link_utilization(cluster: CalvinCluster) -> float:
+    network = cluster.network
+    now = cluster.sim.now
+    if network.geo is None or now <= 0:
+        return 0.0
+    return max(
+        (network._channel_stat((link.src, link.dst), "busy_time") / now
+         for link in network.geo.links()),
+        default=0.0,
+    )
+
+
+def _geo_contention_cell(bandwidth: float, profile: ScaleProfile, seed: int) -> Tuple:
+    workload = Microbenchmark(mp_fraction=0.3, hot_set_size=10_000, cold_set_size=10_000)
+    config = ClusterConfig(
+        num_partitions=_GEO_PARTITIONS,
+        num_replicas=3,
+        replication_mode="paxos",
+        topology="chain",
+        wan_latency=0.01,
+        wan_bandwidth=bandwidth,
+        seed=seed,
+    )
+    cluster = CalvinCluster(config, workload=workload, record_history=False)
+    cluster.load_workload_data()
+    cluster.add_clients(ClientProfile(per_partition=3))
+    report = cluster.run(profile.duration, warmup=profile.warmup)
+    latency = cluster.metrics.latency
+    return (
+        bandwidth * 8 / 1e6,  # megabits/second
+        report.throughput,
+        latency.percentile(50) * 1e3,
+        latency.percentile(99) * 1e3,
+        _max_link_utilization(cluster),
+        cluster.network.wan_bytes / 1e6,
+    )
+
+
+# -- Geo: replica-local reads vs freshness -----------------------------------------
+#
+# Read-only clients spread across datacenters read either at the input
+# site (``input``) or at their nearest hosting replica (``local``), with
+# closed-loop writers at the input site. Any replica's committed prefix
+# is a consistent snapshot (the paper's Section 3), so reads need no
+# sequencing; the staleness columns show what locality costs in freshness.
+
+_REPLICA_LADDER = {
+    "smoke": (2, 3),
+    "quick": (2, 3, 4),
+    "full": (2, 3, 4, 5),
+}
+_READ_CLIENTS = 12
+
+
+def _geo_reads_cell(replicas: int, mode: str, profile: ScaleProfile, seed: int) -> Tuple:
+    workload = Microbenchmark(mp_fraction=0.1, hot_set_size=1_000, cold_set_size=1_000)
+    config = ClusterConfig(
+        num_partitions=_GEO_PARTITIONS,
+        num_replicas=replicas,
+        replication_mode="paxos",
+        topology="ring",
+        wan_latency=0.01,
+        seed=seed,
+    )
+    cluster = CalvinCluster(config, workload=workload, record_history=False)
+    cluster.load_workload_data()
+    cluster.add_clients(ClientProfile(per_partition=4))
+    readers = add_read_clients(
+        cluster, _READ_CLIENTS, max_txns=None, replica_local=(mode == "local")
+    )
+    cluster.run(duration=profile.warmup)
+    # Fresh measurement window for the read-side instruments.
+    latency = cluster.metrics_registry.histogram("geo.ro.latency_ms")
+    staleness = cluster.metrics_registry.histogram("geo.ro.staleness_epochs")
+    latency.reset()
+    staleness.reset()
+    reads_before = sum(client.completed for client in readers)
+    remote_before = sum(client.local_replica_hits for client in readers)
+    report = cluster.run(duration=profile.duration)
+    reads = sum(client.completed for client in readers) - reads_before
+    remote = sum(client.local_replica_hits for client in readers) - remote_before
+    return (
+        replicas,
+        mode,
+        reads / report.duration,
+        latency.percentile(50),
+        staleness.percentile(50),
+        staleness.percentile(99),
+        report.throughput,
+        (remote / reads) if reads else 0.0,
+    )
+
+
+def _geo_reads_qps(result: ExperimentResult, mode: str) -> List[float]:
+    return [row["ro_qps"] for row in result.as_dicts() if row["mode"] == mode]
+
+
+# -- Elastic reconfiguration under open-loop overload ------------------------------
+#
+# A half-active cluster (spare partitions provisioned but dormant) under
+# open-loop overload: split a hot partition onto a spare, retire an
+# origin, or let the autoscaler act on admission saturation signals. Each
+# scenario's digest column hashes (input log, final state, control-plane
+# events), so any routing or migration nondeterminism changes it.
+
+_ELASTIC_PARTITIONS = 4
+_ELASTIC_ACTIVE = 2
+_ELASTIC_CLIENTS = 4  # per partition
+# Offered load as a fraction of one origin's admission capacity: past the
+# knee, so queues build and the autoscaler sees real saturation.
+_OVERLOAD = 1.3
+SCENARIOS = ("static", "split", "resize", "autoscale")
+
+
+def shape_digest(cluster) -> str:
+    """SHA-256 over (input log, final state, control-plane events)."""
+    digest = hashlib.sha256()
+    for entry in cluster.merged_log():
+        digest.update(repr(
+            (entry.epoch, entry.origin_partition, tuple(txn.txn_id for txn in entry.txns))
+        ).encode())
+    state = cluster.final_state()
+    for key in sorted(state, key=repr):
+        digest.update(repr((key, state[key])).encode())
+    admin = getattr(cluster, "reconfig_admin", None)
+    if admin is not None:
+        for event in admin.events:
+            digest.update(repr(event).encode())
+    return digest.hexdigest()
+
+
+def _elastic_cell(scenario: str, profile: ScaleProfile, seed: int) -> Tuple:
+    config = _admission_config(
+        _ELASTIC_PARTITIONS, seed, "backpressure", active_partitions=_ELASTIC_ACTIVE
+    )
+    workload = Microbenchmark(mp_fraction=0.1, hot_set_size=200, cold_set_size=200)
+    cluster = CalvinCluster(config, workload=workload, record_history=False)
+    cluster.load_workload_data()
+    admin = ClusterAdmin(cluster)
+
+    total = profile.warmup + profile.duration
+    rate = _OVERLOAD * (EPOCH_BUDGET / config.epoch_duration) / _ELASTIC_CLIENTS
+    cluster.add_clients(ClientProfile(
+        per_partition=_ELASTIC_CLIENTS, mode="open", rate=rate,
+        max_txns=max(1, int(rate * total)),
+    ))
+
+    sim = cluster.sim
+    if scenario in ("split", "resize"):
+        sim.schedule_at(profile.warmup, admin.split, 0, 0.5)
+    if scenario == "resize":
+        sim.schedule_at(profile.warmup + profile.duration / 2, admin.remove_node, 1)
+    if scenario == "autoscale":
+        Autoscaler(admin, AutoscalePolicy(
+            interval=4 * config.epoch_duration,
+            scale_up_queue_depth=EPOCH_BUDGET // 2,
+            cooldown=profile.duration / 2,
+            min_origins=_ELASTIC_ACTIVE,
+        )).start()
+
+    report = cluster.run(duration=profile.duration, warmup=profile.warmup)
+    cluster.quiesce()
+    latency = cluster.metrics.latency
+    return (
+        scenario,
+        report.committed,
+        report.throughput,
+        latency.percentile(50) * 1e3,
+        latency.percentile(99) * 1e3,
+        admin.keys_moved,
+        ",".join(str(origin) for origin in admin.current_origins()),
+        shape_digest(cluster)[:16],
+    )
+
+
 # -- the table ---------------------------------------------------------------------
 
 _TABLE = (
@@ -930,6 +1272,183 @@ _TABLE = (
              lambda r: all(rate > 0 for rate in r.column("deliveries/s"))),
             ("OLLP's bounded retries converge (every ratio < 0.97)",
              lambda r: all(ratio < 0.97 for ratio in r.column("restart ratio"))),
+        ),
+    ),
+    Experiment(
+        name="saturation",
+        label="saturation",
+        title="Open-loop knee curve (poisson arrivals, backpressure, 2 partitions)",
+        headers=(
+            "offered_frac",
+            "offered/s",
+            "admitted/s",
+            "committed/s",
+            "p50_ms",
+            "p95_ms",
+            "p99_ms",
+            "queue_peak",
+            "rejected",
+        ),
+        notes=f"admission capacity {_SATURATION_CAPACITY:,.0f} txn/s "
+        f"({EPOCH_BUDGET}/epoch x {_SATURATION_PARTITIONS} nodes); committed "
+        "throughput plateaus there while p99 and the intake queue grow — the knee",
+        grid=lambda profile: [(fraction,) for fraction in _FRACTIONS[profile.name]],
+        cell=_saturation_cell,
+        claims=(
+            ("the offered-load ladder climbs",
+             lambda r: r.column("offered_frac") == sorted(r.column("offered_frac"))),
+            ("the under-offered rung commits below 0.75x admission capacity",
+             lambda r: r.column("committed/s")[0] < 0.75 * _SATURATION_CAPACITY),
+            ("committed throughput plateaus at admission capacity (overloaded rung <= 1.05x)",
+             lambda r: r.column("committed/s")[-1] <= 1.05 * _SATURATION_CAPACITY),
+            ("the overloaded rung is offered more than admission capacity",
+             lambda r: r.column("offered/s")[-1] > _SATURATION_CAPACITY),
+            ("the knee: p99 past saturation exceeds 2x the under-offered rung's",
+             lambda r: r.column("p99_ms")[-1] > 2 * r.column("p99_ms")[0]),
+            ("the overloaded rung rejects load",
+             lambda r: r.column("rejected")[-1] > 0),
+        ),
+    ),
+    Experiment(
+        name="engine-shootout",
+        label="engine-shootout",
+        title=f"core vs baseline vs star, {_SHOOTOUT_PARTITIONS} partitions",
+        headers=(
+            "contention",
+            "hot_set",
+            "mp_%",
+            "core_tps",
+            "baseline_tps",
+            "star_tps",
+            "single_node_tps",
+            "star/calvin",
+        ),
+        notes="single_node_tps = the same per-partition workload on one partition: "
+        "the ceiling STAR's master stays below at 100 % multipartition",
+        grid=_shootout_grid,
+        cell=_shootout_cell,
+        fold=_shootout_fold,
+        claims=(
+            ("star beats core at low contention for every 0 < mp <= 10 %",
+             lambda r: all(row["star/calvin"] > 1
+                           for row in _shootout_rows(r, "low", 0, 10))),
+            ("star loses to core at high contention and 5 % mp",
+             lambda r: all(row["star/calvin"] < 1
+                           for row in _shootout_rows(r, "high", 0, 5))),
+            ("at 100 % mp star stays below the single-node reference",
+             lambda r: all(row["star_tps"] < row["single_node_tps"]
+                           for contention in ("low", "high")
+                           for row in _shootout_rows(r, contention, 99, 100))),
+            ("at high contention and 100 % mp star beats core",
+             lambda r: all(row["star/calvin"] > 1
+                           for row in _shootout_rows(r, "high", 99, 100))),
+        ),
+    ),
+    Experiment(
+        name="geo-contention",
+        label="geo-contention",
+        title="WAN contention collapse (chain of 3 DCs, 2 partitions, paxos input replication)",
+        headers=(
+            "bandwidth_mbps",
+            "committed/s",
+            "p50_ms",
+            "p99_ms",
+            "max_link_util",
+            "wan_mb",
+        ),
+        notes="as per-link bandwidth shrinks the Paxos batches and writesets "
+        "congest the chain: the bottleneck link saturates, latency turns "
+        "bandwidth-bound and commits collapse (p50/p99 read 0 where nothing commits)",
+        grid=lambda profile: [(bandwidth,) for bandwidth in _BANDWIDTHS[profile.name]],
+        cell=_geo_contention_cell,
+        claims=(
+            ("the unconstrained WAN commits at propagation latency (p50 < 40 ms)",
+             lambda r: 0 < r.column("p50_ms")[0] < 40),
+            ("past the knee latency is bandwidth-bound (some p50 > 4x the unconstrained one)",
+             lambda r: max(r.column("p50_ms")) > 4 * r.column("p50_ms")[0]),
+            ("the narrowest rung saturates the bottleneck link (max_link_util > 0.85)",
+             lambda r: r.column("max_link_util")[-1] > 0.85),
+            ("commits collapse at the narrowest rung (< 0.25x unconstrained)",
+             lambda r: r.column("committed/s")[-1] < 0.25 * r.column("committed/s")[0]),
+        ),
+    ),
+    Experiment(
+        name="geo-reads",
+        label="geo-reads",
+        title=f"Replica-local reads (ring, 2 partitions, {_READ_CLIENTS} read clients "
+        "spread across DCs)",
+        headers=(
+            "replicas",
+            "mode",
+            "ro_qps",
+            "ro_p50_ms",
+            "staleness_p50",
+            "staleness_p99",
+            "writes/s",
+            "remote_hit_frac",
+        ),
+        notes="mode=input sends every read to replica 0 at the input site; "
+        "mode=local reads the nearest hosting replica, at the price of the "
+        "staleness columns (epochs the serving replica's watermark lags the "
+        "input site's clock)",
+        grid=lambda profile: [
+            (replicas, mode)
+            for replicas in _REPLICA_LADDER[profile.name]
+            for mode in ("input", "local")
+        ],
+        cell=_geo_reads_cell,
+        claims=(
+            ("input-site read throughput falls as replicas are added",
+             lambda r: all(later < earlier for earlier, later
+                           in zip(_geo_reads_qps(r, "input"), _geo_reads_qps(r, "input")[1:]))),
+            ("replica-local read throughput stays flat (max < 1.05x min)",
+             lambda r: max(_geo_reads_qps(r, "local")) < 1.05 * min(_geo_reads_qps(r, "local"))),
+            ("replica-local reads out-run input-site reads at every replica count",
+             lambda r: all(local > remote for local, remote
+                           in zip(_geo_reads_qps(r, "local"), _geo_reads_qps(r, "input")))),
+            ("only local reads are served away from the input site (remote_hit_frac > 0)",
+             lambda r: all((row["remote_hit_frac"] > 0) == (row["mode"] == "local")
+                           for row in r.as_dicts())),
+            ("staleness stays bounded (every p99 <= 6 epochs)",
+             lambda r: max(r.column("staleness_p99")) <= 6),
+        ),
+    ),
+    Experiment(
+        name="elastic",
+        label="elastic",
+        title=f"Elastic reconfiguration under open-loop overload ({_ELASTIC_PARTITIONS} "
+        f"partitions, {_ELASTIC_ACTIVE} active, backpressure)",
+        headers=(
+            "scenario",
+            "committed",
+            "committed/s",
+            "p50_ms",
+            "p99_ms",
+            "keys_moved",
+            "origins_after",
+            "digest",
+        ),
+        notes="each scenario rebuilds the cluster from the same seed; the digest "
+        "column hashes (input log, final state, reconfig events), so any "
+        "routing or migration nondeterminism changes it",
+        grid=lambda profile: [(scenario,) for scenario in SCENARIOS],
+        cell=_elastic_cell,
+        claims=(
+            ("a static cluster moves no keys and keeps its two origins",
+             lambda r: (_where(r, "scenario", "static")["keys_moved"],
+                        _where(r, "scenario", "static")["origins_after"]) == (0, "0,1")),
+            ("a split moves keys onto a spare (origins 0,1,2)",
+             lambda r: _where(r, "scenario", "split")["keys_moved"] > 0
+             and _where(r, "scenario", "split")["origins_after"] == "0,1,2"),
+            ("a resize retires origin 1 after the split (origins 0,2)",
+             lambda r: _where(r, "scenario", "resize")["origins_after"] == "0,2"),
+            ("the autoscaler scales out under overload (more than two origins)",
+             lambda r: len(_where(r, "scenario", "autoscale")["origins_after"].split(",")) > 2),
+            ("every scenario keeps committing through its resize (> 0.75x static)",
+             lambda r: min(r.column("committed/s"))
+             > 0.75 * _where(r, "scenario", "static")["committed/s"]),
+            ("each scenario leaves its own digest",
+             lambda r: len(set(r.column("digest"))) == len(SCENARIOS)),
         ),
     ),
 )

@@ -1,19 +1,18 @@
 """Deterministic process-pool fan-out: the one sweep engine.
 
-Every experiment grid in the repository — the paper figures, the
-ablations, the engine shoot-out, the saturation/geo ladders, the chaos
-campaign — is a list of *independent cells*: each builds a fresh
-cluster from an explicit seed, runs it, and reduces the run to a
-picklable row. That makes sweeps embarrassingly parallel without
-touching determinism: virtual results depend only on the cell's
-parameters, never on which process ran it or when.
+Every experiment grid in the repository — each row of
+:mod:`repro.bench.experiments` and the chaos campaign — is a list of
+*independent cells*: each builds a fresh cluster from an explicit seed,
+runs it, and reduces the run to a picklable row. That makes sweeps
+embarrassingly parallel without touching determinism: virtual results
+depend only on the cell's parameters, never on which process ran it or
+when.
 
-:func:`run_cells` is the engine. ``jobs <= 1`` (the default) runs the
-cells serially in-process — exactly the behaviour the old private
-``for`` loops had; ``jobs > 1`` fans out across a process pool. In both
-modes results come back **in cell order** (never completion order), so
-a sweep's output is byte-identical at any job count — a property
-tests/test_bench_parallel.py pins.
+:func:`sweep` is the engine. ``jobs <= 1`` (the default) runs the cells
+serially in-process; ``jobs > 1`` fans out across a process pool. In
+both modes results come back **in parameter order** (never completion
+order), so a sweep's output is byte-identical at any job count — a
+property tests/test_bench_parallel.py pins.
 
 Worker functions must be module-level (picklable) and take only
 picklable arguments; they must not return clusters, simulators or
@@ -26,23 +25,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.registry import Gauge, MetricsRegistry
-
-ProgressFn = Callable[[str], None]
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One unit of sweep work: ``fn(*args, **kwargs)`` in some process."""
-
-    fn: Callable[..., Any]
-    args: Tuple = ()
-    kwargs: Dict[str, Any] = field(default_factory=dict)
-    label: str = ""
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -56,7 +42,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _execute_cell(fn, args, kwargs, sanitize: bool):
+def _execute_cell(fn, args, sanitize: bool):
     """Pool-side shim: optionally arm the sanitizer around one cell.
 
     Module-level so it pickles under any multiprocessing start method.
@@ -65,34 +51,28 @@ def _execute_cell(fn, args, kwargs, sanitize: bool):
         from repro.analysis.sanitizer import DeterminismSanitizer
 
         with DeterminismSanitizer():
-            return fn(*args, **kwargs)
-    return fn(*args, **kwargs)
+            return fn(*args)
+    return fn(*args)
 
 
-def run_cells(
-    cells: Sequence[Cell],
+def sweep(
+    fn: Callable[..., Any],
+    params: Iterable[Tuple],
     jobs: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
 ) -> List[Any]:
-    """Run every cell; return results in cell order.
+    """Run ``fn(*p)`` for every parameter tuple; results in parameter order.
 
-    Serial (``jobs <= 1``) runs in-process. Parallel submits all cells
+    Serial (``jobs <= 1``) runs in-process. Parallel submits every cell
     to a process pool and collects results in submission order, so the
     returned list — and anything derived from it — is independent of
-    scheduling. ``progress`` (if given) is called with
-    ``"label: result"``-ish one-liners, also in cell order. A cell that
-    raises propagates its exception after the pool is torn down;
-    remaining cells may or may not have run (their results are
-    discarded either way).
+    scheduling. A cell that raises propagates its exception after the
+    pool is torn down; remaining cells may or may not have run (their
+    results are discarded either way).
     """
+    params = [tuple(p) for p in params]
     effective = resolve_jobs(jobs)
-    if effective <= 1 or len(cells) <= 1:
-        results = []
-        for cell in cells:
-            results.append(cell.fn(*cell.args, **cell.kwargs))
-            if progress is not None:
-                progress(cell.label or f"cell {len(results)}/{len(cells)}")
-        return results
+    if effective <= 1 or len(params) <= 1:
+        return [fn(*p) for p in params]
 
     # The parent's sanitizer (if armed) must stand down around the pool:
     # multiprocessing's own plumbing legitimately reads time.monotonic.
@@ -100,35 +80,11 @@ def run_cells(
     # work stays guarded at any job count.
     from repro.analysis.sanitizer import sanitizer_active, sanitizer_suspended
 
-    sanitize_cells = sanitizer_active()
-    results = []
+    sanitize = sanitizer_active()
     with sanitizer_suspended():
-        with ProcessPoolExecutor(max_workers=min(effective, len(cells))) as pool:
-            futures = [
-                pool.submit(_execute_cell, cell.fn, cell.args, cell.kwargs, sanitize_cells)
-                for cell in cells
-            ]
-            for index, future in enumerate(futures):
-                results.append(future.result())
-                if progress is not None:
-                    progress(cells[index].label or f"cell {index + 1}/{len(cells)}")
-    return results
-
-
-def sweep(
-    fn: Callable[..., Any],
-    params: Iterable[Tuple],
-    jobs: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
-) -> List[Any]:
-    """Run ``fn(*p)`` for every parameter tuple, deterministically ordered.
-
-    The convenience wrapper the figure/ablation grids use: one
-    module-level worker, one list of parameter tuples, results in
-    parameter order at any job count.
-    """
-    cells = [Cell(fn=fn, args=tuple(p), label=repr(tuple(p))) for p in params]
-    return run_cells(cells, jobs=jobs, progress=progress)
+        with ProcessPoolExecutor(max_workers=min(effective, len(params))) as pool:
+            futures = [pool.submit(_execute_cell, fn, p, sanitize) for p in params]
+            return [future.result() for future in futures]
 
 
 def portable_registry(registry: MetricsRegistry) -> MetricsRegistry:

@@ -14,8 +14,6 @@ them. What it is:
 - :func:`common_parent`, the one declaration of every flag more than
   one command takes, so spellings, defaults, choices and help text
   cannot drift between commands.
-- :func:`emit`, the one print -> chart -> archive tail of every
-  command that produces a result table.
 - :func:`main`, which parses, picks ``args.handler`` and calls it under
   the ``--sanitize`` / ``--audit-footprints`` scopes. Everything a
   handler uses is imported at module level, so the determinism guard
@@ -34,12 +32,11 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import CalvinDB
 from repro.analysis import DeterminismSanitizer, audit_scope, bisect_runs
-from repro.bench import elastic, geo, saturation, shootout
 from repro.bench.charts import ascii_chart
 from repro.bench.compare import compare_files
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.io import save_csv, save_json
-from repro.bench.parallel import Cell, merge_registries, portable_registry, run_cells
+from repro.bench.parallel import merge_registries, portable_registry, sweep
 from repro.config import ADMISSION_POLICIES, ClusterConfig, DEFAULT_CONFIG
 from repro.core import checkers
 from repro.core.traffic import ClientProfile
@@ -56,8 +53,8 @@ def common_parent(parser: argparse.ArgumentParser, **groups) -> None:
     The one declaration of every flag more than one command takes. Each
     keyword names a group; its value is ``True`` for the declaration as
     written here, a dict of ``add_argument`` overrides (a command's own
-    ``default`` / ``help``), or -- for ``output`` and ``chart`` -- the
-    noun the command archives. Groups land in call order, and a command
+    ``default`` / ``help``), or -- for ``output`` -- the noun the
+    command archives. Groups land in call order, and a command
     may call this more than once around its own flags, because the
     order flags appear in ``--help`` is part of the pinned CLI surface
     (argparse ``parents=`` would list every shared flag first).
@@ -96,12 +93,6 @@ def common_parent(parser: argparse.ArgumentParser, **groups) -> None:
                      "(0 = one per core; default serial); results are "
                      "byte-identical at any job count",
             )
-        elif group == "scale":
-            flag("--scale", option, default="quick",
-                 choices=("smoke", "quick", "full"))
-        elif group == "policy":
-            flag("--policy", option, default="backpressure",
-                 choices=ADMISSION_POLICIES)
         elif group == "profile":
             flag("--profile", option, default=None, choices=sorted(FAULT_PROFILES))
         elif group == "duration":
@@ -113,25 +104,16 @@ def common_parent(parser: argparse.ArgumentParser, **groups) -> None:
         elif group == "partitions":
             flag("--partitions", option, type=int, default=2)
         elif group == "output":
-            # option = what --json/--csv archive: one "table"/"curve" per
-            # FILE, the "tables" of a two-result sweep under one PREFIX, or
-            # (bisect) a "report" printed as JSON in place of the text.
-            def archive(kind: str) -> Dict:
-                if option == "tables":
-                    return dict(metavar="PREFIX", help="also write the tables "
-                                f"as PREFIX-<experiment>.{kind.lower()}")
-                return dict(metavar="FILE", help=f"also write the {option} as {kind}")
-
-            report = dict(action="store_true",
-                          help="emit the divergence report as JSON")
-            parser.add_argument(
-                "--json", **(report if option == "report" else archive("JSON"))
-            )
-            if option != "report":
-                parser.add_argument("--csv", **archive("CSV"))
-        elif group == "chart":
-            parser.add_argument("--chart", action="store_true",
-                                help=f"render the {option} as ASCII bars")
+            # option = what --json archives: the "table" (and --csv beside
+            # it), or (bisect) a "report" printed as JSON in place of the text.
+            report = option == "report"
+            parser.add_argument("--json", **(
+                dict(action="store_true", help="emit the divergence report as JSON")
+                if report else dict(metavar="FILE", help=f"also write the {option} as JSON")
+            ))
+            if not report:
+                parser.add_argument("--csv", metavar="FILE",
+                                    help=f"also write the {option} as CSV")
         else:
             raise TypeError(f"unknown shared flag group {group!r}")
 
@@ -212,28 +194,6 @@ def _run_microbenchmark(
     return cluster
 
 
-def emit(result, args: argparse.Namespace, *footer: str) -> None:
-    """The tail every table-producing command shares: print the result
-    (a tuple of results prints blank-line separated), its ``--chart``,
-    the ``footer`` lines, then archive to ``--json`` / ``--csv``."""
-    results = result if isinstance(result, tuple) else (result,)
-    print("\n\n".join(str(table) for table in results))
-    if getattr(args, "chart", False):
-        print()
-        try:
-            print(ascii_chart(result))
-        except ConfigError as exc:
-            print(f"(not chartable: {exc})")
-    for line in footer:
-        print(line)
-    for table in results:
-        for path, save, ext in ((args.json, save_json, "json"), (args.csv, save_csv, "csv")):
-            if path:
-                if len(results) > 1:  # one PREFIX, one file per experiment
-                    path = f"{path}-{table.experiment}.{ext}"
-                print(f"wrote {save(table, path)}")
-
-
 # -- experiments, run, demo ------------------------------------------------------
 
 
@@ -251,8 +211,11 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 def declare_run(parser: argparse.ArgumentParser) -> None:
     """run one experiment and check its shape claims"""
-    common_parent(parser, seed=True, sanitize=True, jobs=True, scale=True,
-                  output="table", chart="table")
+    common_parent(parser, seed=True, sanitize=True, jobs=True)
+    parser.add_argument("--scale", default="quick", choices=("smoke", "quick", "full"))
+    common_parent(parser, output="table")
+    parser.add_argument("--chart", action="store_true",
+                        help="render the table as ASCII bars")
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.set_defaults(handler=cmd_run)
 
@@ -260,7 +223,16 @@ def declare_run(parser: argparse.ArgumentParser) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(args.experiment, scale=args.scale, seed=args.seed,
                             jobs=args.jobs)
-    emit(result, args)
+    print(result)
+    if args.chart:
+        print()
+        try:
+            print(ascii_chart(result))
+        except ConfigError as exc:
+            print(f"(not chartable: {exc})")
+    for path, save in ((args.json, save_json), (args.csv, save_csv)):
+        if path:
+            print(f"wrote {save(result, path)}")
     failed = EXPERIMENTS[args.experiment].failed_claims(result)
     for claim in failed:
         print(f"shape claim failed: {args.experiment}: {claim}", file=sys.stderr)
@@ -348,7 +320,7 @@ def _chaos_run(args: argparse.Namespace, seed: int, before_run=None):
 _CHAOS_CHECKS = (
     ("serializability", checkers.check_serializability),
     ("conflict order", checkers.check_conflict_order),
-    ("replica consistency", lambda c: checkers.check_replica_consistency(c) or 0),
+    ("replica consistency", checkers.check_replica_consistency),
     ("epoch contiguity", checkers.check_epoch_contiguity),
     ("no double-apply", checkers.check_no_double_apply),
     ("no lost commits", checkers.check_no_lost_commits),
@@ -387,11 +359,7 @@ def _chaos_campaign(args: argparse.Namespace) -> int:
     seeds = list(range(args.seed, args.seed + args.seeds))
     print(f"chaos campaign: profile {args.profile}, seeds "
           f"{seeds[0]}..{seeds[-1]}, {args.duration}s of virtual time each...")
-    cells = [
-        Cell(fn=_chaos_campaign_cell, args=(args, seed), label=f"seed {seed}")
-        for seed in seeds
-    ]
-    summaries = run_cells(cells, jobs=args.jobs)
+    summaries = sweep(_chaos_campaign_cell, [(args, seed) for seed in seeds], jobs=args.jobs)
     ok = True
     for summary in summaries:
         status = "ok" if not summary["failures"] else "FAIL"
@@ -545,146 +513,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0 if comparison.ok else 1
 
 
-# -- bench -----------------------------------------------------------------------
-
-
-def declare_bench_saturation(parser: argparse.ArgumentParser) -> None:
-    """sweep open-loop offered load across the admission knee"""
-    common_parent(parser, seed=True, sanitize=True, jobs=True,
-                  scale=True, policy=True)
-    parser.add_argument("--arrival", default="poisson",
-                        choices=("poisson", "uniform", "burst"))
-    common_parent(parser, partitions=True, output="curve", chart="curve")
-    parser.set_defaults(handler=cmd_bench_saturation)
-
-
-def cmd_bench_saturation(args: argparse.Namespace) -> int:
-    print(f"sweeping offered load ({args.scale} scale, seed {args.seed}, "
-          f"policy {args.policy}, {args.arrival} arrivals)...",
-          file=sys.stderr)
-    result = saturation.run(
-        scale=args.scale,
-        seed=args.seed,
-        policy=args.policy,
-        arrival=args.arrival,
-        partitions=args.partitions,
-        jobs=args.jobs,
-    )
-    emit(result, args)
-    return 0
-
-
-def declare_bench_compare(parser: argparse.ArgumentParser) -> None:
-    """three-system shoot-out: contention × multipartition-%%
-    sweep across execution engines"""
-    common_parent(parser, seed=True, sanitize=True, jobs=True)
-    parser.add_argument("--engines", default="core,baseline,star",
-                        help="comma-separated engine list "
-                             "(default core,baseline,star)")
-    common_parent(parser, scale=dict(default="smoke"), partitions=dict(default=4))
-    parser.add_argument("--mp", metavar="LIST", default=None,
-                        help="comma-separated multipartition fractions, "
-                             "e.g. 0,0.1,0.5,1 (default full sweep)")
-    parser.add_argument("--hot", metavar="LIST", default=None,
-                        help="comma-separated per-partition hot-set sizes "
-                             "(contention levels; default 10000,100)")
-    common_parent(parser, output="table")
-    parser.set_defaults(handler=cmd_bench_compare)
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    engines = tuple(part.strip() for part in args.engines.split(",") if part.strip())
-    kwargs = {}
-    if args.mp:
-        kwargs["mp_fractions"] = tuple(
-            float(part) for part in args.mp.split(",") if part.strip()
-        )
-    if args.hot:
-        kwargs["contention"] = tuple(
-            (f"hot={part.strip()}", int(part))
-            for part in args.hot.split(",")
-            if part.strip()
-        )
-    print(f"engine shoot-out: {', '.join(engines)} ({args.scale} scale, "
-          f"seed {args.seed}, {args.partitions} partitions)...",
-          file=sys.stderr)
-    result = shootout.run(
-        scale=args.scale,
-        seed=args.seed,
-        partitions=args.partitions,
-        engines=engines,
-        progress=lambda line: print(f"  {line}", file=sys.stderr),
-        jobs=args.jobs,
-        **kwargs,
-    )
-    emit(result, args)
-    return 0
-
-
-def declare_bench_geo(parser: argparse.ArgumentParser) -> None:
-    """geo curves: WAN contention collapse + replica-local reads"""
-    common_parent(
-        parser, seed=True, topology=dict(default="chain"), sanitize=True,
-        jobs=True, scale=True, partitions=True, output="tables",
-    )
-    parser.set_defaults(handler=cmd_bench_geo)
-
-
-def cmd_bench_geo(args: argparse.Namespace) -> int:
-    print(f"geo curves ({args.scale} scale, seed {args.seed}, "
-          f"{args.topology} topology, {args.partitions} partitions)...",
-          file=sys.stderr)
-    collapse, reads, digest = geo.run(
-        scale=args.scale,
-        seed=args.seed,
-        topology=args.topology,
-        partitions=args.partitions,
-        jobs=args.jobs,
-    )
-    emit(
-        (collapse, reads), args,
-        f"\ngeo digest {digest}",
-        "rerun with the same seed to reproduce this digest bit-for-bit",
-    )
-    return 0
-
-
-def declare_bench_elastic(parser: argparse.ArgumentParser) -> None:
-    """elastic reconfiguration sweep: split/resize/autoscale under
-    open-loop overload, one shape digest per scenario"""
-    common_parent(
-        parser, seed=True, sanitize=True, jobs=True, scale=True,
-        partitions=dict(
-            default=4,
-            help="provisioned partitions; half start active, "
-                 "the rest are dormant spares (default 4)",
-        ),
-        policy=True, output="table",
-    )
-    parser.set_defaults(handler=cmd_bench_elastic)
-
-
-def cmd_bench_elastic(args: argparse.Namespace) -> int:
-    print(f"elastic reconfiguration sweep ({args.scale} scale, "
-          f"seed {args.seed}, {args.partitions} partitions, "
-          f"policy {args.policy})...",
-          file=sys.stderr)
-    result, digest = elastic.run(
-        scale=args.scale,
-        seed=args.seed,
-        partitions=args.partitions,
-        policy=args.policy,
-        jobs=args.jobs,
-    )
-    emit(
-        result, args,
-        f"\nelastic digest {digest}",
-        "rerun with the same seed (any --jobs) to reproduce this "
-        "digest bit-for-bit",
-    )
-    return 0
-
-
 # -- topology --------------------------------------------------------------------
 
 
@@ -765,11 +593,6 @@ COMMANDS: Dict[Tuple[str, ...], Union[str, Declare]] = {
     ("chaos",): declare_chaos,
     ("trace",): declare_trace,
     ("compare",): declare_compare,
-    ("bench",): "sweeps of the modelled system: load, engines, geo, elastic",
-    ("bench", "saturation"): declare_bench_saturation,
-    ("bench", "compare"): declare_bench_compare,
-    ("bench", "geo"): declare_bench_geo,
-    ("bench", "elastic"): declare_bench_elastic,
     ("topology",): "inspect geo topology presets and their routes",
     ("topology", "show"): declare_topology_show,
     ("bisect",): declare_bisect,

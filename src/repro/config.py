@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 from repro.errors import ConfigError
 
 # The admission policies that actually bound intake (``"none"`` disables
-# admission control); the CLI's ``--policy``/``--admission`` choices.
+# admission control); the choices of ``repro chaos --admission``.
 ADMISSION_POLICIES = ("queue", "shed", "backpressure")
 
 

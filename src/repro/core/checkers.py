@@ -24,18 +24,22 @@ from repro.txn.result import TxnStatus
 from repro.txn.transaction import Transaction
 
 
-def check_replica_consistency(cluster) -> None:
+def check_replica_consistency(cluster) -> int:
     """Raise :class:`ConsistencyError` unless all replicas' stores match.
 
     Compared per partition against replica 0 (which hosts everything),
     so partial-replication layouts — where replicas host different
     partition subsets — are checked on exactly the hosted overlap.
+    Returns the number of ``(replica, partition)`` stores compared
+    against replica 0's.
     """
     catalog = cluster.catalog
+    compared = 0
     for replica in range(1, cluster.config.num_replicas):
+        hosted = catalog.hosted_partitions(replica)
         diverged = [
             partition
-            for partition in catalog.hosted_partitions(replica)
+            for partition in hosted
             if cluster.node(replica, partition).store.fingerprint()
             != cluster.node(0, partition).store.fingerprint()
         ]
@@ -44,6 +48,8 @@ def check_replica_consistency(cluster) -> None:
                 f"replica {replica} diverged from replica 0 on partitions "
                 f"{diverged}"
             )
+        compared += len(hosted)
+    return compared
 
 
 def check_epoch_contiguity(cluster) -> int:

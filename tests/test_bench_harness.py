@@ -1,4 +1,4 @@
-"""Tests for the benchmark harness plumbing (not the experiments)."""
+"""Tests for the benchmark harness plumbing and the saturation row's cell."""
 
 import pytest
 
@@ -32,44 +32,31 @@ class TestScaleProfile:
 
 
 class TestSaturationSweep:
-    def test_smoke_curve_shape(self):
-        from repro.bench import saturation
+    """The ``saturation`` row of the experiment table, run at smoke."""
 
-        result = saturation.run(scale="smoke", seed=2012)
-        fractions = result.column("offered_frac")
-        committed = result.column("committed/s")
-        p99 = result.column("p99_ms")
-        assert fractions == sorted(fractions)
-        # Throughput plateaus at the admission capacity: the overloaded
-        # rung commits no more than ~the saturated one (tolerate sampling
-        # noise), and well below what it was offered.
-        capacity = saturation.capacity_per_node(
-            __import__("repro").ClusterConfig(
-                admission_policy="shed",
-                admission_epoch_budget=saturation.EPOCH_BUDGET,
-                admission_queue_capacity=1,
-            )
-        ) * 2
-        assert committed[0] < capacity * 0.75          # under-offered rung
-        assert committed[-1] <= capacity * 1.05        # plateau at capacity
-        assert result.column("offered/s")[-1] > capacity
-        # The knee: p99 grows markedly once past saturation.
-        assert p99[-1] > 2 * p99[0]
-        assert result.column("rejected")[-1] > 0
+    def test_smoke_curve_shape(self):
+        from repro.bench.experiments import EXPERIMENTS, run_experiment
+
+        result = run_experiment("saturation", scale="smoke", seed=2012)
+        assert EXPERIMENTS["saturation"].failed_claims(result) == []
 
     def test_sweep_deterministic(self):
-        from repro.bench import saturation
+        from repro.bench.experiments import run_experiment
 
-        first = saturation.run(scale="smoke", seed=2012)
-        second = saturation.run(scale="smoke", seed=2012)
+        first = run_experiment("saturation", scale="smoke", seed=2012)
+        second = run_experiment("saturation", scale="smoke", seed=2012)
         assert first.rows == second.rows
 
     def test_policy_and_arrival_variants(self):
-        from repro.bench import saturation
+        from repro.bench.experiments import _FRACTIONS, _saturation_cell
 
-        queue = saturation.run(scale="smoke", policy="queue", arrival="uniform")
-        assert len(queue.rows) == 3
-        assert queue.column("rejected")[-1] > 0  # drops count as rejected
+        profile = ScaleProfile.get("smoke")
+        rows = [
+            _saturation_cell(fraction, profile, 2012, policy="queue", arrival="uniform")
+            for fraction in _FRACTIONS["smoke"]
+        ]
+        assert len(rows) == 3
+        assert rows[-1][-1] > 0  # drops count as rejected
 
 
 class TestBaselineConfig:

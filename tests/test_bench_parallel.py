@@ -1,8 +1,8 @@
 """The deterministic fan-out engine: serial and parallel must agree.
 
 Every sweep in the repository routes through
-:func:`repro.bench.parallel.run_cells`, so the properties pinned here —
-results in cell order, byte-identical output at any job count, clean
+:func:`repro.bench.parallel.sweep`, so the properties pinned here —
+results in parameter order, byte-identical output at any job count, clean
 error propagation, gauge-free registry transport — are what make
 ``--jobs N`` safe to hand to users.
 
@@ -15,14 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.parallel import (
-    Cell,
-    merge_registries,
-    portable_registry,
-    resolve_jobs,
-    run_cells,
-    sweep,
-)
+from repro.bench.parallel import merge_registries, portable_registry, resolve_jobs, sweep
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry
 
@@ -55,6 +48,10 @@ def _boom(value):
     raise ValueError(f"cell exploded on {value}")
 
 
+def _mixed(fn, value):
+    return fn(value)
+
+
 def _make_registry(committed):
     registry = MetricsRegistry()
     registry.counter("txn.committed").increment(committed)
@@ -81,17 +78,15 @@ def test_resolve_jobs_negative_rejected():
 
 
 # ---------------------------------------------------------------------------
-# run_cells / sweep: ordering and serial-vs-parallel equivalence
+# sweep: ordering and serial-vs-parallel equivalence
 # ---------------------------------------------------------------------------
 
 def test_serial_results_in_cell_order():
-    cells = [Cell(fn=_square, args=(n,)) for n in range(6)]
-    assert run_cells(cells) == [0, 1, 4, 9, 16, 25]
+    assert sweep(_square, [(n,) for n in range(6)]) == [0, 1, 4, 9, 16, 25]
 
 
 def test_parallel_results_in_cell_order():
-    cells = [Cell(fn=_square, args=(n,)) for n in range(6)]
-    assert run_cells(cells, jobs=2) == [0, 1, 4, 9, 16, 25]
+    assert sweep(_square, [(n,) for n in range(6)], jobs=2) == [0, 1, 4, 9, 16, 25]
 
 
 def test_simulation_sweep_identical_at_any_job_count():
@@ -103,31 +98,18 @@ def test_simulation_sweep_identical_at_any_job_count():
     assert repr(serial) == repr(fanned)
 
 
-def test_progress_called_in_cell_order():
-    labels = []
-    cells = [Cell(fn=_square, args=(n,), label=f"n={n}") for n in range(4)]
-    run_cells(cells, jobs=2, progress=labels.append)
-    assert labels == ["n=0", "n=1", "n=2", "n=3"]
-
-
 def test_cell_error_propagates_serial():
-    cells = [Cell(fn=_square, args=(1,)), Cell(fn=_boom, args=(7,))]
     with pytest.raises(ValueError, match="exploded on 7"):
-        run_cells(cells)
+        sweep(_mixed, [(_square, 1), (_boom, 7)])
 
 
 def test_cell_error_propagates_parallel():
-    cells = [
-        Cell(fn=_square, args=(1,)),
-        Cell(fn=_boom, args=(7,)),
-        Cell(fn=_square, args=(2,)),
-    ]
     with pytest.raises(ValueError, match="exploded on 7"):
-        run_cells(cells, jobs=2)
+        sweep(_mixed, [(_square, 1), (_boom, 7), (_square, 2)], jobs=2)
 
 
 def test_sweep_builds_cells_from_param_tuples():
-    assert sweep(_square, [(2,), (3,)]) == [4, 9]
+    assert sweep(_square, [(2,), [3]]) == [4, 9]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +132,7 @@ def test_portable_registry_survives_pickling():
 
 def test_merge_registries_sums_across_cells():
     merged = merge_registries(
-        run_cells([Cell(fn=_make_registry, args=(n,)) for n in (2, 3, 4)], jobs=2)
+        sweep(_make_registry, [(n,) for n in (2, 3, 4)], jobs=2)
     )
     assert merged.counter("txn.committed").value == 9
     assert merged.histogram("txn.latency").count == 3

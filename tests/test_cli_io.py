@@ -82,6 +82,13 @@ class TestCli:
         assert main([]) == 2
         assert "experiments" in capsys.readouterr().out
 
+    def test_chaos_counts_the_replica_stores_it_compared(self, capsys):
+        # chaos defaults to 2 replicas x 2 partitions: replica 1's two
+        # stores are compared against replica 0's.
+        assert main(["chaos", "--duration", "0.3"]) == 0
+        out = capsys.readouterr().out
+        assert "  invariant ok: replica consistency (2 checked)" in out.splitlines()
+
     def test_bad_configuration_is_one_line_not_a_traceback(self, capsys):
         assert main(["trace", "--system", "calvin", "--partitions", "0"]) == 2
         err = capsys.readouterr().err
@@ -137,20 +144,10 @@ class TestSharedRunFlags:
              "--jobs", "2"],
             ["trace", "--seed", "7", "--topology", "mesh", "--sanitize"],
             ["bisect", "--seed", "7", "--topology", "hub", "--sanitize"],
-            ["bench", "saturation", "--seed", "7", "--sanitize", "--jobs", "2"],
-            ["bench", "compare", "--seed", "7", "--sanitize", "--jobs", "2"],
-            ["bench", "geo", "--seed", "7", "--topology", "ring",
-             "--sanitize", "--jobs", "2"],
-            ["bench", "elastic", "--seed", "7", "--sanitize", "--jobs", "2"],
         ):
             args = parser.parse_args(argv)
             assert args.seed == 7, argv
             assert args.sanitize is True, argv
-
-    def test_geo_topology_default_preserved(self):
-        args = build_parser().parse_args(["bench", "geo"])
-        assert args.topology == "chain"
-        assert build_parser().parse_args(["chaos"]).topology is None
 
     def test_shared_flags_declared_exactly_once(self):
         # The consolidation's point: one declaration per shared flag, so
@@ -161,8 +158,7 @@ class TestSharedRunFlags:
 
         source = inspect.getsource(cli)
         for flag in ("--topology", "--sanitize", "--jobs", "--seed", "--scale",
-                     "--json", "--csv", "--chart", "--partitions", "--policy",
-                     "--profile"):
+                     "--json", "--csv", "--chart", "--partitions", "--profile"):
             assert source.count(f'"{flag}"') == 1, flag
 
     def test_config_from_args_replication_rule(self):

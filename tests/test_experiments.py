@@ -4,8 +4,9 @@ Every declared claim must hold on the archived quick-scale table in
 ``results/``, and a planted edit of that table -- the regression the
 claim exists to catch -- must fail it by name. Two end-to-end cases run
 the simulator: a fig5 cell forced to one partition makes ``repro run``
-exit 1 naming the near-linear claim, and a fanned-out sweep prints the
-same table as a serial one.
+exit 1 naming the near-linear claim, and fanned-out sweeps (latency-breakdown
+and elastic, whose digest column hashes each run) print the same tables as
+serial ones.
 """
 
 from __future__ import annotations
@@ -114,6 +115,26 @@ PLANTED = {
         lambda r: _set(r, "restart ratio", 0.5, where=lambda row: row["new_order %"] == 0),
         "no queue churn, no restarts",
     ),
+    "saturation": (
+        lambda r: _set(r, "committed/s", r.column("offered/s")[-1]),
+        "committed throughput plateaus at admission capacity",
+    ),
+    "engine-shootout": (
+        lambda r: _set(r, "star/calvin", 0.9, where=lambda row: row["contention"] == "low"),
+        "star beats core at low contention for every 0 < mp <= 10 %",
+    ),
+    "geo-contention": (
+        lambda r: _set(r, "max_link_util", 0.5),
+        "the narrowest rung saturates the bottleneck link",
+    ),
+    "geo-reads": (
+        lambda r: _set(r, "ro_qps", r.column("ro_qps")[0], where=lambda row: row["mode"] == "input"),
+        "input-site read throughput falls as replicas are added",
+    ),
+    "elastic": (
+        lambda r: _set(r, "keys_moved", 0, where=lambda row: row["scenario"] == "split"),
+        "a split moves keys onto a spare",
+    ),
 }
 
 
@@ -157,13 +178,14 @@ def test_run_exits_1_naming_the_failed_claim(monkeypatch, tmp_path, capsys):
 
 
 def test_fanned_out_run_matches_serial_byte_for_byte(tmp_path, capsys):
-    outputs = []
-    for jobs in ([], ["--jobs", "2"]):
-        prefix = tmp_path / ("parallel" if jobs else "serial")
-        argv = ["run", "latency-breakdown", "--scale", "smoke",
-                "--json", f"{prefix}.json", "--csv", f"{prefix}.csv", *jobs]
-        assert main(argv) == 0
-        table = capsys.readouterr().out.split("\nwrote ")[0]
-        outputs.append((table, Path(f"{prefix}.json").read_bytes(),
-                        Path(f"{prefix}.csv").read_bytes()))
-    assert outputs[0] == outputs[1]
+    for name in ("latency-breakdown", "elastic"):
+        outputs = []
+        for jobs in ([], ["--jobs", "2"]):
+            prefix = tmp_path / f"{name}-{'parallel' if jobs else 'serial'}"
+            argv = ["run", name, "--scale", "smoke",
+                    "--json", f"{prefix}.json", "--csv", f"{prefix}.csv", *jobs]
+            assert main(argv) == 0
+            table = capsys.readouterr().out.split("\nwrote ")[0]
+            outputs.append((table, Path(f"{prefix}.json").read_bytes(),
+                            Path(f"{prefix}.csv").read_bytes()))
+        assert outputs[0] == outputs[1], name

@@ -26,7 +26,7 @@ from repro import (
     check_no_lost_commits,
     check_serializability,
 )
-from repro.bench.elastic import shape_digest
+from repro.bench.experiments import shape_digest
 from repro.partition import Catalog, FuncPartitioner
 from repro.partition.catalog import MIGRATION_PROC
 from repro.reconfig import AutoscalePolicy, Autoscaler
