@@ -30,7 +30,7 @@ from repro.bench.harness import (
 from repro.bench.parallel import sweep
 from repro.bench.reporting import ExperimentResult
 from repro.config import ClusterConfig, CostModel, DEFAULT_CONFIG
-from repro.core.checkers import check_replica_consistency
+from repro.core.checkers import verify
 from repro.core.cluster import CalvinCluster
 from repro.core.traffic import ClientProfile
 from repro.errors import ConsistencyError
@@ -321,7 +321,7 @@ def _e7_cell(profile: ScaleProfile, seed: int) -> List[Tuple]:
     done = cluster.schedule_checkpoint(at_time=0.12, mode="zigzag")
     cluster.run(duration=0.5)
     cluster.quiesce()
-    check_replica_consistency(cluster)
+    verify(cluster)
     if not done.triggered:
         raise ConsistencyError("checkpoint did not complete during the run")
 

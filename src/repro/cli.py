@@ -38,10 +38,10 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.io import save_csv, save_json
 from repro.bench.parallel import merge_registries, portable_registry, sweep
 from repro.config import ADMISSION_POLICIES, ClusterConfig, DEFAULT_CONFIG
-from repro.core import checkers
+from repro.core.checkers import verify
 from repro.core.traffic import ClientProfile
 from repro.engines import FEATURES, UNSUPPORTED, build_cluster, features_of
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ConsistencyError
 from repro.faults.profiles import FAULT_PROFILES
 from repro.geo.presets import GEO_PRESETS
 from repro.obs import TraceRecorder, chrome_trace, summary_table, write_chrome_trace
@@ -317,17 +317,6 @@ def _chaos_run(args: argparse.Namespace, seed: int, before_run=None):
     )
 
 
-_CHAOS_CHECKS = (
-    ("serializability", checkers.check_serializability),
-    ("conflict order", checkers.check_conflict_order),
-    ("replica consistency", checkers.check_replica_consistency),
-    ("epoch contiguity", checkers.check_epoch_contiguity),
-    ("no double-apply", checkers.check_no_double_apply),
-    ("no lost commits", checkers.check_no_lost_commits),
-    ("replica prefix consistency", checkers.check_replica_prefix_consistency),
-)
-
-
 def _chaos_campaign_cell(args: argparse.Namespace, seed: int) -> Dict:
     """One seed of a chaos campaign: run, verify invariants, summarize.
 
@@ -336,13 +325,10 @@ def _chaos_campaign_cell(args: argparse.Namespace, seed: int) -> Dict:
     metrics registry, so summaries merge in the parent.
     """
     cluster = _chaos_run(args, seed)
-    failures = []
-    checked = 0
-    for name, check in _CHAOS_CHECKS:
-        try:
-            checked += check(cluster)
-        except Exception as exc:  # noqa: BLE001 - campaign reports, not aborts
-            failures.append(f"{name}: {exc}")
+    try:
+        checked, failures = sum(verify(cluster).values()), []
+    except ConsistencyError as exc:  # a campaign reports, not aborts
+        checked, failures = 0, str(exc).splitlines()
     injector = cluster.fault_injector
     return {
         "seed": seed,
@@ -391,8 +377,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     cluster = _chaos_run(args, args.seed, before_run=announce)
     injector = cluster.fault_injector
 
-    for name, check in _CHAOS_CHECKS:
-        count = check(cluster)
+    for name, count in verify(cluster).items():
         print(f"  invariant ok: {name} ({count} checked)")
     print(f"committed {cluster.metrics.committed} txns; "
           f"{injector.monitor_checks} live monitor sweeps; "

@@ -9,11 +9,14 @@ because transactions execute real logic on real stores:
   serially, in the agreed global order, on a single reference store must
   yield (a) the same per-transaction outcome the cluster reported and
   (b) exactly the cluster's final state.
+
+Which checkers apply to a cluster is decided once, by :data:`CHECKS`;
+:func:`verify` runs every row the cluster can answer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from repro.errors import ConsistencyError
 from repro.partition.partitioner import Key
@@ -22,6 +25,16 @@ from repro.txn.ollp import run_logic
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.result import TxnStatus
 from repro.txn.transaction import Transaction
+
+
+def _require_history(cluster) -> None:
+    """Without recorded history, a checker that reads it would pass
+    vacuously or fail misleadingly."""
+    if not cluster.record_history:
+        raise ConsistencyError(
+            "history and execution traces are off; build the cluster with "
+            "record_history=True"
+        )
 
 
 def check_replica_consistency(cluster) -> int:
@@ -111,6 +124,7 @@ def check_no_lost_commits(cluster) -> int:
     log would be unrecoverable — replay could never reproduce it.
     Requires ``record_history=True``. Returns completions inspected.
     """
+    _require_history(cluster)
     logged = set()
     for entry in cluster.merged_log(replica=0):
         for index in range(len(entry.txns)):
@@ -135,14 +149,10 @@ def check_replica_prefix_consistency(cluster) -> int:
     catches up. Requires execution traces on every replica
     (``record_history=True``). Returns the number of partitions compared.
     """
+    _require_history(cluster)
     compared = 0
     for partition in range(cluster.config.num_partitions):
         reference = cluster.node(0, partition)
-        if reference.scheduler.execution_trace is None:
-            raise ConsistencyError(
-                "execution traces are off; build the cluster with "
-                "record_history=True"
-            )
         reference_seqs = set(reference.scheduler.execution_trace)
         for replica in range(1, cluster.config.num_replicas):
             if not cluster.catalog.is_hosted(replica, partition):
@@ -200,17 +210,12 @@ def check_conflict_order(cluster) -> int:
 
     Requires ``record_history=True`` (traces ride along with history).
     """
+    _require_history(cluster)
     txn_by_seq = {seq: txn for seq, txn, _status in cluster.history}
     route = cluster.catalog.route
     verified = 0
     for partition in range(cluster.config.num_partitions):
-        scheduler = cluster.node(0, partition).scheduler
-        trace = scheduler.execution_trace
-        if trace is None:
-            raise ConsistencyError(
-                "execution traces are off; build the cluster with "
-                "record_history=True"
-            )
+        trace = cluster.node(0, partition).scheduler.execution_trace
         max_touch: Dict[Key, Any] = {}
         max_write: Dict[Key, Any] = {}
         for seq in trace:
@@ -251,6 +256,7 @@ def check_serializability(cluster) -> int:
     Returns the number of transactions checked. Requires the cluster to
     have been built with ``record_history=True``.
     """
+    _require_history(cluster)
     # A RESTART of an independent transaction is a wait-die victim (the
     # 2PC baseline): it applied nothing and ran again later, so the
     # replay skips it. An OLLP RESTART stays: the serial recheck
@@ -287,3 +293,58 @@ def check_serializability(cluster) -> int:
             f"{len(differing)} differing (e.g. {sorted(map(repr, differing))[:3]})"
         )
     return len(history)
+
+
+class Check(NamedTuple):
+    """One row of :data:`CHECKS`: a checker and what it needs of a cluster.
+
+    ``live``: safe mid-run under faults; ``history``: reads the recorded
+    history or execution traces; ``replicas``: compares peer replicas;
+    ``agreed_order``: needs Calvin's agreed order, input log and schedulers."""
+
+    name: str
+    run: Callable[[Any], int]
+    live: bool
+    history: bool
+    replicas: bool
+    agreed_order: bool
+
+
+CHECKS: Tuple[Check, ...] = (
+    # name, checker, live, history, replicas, agreed_order
+    Check("serializability", check_serializability, False, True, False, False),
+    Check("conflict order", check_conflict_order, False, True, False, True),
+    Check("replica consistency", check_replica_consistency, False, False, True, True),
+    Check("epoch contiguity", check_epoch_contiguity, True, False, False, True),
+    Check("no double-apply", check_no_double_apply, True, False, False, True),
+    Check("no lost commits", check_no_lost_commits, True, True, False, True),
+    Check("replica prefix consistency", check_replica_prefix_consistency,
+          True, True, True, True),
+)
+
+
+def verify(cluster, live: bool = False) -> Dict[str, int]:
+    """Run every row of :data:`CHECKS` the cluster can answer: all but those
+    needing history it did not record, peers it does not have
+    (``num_replicas == 1``) or an agreed order its engine lacks
+    (``deterministic_order``); with ``live=True``, only the live rows.
+    Returns entries verified per checker name, in table order; raises one
+    :class:`ConsistencyError` naming every checker that failed, a line each.
+    """
+    verified: Dict[str, int] = {}
+    failures: List[str] = []
+    for check in CHECKS:
+        if (
+            (live and not check.live)
+            or (check.history and not cluster.record_history)
+            or (check.replicas and cluster.config.num_replicas == 1)
+            or (check.agreed_order and not cluster.deterministic_order)
+        ):
+            continue
+        try:
+            verified[check.name] = check.run(cluster)
+        except ConsistencyError as exc:
+            failures.append(f"{check.name}: {exc}")
+    if failures:
+        raise ConsistencyError("\n".join(failures))
+    return verified

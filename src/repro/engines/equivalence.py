@@ -28,7 +28,7 @@ from random import Random
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import ClusterConfig
-from repro.core.checkers import check_serializability
+from repro.core.checkers import verify
 from repro.engines import get_engine
 from repro.errors import ConfigError, ConsistencyError
 from repro.net.messages import ClientSubmit
@@ -203,10 +203,10 @@ def compare_engines(
     """Run one scripted schedule under every engine and cross-check.
 
     Deterministic-order engines are checked pairwise-identical against
-    the first of them; every engine is additionally checked
-    self-serializable (:func:`repro.core.checkers.check_serializability`
-    over its own history order). Returns the per-engine runs for further
-    asserts.
+    the first of them; every engine's cluster additionally passes every
+    checker it can answer (:func:`repro.core.checkers.verify`: at least
+    self-serializability over its own history order). Returns the
+    per-engine runs for further asserts.
     """
     if schedule is None:
         schedule = scripted_schedule(
@@ -223,7 +223,7 @@ def compare_engines(
     for other in deterministic[1:]:
         check_identical_outcome(deterministic[0], other)
     for run in runs.values():
-        check_serializability(run.cluster)
+        verify(run.cluster)
     return runs
 
 

@@ -16,10 +16,11 @@ The injector keeps a structured :attr:`trace` of everything it did;
 :meth:`trace_digest` hashes it for determinism regression tests.
 
 Optionally a monitor runs *during* the run (``monitor_interval``),
-re-checking the live invariants from :mod:`repro.core.checkers` —
-epoch-gap freedom, no double-apply, and committed-prefix replica
-consistency — so that a fault that corrupts state fails fast at the
-moment of corruption, not at end-of-run.
+re-checking the invariants :data:`repro.core.checkers.CHECKS` marks
+live (``verify(cluster, live=True)``: epoch-gap freedom, no
+double-apply, no lost commits and committed-prefix replica consistency)
+so that a fault that corrupts state fails fast at the moment of
+corruption, not at end-of-run.
 """
 
 from __future__ import annotations
@@ -258,12 +259,9 @@ class FaultInjector:
     # -- live invariant monitoring ----------------------------------------
 
     def _monitor_tick(self) -> None:
-        from repro.core import checkers
+        from repro.core.checkers import verify
 
-        checkers.check_epoch_contiguity(self.cluster)
-        checkers.check_no_double_apply(self.cluster)
-        checkers.check_no_lost_commits(self.cluster)
-        checkers.check_replica_prefix_consistency(self.cluster)
+        verify(self.cluster, live=True)
         self.monitor_checks += 1
         self.sim.schedule(self.monitor_interval, self._monitor_tick)
 

@@ -20,8 +20,8 @@ Why two queues keep ``(time, sequence)`` order exactly: an entry can
 only be pushed into the heap while its time lies in the future, so
 every heap entry due at ``now`` is older (has a smaller sequence number)
 than everything pushed once the clock reached ``now``, which all went to
-the lane, in push order. The loops advance the clock only when the lane
-is empty; when they do, every heap entry due at the new instant moves
+the lane, in push order. The loop advances the clock only when the lane
+is empty; when it does, every heap entry due at the new instant moves
 into the (empty) lane, in sequence order, before the first of them is
 dispatched. Lane entries therefore need no sequence number of their own.
 
@@ -32,7 +32,7 @@ This is the kernel-level hook the fault injector uses to crash and
 restart a node's timer-driven processes without losing determinism.
 
 The dispatch loop is the hottest code in the repository: every message
-hop, CPU charge, and timer in a run passes through it. ``run`` therefore
+hop, CPU charge, and timer in a run passes through it. It therefore
 binds both queues and their pop methods to locals and skips the park
 branch entirely while no owner is suspended (the common case —
 fault-free runs never pay for crash support).
@@ -66,6 +66,8 @@ from repro.sim.process import Process
 
 HeapEntry = Tuple[float, int, Callable[..., None], tuple, Optional[Hashable]]
 LaneEntry = Tuple[Callable[..., None], tuple, Optional[Hashable]]
+# Why Simulator._dispatch stopped.
+_TRIGGERED, _HORIZON, _DRAINED = "triggered", "horizon", "drained"
 
 
 def _horizon(until: Optional[float]) -> float:
@@ -243,7 +245,7 @@ class Simulator:
 
     @contextmanager
     def _dispatching(self) -> Iterator[None]:
-        """Everything both dispatch loops run under: the reentrancy
+        """Everything the dispatch loop runs under: the reentrancy
         guard, the determinism sanitizer when armed, and the cyclic
         collector off.
 
@@ -273,6 +275,67 @@ class Simulator:
             if collecting:
                 gc.enable()
 
+    def _dispatch(
+        self, horizon: float, max_events: Optional[int], event: Optional[Event] = None
+    ) -> str:
+        """The one dispatch loop under :meth:`run` and
+        :meth:`run_until_triggered`.
+
+        Dispatches in ``(time, seq)`` order, parking work whose owner is
+        suspended, until ``event`` (when given) has triggered and run its
+        callbacks, the next entry is due after ``horizon``, or the queue
+        drains; returns which of the three stopped it. Raises after
+        ``max_events`` dispatches (a runaway guard).
+        """
+        budget = inf if max_events is None else max_events
+        heap = self._heap
+        pop = heapq.heappop
+        lane = self._lane
+        popleft = lane.popleft
+        append = lane.append
+        suspended = self._suspended
+        executed = 0
+        try:
+            with self._dispatching():
+                # A horizon behind the clock dispatches nothing, not even
+                # what is due now; inside it the clock never passes it.
+                if self.now > horizon and not (
+                    event is not None and event.triggered and event._callbacks is None
+                ):
+                    return _HORIZON if lane or heap else _DRAINED
+                while event is None or not event.triggered or event._callbacks is not None:
+                    if lane:
+                        fn, args, owner = popleft()
+                    elif heap:
+                        entry = heap[0]
+                        when = entry[0]
+                        if when > horizon:
+                            return _HORIZON
+                        pop(heap)
+                        self.now = when
+                        # The rest of this instant's heap entries are older
+                        # than anything its handlers will push: they queue
+                        # first.
+                        while heap and heap[0][0] == when:
+                            _, _, fn, args, owner = pop(heap)
+                            append((fn, args, owner))
+                        _, _, fn, args, owner = entry
+                    else:
+                        return _DRAINED
+                    if suspended and owner is not None and owner in suspended:
+                        self._parked.setdefault(owner, []).append((fn, args))
+                        continue
+                    fn(*args)
+                    executed += 1
+                    if executed >= budget:
+                        raise SimulationError(
+                            f"simulation exceeded max_events={max_events}; "
+                            "likely a livelock in the model"
+                        )
+                return _TRIGGERED
+        finally:
+            self.events_executed += executed
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
 
@@ -288,55 +351,11 @@ class Simulator:
         returns never collects, and forcing a collection between runs
         is the caller's business.
         """
-        horizon = _horizon(until)
-        budget = inf if max_events is None else max_events
-        heap = self._heap
-        pop = heapq.heappop
-        lane = self._lane
-        popleft = lane.popleft
-        append = lane.append
-        suspended = self._suspended
-        executed = 0
-        try:
-            with self._dispatching():
-                # A horizon behind the clock dispatches nothing, not even
-                # what is due now; inside it the clock never passes it.
-                if self.now <= horizon:
-                    while True:
-                        if lane:
-                            fn, args, owner = popleft()
-                        elif heap:
-                            entry = heap[0]
-                            when = entry[0]
-                            if when > horizon:
-                                break
-                            pop(heap)
-                            self.now = when
-                            # The rest of this instant's heap entries are older
-                            # than anything its handlers will push: they queue
-                            # first.
-                            while heap and heap[0][0] == when:
-                                _, _, fn, args, owner = pop(heap)
-                                append((fn, args, owner))
-                            _, _, fn, args, owner = entry
-                        else:
-                            break
-                        if suspended and owner is not None and owner in suspended:
-                            self._parked.setdefault(owner, []).append((fn, args))
-                            continue
-                        fn(*args)
-                        executed += 1
-                        if executed >= budget:
-                            raise SimulationError(
-                                f"simulation exceeded max_events={max_events}; "
-                                "likely a livelock in the model"
-                            )
-                # Horizon reached or queue drained: the clock moves up
-                # to ``until``, never back.
-                if until is not None and until > self.now:
-                    self.now = until
-        finally:
-            self.events_executed += executed
+        self._dispatch(_horizon(until), max_events)
+        # Horizon reached or queue drained: the clock moves up to
+        # ``until``, never back.
+        if until is not None and until > self.now:
+            self.now = until
         return self.now
 
     def run_until_triggered(
@@ -351,47 +370,11 @@ class Simulator:
         runaway guard for drains that never converge. Automatic garbage
         collection is suspended and restored exactly as in :meth:`run`.
         """
-        horizon = _horizon(limit)
-        budget = inf if max_events is None else max_events
-        heap = self._heap
-        pop = heapq.heappop
-        lane = self._lane
-        popleft = lane.popleft
-        append = lane.append
-        suspended = self._suspended
-        executed = 0
-        try:
-            with self._dispatching():
-                while not event.triggered or event._callbacks is not None:
-                    if lane:
-                        if self.now > horizon:
-                            raise SimulationError(f"event not triggered before t={limit}")
-                        fn, args, owner = popleft()
-                    elif heap:
-                        entry = heap[0]
-                        when = entry[0]
-                        if when > horizon:
-                            raise SimulationError(f"event not triggered before t={limit}")
-                        pop(heap)
-                        self.now = when
-                        while heap and heap[0][0] == when:
-                            _, _, fn, args, owner = pop(heap)
-                            append((fn, args, owner))
-                        _, _, fn, args, owner = entry
-                    else:
-                        raise SimulationError("event queue drained before event triggered")
-                    if suspended and owner is not None and owner in suspended:
-                        self._parked.setdefault(owner, []).append((fn, args))
-                        continue
-                    fn(*args)
-                    executed += 1
-                    if executed >= budget:
-                        raise SimulationError(
-                            f"simulation exceeded max_events={max_events}; "
-                            "likely a livelock in the model"
-                        )
-        finally:
-            self.events_executed += executed
+        stop = self._dispatch(_horizon(limit), max_events, event)
+        if stop == _HORIZON:
+            raise SimulationError(f"event not triggered before t={limit}")
+        if stop == _DRAINED:
+            raise SimulationError("event queue drained before event triggered")
         if event.ok:
             return event.value
         raise event.value

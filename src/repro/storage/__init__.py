@@ -10,9 +10,8 @@ deterministic locking layer above it. This package provides:
 - :class:`~repro.storage.inputlog.InputLog` — the replicated input log
   (Calvin logs *inputs*, not effects),
 - :mod:`~repro.storage.checkpoint` — naive synchronous and asynchronous
-  Zig-Zag-style checkpointing (Section 5),
-- :mod:`~repro.storage.recovery` — snapshot + deterministic-replay
-  reconstruction helpers.
+  Zig-Zag-style checkpointing (Section 5); recovery from a snapshot is
+  deterministic replay, :meth:`repro.core.cluster.CalvinCluster.replay`.
 """
 
 from repro.storage.checkpoint import (

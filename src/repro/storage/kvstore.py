@@ -24,6 +24,15 @@ WriteWatcher = Callable[[Key, bool, Any], None]
 _ABSENT = object()
 
 
+def fingerprint_data(data: Dict[Key, Any]) -> int:
+    """Order-independent, process-stable digest of a key -> value map."""
+    digest = 0
+    crc = zlib.crc32
+    for key, value in data.items():
+        digest ^= crc(repr((key, value)).encode("utf-8"))
+    return digest
+
+
 class KVStore:
     """In-memory record store for one partition."""
 
@@ -120,11 +129,7 @@ class KVStore:
 
     def fingerprint(self) -> int:
         """Order-independent, process-stable digest of the full contents."""
-        digest = 0
-        crc = zlib.crc32
-        for key, value in self._data.items():
-            digest ^= crc(repr((key, value)).encode("utf-8"))
-        return digest
+        return fingerprint_data(self._data)
 
     # -- watchers ---------------------------------------------------------
 

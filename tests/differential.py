@@ -28,7 +28,7 @@ import tests.test_capabilities as cells
 from repro import ClientProfile, ClusterConfig, TpccWorkload, YcsbWorkload
 from repro.engines import UNSUPPORTED, build_cluster
 from repro.obs import TraceRecorder
-from repro.storage.recovery import fingerprint_data
+from repro.storage.kvstore import fingerprint_data
 from repro.workloads.tpcc import keys, procedures
 
 WORKLOADS = {

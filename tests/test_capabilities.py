@@ -3,10 +3,11 @@
 Every engine × feature pairing is driven here:
 
 - a **supported** cell builds through ``build_cluster``, runs bounded
-  clients to quiescence with at least one commit, passes every
-  ``check_*`` the engine can answer (the baseline has no input log or
-  schedulers, so it gets ``check_serializability`` only) and shows one
-  observable sign that its feature ran;
+  clients to quiescence with at least one commit, passes
+  ``repro.core.checkers.verify`` (every checker the cluster can answer:
+  the baseline has no agreed order, input log or schedulers, so it gets
+  serializability only) and shows one observable sign that its feature
+  ran;
 - a **rejected** cell raises ``ConfigError`` carrying the table's
   reason, at the site that refuses it; an operation the engine's class
   does not define (baseline ``replay`` / ``schedule_checkpoint``) is
@@ -27,7 +28,7 @@ from typing import Callable, Dict
 import pytest
 
 from repro import CalvinCluster, ClientProfile, ClusterAdmin, ClusterConfig, Microbenchmark
-from repro.core import checkers
+from repro.core.checkers import verify
 from repro.engines import (
     ENGINES,
     EXCLUSIONS,
@@ -82,17 +83,6 @@ def _config(engine: str, *features: str) -> ClusterConfig:
     return ClusterConfig(**values)
 
 
-def _check(cluster) -> None:
-    checkers.check_serializability(cluster)
-    if isinstance(cluster, CalvinCluster):  # an input log and schedulers
-        checkers.check_conflict_order(cluster)
-        checkers.check_replica_consistency(cluster)
-        checkers.check_epoch_contiguity(cluster)
-        checkers.check_no_double_apply(cluster)
-        checkers.check_no_lost_commits(cluster)
-        checkers.check_replica_prefix_consistency(cluster)
-
-
 def _run(engine: str, feature: str, clients=None, before_run=None):
     cluster = build_cluster(
         _config(engine, feature), workload=_workload(), record_history=True
@@ -104,7 +94,7 @@ def _run(engine: str, feature: str, clients=None, before_run=None):
     cluster.run(duration=0.3)
     cluster.quiesce()
     assert cluster.metrics.committed >= 1
-    _check(cluster)
+    verify(cluster)
     return cluster
 
 

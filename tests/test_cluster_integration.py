@@ -150,7 +150,13 @@ class TestConflictOrderChecker:
         assert verified == total_completions
 
     def test_requires_history(self):
-        from repro import CalvinCluster, check_conflict_order
+        from repro import (
+            CalvinCluster,
+            check_conflict_order,
+            check_no_lost_commits,
+            check_replica_prefix_consistency,
+            check_serializability,
+        )
         from repro.errors import ConsistencyError
 
         workload = Microbenchmark(hot_set_size=5, cold_set_size=60)
@@ -158,8 +164,15 @@ class TestConflictOrderChecker:
             ClusterConfig(num_partitions=1, seed=1),
             workload=workload, record_history=False,
         )
-        with pytest.raises(ConsistencyError):
-            check_conflict_order(cluster)
+        # Every history-reading checker refuses, none passes vacuously.
+        for check in (
+            check_conflict_order,
+            check_serializability,
+            check_no_lost_commits,
+            check_replica_prefix_consistency,
+        ):
+            with pytest.raises(ConsistencyError, match="record_history=True"):
+                check(cluster)
 
     def test_detects_injected_violation(self):
         from repro import check_conflict_order

@@ -116,10 +116,7 @@ class TestPartialReplicationEndToEnd:
             _workload(), _partial_config(), clients_per_partition=4, max_txns=8
         )
         assert cluster.metrics.committed > 0
-        checkers.check_replica_consistency(cluster)
-        checkers.check_no_double_apply(cluster)
-        checkers.check_epoch_contiguity(cluster)
-        checkers.check_serializability(cluster)
+        checkers.verify(cluster)
 
     def test_partial_cluster_is_deterministic(self):
         def fingerprints():

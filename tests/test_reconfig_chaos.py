@@ -17,12 +17,8 @@ from repro import (
     ClusterAdmin,
     ClusterConfig,
     Microbenchmark,
-    check_epoch_contiguity,
-    check_no_double_apply,
-    check_no_lost_commits,
-    check_replica_consistency,
-    check_replica_prefix_consistency,
 )
+from repro.core.checkers import verify
 
 
 def _replicated_cluster(seed=2012):
@@ -60,11 +56,7 @@ def _run_with_crash(crashed_partition, seed=2012):
 @pytest.mark.parametrize("crashed", [0, 2], ids=["source", "dest"])
 def test_crash_mid_migration_invariants_hold(crashed):
     cluster, plan = _run_with_crash(crashed)
-    check_epoch_contiguity(cluster)
-    check_no_double_apply(cluster)
-    check_no_lost_commits(cluster)
-    check_replica_prefix_consistency(cluster)
-    check_replica_consistency(cluster)
+    verify(cluster)
     # The migration itself completed despite the crash.
     for replica in range(2):
         dest_store = cluster.node(replica, plan.dest).store

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage import KVStore, NaiveCheckpointer, ZigZagCheckpointer
-from repro.storage.recovery import fingerprint_data, restore_store
+from repro.storage.kvstore import fingerprint_data
 
 
 def loaded_store(n=10):
@@ -111,22 +111,6 @@ class TestZigZag:
 
 
 class TestRecoveryHelpers:
-    def test_restore_store(self):
-        store = loaded_store()
-        snapshot = NaiveCheckpointer(store, 0).capture(epoch=1, now=0.0)
-        target = KVStore(partition=0)
-        target.load_bulk({"junk": 1})
-        restore_store(target, snapshot)
-        assert target.snapshot() == store.snapshot()
-
-    def test_restore_wrong_partition_rejected(self):
-        from repro.errors import RecoveryError
-
-        store = loaded_store()
-        snapshot = NaiveCheckpointer(store, 0).capture(epoch=1, now=0.0)
-        with pytest.raises(RecoveryError):
-            restore_store(KVStore(partition=1), snapshot)
-
     def test_fingerprint_data_matches_store(self):
         store = loaded_store()
         assert fingerprint_data(store.snapshot()) == store.fingerprint()
