@@ -29,8 +29,8 @@ Public surface (everything in ``__all__``; anything else is internal):
 - **Facade** — :class:`CalvinDB` (sync ``execute`` / async ``submit`` +
   :class:`TxnHandle`), for examples and small programs.
 - **Cluster assembly** — :class:`CalvinCluster`, :class:`ClusterConfig`,
-  :class:`BaselineConfig`, :class:`CostModel`, ``DEFAULT_CONFIG``, for
-  experiments that wire workloads, clients and faults explicitly.
+  :class:`CostModel`, ``DEFAULT_CONFIG``, for experiments that wire
+  workloads, clients and faults explicitly.
 - **Traffic** — :class:`ClientProfile` (shared closed/open-loop client
   spec consumed by ``add_clients``, the bench harness and the CLI).
 - **Engines** — :class:`Cluster` (the substrate every engine's
@@ -61,7 +61,7 @@ Public surface (everything in ``__all__``; anything else is internal):
 """
 
 from repro.analysis import DeterminismSanitizer
-from repro.config import BaselineConfig, ClusterConfig, CostModel, DEFAULT_CONFIG
+from repro.config import ClusterConfig, CostModel, DEFAULT_CONFIG
 from repro.core import (
     CalvinCluster,
     CalvinDB,
@@ -117,7 +117,6 @@ from repro.workloads import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BaselineConfig",
     "CalvinCluster",
     "CalvinDB",
     "ClientProfile",

@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional
 
 from repro.baseline.node import BaselineNode
-from repro.config import BaselineConfig, ClusterConfig
+from repro.config import ClusterConfig
 from repro.core.cluster import Cluster
 from repro.obs import TraceRecorder
 from repro.partition.partitioner import Key, Partitioner
@@ -25,21 +25,19 @@ class BaselineCluster(Cluster):
     # Lock races decide the serialization order, so only *a* serializable
     # outcome is promised — not Calvin's pre-agreed one.
     deterministic_order = False
+    # A wait-die death is retried after this backoff, up to this many times.
+    retry_backoff = 0.002
+    max_restarts = 50
 
     def __init__(
         self,
         config: ClusterConfig,
-        baseline: Optional[BaselineConfig] = None,
         workload: Optional[Workload] = None,
         registry: Optional[ProcedureRegistry] = None,
         partitioner: Optional[Partitioner] = None,
         tracer: Optional[TraceRecorder] = None,
         record_history: bool = False,
     ):
-        self.baseline = baseline or BaselineConfig()
-        self.baseline.validate()
-        self.retry_backoff = self.baseline.retry_backoff
-        self.max_restarts = self.baseline.max_retries
         super().__init__(
             config, workload, registry, partitioner, record_history, tracer
         )
@@ -50,7 +48,6 @@ class BaselineCluster(Cluster):
                 partition,
                 self.catalog,
                 self.config,
-                self.baseline,
                 self.registry,
                 on_complete=self._completion_hook,
                 tracer=self.tracer,

@@ -31,7 +31,7 @@ from repro.baseline.messages import (
     PrepareRequest,
     PrepareVote,
 )
-from repro.config import BaselineConfig, ClusterConfig
+from repro.config import ClusterConfig
 from repro.errors import ConfigError, NetworkError
 from repro.net.messages import ClientSubmit, TxnReply
 from repro.obs import NULL_RECORDER, SpanKind, TraceRecorder
@@ -76,7 +76,6 @@ class BaselineNode:
         partition: int,
         catalog: Catalog,
         config: ClusterConfig,
-        baseline: BaselineConfig,
         registry: ProcedureRegistry,
         on_complete: Optional[CompletionHook] = None,
         tracer: TraceRecorder = NULL_RECORDER,
@@ -86,7 +85,6 @@ class BaselineNode:
         self.partition = partition
         self.catalog = catalog
         self.config = config
-        self.baseline = baseline
         self.registry = registry
         self.on_complete = on_complete
         self.tracer = tracer
@@ -220,10 +218,9 @@ class BaselineNode:
 
         if len(participants) == 1:
             # Local commit: one forced commit record, then apply/release.
-            if self.baseline.force_log_writes:
-                force_start = self.sim.now
-                yield self.log.force()
-                self._span(SpanKind.DISK, force_start, txn.txn_id, detail="log-force")
+            force_start = self.sim.now
+            yield self.log.force()
+            self._span(SpanKind.DISK, force_start, txn.txn_id, detail="log-force")
             self._prepared[txn.txn_id] = writes_by_partition.get(self.partition, {})
             self.send(self.partition, Decision(txn.txn_id, commit=True))
             self._finish(state, TxnStatus.COMMITTED, value)
@@ -241,10 +238,9 @@ class BaselineNode:
             )
         yield from self._wait_for(state, lambda: len(state.votes) == len(participants))
         self._span(SpanKind.REPLICATE, prepare_start, txn.txn_id, detail="2pc-prepare")
-        if self.baseline.force_log_writes:
-            force_start = self.sim.now
-            yield self.log.force()  # the forced decision record
-            self._span(SpanKind.DISK, force_start, txn.txn_id, detail="log-force")
+        force_start = self.sim.now
+        yield self.log.force()  # the forced decision record
+        self._span(SpanKind.DISK, force_start, txn.txn_id, detail="log-force")
         for partition in sorted(participants):
             self.send(partition, Decision(txn.txn_id, commit=True))
         self._finish(state, TxnStatus.COMMITTED, value)
@@ -313,10 +309,9 @@ class BaselineNode:
 
     def _participant_prepare(self, request: PrepareRequest):
         self._prepared[request.txn_id] = request.writes
-        if self.baseline.force_log_writes:
-            force_start = self.sim.now
-            yield self.log.force()
-            self._span(SpanKind.DISK, force_start, request.txn_id, detail="log-force")
+        force_start = self.sim.now
+        yield self.log.force()
+        self._span(SpanKind.DISK, force_start, request.txn_id, detail="log-force")
         self.send(request.coordinator_partition, PrepareVote(request.txn_id, self.partition))
 
     def _participant_decide(self, decision: Decision):

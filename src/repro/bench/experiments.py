@@ -640,7 +640,6 @@ def _saturation_cell(
     profile: ScaleProfile,
     seed: int,
     policy: str = "backpressure",
-    arrival: str = "poisson",
 ) -> Tuple:
     config = _admission_config(_SATURATION_PARTITIONS, seed, policy)
     node_capacity = EPOCH_BUDGET / config.epoch_duration
@@ -650,7 +649,6 @@ def _saturation_cell(
     cluster.add_clients(ClientProfile(
         per_partition=_OPEN_CLIENTS,
         mode="open",
-        arrival=arrival,
         rate=fraction * node_capacity / _OPEN_CLIENTS,
     ))
     cluster.run(duration=profile.warmup)

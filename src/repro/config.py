@@ -106,10 +106,10 @@ class ClusterConfig:
     # share group-commit flushes, so this costs ~1 log-force of latency
     # and no throughput. Ignored when replication provides durability.
     force_input_log: bool = False
-    # WAN one-way latency between replica sites when num_replicas > 1.
+    # WAN one-way latency and bandwidth between replica sites when
+    # num_replicas > 1. The LAN inside a site is a topology constant
+    # (repro.sim.network.lan_topology: 0.5 ms, 1 Gbps).
     wan_latency: float = 0.05
-    lan_latency: float = 0.0005
-    lan_bandwidth: float = 125e6
     wan_bandwidth: float = 12.5e6
     # -- geo topology (see repro.geo and docs/geo.md) ---------------------
     # Named geo-topology preset ("chain", "ring", "mesh", "hub"): one
@@ -126,11 +126,8 @@ class ClusterConfig:
     costs: CostModel = field(default_factory=CostModel)
     # Disk-based storage (Section 4): if True, reads of cold keys go to
     # the simulated disk and the sequencer defers disk-bound transactions
-    # by `disk_prefetch_delay` while issuing prefetch requests.
+    # by the expected fetch latency while issuing prefetch requests.
     disk_enabled: bool = False
-    # Safety margin added on top of the (possibly erroneous) latency
-    # estimate when deferring a disk-bound transaction.
-    disk_prefetch_delay: float = 0.002
     # Relative error applied to the sequencer's disk-latency estimate;
     # 0.0 = perfect estimation (Section 4 sensitivity knob).
     disk_estimate_error: float = 0.0
@@ -285,23 +282,6 @@ class ClusterConfig:
         updated = replace(self, **changes)
         updated.validate()
         return updated
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Knobs specific to the System R*-style 2PL+2PC baseline."""
-
-    # Wait-die retry backoff after a deterministic abort.
-    retry_backoff: float = 0.002
-    max_retries: int = 50
-    # Whether participants force the prepare/commit records (true 2PC).
-    force_log_writes: bool = True
-
-    def validate(self) -> None:
-        if self.retry_backoff < 0:
-            raise ConfigError("retry_backoff must be >= 0")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
 
 
 DEFAULT_CONFIG = ClusterConfig()

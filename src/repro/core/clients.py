@@ -4,12 +4,12 @@ One :class:`Client` class serves both client models a
 :class:`~repro.core.traffic.ClientProfile` describes. A *closed* client
 keeps exactly one request outstanding against its local node (replica
 0), matching how the paper saturates the system; an *open* client
-starts requests on an arrival process whether or not earlier ones have
-finished, so offered load is an independent variable. Everything else
-is one path: dependent transactions go through OLLP reconnaissance
-before submission, RESTART outcomes are resubmitted under the engine's
-``max_restarts`` and ``retry_backoff``, and admission rejections are
-resubmitted or given up by the same rule.
+starts requests on a Poisson arrival process whether or not earlier
+ones have finished, so offered load is an independent variable.
+Everything else is one path: dependent transactions go through OLLP
+reconnaissance before submission, RESTART outcomes are resubmitted
+under the engine's ``max_restarts`` and ``retry_backoff``, and
+admission rejections are resubmitted or given up by the same rule.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Client:
     """One client of either mode; ``profile.mode`` decides only four things.
 
-    1. When the next request starts: an open client on its arrival
-       timer, a closed one when the previous request ends, after
-       ``think_time``.
+    1. When the next request starts: an open client on its Poisson
+       arrival timer, a closed one as soon as the previous request
+       ends.
     2. What ``max_txns`` bounds: arrivals (open) or replies, restarts
        included (closed).
     3. A rejection with no retry-after hint (a shed): a closed client
@@ -55,12 +55,11 @@ class Client:
         partition: int,
         index: int,
         profile: "ClientProfile",
-        workload: Workload,
     ):
         self.cluster = cluster
         self.partition = partition
         self.profile = profile
-        self.workload = workload
+        self.workload: Workload = cluster.workload
         self.max_txns = profile.max_txns
         self.open = profile.mode == "open"
         self.address = client_address(0, index)
@@ -71,7 +70,6 @@ class Client:
         self._shed_retry = 0.0 if self.open else cluster.config.epoch_duration
         self._inflight: Dict[int, TxnSpec] = {}
         self._pending_resubmits = 0
-        self._burst_position = 0
         self._started = False
         self.arrivals = 0
         self.submitted = 0
@@ -123,16 +121,7 @@ class Client:
     # -- starting requests -------------------------------------------------
 
     def _next_gap(self) -> float:
-        profile = self.profile
-        if profile.arrival == "poisson":
-            return self.rng.expovariate(profile.rate)
-        if profile.arrival == "uniform":
-            return 1.0 / profile.rate
-        # burst: burst_size arrivals back-to-back, then one long gap.
-        self._burst_position += 1
-        if self._burst_position % profile.burst_size == 0:
-            return profile.effective_burst_period()
-        return 0.0
+        return self.rng.expovariate(self.profile.rate)
 
     def _arrive(self) -> None:
         self._start_request()
@@ -147,11 +136,7 @@ class Client:
         self._submit(spec, 0)
 
     def _request_ended(self) -> None:
-        if self.open:
-            return
-        if self.profile.think_time > 0:
-            self.cluster.sim.schedule(self.profile.think_time, self._start_request)
-        else:
+        if not self.open:
             self._start_request()
 
     # -- submission --------------------------------------------------------

@@ -142,13 +142,10 @@ class Cluster(ABC):
         geo = build_geo_topology(config) if config.topology is not None else None
         if geo is None and config.num_replicas > 1:
             topology = wan_topology(
-                lan_latency=config.lan_latency,
-                wan_latency=config.wan_latency,
-                lan_bandwidth=config.lan_bandwidth,
-                wan_bandwidth=config.wan_bandwidth,
+                wan_latency=config.wan_latency, wan_bandwidth=config.wan_bandwidth
             )
         else:
-            topology = lan_topology(config.lan_latency, config.lan_bandwidth)
+            topology = lan_topology()
         network = Network(self.sim, topology, geo=geo, tracer=self.tracer)
         sites = geo.num_datacenters if geo is not None else config.num_replicas
         for node_id in self.catalog.nodes():
@@ -226,8 +223,7 @@ class Cluster(ABC):
         profile.validate()
         if profile.mode == "open":
             require(self.engine, "open_loop", "mode='open'")
-        workload = profile.workload or self.workload
-        if workload is None:
+        if self.workload is None:
             raise ConfigError("no workload for clients")
         created: List[Client] = []
         # Only active origins accept input; spares get their clients
@@ -235,7 +231,7 @@ class Cluster(ABC):
         # to them.
         for partition in self.catalog.initial_origins:
             for _ in range(profile.per_partition):
-                client = Client(self, partition, len(self.clients), profile, workload)
+                client = Client(self, partition, len(self.clients), profile)
                 self.clients.append(client)
                 created.append(client)
         return created
@@ -616,16 +612,15 @@ class CalvinCluster(Cluster):
         stats = {}
         for node_id, node in self.nodes.items():
             scheduler = node.scheduler
+            grants = scheduler.lock_grants
             stats[node_id] = {
                 "admitted": scheduler.admitted,
                 "completed": scheduler.completed,
                 "outstanding": scheduler.outstanding,
                 "worker_utilization": scheduler.workers.utilization(now) if now else 0.0,
-                "lock_grants": scheduler.locks.grants,
+                "lock_grants": grants,
                 "immediate_grant_fraction": (
-                    scheduler.locks.immediate_grants / scheduler.locks.grants
-                    if scheduler.locks.grants
-                    else 1.0
+                    scheduler.immediate_lock_grants / grants if grants else 1.0
                 ),
                 "sequenced": node.sequencer.txns_sequenced,
                 "deferred": node.sequencer.txns_deferred,

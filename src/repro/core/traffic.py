@@ -4,11 +4,11 @@ The paper's headline numbers are statements about a system *under
 offered load*: throughput scales until the hardware saturates, then
 admission at the sequencer front-end decides what happens to the excess.
 Closed-loop clients (one outstanding request each) can only approach
-saturation asymptotically; open-loop clients submit on an *arrival
-process* (Poisson, uniform or bursty, driven by the deterministic sim
-RNG) regardless of how many requests are still outstanding, so offered
-load is an independent variable. Both are one
-:class:`repro.core.clients.Client`; this module holds the rest:
+saturation asymptotically; open-loop clients submit on a Poisson
+arrival process (driven by the deterministic sim RNG) regardless of how
+many requests are still outstanding, so offered load is an independent
+variable. Both are one :class:`repro.core.clients.Client`; this module
+holds the rest:
 
 - :class:`ClientProfile` — one typed description of a client population,
   shared by closed-loop and open-loop clients, the benchmark harness and
@@ -34,14 +34,12 @@ from repro.net.messages import TxnReply
 from repro.partition.catalog import NodeId
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import Transaction
-from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ClusterConfig
     from repro.sequencer.sequencer import Sequencer
     from repro.sim.kernel import Simulator
 
-_ARRIVALS = ("poisson", "uniform", "burst")
 _MODES = ("closed", "open")
 
 
@@ -50,22 +48,16 @@ class ClientProfile:
     """A typed description of one client population.
 
     ``mode="closed"`` clients keep one transaction outstanding each
-    (``think_time`` pacing, ``max_txns`` bound) — the original
-    behaviour. ``mode="open"`` clients submit on an arrival process at
+    (``max_txns`` bounds replies) — the original behaviour.
+    ``mode="open"`` clients submit on a Poisson arrival process at
     ``rate`` transactions per second per client, independent of
     completions; ``max_txns`` then bounds *arrivals*.
     """
 
     per_partition: int = 1
     mode: str = "closed"
-    workload: Optional[Workload] = None
-    think_time: float = 0.0
     max_txns: Optional[int] = None
-    # Open-loop knobs.
-    arrival: str = "poisson"       # poisson | uniform | burst
-    rate: float = 100.0            # offered txns/sec per client
-    burst_size: int = 8            # arrivals per burst (arrival="burst")
-    burst_period: Optional[float] = None  # default: burst_size / rate
+    rate: float = 100.0            # offered txns/sec per client (open)
     # Resubmit after a backpressure rejection's retry-after hint.
     retry_rejected: bool = True
 
@@ -74,27 +66,10 @@ class ClientProfile:
             raise ConfigError("per_partition must be >= 0")
         if self.mode not in _MODES:
             raise ConfigError(f"unknown client mode {self.mode!r}; use {_MODES}")
-        if self.think_time < 0:
-            raise ConfigError("think_time must be >= 0")
         if self.max_txns is not None and self.max_txns < 0:
             raise ConfigError("max_txns must be >= 0")
-        if self.mode == "open":
-            if self.arrival not in _ARRIVALS:
-                raise ConfigError(
-                    f"unknown arrival process {self.arrival!r}; use {_ARRIVALS}"
-                )
-            if self.rate <= 0:
-                raise ConfigError("open-loop clients need rate > 0")
-            if self.arrival == "burst" and self.burst_size < 1:
-                raise ConfigError("burst_size must be >= 1")
-            if self.burst_period is not None and self.burst_period <= 0:
-                raise ConfigError("burst_period must be positive")
-
-    def effective_burst_period(self) -> float:
-        """Burst spacing preserving the configured mean ``rate``."""
-        if self.burst_period is not None:
-            return self.burst_period
-        return self.burst_size / self.rate
+        if self.mode == "open" and self.rate <= 0:
+            raise ConfigError("open-loop clients need rate > 0")
 
 
 class AdmissionController:

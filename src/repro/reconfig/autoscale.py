@@ -25,18 +25,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.reconfig.admin import ClusterAdmin
 
 
+# Scale up when any origin sheds or drops this many requests in one
+# sampling interval (or its queue reaches the policy's depth).
+SCALE_UP_SHED_RATE = 8
+# Scale down after this many consecutive all-idle samples.
+SCALE_DOWN_IDLE_SAMPLES = 4
+# A scale-up moves this fraction of the hottest origin's range.
+SPLIT_FRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class AutoscalePolicy:
     """Thresholds driving :class:`Autoscaler` decisions."""
 
     interval: float = 0.05            # seconds between samples
     scale_up_queue_depth: int = 16    # any origin's admission queue depth
-    scale_up_shed_rate: int = 8       # sheds + drops per interval, any origin
-    scale_down_idle_samples: int = 4  # consecutive all-idle samples
     cooldown: float = 0.2             # seconds between actions
-    split_fraction: float = 0.5
     min_origins: int = 1
-    max_origins: Optional[int] = None
 
     def validate(self) -> None:
         if self.interval <= 0:
@@ -45,8 +50,6 @@ class AutoscalePolicy:
             raise ConfigError("autoscale cooldown must be >= 0")
         if self.min_origins < 1:
             raise ConfigError("min_origins must be >= 1")
-        if not 0.0 < self.split_fraction <= 1.0:
-            raise ConfigError("split_fraction must be in (0, 1]")
 
 
 class Autoscaler:
@@ -103,7 +106,7 @@ class Autoscaler:
                 origin
                 for origin, (depth, delta) in signals.items()
                 if depth >= policy.scale_up_queue_depth
-                or delta >= policy.scale_up_shed_rate
+                or delta >= SCALE_UP_SHED_RATE
             ]
             idle = all(
                 depth == 0 and delta == 0 for depth, delta in signals.values()
@@ -113,7 +116,7 @@ class Autoscaler:
                 self._scale_up(signals, hot)
             elif idle:
                 self._idle_samples += 1
-                if self._idle_samples >= policy.scale_down_idle_samples:
+                if self._idle_samples >= SCALE_DOWN_IDLE_SAMPLES:
                     self._scale_down(origins)
             else:
                 self._idle_samples = 0
@@ -122,10 +125,6 @@ class Autoscaler:
     # -- actions ----------------------------------------------------------
 
     def _scale_up(self, signals, hot) -> None:
-        policy = self.policy
-        origins = self.admin.current_origins()
-        if policy.max_origins is not None and len(origins) >= policy.max_origins:
-            return
         if not self.admin.spare_partitions():
             return
         # Hottest origin: deepest queue, then largest shed delta, then
@@ -133,7 +132,7 @@ class Autoscaler:
         hottest = max(hot, key=lambda o: (signals[o][0], signals[o][1], -o))
         depth, delta = signals[hottest]
         reason = f"autoscale-up: p{hottest} depth={depth} shed={delta}"
-        self.admin.split(hottest, policy.split_fraction, reason=reason)
+        self.admin.split(hottest, SPLIT_FRACTION, reason=reason)
         self._last_action = self.cluster.sim.now
         self.decisions.append((self.cluster.sim.now, "split", hottest, reason))
 

@@ -88,8 +88,6 @@ class Scheduler:
             DeterministicLockManager(self._on_shard_ready)
             for _ in range(config.lock_manager_shards)
         ]
-        # Canonical alias for single-shard deployments (tests, stats).
-        self.locks = self._lock_shards[0]
         # seq -> number of shards still holding ungranted locks.
         self._lock_pending: Dict[GlobalSeq, int] = {}
         # seq -> shard indexes involved (for release).
@@ -442,6 +440,16 @@ class Scheduler:
     def paused(self) -> bool:
         return self._pause_epoch is not None
 
+    @property
+    def lock_grants(self) -> int:
+        """Lock grants summed over every lock-manager shard."""
+        return sum(shard.grants for shard in self._lock_shards)
+
+    @property
+    def immediate_lock_grants(self) -> int:
+        """Transactions granted all their locks on arrival, every shard."""
+        return sum(shard.immediate_grants for shard in self._lock_shards)
+
     # -- observability --------------------------------------------------------
 
     def register_metrics(self, registry, prefix: str) -> None:
@@ -450,7 +458,7 @@ class Scheduler:
         registry.gauge(f"{prefix}.sched.completed", lambda: self.completed)
         registry.gauge(f"{prefix}.sched.outstanding", lambda: self.outstanding)
         registry.gauge(f"{prefix}.sched.backlog", lambda: self.admission_backlog)
-        registry.gauge(f"{prefix}.locks.grants", lambda: self.locks.grants)
+        registry.gauge(f"{prefix}.locks.grants", lambda: self.lock_grants)
         registry.gauge(
-            f"{prefix}.locks.immediate_grants", lambda: self.locks.immediate_grants
+            f"{prefix}.locks.immediate_grants", lambda: self.immediate_lock_grants
         )

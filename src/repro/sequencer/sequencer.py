@@ -35,6 +35,9 @@ SendFn = Callable[[Any, Any, int], None]
 # origin) -> [the batch object, what Sequencer._resolve made of it,
 # dispatches still expected]. One per cluster, shared by its sequencers.
 BatchShare = Dict[Tuple[int, int], list]
+# Safety margin added to the (possibly erroneous) fetch-latency estimate
+# when deferring a disk-bound transaction.
+PREFETCH_MARGIN = 0.002
 
 
 class Sequencer:
@@ -246,7 +249,7 @@ class Sequencer:
             self.send(node_address(target), message, message.size_estimate())
         delay = (
             self.engine.expected_fetch_latency(self.config.disk_estimate_error)
-            + self.config.disk_prefetch_delay
+            + PREFETCH_MARGIN
         )
         self.sim.schedule(delay, self._admit_deferred, txn)
 

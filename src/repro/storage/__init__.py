@@ -6,7 +6,8 @@ deterministic locking layer above it. This package provides:
 
 - :class:`~repro.storage.kvstore.KVStore` — the in-memory record store,
 - :class:`~repro.storage.engine.StorageEngine` — per-node facade adding
-  the simulated disk tier and warm-cache tracking (Section 4),
+  the simulated disk tier and tracking which cold keys are warm
+  (Section 4),
 - :class:`~repro.storage.inputlog.InputLog` — the replicated input log
   (Calvin logs *inputs*, not effects),
 - :mod:`~repro.storage.checkpoint` — naive synchronous and asynchronous
@@ -19,7 +20,7 @@ from repro.storage.checkpoint import (
     NaiveCheckpointer,
     ZigZagCheckpointer,
 )
-from repro.storage.disk import SimulatedDisk, WarmCache
+from repro.storage.disk import SimulatedDisk
 from repro.storage.engine import StorageEngine
 from repro.storage.inputlog import InputLog, LogEntry
 from repro.storage.kvstore import KVStore
@@ -32,6 +33,5 @@ __all__ = [
     "NaiveCheckpointer",
     "SimulatedDisk",
     "StorageEngine",
-    "WarmCache",
     "ZigZagCheckpointer",
 ]

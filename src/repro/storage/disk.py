@@ -5,13 +5,11 @@ be discovered *after* sequencing, or every later conflicting transaction
 stalls too. Calvin's sequencer therefore predicts which transactions
 touch cold data, sends prefetch requests immediately, and defers the
 transaction by the expected fetch time. This module provides the device
-model (bounded parallelism + seek-latency distribution) and the warm
-cache that tracks which records are memory-resident.
+model (bounded parallelism + seek-latency distribution).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import StorageError
@@ -25,31 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.config import CostModel
     from repro.sim.kernel import Simulator
-
-
-class WarmCache:
-    """Tracks which cold-tier keys are currently memory resident (FIFO evict)."""
-
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise StorageError("warm cache capacity must be >= 1 or None")
-        self.capacity = capacity
-        self._warm: "OrderedDict[Key, None]" = OrderedDict()
-        self.evictions = 0
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self._warm
-
-    def __len__(self) -> int:
-        return len(self._warm)
-
-    def admit(self, key: Key) -> None:
-        if key in self._warm:
-            return
-        self._warm[key] = None
-        if self.capacity is not None and len(self._warm) > self.capacity:
-            self._warm.popitem(last=False)
-            self.evictions += 1
 
 
 class DiskFaultMode:

@@ -9,12 +9,12 @@ prefetched (paper Section 4).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from repro.obs import NULL_RECORDER, TraceRecorder
 from repro.partition.partitioner import Key
 from repro.sim.events import Event
-from repro.storage.disk import SimulatedDisk, WarmCache
+from repro.storage.disk import SimulatedDisk
 from repro.storage.kvstore import KVStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,7 +37,6 @@ class StorageEngine:
         rng: "random.Random",
         disk_enabled: bool = False,
         cold_predicate: Optional[ColdPredicate] = None,
-        warm_capacity: Optional[int] = None,
         tracer: TraceRecorder = NULL_RECORDER,
         replica: Optional[int] = None,
     ):
@@ -51,7 +50,8 @@ class StorageEngine:
             if disk_enabled
             else None
         )
-        self.warm = WarmCache(warm_capacity)
+        # Cold-tier keys fetched into memory; they stay resident.
+        self.warm: Set[Key] = set()
         self.prefetches = 0
 
     # -- temperature ------------------------------------------------------
@@ -64,9 +64,9 @@ class StorageEngine:
 
     def cold_keys_of(self, keys: Iterable[Key]) -> List[Key]:
         """The subset of ``keys`` that is currently disk resident, in
-        ``repr`` order: fetches are issued and admitted to the FIFO warm
-        cache in it, so eviction never depends on the order a footprint
-        declared its keys in."""
+        ``repr`` order: fetches are issued in it, so the disk's latency
+        draws never depend on the order a footprint declared its keys
+        in."""
         if not self.disk_enabled:
             return []
         predicate, warm = self._cold_predicate, self.warm
@@ -79,7 +79,7 @@ class StorageEngine:
         assert self.disk is not None, "fetch on a memory-only engine"
         self.prefetches += 1
         done = self.disk.fetch(key)
-        done.add_callback(lambda _event: self.warm.admit(key))
+        done.add_callback(lambda _event: self.warm.add(key))
         return done
 
     def read(self, key: Key, default: Any = None) -> Any:

@@ -12,7 +12,7 @@ Plain CRUD with two extras the rest of the system needs:
 
 from __future__ import annotations
 
-import zlib
+from hashlib import blake2b
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
 
 from repro.partition.partitioner import Key
@@ -22,15 +22,22 @@ from repro.txn.context import DELETED
 WriteWatcher = Callable[[Key, bool, Any], None]
 
 _ABSENT = object()
+_MASK64 = (1 << 64) - 1
 
 
 def fingerprint_data(data: Dict[Key, Any]) -> int:
-    """Order-independent, process-stable digest of a key -> value map."""
+    """Order-independent, process-stable digest of a key -> value map.
+
+    The sum mod 2**64 of one 8-byte BLAKE2b hash per ``(key, value)``
+    entry. The entry hash must not be linear, as CRC32 is: under a
+    linear hash, two maps that swap the values of two keys can fold to
+    the same digest.
+    """
     digest = 0
-    crc = zlib.crc32
     for key, value in data.items():
-        digest ^= crc(repr((key, value)).encode("utf-8"))
-    return digest
+        entry = blake2b(repr((key, value)).encode("utf-8"), digest_size=8).digest()
+        digest += int.from_bytes(entry, "little")
+    return digest & _MASK64
 
 
 class KVStore:

@@ -5,7 +5,7 @@ from typing import Dict
 
 import pytest
 
-from repro import BaselineConfig, ClientProfile, ClusterConfig, TxnSpec, Workload
+from repro import ClientProfile, ClusterConfig, TxnSpec, Workload
 from repro.baseline import BaselineCluster
 from repro.partition.partitioner import FuncPartitioner
 from repro.txn.procedures import Procedure, ProcedureRegistry
@@ -48,12 +48,10 @@ class TwoKeyWorkload(Workload):
         return TxnSpec("bump", None, keys, keys)
 
 
-def run_baseline(cross=True, partitions=2, force_logs=True, seed=3):
+def run_baseline(cross=True, partitions=2, seed=3):
     workload = TwoKeyWorkload(cross_partition=cross)
     cluster = BaselineCluster(
-        ClusterConfig(num_partitions=partitions, seed=seed),
-        baseline=BaselineConfig(force_log_writes=force_logs),
-        workload=workload,
+        ClusterConfig(num_partitions=partitions, seed=seed), workload=workload
     )
     cluster.load_workload_data()
     cluster.add_clients(ClientProfile(per_partition=4, max_txns=15))
@@ -87,11 +85,6 @@ class TestTwoPhaseCommitPaths:
         assert cluster.metrics.committed > 0
         # One force per local commit (group-committed).
         assert forces == cluster.metrics.committed
-
-    def test_force_disabled_mode(self):
-        cluster = run_baseline(force_logs=False)
-        assert cluster.metrics.committed > 0
-        assert all(node.log.forces == 0 for node in cluster.nodes.values())
 
     def test_no_locks_leak(self):
         cluster = run_baseline(cross=True)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.harness import ScaleProfile, machine_sweep
-from repro.config import BaselineConfig
 from repro.errors import ConfigError
 
 
@@ -47,26 +46,14 @@ class TestSaturationSweep:
         second = run_experiment("saturation", scale="smoke", seed=2012)
         assert first.rows == second.rows
 
-    def test_policy_and_arrival_variants(self):
+    def test_queue_policy_variant(self):
         from repro.bench.experiments import _FRACTIONS, _saturation_cell
 
         profile = ScaleProfile.get("smoke")
         rows = [
-            _saturation_cell(fraction, profile, 2012, policy="queue", arrival="uniform")
+            _saturation_cell(fraction, profile, 2012, policy="queue")
             for fraction in _FRACTIONS["smoke"]
         ]
         assert len(rows) == 3
         assert rows[-1][-1] > 0  # drops count as rejected
 
-
-class TestBaselineConfig:
-    def test_defaults_valid(self):
-        BaselineConfig().validate()
-
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ConfigError):
-            BaselineConfig(retry_backoff=-1).validate()
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ConfigError):
-            BaselineConfig(max_retries=-1).validate()

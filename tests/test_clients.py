@@ -1,4 +1,4 @@
-"""Closed-loop client behaviour: pacing, bounds, retries."""
+"""Closed-loop client behaviour: bounds, retries."""
 
 import pytest
 
@@ -34,13 +34,6 @@ class TestPacing:
         client = cluster.clients[0]
         assert client.completed > 10
         assert not client.finished
-
-    def test_think_time_throttles(self):
-        fast = make_cluster(max_txns=50)
-        fast.run(duration=0.5)
-        slow = make_cluster(think_time=0.05, max_txns=50)
-        slow.run(duration=0.5)
-        assert slow.clients[0].completed < fast.clients[0].completed
 
     def test_one_outstanding_at_a_time(self):
         cluster = make_cluster(max_txns=5)

@@ -72,3 +72,19 @@ class TestShardedCorrectness:
         config = ClusterConfig(num_partitions=1, lock_manager_shards=2)
         cluster = CalvinCluster(config, workload=workload)
         assert cluster.node(0, 0).scheduler.admission_backlog == 0
+
+    def test_grant_tallies_count_every_shard(self):
+        workload = Microbenchmark(mp_fraction=0.2, hot_set_size=20, cold_set_size=200)
+        config = ClusterConfig(num_partitions=2, seed=3, lock_manager_shards=4)
+        cluster = run_bounded_cluster(workload, config, max_txns=20)
+        scheduler = cluster.node(0, 0).scheduler
+        shards = scheduler._lock_shards
+        grants = sum(shard.grants for shard in shards)
+        immediate = sum(shard.immediate_grants for shard in shards)
+        assert grants > shards[0].grants
+        registry = cluster.metrics_registry
+        assert registry.get("node.r0p0.locks.grants").value == grants
+        assert registry.get("node.r0p0.locks.immediate_grants").value == immediate
+        stats = cluster.node_stats()[scheduler.node_id]
+        assert stats["lock_grants"] == grants
+        assert stats["immediate_grant_fraction"] == immediate / grants

@@ -45,7 +45,7 @@ class TestRouting:
         cluster = make_cluster(disk_enabled=True, archive_fraction=0.5)
         node = cluster.node(0, 0)
         key = ("arch", 0, 2)
-        node.engine.warm.admit(key)
+        node.engine.warm.add(key)
         node.handle_message(("x",), PrefetchRequest((key,)))
         assert node.engine.disk.fetches == 0
 

@@ -2,10 +2,12 @@
 names in ``__all__``, each importable and documented. A PR that adds or
 removes an export must update this list deliberately."""
 
+import dataclasses
+
 import repro
+from repro.reconfig import AutoscalePolicy
 
 EXPECTED_EXPORTS = [
-    "BaselineConfig",
     "CalvinCluster",
     "CalvinDB",
     "ClientProfile",
@@ -57,6 +59,34 @@ EXPECTED_EXPORTS = [
     "random_plan",
     "trace_digest",
 ]
+
+
+# Every settable field of the three config surfaces. A new knob is a
+# deliberate edit here: it needs two non-test callers that want
+# different values.
+EXPECTED_FIELDS = {
+    repro.ClusterConfig: [
+        "num_partitions", "num_replicas", "workers_per_node", "engine",
+        "lock_manager_shards", "epoch_duration", "replication_mode",
+        "force_input_log", "wan_latency", "wan_bandwidth", "topology",
+        "partial_hosting", "seed", "costs", "disk_enabled",
+        "disk_estimate_error", "admission_policy", "admission_queue_capacity",
+        "admission_epoch_budget", "sanitize", "audit_footprints",
+        "fault_profile", "fault_horizon", "active_partitions",
+    ],
+    repro.ClientProfile: [
+        "per_partition", "mode", "max_txns", "rate", "retry_rejected",
+    ],
+    AutoscalePolicy: [
+        "interval", "scale_up_queue_depth", "cooldown", "min_origins",
+    ],
+}
+
+
+def test_config_fields_match_census():
+    for config_cls, names in EXPECTED_FIELDS.items():
+        fields = [field.name for field in dataclasses.fields(config_cls)]
+        assert fields == names, config_cls.__name__
 
 
 def test_all_matches_contract():

@@ -460,7 +460,6 @@ class TestAutoscaler:
             admin,
             AutoscalePolicy(
                 interval=2 * cluster.config.epoch_duration,
-                scale_down_idle_samples=2,
                 cooldown=0.0,
                 min_origins=2,
             ),
@@ -476,5 +475,3 @@ class TestAutoscaler:
             AutoscalePolicy(interval=0).validate()
         with pytest.raises(ConfigError):
             AutoscalePolicy(min_origins=0).validate()
-        with pytest.raises(ConfigError):
-            AutoscalePolicy(split_fraction=2.0).validate()

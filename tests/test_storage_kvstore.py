@@ -91,6 +91,12 @@ class TestFingerprint:
     def test_empty_is_zero(self):
         assert KVStore().fingerprint() == 0
 
+    def test_swapped_values_differ(self):
+        a, b = KVStore(), KVStore()
+        a.load_bulk({("hot", 0, 1): 5, ("hot", 0, 2): 7})
+        b.load_bulk({("hot", 0, 1): 7, ("hot", 0, 2): 5})
+        assert a.fingerprint() != b.fingerprint()
+
 
 class TestWatchers:
     def test_watcher_sees_preimage(self):

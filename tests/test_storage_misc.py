@@ -1,16 +1,26 @@
-"""Unit tests for the input log, simulated disk, warm cache and engine."""
+"""Unit tests for the input log, simulated disk, warm set and engine."""
 
 import pytest
 
 from repro.config import CostModel
 from repro.errors import StorageError
 from repro.sim import RngStreams, Simulator
-from repro.storage import InputLog, LogEntry, SimulatedDisk, StorageEngine, WarmCache
+from repro.storage import InputLog, LogEntry, SimulatedDisk, StorageEngine
 from repro.txn.transaction import Transaction
 
 
 def make_txn(txn_id=1):
     return Transaction.create(txn_id, "p", None, [("k", 0)], [("k", 0)])
+
+
+def make_engine(disk_enabled=True, jitter=0.0):
+    sim = Simulator()
+    engine = StorageEngine(
+        sim, 0, CostModel(disk_latency_jitter=jitter), RngStreams(1).stream("d"),
+        disk_enabled=disk_enabled,
+        cold_predicate=lambda key: key[0] == "arch",
+    )
+    return sim, engine
 
 
 class TestInputLog:
@@ -54,30 +64,22 @@ class TestInputLog:
 
 
 class TestWarmCache:
-    def test_admit_and_contains(self):
-        cache = WarmCache()
-        cache.admit("k")
-        assert "k" in cache
-        assert len(cache) == 1
+    """The engine's set of fetched cold keys."""
 
-    def test_fifo_eviction(self):
-        cache = WarmCache(capacity=2)
-        cache.admit("a")
-        cache.admit("b")
-        cache.admit("c")
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-        assert cache.evictions == 1
+    def test_admit_and_contains(self):
+        sim, engine = make_engine()
+        engine.fetch(("arch", 1))
+        sim.run()
+        assert ("arch", 1) in engine.warm
+        assert len(engine.warm) == 1
 
     def test_readmit_no_duplicate(self):
-        cache = WarmCache(capacity=2)
-        cache.admit("a")
-        cache.admit("a")
-        assert len(cache) == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(StorageError):
-            WarmCache(capacity=0)
+        sim, engine = make_engine()
+        engine.fetch(("arch", 1))
+        engine.fetch(("arch", 1))
+        sim.run()
+        assert engine.prefetches == 2
+        assert len(engine.warm) == 1
 
 
 class TestSimulatedDisk:
@@ -115,55 +117,42 @@ class TestSimulatedDisk:
 
 
 class TestStorageEngine:
-    def make_engine(self, disk_enabled=True, jitter=0.0, warm_capacity=None):
-        sim = Simulator()
-        engine = StorageEngine(
-            sim, 0, CostModel(disk_latency_jitter=jitter), RngStreams(1).stream("d"),
-            disk_enabled=disk_enabled,
-            cold_predicate=lambda key: key[0] == "arch",
-            warm_capacity=warm_capacity,
-        )
-        return sim, engine
-
     def test_cold_detection(self):
-        _sim, engine = self.make_engine()
+        _sim, engine = make_engine()
         assert engine.is_cold(("arch", 1))
         assert not engine.is_cold(("hot", 1))
 
     def test_fetch_warms_key(self):
-        sim, engine = self.make_engine()
+        sim, engine = make_engine()
         engine.fetch(("arch", 1))
         sim.run()
         assert not engine.is_cold(("arch", 1))
 
     def test_disk_disabled_everything_warm(self):
-        _sim, engine = self.make_engine(disk_enabled=False)
+        _sim, engine = make_engine(disk_enabled=False)
         assert not engine.is_cold(("arch", 1))
 
     def test_cold_keys_of(self):
-        _sim, engine = self.make_engine()
+        _sim, engine = make_engine()
         keys = [("arch", 1), ("hot", 2), ("arch", 3)]
         assert engine.cold_keys_of(keys) == [("arch", 1), ("arch", 3)]
 
     def test_cold_keys_are_fetched_and_admitted_in_repr_order(self):
         # A footprint keeps its declared order, but the disk must not:
-        # fetch order decides the latency draws, completion order the
-        # FIFO warm cache's evictions.
+        # fetch order decides the latency draws and the completion order.
         outcomes = []
         for declared in ([("arch", 10), ("arch", 9)], [("arch", 9), ("arch", 10)]):
-            sim, engine = self.make_engine(jitter=0.004, warm_capacity=1)
+            sim, engine = make_engine(jitter=0.004)
             cold = engine.cold_keys_of(declared)
             admitted = []
             for key in cold:
                 engine.fetch(key).add_callback(lambda _event, key=key: admitted.append(key))
             sim.run()
-            warm = [key for key in cold if key in engine.warm]
-            outcomes.append((cold, admitted, warm, sim.now))
+            outcomes.append((cold, admitted, sim.now))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == [("arch", 10), ("arch", 9)]  # repr order
-        assert len(outcomes[0][2]) == 1                        # one evicted
 
     def test_expected_latency_error(self):
-        _sim, engine = self.make_engine()
+        _sim, engine = make_engine()
         assert engine.expected_fetch_latency(0.0) == pytest.approx(0.01)
         assert engine.expected_fetch_latency(0.5) == pytest.approx(0.005)

@@ -1,4 +1,4 @@
-"""Tests for open-loop traffic: profiles, arrivals, admission control."""
+"""Tests for open-loop traffic: profiles, Poisson arrivals, admission control."""
 
 from typing import Optional
 
@@ -32,38 +32,14 @@ class TestClientProfile:
         with pytest.raises(ConfigError):
             ClientProfile(mode="ajar").validate()
 
-    def test_negative_think_time_rejected(self):
-        with pytest.raises(ConfigError):
-            ClientProfile(think_time=-0.1).validate()
-
     def test_open_needs_positive_rate(self):
         with pytest.raises(ConfigError):
             ClientProfile(mode="open", rate=0).validate()
 
-    def test_unknown_arrival_rejected(self):
-        with pytest.raises(ConfigError):
-            ClientProfile(mode="open", arrival="fractal").validate()
-
-    def test_burst_size_floor(self):
-        with pytest.raises(ConfigError):
-            ClientProfile(mode="open", arrival="burst", burst_size=0).validate()
-
-    def test_burst_period_positive(self):
-        with pytest.raises(ConfigError):
-            ClientProfile(mode="open", arrival="burst", burst_period=0.0).validate()
-
     def test_closed_ignores_open_knobs(self):
-        # A closed profile with nonsense open-loop knobs still validates:
-        # they are simply unused.
-        ClientProfile(mode="closed", rate=-5, arrival="fractal").validate()
-
-    def test_effective_burst_period_preserves_rate(self):
-        profile = ClientProfile(mode="open", arrival="burst", rate=100.0, burst_size=10)
-        assert profile.effective_burst_period() == pytest.approx(0.1)
-        explicit = ClientProfile(
-            mode="open", arrival="burst", rate=100.0, burst_period=0.5
-        )
-        assert explicit.effective_burst_period() == 0.5
+        # A closed profile with a nonsense open-loop rate still validates:
+        # it is simply unused.
+        ClientProfile(mode="closed", rate=-5).validate()
 
 
 def _open_cluster(profile: ClientProfile, **config_kwargs) -> CalvinCluster:
@@ -79,27 +55,6 @@ def _open_cluster(profile: ClientProfile, **config_kwargs) -> CalvinCluster:
 
 
 class TestArrivalProcesses:
-    def test_uniform_gap_is_inverse_rate(self):
-        cluster = _open_cluster(
-            ClientProfile(per_partition=1, mode="open", arrival="uniform", rate=200.0)
-        )
-        client = cluster.clients[0]
-        assert client._next_gap() == pytest.approx(1 / 200.0)
-
-    def test_burst_gaps_are_zero_within_burst(self):
-        cluster = _open_cluster(
-            ClientProfile(
-                per_partition=1, mode="open", arrival="burst",
-                rate=100.0, burst_size=4,
-            )
-        )
-        client = cluster.clients[0]
-        gaps = [client._next_gap() for _ in range(8)]
-        # Three zero-gaps inside each burst, then the long inter-burst gap.
-        assert gaps[:3] == [0.0, 0.0, 0.0]
-        assert gaps[3] == pytest.approx(4 / 100.0)
-        assert gaps[4:7] == [0.0, 0.0, 0.0]
-
     def test_poisson_gaps_reproducible_across_builds(self):
         def gaps():
             cluster = _open_cluster(
