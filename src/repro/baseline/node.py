@@ -196,7 +196,7 @@ class BaselineNode:
 
         # Run the procedure logic on a local worker.
         exec_start = self.sim.now
-        yield self.workers.request()
+        yield self.workers
         procedure = self.registry.get(txn.procedure)
         cpu = costs.txn_base_cpu + procedure.logic_cpu
         if len(participants) > 1:
@@ -291,7 +291,7 @@ class BaselineNode:
 
         # All local locks held: read local values on a worker.
         exec_start = self.sim.now
-        yield self.workers.request()
+        yield self.workers
         cpu = (
             costs.lock_request_cpu * len(requests)
             + costs.read_cpu * len(request.read_keys)
@@ -318,7 +318,7 @@ class BaselineNode:
         writes = self._prepared.pop(decision.txn_id, None)
         if decision.commit and writes:
             apply_start = self.sim.now
-            yield self.workers.request()
+            yield self.workers
             yield max(self.config.costs.write_cpu * len(writes), 1e-9)
             self.store.apply_writes(writes)
             self.workers.release()

@@ -35,6 +35,8 @@ class ExperimentResult:
 
 
 def _format_cell(value: Any) -> str:
+    if value is None:
+        return "-"  # missing, e.g. a latency where nothing committed
     if isinstance(value, float):
         if value == 0:
             return "0"

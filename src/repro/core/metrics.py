@@ -82,16 +82,18 @@ class Metrics:
     def record_completion(self, procedure: str, result: TransactionResult, now: float) -> None:
         """Record a terminal execution (called on the reply partition)."""
         if result.status is TxnStatus.COMMITTED:
-            self._committed.increment()
+            self._committed.value += 1
             self.throughput.record(now)
             self.per_procedure[procedure] = self.per_procedure.get(procedure, 0) + 1
-            if result.granted_time:
-                self.sequencing.add(result.sequencing_latency)
-                self.execution.add(result.execution_latency)
+            granted = result.granted_time
+            if granted:
+                # TransactionResult.sequencing_latency / execution_latency.
+                self.sequencing.add(max(0.0, granted - result.submit_time))
+                self.execution.add(max(0.0, result.complete_time - granted))
         elif result.status is TxnStatus.ABORTED:
-            self._aborted.increment()
+            self._aborted.value += 1
         else:
-            self._restarts.increment()
+            self._restarts.value += 1
 
     def record_latency(self, latency: float) -> None:
         """Record a client-observed latency (client side, replica 0)."""

@@ -233,7 +233,7 @@ class CalvinNode:
         can bound its staleness.
         """
         costs = self.config.costs
-        yield self.scheduler.workers.request()
+        yield self.scheduler.workers
         yield costs.txn_base_cpu + costs.read_cpu * len(query.keys)
         values = {key: self.store.get(key) for key in query.keys}
         epoch = self.scheduler.next_epoch
@@ -300,7 +300,7 @@ class CalvinNode:
         while checkpointer.pending:
             # The dumper competes with transaction execution for a
             # worker slot — this is the Figure 8 throughput dip.
-            yield self.scheduler.workers.request()
+            yield self.scheduler.workers
             emitted = checkpointer.dump_slice(_CHECKPOINT_SLICE)
             yield max(1e-9, emitted * record_cpu)
             self.scheduler.workers.release()

@@ -267,8 +267,8 @@ class Catalog:
         if version:
             partition_of_at = self.partition_of_at
             return [partition_of_at(key, epoch) for key in keys]
-        # Hot: with no override in force every routing decision funnels
-        # through here, into the partitioner's one pass.
+        # No override in force yet at ``epoch``: the static map. (With
+        # none armed at all, route() calls the partitioner directly.)
         return self.partitioner.owners_of(keys)
 
     # -- elastic reconfiguration (repro.reconfig) -------------------------
@@ -382,9 +382,14 @@ class Catalog:
         reads = txn.read_set
         writes = txn.write_set
         shared = reads is writes
-        version = bisect_right(self._override_epochs, epoch)
-        read_owners = self._owners(reads, epoch, version)
-        write_owners = read_owners if shared else self._owners(writes, epoch, version)
+        if self._override_epochs:
+            version = bisect_right(self._override_epochs, epoch)
+            read_owners = self._owners(reads, epoch, version)
+            write_owners = read_owners if shared else self._owners(writes, epoch, version)
+        else:
+            owners_of = self.partitioner.owners_of
+            read_owners = owners_of(reads)
+            write_owners = read_owners if shared else owners_of(writes)
         owners = read_owners or write_owners
         if not owners:
             raise ConfigError(f"transaction {txn.txn_id} has an empty footprint")

@@ -15,12 +15,7 @@ from typing import Dict, TYPE_CHECKING
 
 from repro.net.messages import RemoteRead, TxnReply, WriteSetApply
 from repro.obs import SpanKind
-from repro.partition.catalog import (
-    NodeId,
-    is_migration_txn,
-    migration_route,
-    node_address,
-)
+from repro.partition.catalog import MIGRATION_PROC, NodeId, migration_route, node_address
 from repro.txn.context import TxnContext
 from repro.txn.ollp import run_logic
 from repro.txn.result import TransactionResult, TxnStatus
@@ -64,7 +59,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     seq = stxn.seq
     mine = sched.node_id.partition
 
-    if is_migration_txn(txn):
+    if txn.procedure == MIGRATION_PROC:
         # Control-plane key-range migration: its own two-sided
         # copy/purge protocol (see run_migration below).
         yield from run_migration(sched, stxn)
@@ -89,27 +84,29 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     tracer = sched.tracer
     replica, txn_id = sched.node_id.replica, txn.txn_id
 
-    yield sched.workers.request()
+    yield sched.workers
 
     # Stall on any still-cold local data (only happens when the
     # sequencer's prefetch was skipped or its estimate too low — the
     # Section 4 penalty path). The disk wait holds locks AND the
     # worker: exactly the stall Calvin's prefetching exists to avoid.
-    cold = sched.engine.cold_keys_of(local_read_keys)
-    if cold:
-        stall_start = sim.now
-        yield sim.all_of([sched.engine.fetch(key) for key in cold])
-        if tracer.enabled:
-            tracer.record(
-                SpanKind.DISK, stall_start, sim.now,
-                replica=replica, partition=mine,
-                txn_id=txn_id, seq=seq, detail="cold-stall",
-            )
+    engine = sched.engine
+    if engine.disk_enabled:
+        cold = engine.cold_keys_of(local_read_keys)
+        if cold:
+            stall_start = sim.now
+            yield sim.all_of([engine.fetch(key) for key in cold])
+            if tracer.enabled:
+                tracer.record(
+                    SpanKind.DISK, stall_start, sim.now,
+                    replica=replica, partition=mine,
+                    txn_id=txn_id, seq=seq, detail="cold-stall",
+                )
     exec_start = sim.now
 
     # Phase 2 — perform local reads.
     cpu = costs.txn_base_cpu + costs.read_cpu * len(local_read_keys)
-    local_values = sched.engine.read_many(local_read_keys)
+    local_values = engine.store.get_many(local_read_keys)
 
     reads: Dict = local_values
     messages_received = 0
@@ -153,7 +150,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
             sched.workers.release()
             while not expected.issubset(sched.remote_reads_for(seq)):
                 yield sched.remote_read_arrival(seq)
-            yield sched.workers.request()
+            yield sched.workers
             if tracer.enabled:
                 tracer.record(
                     SpanKind.REMOTE_READ_WAIT, wait_start, sim.now,
@@ -215,7 +212,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     if cpu > 0:
         yield cpu
     if status is TxnStatus.COMMITTED and local_writes:
-        sched.engine.store.apply_writes(local_writes, deleted)
+        engine.store.apply_writes(local_writes, deleted)
 
     if multipartition and catalog.partial and sched.node_id.replica == 0:
         # Ship this partition's deterministic outcome to peer replicas
@@ -272,7 +269,7 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
     tracer = sched.tracer
     replica, txn_id = sched.node_id.replica, txn.txn_id
 
-    yield sched.workers.request()
+    yield sched.workers
     exec_start = sim.now
 
     if mine == source:
@@ -288,7 +285,7 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
                     replica=replica, partition=mine,
                     txn_id=txn_id, seq=seq, detail="cold-stall",
                 )
-        values = sched.engine.read_many(keys)
+        values = sched.engine.store.get_many(keys)
         cpu = (
             costs.txn_base_cpu
             + costs.multipartition_overhead_cpu
@@ -328,7 +325,7 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
         sched.workers.release()
         while source not in sched.remote_reads_for(seq):
             yield sched.remote_read_arrival(seq)
-        yield sched.workers.request()
+        yield sched.workers
         if tracer.enabled:
             tracer.record(
                 SpanKind.REMOTE_READ_WAIT, wait_start, sim.now,
@@ -379,7 +376,7 @@ def apply_replicated(sched: "Scheduler", stxn: SequencedTxn):
 
     if mine not in stxn.route.active:
         # No writes can land on a passive participant; nothing to wait for.
-        yield sched.workers.request()
+        yield sched.workers
         yield costs.txn_base_cpu
         sched.workers.release()
         sched.finish_txn(stxn, None, passive=True)
@@ -398,7 +395,7 @@ def apply_replicated(sched: "Scheduler", stxn: SequencedTxn):
                 detail="writeset",
             )
 
-    yield sched.workers.request()
+    yield sched.workers
     apply_start = sim.now
     cpu = costs.txn_base_cpu + costs.write_cpu * len(message.writes)
     yield cpu

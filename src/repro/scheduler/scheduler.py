@@ -27,6 +27,7 @@ from repro.partition.partitioner import stable_hash
 from repro.scheduler.executor import OutcomeShare, run_transaction
 from repro.scheduler.lockmanager import DeterministicLockManager
 from repro.sim.events import Event
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import GlobalSeq, SequencedTxn
@@ -83,14 +84,15 @@ class Scheduler:
         self.workers = Resource(sim, config.workers_per_node, name=f"workers{node_id}")
         # Lock-manager shards: keys hash onto shards, each shard is one
         # "lock manager thread" granting strictly in sequence order over
-        # its keys. One shard (the default) is the paper's design.
-        self._lock_shards = [
-            DeterministicLockManager(self._on_shard_ready)
-            for _ in range(config.lock_manager_shards)
-        ]
-        # seq -> number of shards still holding ungranted locks.
+        # its keys. One shard (the default) is the paper's design: it
+        # reports straight to _on_locks_ready and keeps no per-shard
+        # bookkeeping.
+        shards = config.lock_manager_shards
+        on_ready = self._on_locks_ready if shards == 1 else self._on_shard_ready
+        self._lock_shards = [DeterministicLockManager(on_ready) for _ in range(shards)]
+        # Several shards only: seq -> number of shards still holding
+        # ungranted locks, and seq -> shard indexes involved (for release).
         self._lock_pending: Dict[GlobalSeq, int] = {}
-        # seq -> shard indexes involved (for release).
         self._txn_shards: Dict[GlobalSeq, List[int]] = {}
 
         # Epoch reassembly: epoch -> origin -> SubBatch.
@@ -214,10 +216,10 @@ class Scheduler:
                 split = split_slice(local, self._shard_of)
                 shards = sorted(split)
                 requests = [split[index] for index in shards]
+                self._lock_pending[stxn.seq] = len(shards)
+                self._txn_shards[stxn.seq] = shards
             self.admitted += 1
             self.outstanding += 1
-            self._lock_pending[stxn.seq] = len(shards)
-            self._txn_shards[stxn.seq] = shards
             for index, request in zip(shards, requests):
                 self._shard_queues[index].append((stxn, request))
                 if not self._shard_active[index]:
@@ -295,16 +297,23 @@ class Scheduler:
         """Run a fully-granted transaction. The seam engines override:
         the core engine executes locally; STAR routes multipartition
         transactions to its master node instead."""
-        self.sim.process(run_transaction(self, stxn))
+        Process(self.sim, run_transaction(self, stxn))
 
     def finish_txn(self, stxn: SequencedTxn, result: Any, passive: bool) -> None:
         """Called by the executor once this node's work for ``stxn`` is done."""
-        for index in self._txn_shards.pop(stxn.seq):
-            self._lock_shards[index].release(stxn)
-        self._mailbox.pop(stxn.seq, None)
-        self._mailbox_waiters.pop(stxn.seq, None)
-        self._writesets.pop(stxn.seq, None)
-        self._writeset_waiters.pop(stxn.seq, None)
+        shards = self._lock_shards
+        if len(shards) == 1:
+            shards[0].release(stxn)
+        else:
+            for index in self._txn_shards.pop(stxn.seq):
+                shards[index].release(stxn)
+        if len(stxn.route) > 1:
+            # Only a multipartition transaction is sent remote reads or
+            # a writeset.
+            self._mailbox.pop(stxn.seq, None)
+            self._mailbox_waiters.pop(stxn.seq, None)
+            self._writesets.pop(stxn.seq, None)
+            self._writeset_waiters.pop(stxn.seq, None)
         if self.retain_remote_reads:
             self._finished_seqs.add(stxn.seq)
         self.completed += 1
@@ -318,7 +327,8 @@ class Scheduler:
         # per replica.
         if result is not None and self.on_complete is not None:
             self.on_complete(stxn, result)
-        self._maybe_quiesced()
+        if self._quiesce_event is not None:
+            self._maybe_quiesced()
 
     # -- remote reads -----------------------------------------------------------
 

@@ -1,15 +1,16 @@
 """Generator-based simulation processes.
 
 A process is a Python generator that yields :class:`~repro.sim.events.Event`
-objects or bare delays; the kernel resumes the generator with the event's
-value when it triggers, or with ``None`` once the delay has passed. A
-process is itself an event that triggers with the generator's return
-value, so processes can wait on each other.
+objects, bare delays or :class:`~repro.sim.resources.Resource` pools; the
+kernel resumes the generator with the event's value when it triggers,
+with ``None`` once the delay has passed, or with the pool once it grants
+a slot. A process is itself an event that triggers with the generator's
+return value, so processes can wait on each other.
 
 Example::
 
     def worker(sim, pool):
-        grant = yield pool.request()
+        yield pool                        # wait for a slot
         yield 0.001                       # do 1 ms of work
         pool.release()
         return "done"
@@ -23,6 +24,7 @@ instant — so the two are interchangeable dispatch for dispatch. It builds no
 event: the expiry entry's handler is the kernel lane's own ``append``,
 which queues the resume. A negative or NaN delay is thrown into the
 generator at the ``yield`` as a :class:`~repro.errors.SimulationError`.
+Yielding a pool builds no event either (see :mod:`repro.sim.resources`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Any, Generator, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
+from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -67,6 +70,17 @@ class Process(Event):
             self.fail(exc)
             return
         if target.__class__ is not float:
+            if target.__class__ is Resource:
+                # A free slot is taken now and the resume queued on the
+                # lane; a busy pool queues it for Resource.release.
+                if target._in_use < target.capacity:
+                    target._account()
+                    target._in_use += 1
+                    target.total_grants += 1
+                    self.sim._lane.append((self._step, (target, True), None))
+                else:
+                    target._waiters.append(self._step)
+                return
             if isinstance(target, Event):
                 # Inlined target.add_callback(self._resume) — same semantics.
                 callbacks = target._callbacks

@@ -1,18 +1,22 @@
 """Counted resources: worker pools, disk queues, CPU slots.
 
-A :class:`Resource` has integer capacity. ``request()`` returns an event
-that triggers when a slot is granted (FIFO order). The holder calls
-``release()`` when done. This mirrors SimPy's ``Resource`` but with the
-minimum surface this project needs and strictly deterministic ordering.
+A :class:`Resource` has integer capacity. A process waits for a slot by
+yielding the resource itself (``yield pool``) and resumes, with the pool
+as the value, once a slot is granted (FIFO order). The holder calls
+``release()`` when done. A grant is one dispatch on the kernel's
+same-instant lane and builds no event: a free slot is taken at the
+``yield``, a busy pool queues the waiting process, and ``release()``
+passes the slot straight to the longest waiter. This mirrors SimPy's
+``Resource`` but with the minimum surface this project needs and
+strictly deterministic ordering.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, TYPE_CHECKING
+from typing import Callable, Deque, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -28,7 +32,8 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        # Waiting processes' resume methods (``Process._step``), oldest first.
+        self._waiters: Deque[Callable] = deque()
         # Cumulative stats for utilization reporting.
         self.total_grants = 0
         self._busy_time = 0.0
@@ -41,26 +46,20 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Requests waiting for a slot."""
+        """Processes waiting for a slot."""
         return len(self._waiters)
 
-    def request(self) -> Event:
-        """An event that triggers when a slot is granted to the caller."""
-        event = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._grant(event)
-        else:
-            self._waiters.append(event)
-        return event
-
     def release(self) -> None:
-        """Return a slot; the longest-waiting request (if any) is granted."""
+        """Return a slot; the longest-waiting process (if any) is granted it."""
         if self._in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
         self._account()
-        self._in_use -= 1
         if self._waiters:
-            self._grant(self._waiters.popleft())
+            # The slot passes to the waiter: still in use, one more grant.
+            self.total_grants += 1
+            self.sim._lane.append((self._waiters.popleft(), (self, True), None))
+        else:
+            self._in_use -= 1
 
     def utilization(self, elapsed: float) -> float:
         """Average fraction of capacity busy over ``elapsed`` time."""
@@ -68,12 +67,6 @@ class Resource:
             return 0.0
         self._account()
         return self._busy_time / (elapsed * self.capacity)
-
-    def _grant(self, event: Event) -> None:
-        self._account()
-        self._in_use += 1
-        self.total_grants += 1
-        event.succeed(self)
 
     def _account(self) -> None:
         now = self.sim.now

@@ -133,7 +133,7 @@ class StarMaster:
         scheduler = self.node.scheduler
         granted_time = sim.now
 
-        yield scheduler.workers.request()
+        yield scheduler.workers
         exec_start = sim.now
 
         route = stxn.route

@@ -105,7 +105,7 @@ class SimulatedDisk:
 
     def _fetch_process(self, done: Event):
         queued_at = self.sim.now
-        yield self._slots.request()
+        yield self._slots
         attempts = 0
         while True:
             latency = self.access_latency()

@@ -86,10 +86,6 @@ class StorageEngine:
         """Read a (memory-resident) record."""
         return self.store.get(key, default)
 
-    def read_many(self, keys: Iterable[Key]) -> Any:
-        """Read several memory-resident records as a dict."""
-        return self.store.get_many(keys)
-
     def expected_fetch_latency(self, estimate_error: float = 0.0) -> float:
         """The sequencer's estimate of one fetch, with optional relative error.
 

@@ -189,3 +189,24 @@ def test_fanned_out_run_matches_serial_byte_for_byte(tmp_path, capsys):
             outputs.append((table, Path(f"{prefix}.json").read_bytes(),
                             Path(f"{prefix}.csv").read_bytes()))
         assert outputs[0] == outputs[1], name
+
+
+def test_collapsed_geo_rung_reports_no_latency():
+    # At quick scale the narrowest rung commits nothing in its window:
+    # its latency is missing, not 0 ms (which would read faster than a
+    # healthy rung).
+    profile = experiments.ScaleProfile.get("quick")
+    bandwidth = experiments._BANDWIDTHS["quick"][-1]
+    row = experiments._geo_contention_cell(bandwidth, profile, 2012)
+    assert row[1] == 0
+    assert row[2] is None and row[3] is None
+    result = _archived("geo-contention")
+    _set(result, "p50_ms", None, where=lambda row: row["committed/s"] == 0)
+    _set(result, "p99_ms", None, where=lambda row: row["committed/s"] == 0)
+    # The missing rung prints as "-", and the claims skip it.
+    assert str(result).splitlines()[-2].split()[2:4] == ["-", "-"]
+    assert EXPERIMENTS["geo-contention"].failed_claims(result) == []
+    # A missing unconstrained rung fails the propagation claim by name.
+    result.rows[0][list(result.headers).index("p50_ms")] = None
+    failed = EXPERIMENTS["geo-contention"].failed_claims(result)
+    assert any(text.startswith("the unconstrained WAN commits") for text in failed), failed

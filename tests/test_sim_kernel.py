@@ -1,6 +1,7 @@
 """Unit tests for the simulator event loop."""
 
 import heapq
+from collections import deque
 from math import inf
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
+from repro.sim.events import Event
 
 
 @pytest.fixture
@@ -511,3 +513,141 @@ class TestOrderEquivalence:
         ref = _RefKernel()
         expected = _interpret(ref, ref.succeed, steps)
         assert _interpret(Simulator(), lambda event: event.succeed(), steps) == expected
+
+
+# -- yielding a pool vs the grant event it replaced --------------------------
+
+
+class _EventPool:
+    """The reference grant path: ``request()`` returns an event that
+    succeeds, with the pool as its value, when a slot is granted (FIFO);
+    a process waits with ``yield pool.request()``."""
+
+    def __init__(self, sim, capacity):
+        self.sim = sim
+        self.capacity = capacity
+        self.in_use = 0
+        self.total_grants = 0
+        self._waiters = deque()
+
+    @property
+    def queue_length(self):
+        return len(self._waiters)
+
+    def request(self):
+        event = Event(self.sim)
+        if self.in_use < self.capacity:
+            self._grant(event)
+        else:
+            self._waiters.append(event)
+        return event
+
+    def release(self):
+        self.in_use -= 1
+        if self._waiters:
+            self._grant(self._waiters.popleft())
+
+    def _grant(self, event):
+        self.in_use += 1
+        self.total_grants += 1
+        event.succeed(self)
+
+
+_WAITS = st.sampled_from(["bare", "timeout", "event"])
+_HOLDS = st.sampled_from([0.0, 1e-17, 0.25, 0.5])
+_POOL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("hold"), st.integers(0, 1), _WAITS, _HOLDS),
+        st.tuples(st.just("wait"), _WAITS, _HOLDS),
+        st.tuples(st.just("lane"), st.integers(1, 3)),
+    ),
+    max_size=4,
+)
+_POOL_PROGRAMS = st.tuples(
+    st.lists(st.integers(1, 3), min_size=1, max_size=2),  # capacities
+    st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0]), _POOL_OPS), min_size=1, max_size=8),
+    st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 2)), max_size=4),
+)
+
+
+def _run_pool_program(program, make_pool, acquire):
+    """Run ``program`` with pools from ``make_pool``; a process waits for
+    a slot by yielding ``acquire(pool)``. Returns every handler's label
+    and clock in dispatch order, ``(now, events_executed,
+    pending_events)`` at each quarter instant, and the pools' tallies."""
+    capacities, processes, bystanders = program
+    sim = Simulator()
+    pools = [make_pool(sim, capacity) for capacity in capacities]
+    trace = []
+
+    def log(label):
+        trace.append((label, sim.now))
+
+    def wait(kind, delay):
+        if kind == "bare":
+            return delay
+        if kind == "timeout":
+            return sim.timeout(delay)
+        event = sim.event()
+        sim.schedule(delay, event.succeed)
+        return event
+
+    def process(name, ops):
+        log((name, "start"))
+        for index, op in enumerate(ops):
+            if op[0] == "hold":
+                _, which, kind, hold = op
+                pool = pools[which % len(pools)]
+                granted = yield acquire(pool)
+                log((name, index, "granted", granted is pool))
+                yield wait(kind, hold)
+                pool.release()
+                log((name, index, "released"))
+            elif op[0] == "lane":
+                for lane_index in range(op[1]):
+                    sim.schedule(0.0, log, (name, index, "lane", lane_index))
+            else:
+                yield wait(op[1], op[2])
+                log((name, index, "woke"))
+
+    def bystander(name, children):
+        log(("bystander", name))
+        for child in range(children):
+            sim.schedule(0.0, log, ("bystander", name, child))
+
+    for name, (start, ops) in enumerate(processes):
+        sim.schedule(start, lambda name=name, ops=ops: sim.process(process(name, ops)))
+    for name, (at, children) in enumerate(bystanders):
+        sim.schedule(at, bystander, name, children)
+    seen = []
+    for quarter in range(12):
+        sim.run(until=quarter * 0.25)
+        seen.append((sim.now, sim.events_executed, sim.pending_events))
+    sim.run()
+    seen.append((sim.now, sim.events_executed, sim.pending_events))
+    tallies = [(pool.in_use, pool.queue_length, pool.total_grants) for pool in pools]
+    return trace, seen, tallies
+
+
+class TestPoolGrantEquivalence:
+    """``yield pool`` dispatches exactly what ``yield pool.request()``
+    did through a grant event: the same resumes, in the same order, at
+    the same clock, with the same dispatch count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_POOL_PROGRAMS)
+    def test_matches_event_grants(self, program):
+        expected = _run_pool_program(program, _EventPool, lambda pool: pool.request())
+        assert _run_pool_program(program, Resource, lambda pool: pool) == expected
+
+    def test_contended_release_among_lane_work(self):
+        # One slot, three waiters, releases at the instant other lane
+        # work is due: every grant is one dispatch, FIFO.
+        program = (
+            [1],
+            [(0.0, [("hold", 0, "bare", 0.0), ("lane", 2)])] * 3
+            + [(0.0, [("hold", 0, "event", 0.25), ("wait", "timeout", 0.0)])],
+            [(0.0, 2), (0.25, 1)],
+        )
+        expected = _run_pool_program(program, _EventPool, lambda pool: pool.request())
+        assert _run_pool_program(program, Resource, lambda pool: pool) == expected

@@ -1,4 +1,4 @@
-"""Unit tests for counted resources."""
+"""Unit tests for counted resources, driven by processes that yield the pool."""
 
 import pytest
 
@@ -11,6 +11,17 @@ def sim():
     return Simulator()
 
 
+def _holder(sim, pool, log, name, hold=None):
+    """Wait for a slot, log the grant, then hold it for ``hold`` (None:
+    keep it until the test releases it)."""
+    granted = yield pool
+    assert granted is pool
+    log.append((name, sim.now))
+    if hold is not None:
+        yield hold
+        pool.release()
+
+
 class TestResource:
     def test_capacity_validation(self, sim):
         with pytest.raises(SimulationError):
@@ -18,54 +29,57 @@ class TestResource:
 
     def test_grants_up_to_capacity(self, sim):
         pool = Resource(sim, 2)
-        first, second, third = pool.request(), pool.request(), pool.request()
-        assert first.triggered and second.triggered
-        assert not third.triggered
+        log = []
+        for name in "abc":
+            sim.process(_holder(sim, pool, log, name))
+        sim.run()
+        assert log == [("a", 0.0), ("b", 0.0)]
         assert pool.in_use == 2
         assert pool.queue_length == 1
 
     def test_release_grants_fifo(self, sim):
         pool = Resource(sim, 1)
-        pool.request()
-        waiter_a, waiter_b = pool.request(), pool.request()
+        log = []
+        for name in "abc":
+            sim.process(_holder(sim, pool, log, name))
+        sim.run()
+        assert [name for name, _ in log] == ["a"]
         pool.release()
-        assert waiter_a.triggered and not waiter_b.triggered
+        sim.run()
+        assert [name for name, _ in log] == ["a", "b"]
         pool.release()
-        assert waiter_b.triggered
+        sim.run()
+        assert [name for name, _ in log] == ["a", "b", "c"]
+        assert pool.in_use == 1 and pool.queue_length == 0
 
     def test_release_idle_rejected(self, sim):
         pool = Resource(sim, 1)
         with pytest.raises(SimulationError):
             pool.release()
+        # A pool its holders have drained is idle again.
+        sim.process(_holder(sim, pool, [], "a", hold=1.0))
+        sim.run()
+        assert pool.in_use == 0
+        with pytest.raises(SimulationError):
+            pool.release()
 
     def test_total_grants_counted(self, sim):
         pool = Resource(sim, 1)
-        pool.request()
-        pool.release()
-        pool.request()
+        for name in "ab":
+            sim.process(_holder(sim, pool, [], name, hold=1.0))
+        sim.run()
         assert pool.total_grants == 2
+        assert pool.in_use == 0
 
     def test_utilization_full(self, sim):
         pool = Resource(sim, 1)
-
-        def worker():
-            yield pool.request()
-            yield sim.timeout(1.0)
-            pool.release()
-
-        sim.process(worker())
+        sim.process(_holder(sim, pool, [], "a", hold=1.0))
         sim.run()
         assert pool.utilization(1.0) == pytest.approx(1.0)
 
     def test_utilization_half(self, sim):
         pool = Resource(sim, 2)
-
-        def worker():
-            yield pool.request()
-            yield sim.timeout(1.0)
-            pool.release()
-
-        sim.process(worker())
+        sim.process(_holder(sim, pool, [], "a", hold=1.0))
         sim.run()
         assert pool.utilization(1.0) == pytest.approx(0.5)
 
@@ -74,7 +88,7 @@ class TestResource:
         finish_times = []
 
         def worker():
-            yield pool.request()
+            yield pool
             yield sim.timeout(1.0)
             pool.release()
             finish_times.append(sim.now)
