@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, TYPE_CHECKING
 
-from repro.net.messages import ClientSubmit, TxnReply
+from repro.net.messages import SUBMIT_SIZE, TxnReply, new_submit
 from repro.partition.catalog import NodeId, client_address, node_address
 from repro.txn.ollp import reconnoiter
 from repro.txn.result import TxnStatus
@@ -26,6 +26,10 @@ from repro.workloads.base import TxnSpec, Workload
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import Cluster
     from repro.core.traffic import ClientProfile
+
+# Read once: a ``TxnStatus.X`` load takes ``EnumType.__getattr__``.
+_REJECTED = TxnStatus.REJECTED
+_RESTART = TxnStatus.RESTART
 
 
 class Client:
@@ -166,8 +170,7 @@ class Client:
         )
         self.submitted += 1
         self._inflight[txn.txn_id] = spec
-        message = ClientSubmit(txn)
-        cluster.network.send(self.address, self._target, message, message.size_estimate())
+        cluster.network.send(self.address, self._target, new_submit((txn,)), SUBMIT_SIZE)
 
     def _resubmit_after(self, delay: float, spec: TxnSpec, restarts: int) -> None:
         self._pending_resubmits += 1
@@ -191,12 +194,12 @@ class Client:
         # keeps only the spec (one allocation less per request).
         restarts = result.restarts
         cluster = self.cluster
-        if result.status is TxnStatus.REJECTED:
+        if result.status is _REJECTED:
             # Admission control refused the request before sequencing.
             # A resubmission gets a fresh txn id: the sequencer's dedupe
-            # set already saw the old one.
-            delay = result.retry_after
-            if not delay:
+            # set already saw the old one. A float value is the hint.
+            delay = result.value
+            if not (isinstance(delay, float) and delay):
                 delay = self._shed_retry
             elif not self.profile.retry_rejected:
                 delay = 0.0
@@ -213,7 +216,7 @@ class Client:
             if self.latency is not None:
                 self.latency.add(latency)
         self.completed += 1
-        if result.status is TxnStatus.RESTART and restarts < cluster.max_restarts:
+        if result.status is _RESTART and restarts < cluster.max_restarts:
             # Stale OLLP footprint (Calvin) or wait-die death (baseline):
             # reconnoiter again and resubmit, after the engine's backoff.
             if cluster.retry_backoff > 0:

@@ -12,6 +12,7 @@ benchmarks, while examples usually go through the friendlier
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple, Type
@@ -128,7 +129,7 @@ class Cluster(ABC):
         self.record_history = record_history
         self.history: List[HistoryEntry] = []
         self.clients: List[Client] = []
-        self._txn_counter = 0
+        self.next_txn_id = itertools.count(1).__next__
         self._initial_data: Dict[Key, Any] = {}
 
     # -- engine hooks --------------------------------------------------------
@@ -177,10 +178,6 @@ class Cluster(ABC):
         """Union of the (replica-0) partition stores."""
 
     # -- basic accessors -----------------------------------------------------
-
-    def next_txn_id(self) -> int:
-        self._txn_counter += 1
-        return self._txn_counter
 
     @property
     def initial_data(self) -> Dict[Key, Any]:

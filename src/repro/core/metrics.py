@@ -14,6 +14,10 @@ from typing import Dict, Optional
 from repro.obs import MetricsRegistry
 from repro.txn.result import TransactionResult, TxnStatus
 
+# Read once: a ``TxnStatus.X`` load takes ``EnumType.__getattr__``.
+_COMMITTED = TxnStatus.COMMITTED
+_ABORTED = TxnStatus.ABORTED
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -81,7 +85,7 @@ class Metrics:
 
     def record_completion(self, procedure: str, result: TransactionResult, now: float) -> None:
         """Record a terminal execution (called on the reply partition)."""
-        if result.status is TxnStatus.COMMITTED:
+        if result.status is _COMMITTED:
             self._committed.value += 1
             self.throughput.record(now)
             self.per_procedure[procedure] = self.per_procedure.get(procedure, 0) + 1
@@ -90,7 +94,7 @@ class Metrics:
                 # TransactionResult.sequencing_latency / execution_latency.
                 self.sequencing.add(max(0.0, granted - result.submit_time))
                 self.execution.add(max(0.0, result.complete_time - granted))
-        elif result.status is TxnStatus.ABORTED:
+        elif result.status is _ABORTED:
             self._aborted.value += 1
         else:
             self._restarts.value += 1

@@ -7,6 +7,7 @@ partition.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.config import ClusterConfig
@@ -89,10 +90,10 @@ class CalvinNode:
         self.tracer = tracer
         self.address = node_address(node_id)
         # Before the components: Paxos leader election sends during
-        # sequencer construction, and send() consults the crash flag.
+        # sequencer construction. Sends go straight to the network,
+        # which parks them while the node is crashed.
         self.crashed = False
-        self.suppressed_sends = 0
-        self._held_sends: list = []
+        self.send = partial(network.send, self.address)
 
         self.engine = StorageEngine(
             sim,
@@ -156,20 +157,20 @@ class CalvinNode:
         """Fail-stop: deaf (address unregistered, traffic to it dropped)
         and frozen (owner-tagged timers park in the kernel until restart).
 
-        Sends attempted while crashed are *parked*, not dropped: the
-        simulated processes that produce them are deterministic, so a
-        real recovery replay would regenerate byte-identical messages —
-        flushing them at restart is equivalent and far cheaper.
+        Sends attempted while crashed are *parked* by the network
+        (:meth:`Network.hold <repro.sim.network.Network.hold>`), not
+        dropped, and re-sent in order at restart.
         """
         if self.crashed:
             return
         self.crashed = True
         self.network.unregister(self.address)
+        self.network.hold(self.address)
         self.sim.suspend_owner(self.address)
 
     def restart(self) -> None:
-        """Rejoin the cluster: re-register, thaw parked timers, flush
-        parked sends.
+        """Rejoin the cluster: re-register, thaw parked timers, and have
+        the network re-send the parked sends in order.
 
         State recovery (re-learning missed input-log entries and lost
         remote reads from healthy peers) is orchestrated by
@@ -180,20 +181,16 @@ class CalvinNode:
         self.crashed = False
         self.network.register(self.address, self.handle_message)
         self.sim.resume_owner(self.address)
-        held, self._held_sends = self._held_sends, []
-        for dst, message, size in held:
-            self.network.send(self.address, dst, message, size)
+        self.network.release(self.address)
 
     @property
     def store(self):
         return self.engine.store
 
-    def send(self, dst: Any, message: Any, size: int = 256) -> None:
-        if self.crashed:
-            self.suppressed_sends += 1
-            self._held_sends.append((dst, message, size))
-            return
-        self.network.send(self.address, dst, message, size)
+    @property
+    def suppressed_sends(self) -> int:
+        """Sends this node attempted while crashed (parked, then re-sent)."""
+        return self.network.parked_sends.get(self.address, 0)
 
     # -- message routing ---------------------------------------------------------
 

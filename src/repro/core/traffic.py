@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Deque, Optional, TYPE_CHECKING, Tuple
 
 from repro.errors import ConfigError
-from repro.net.messages import TxnReply
+from repro.net.messages import REPLY_SIZE, new_reply
 from repro.partition.catalog import NodeId
-from repro.txn.result import TransactionResult, TxnStatus
+from repro.txn.result import TxnStatus, new_result
 from repro.txn.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 _MODES = ("closed", "open")
+# Read once: a ``TxnStatus.X`` load takes ``EnumType.__getattr__``.
+_REJECTED = TxnStatus.REJECTED
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,7 @@ class AdmissionController:
         self.policy = config.admission_policy
         self.capacity = config.admission_queue_capacity
         self.budget = int(config.admission_epoch_budget or 0)
+        self._hint_budget = max(1, self.budget)
         self.epoch_duration = config.epoch_duration
         self.sequencer = sequencer
         self.send = send
@@ -144,12 +147,8 @@ class AdmissionController:
             self._reject(txn, retry_after=None)
         else:  # backpressure
             self.backpressured += 1
-            self._reject(txn, retry_after=self.retry_after())
-
-    def retry_after(self) -> float:
-        """Deterministic backpressure hint: when the backlog has drained."""
-        backlog_epochs = 1 + len(self._queue) // max(1, self.budget)
-        return self.epoch_duration * backlog_epochs
+            backlog_epochs = 1 + len(self._queue) // self._hint_budget
+            self._reject(txn, retry_after=self.epoch_duration * backlog_epochs)
 
     def _admit(self, txn: Transaction) -> None:
         self.admitted += 1
@@ -157,16 +156,9 @@ class AdmissionController:
         self.sequencer.accept(txn)
 
     def _reject(self, txn: Transaction, retry_after: Optional[float]) -> None:
-        result = TransactionResult(
-            txn.txn_id,
-            TxnStatus.REJECTED,
-            retry_after if retry_after is not None else "admission shed",
-            txn.submit_time,
-            self.sim.now,
-            txn.restarts,
-        )
-        message = TxnReply(result)
-        self.send(txn.client, message, message.size_estimate())
+        hint = retry_after if retry_after is not None else "admission shed"
+        fields = (txn.txn_id, _REJECTED, hint, txn.submit_time, self.sim.now, txn.restarts, 0.0)
+        self.send(txn.client, new_reply((new_result(fields),)), REPLY_SIZE)
 
     # -- epoch hook (called by the sequencer after it cuts each batch) -----
 

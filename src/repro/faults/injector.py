@@ -209,7 +209,7 @@ class FaultInjector:
         """Re-send buffered messages in original order (they re-enter the
         filter, so traffic into a still-active fault is re-held)."""
         for src, dst, message, size in held:
-            self.network.send(src, dst, message, size)
+            self.network.resend(src, dst, message, size)
 
     # -- the network hook ------------------------------------------------
 

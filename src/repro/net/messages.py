@@ -10,6 +10,7 @@ sizes rather than Python object sizes.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, NamedTuple, Tuple
 
 from repro.partition.partitioner import Key
@@ -156,3 +157,11 @@ class TxnReply(NamedTuple):
 
     def size_estimate(self) -> int:
         return _HEADER_SIZE + 64
+
+
+# Builders from a 1-tuple in one C call, e.g. ``new_reply((result,))``
+# (docs/performance.md, "Record construction"); the sizes never vary.
+new_submit = partial(tuple.__new__, ClientSubmit)
+new_reply = partial(tuple.__new__, TxnReply)
+SUBMIT_SIZE = ClientSubmit(None).size_estimate()
+REPLY_SIZE = TxnReply(None).size_estimate()

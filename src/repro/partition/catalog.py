@@ -160,6 +160,8 @@ class Catalog:
             )
         self.config = config
         self.partitioner = partitioner
+        # Fixed for life (scale-out moves active_partitions instead).
+        self.num_partitions = config.num_partitions
         # Partial replication: per-replica hosted-partition sets (None =
         # full replication). Frozensets answer membership, the sorted
         # tuples answer deterministic iteration.
@@ -188,10 +190,6 @@ class Catalog:
         self._override_epochs: List[int] = []
         self._override_maps: List[Dict[Key, int]] = []
         self._overridden_keys: Set[Key] = set()
-
-    @property
-    def num_partitions(self) -> int:
-        return self.config.num_partitions
 
     @property
     def num_replicas(self) -> int:
@@ -260,14 +258,16 @@ class Catalog:
 
     def partitions_of(self, keys) -> Set[int]:
         """The set of partitions covering ``keys`` (static map)."""
-        return set(self._owners(keys, 0, 0))
+        return set(self._owners(keys, 0))
 
-    def _owners(self, keys, epoch: int, version: int) -> List[int]:
-        """Partition holding each of ``keys``, in order, at ``epoch``."""
+    def _owners(self, keys, version: int) -> List[int]:
+        """Partition holding each of ``keys``, in order, under ``version``."""
         if version:
-            partition_of_at = self.partition_of_at
-            return [partition_of_at(key, epoch) for key in keys]
-        # No override in force yet at ``epoch``: the static map. (With
+            # partition_of_at per key, without its frame: the version's
+            # map is cumulative, and unmoved keys keep the static owner.
+            moved = self._override_maps[version - 1]
+            return list(map(moved.get, keys, self.partitioner.owners_of(keys)))
+        # No override in force yet: the static map. (With
         # none armed at all, route() calls the partitioner directly.)
         return self.partitioner.owners_of(keys)
 
@@ -384,8 +384,8 @@ class Catalog:
         shared = reads is writes
         if self._override_epochs:
             version = bisect_right(self._override_epochs, epoch)
-            read_owners = self._owners(reads, epoch, version)
-            write_owners = read_owners if shared else self._owners(writes, epoch, version)
+            read_owners = self._owners(reads, version)
+            write_owners = read_owners if shared else self._owners(writes, version)
         else:
             owners_of = self.partitioner.owners_of
             read_owners = owners_of(reads)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, TYPE_CHECKING
 
-from repro.net.messages import RemoteRead, TxnReply, WriteSetApply
+from repro.net.messages import REPLY_SIZE, RemoteRead, WriteSetApply, new_reply
 from repro.obs import SpanKind
 from repro.partition.catalog import MIGRATION_PROC, NodeId, migration_route, node_address
 from repro.txn.context import TxnContext
 from repro.txn.ollp import run_logic
-from repro.txn.result import TransactionResult, TxnStatus
+from repro.txn.result import TxnStatus, new_result
 from repro.txn.transaction import GlobalSeq, SequencedTxn
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # the entry alone, so a diverging participant is never masked; the
 # share never crosses replicas, so replicas stay independent executions.
 OutcomeShare = Dict[GlobalSeq, list]
+# Read once: a ``TxnStatus.X`` load takes ``EnumType.__getattr__``.
+_COMMITTED = TxnStatus.COMMITTED
 
 
 def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
@@ -211,7 +213,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     )
     if cpu > 0:
         yield cpu
-    if status is TxnStatus.COMMITTED and local_writes:
+    if status is _COMMITTED and local_writes:
         engine.store.apply_writes(local_writes, deleted)
 
     if multipartition and catalog.partial and sched.node_id.replica == 0:
@@ -222,14 +224,14 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         targets = catalog.writeset_targets(mine, participants)
         if targets:
             message = WriteSetApply(
-                seq, mine, status is TxnStatus.COMMITTED, dict(local_writes)
+                seq, mine, status is _COMMITTED, dict(local_writes)
             )
             for peer in targets:
                 target = NodeId(peer, mine)
                 sched.send(node_address(target), message, message.size_estimate())
 
-    result = TransactionResult(
-        txn_id, status, value, txn.submit_time, sim.now, txn.restarts, granted_time
+    result = new_result(
+        (txn_id, status, value, txn.submit_time, sim.now, txn.restarts, granted_time)
     )
     if tracer.enabled:
         tracer.record(
@@ -239,8 +241,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     sched.workers.release()
     report = result if mine == route.reply else None
     if report is not None and txn.client is not None and sched.node_id.replica == 0:
-        reply = TxnReply(report)
-        sched.send(txn.client, reply, reply.size_estimate())
+        sched.send(txn.client, new_reply((report,)), REPLY_SIZE)
     if auditor is not None:
         auditor.observe(txn, context, status, report is not None)
     sched.finish_txn(stxn, report, passive=False)
@@ -337,15 +338,8 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
     yield costs.write_cpu * len(writes) + costs.remote_read_serve_cpu
     if writes:
         sched.engine.store.apply_writes(writes, False)
-    result = TransactionResult(
-        txn_id,
-        TxnStatus.COMMITTED,
-        len(writes),
-        txn.submit_time,
-        sim.now,
-        txn.restarts,
-        granted_time,
-    )
+    fields = (txn_id, _COMMITTED, len(writes), txn.submit_time, sim.now, txn.restarts, granted_time)
+    result = new_result(fields)
     if tracer.enabled:
         tracer.record(
             SpanKind.APPLY, apply_start, sim.now,

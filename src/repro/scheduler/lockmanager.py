@@ -44,6 +44,11 @@ class LockMode(enum.Enum):
     WRITE = "write"
 
 
+# Read once: a ``LockMode.X`` load takes ``EnumType.__getattr__``.
+_READ = LockMode.READ
+_WRITE = LockMode.WRITE
+
+
 class _Request:
     __slots__ = ("seq", "mode", "granted", "prev", "next")
 
@@ -76,7 +81,7 @@ class _LockQueue:
             request.prev = tail
             self.tail = request
         self.size += 1
-        if request.mode is LockMode.WRITE:
+        if request.mode is _WRITE:
             self.writes += 1
         if not request.granted:
             self.ungranted += 1
@@ -93,7 +98,7 @@ class _LockQueue:
             nxt.prev = prev
         request.prev = request.next = None
         self.size -= 1
-        if request.mode is LockMode.WRITE:
+        if request.mode is _WRITE:
             self.writes -= 1
         if not request.granted:
             self.ungranted -= 1
@@ -204,8 +209,8 @@ class DeterministicLockManager:
         queues_get = queues.get
         backlinks = entry.requests
         pending = 0
-        for mode, keys in ((LockMode.WRITE, write_keys), (LockMode.READ, read_keys)):
-            is_write = mode is LockMode.WRITE
+        for mode, keys in ((_WRITE, write_keys), (_READ, read_keys)):
+            is_write = mode is _WRITE
             for key in keys:
                 holder = queues_get(key)
                 if holder is None:
@@ -221,7 +226,7 @@ class DeterministicLockManager:
                     # for the new request so its release still unlinks.
                     old = _Request(
                         holder[0],
-                        LockMode.WRITE if holder[1] else LockMode.READ,
+                        _WRITE if holder[1] else _READ,
                     )
                     old.granted = True
                     queue = _LockQueue()
@@ -302,9 +307,9 @@ class DeterministicLockManager:
             head.granted = True
             queue.ungranted -= 1
             newly.append(head.seq)
-        if head.mode is LockMode.READ:
+        if head.mode is _READ:
             request = head.next
-            while request is not None and request.mode is LockMode.READ:
+            while request is not None and request.mode is _READ:
                 if not request.granted:
                     request.granted = True
                     queue.ungranted -= 1

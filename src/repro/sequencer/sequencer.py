@@ -24,7 +24,7 @@ from repro.obs import CAT_EPOCH, NULL_RECORDER, SpanKind, TraceRecorder
 from repro.partition.catalog import Catalog, NodeId, node_address
 from repro.sequencer.replication import ReplicationStrategy
 from repro.storage.inputlog import InputLog, LogEntry
-from repro.txn.transaction import SequencedTxn, Transaction
+from repro.txn.transaction import SequencedTxn, Transaction, new_sequenced
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
@@ -61,6 +61,8 @@ class Sequencer:
         # Hoisted is-enabled flag; see Scheduler.
         self._tracing = tracer.enabled
         self.node_id = node_id
+        # Only replica 0 takes client input (it leads the Paxos groups).
+        self.accepts_input = node_id.replica == 0
         self.catalog = catalog
         self.config = config
         self.send = send
@@ -119,11 +121,6 @@ class Sequencer:
         self.batches_dispatched = 0
 
     # -- lifecycle --------------------------------------------------------
-
-    @property
-    def accepts_input(self) -> bool:
-        """Only replica 0 takes client input (it leads the Paxos groups)."""
-        return self.node_id.replica == 0
 
     def start(self) -> None:
         """Begin epoch ticking (input-accepting sequencers only)."""
@@ -435,7 +432,7 @@ class Sequencer:
         ]
         for index, txn in enumerate(txns):
             txn_route = route(txn, epoch)
-            stxn = SequencedTxn((epoch, origin, index), txn, txn_route)
+            stxn = new_sequenced(((epoch, origin, index), txn, txn_route))
             sequenced.append(stxn)
             for partition in txn_route.participants:
                 per_partition[partition].append(stxn)

@@ -202,6 +202,9 @@ class Network:
         self._pairs: Dict[Tuple[Address, Address], _Pair] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
+        # Parked sends per held source, in order, and their tally.
+        self._holds: Dict[Address, list] = {}
+        self.parked_sends: Dict[Address, int] = {}
         # Fault-injection hook: consulted once per send (see faults/).
         self.fault_filter: Optional[FaultFilter] = None
         self.messages_dropped = 0
@@ -255,13 +258,36 @@ class Network:
             raise ConfigError(f"cannot place {address!r}: no datacenter {site}")
         self.topology.place(address, site)
 
+    def hold(self, src: Address) -> None:
+        """Park ``src``'s sends until :meth:`release` (a crashed node's:
+        its deterministic processes would regenerate them on recovery)."""
+        self._holds.setdefault(src, [])
+
+    def release(self, src: Address) -> None:
+        """Stop holding ``src``; re-send its parked sends in order."""
+        for dst, message, size in self._holds.pop(src, ()):
+            self.send(src, dst, message, size)
+
+    def resend(self, src: Address, dst: Address, message: Any, size: int) -> None:
+        """:meth:`send` past any hold: what a fault filter took custody of
+        before ``src`` crashed is not a send made while crashed."""
+        holds, self._holds = self._holds, {}
+        self.send(src, dst, message, size)
+        self._holds = holds
+
     def send(self, src: Address, dst: Address, message: Any, size: int = 256) -> None:
         """Deliver ``message`` from ``src`` to ``dst`` after the link delay.
 
-        Messages to unregistered destinations are dropped (the
-        destination may have crashed); senders needing acknowledgement
-        implement it at the protocol level, exactly as on a real network.
+        A held source's send is parked before any counter moves, so it
+        is counted once, at :meth:`release`. Messages to unregistered
+        destinations are dropped (the destination may have crashed);
+        senders needing acknowledgement implement it at the protocol
+        level, exactly as on a real network.
         """
+        if self._holds and src in self._holds:
+            self._holds[src].append((dst, message, size))
+            self.parked_sends[src] = self.parked_sends.get(src, 0) + 1
+            return
         self.messages_sent += 1
         self.bytes_sent += size
         path = None

@@ -31,6 +31,10 @@ ReadFn = Callable[[Key], Any]
 #: up and reports the RESTART (so at most ``MAX_RESTARTS + 1``
 #: submissions).
 MAX_RESTARTS = 10
+# Read once: a ``TxnStatus.X`` load takes ``EnumType.__getattr__``.
+_COMMITTED = TxnStatus.COMMITTED
+_ABORTED = TxnStatus.ABORTED
+_RESTART = TxnStatus.RESTART
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,9 @@ def run_logic(procedure: Procedure, context) -> Tuple[TxnStatus, Any]:
     RESTART on a failed recheck, ABORTED (reason; writes dropped) on
     :class:`TransactionAborted`, else COMMITTED with the logic's value."""
     if context.txn.dependent and not recheck_passes(procedure, context):
-        return TxnStatus.RESTART, None
+        return _RESTART, None
     try:
-        return TxnStatus.COMMITTED, procedure.logic(context)
+        return _COMMITTED, procedure.logic(context)
     except TransactionAborted as abort:
         context.writes.clear()
-        return TxnStatus.ABORTED, abort.reason
+        return _ABORTED, abort.reason

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Any, NamedTuple
 
 
@@ -68,3 +69,8 @@ class TransactionResult(NamedTuple):
         if self.status is TxnStatus.REJECTED and isinstance(self.value, float):
             return self.value
         return 0.0
+
+
+# Builds from a tuple of all seven fields in one C call, skipping the
+# Python-level ``__new__`` (docs/performance.md, "Record construction").
+new_result = partial(tuple.__new__, TransactionResult)

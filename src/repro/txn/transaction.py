@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass, fields
+from functools import partial
 from typing import Any, NamedTuple, Set, TYPE_CHECKING, Tuple
 
 from repro.partition.partitioner import FootprintKeys, Key, canonical_footprint
@@ -167,3 +168,7 @@ class SequencedTxn(NamedTuple):
     @property
     def epoch(self) -> int:
         return self.seq[0]
+
+
+# Builds from one ``(seq, txn, route)`` tuple in one C call.
+new_sequenced = partial(tuple.__new__, SequencedTxn)

@@ -284,6 +284,29 @@ class TestInjectorPrimitives:
         checkers.check_serializability(cluster)
         assert cluster.node(1, 0).suppressed_sends >= 0  # restart flushed holds
 
+    def test_custody_from_a_crashed_sender_goes_out_at_heal(self):
+        # The cut heals while a sender is still crashed: what it buffered
+        # was sent before the crash, so it goes out now instead of being
+        # parked with the node's own sends until restart.
+        plan = (
+            FaultPlan(name="p")
+            .partition_sites(at=0.05, group_a=[0], group_b=[1], until=0.3, mode="buffer")
+            .crash(at=0.1, replica=1, partition=0, until=0.5, resync=True)
+        )
+        cluster = fault_cluster(plan, num_replicas=2, replication_mode="paxos")
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=10))
+        cluster.start()
+        for client in cluster.clients:
+            client.start()
+        cluster.sim.run(until=0.31)
+        heal = next(entry for entry in cluster.fault_injector.trace if entry[1] == "heal")
+        node = cluster.node(1, 0)
+        assert heal[3] > 0 and node.crashed
+        assert node.suppressed_sends == 0
+        cluster.sim.run(until=0.8)
+        cluster.quiesce()
+        checkers.check_replica_consistency(cluster)
+
     def test_buffer_partition_holds_then_heals(self):
         plan = FaultPlan(name="p").partition_sites(
             at=0.1, group_a=[0], group_b=[1], until=0.3, mode="buffer"

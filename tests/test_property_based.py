@@ -316,7 +316,7 @@ def test_simulator_executes_in_time_then_fifo_order(delays):
 
 # ---------------------------------------------------------------------------
 # Network: per-pair FIFO delivery matches a reference model under moves,
-# crashes and (re-)registrations
+# crashes, (re-)registrations and held sources
 # ---------------------------------------------------------------------------
 
 ADDRESSES = ["a", "b", "c"]
@@ -336,6 +336,9 @@ network_ops = st.lists(
         st.tuples(st.just("place"), st.sampled_from(ADDRESSES), st.integers(0, 1)),
         st.tuples(st.just("unregister"), st.sampled_from(ADDRESSES)),
         st.tuples(st.just("register"), st.sampled_from(ADDRESSES)),
+        # A crashed node's sends: parked by the network, re-sent on release.
+        st.tuples(st.just("hold"), st.sampled_from(ADDRESSES)),
+        st.tuples(st.just("release"), st.sampled_from(ADDRESSES)),
     ),
     min_size=8,
     max_size=60,
@@ -349,10 +352,14 @@ def _topology():
 def _reference_deliveries(ops):
     """The contract, with plain dicts: a per-pair last arrival, the link's
     transfer time, an epsilon clamp, and the handler (here: its
-    registration number) looked up at delivery time."""
+    registration number) looked up at delivery time. A held source's
+    sends follow the node-side algorithm the network's holds replaced:
+    each is parked in a list, uncounted, and re-sent in order at release.
+    Returns the deliveries and ``messages_sent`` after every op."""
     topology, now, sites, last, pending, delivered = _topology(), 0.0, {}, {}, [], []
     registrations = itertools.count()
     handlers = {"a": next(registrations), "b": next(registrations)}
+    held, sent, scheduled = {}, [], [0]
 
     def drain(until):
         due = sorted(entry for entry in pending if entry[0] <= until)
@@ -361,20 +368,32 @@ def _reference_deliveries(ops):
             if dst in handlers:
                 delivered.append((dst, src, message, arrival, handlers[dst]))
 
+    def send(src, dst, message, size):
+        if src in held:
+            held[src].append((dst, message, size))
+            return
+        if src == dst:
+            spec = topology.local
+        elif sites.get(src, 0) == sites.get(dst, 0):
+            spec = topology.intra_site
+        else:
+            spec = topology.inter_site
+        arrival = now + spec.transfer_time(size)
+        if (src, dst) in last and arrival <= last[src, dst]:
+            arrival = last[src, dst] + 1e-9
+        last[src, dst] = arrival
+        scheduled[0] += 1  # messages_sent, and the heap's tie-break
+        pending.append((arrival, scheduled[0], src, dst, message))
+
     for index, op in enumerate(ops):
         if op[0] == "send":
             _, src, dst, size = op
-            if src == dst:
-                spec = topology.local
-            elif sites.get(src, 0) == sites.get(dst, 0):
-                spec = topology.intra_site
-            else:
-                spec = topology.inter_site
-            arrival = now + spec.transfer_time(size)
-            if (src, dst) in last and arrival <= last[src, dst]:
-                arrival = last[src, dst] + 1e-9
-            last[src, dst] = arrival
-            pending.append((arrival, index, src, dst, index))
+            send(src, dst, index, size)
+        elif op[0] == "hold":
+            held.setdefault(op[1], [])
+        elif op[0] == "release":
+            for dst, message, size in held.pop(op[1], []):
+                send(op[1], dst, message, size)
         elif op[0] == "advance":
             drain(now + op[1])
             now = now + op[1]
@@ -384,8 +403,9 @@ def _reference_deliveries(ops):
             handlers.pop(op[1], None)
         elif op[1] not in handlers:
             handlers[op[1]] = next(registrations)
+        sent.append(scheduled[0])
     drain(inf)
-    return delivered
+    return delivered, sent
 
 
 @given(network_ops)
@@ -407,9 +427,14 @@ def test_network_matches_reference_model(ops):
 
     register("a")
     register("b")
+    sent = []
     for index, op in enumerate(ops):
         if op[0] == "send":
             network.send(op[1], op[2], index, size=op[3])
+        elif op[0] == "hold":
+            network.hold(op[1])
+        elif op[0] == "release":
+            network.release(op[1])
         elif op[0] == "advance":
             sim.run(until=sim.now + op[1])
         elif op[0] == "place":
@@ -419,5 +444,6 @@ def test_network_matches_reference_model(ops):
             network.unregister(op[1])
         elif op[1] not in registered:
             register(op[1])
+        sent.append(network.messages_sent)
     sim.run()
-    assert delivered == _reference_deliveries(ops)
+    assert (delivered, sent) == _reference_deliveries(ops)

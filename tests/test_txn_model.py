@@ -10,9 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
+from repro.core import CalvinCluster
 from repro.errors import ConfigError, FootprintViolation, TransactionAborted
+from repro.net.messages import ClientSubmit, TxnReply, new_reply, new_submit
 from repro.partition import Catalog, FootprintKeys, FuncPartitioner
-from repro.partition.catalog import MIGRATION_PROC, is_migration_txn, migration_route
+from repro.partition.catalog import (
+    MIGRATION_PROC,
+    NodeId,
+    is_migration_txn,
+    migration_route,
+    node_address,
+)
 from repro.txn import (
     DELETED,
     Footprint,
@@ -23,6 +31,9 @@ from repro.txn import (
     TxnContext,
     reconnoiter,
 )
+from repro.txn.result import TransactionResult, TxnStatus, new_result
+from repro.txn.transaction import new_sequenced
+from repro.workloads import Microbenchmark
 
 
 def make_catalog(partitions=4):
@@ -400,6 +411,97 @@ class TestReadOnlyRecords:
         assert a != SequencedTxn((1, 0, 1), one, None)
         later = [SequencedTxn((2, 0, 0), one, None), SequencedTxn((1, 1, 0), one, None), a]
         assert [s.seq for s in sorted(later)] == [(1, 0, 0), (1, 1, 0), (2, 0, 0)]
+
+
+def _builder_cases():
+    txn = make_txn([("k", 0)], [("k", 1)])
+    result = TransactionResult(
+        txn_id=1, status=TxnStatus.COMMITTED, value=0.5, submit_time=0.1,
+        complete_time=0.2, restarts=1, granted_time=0.15,
+    )
+    cases = [
+        (new_result, TransactionResult, result._asdict()),
+        (new_reply, TxnReply, {"result": result}),
+        (new_submit, ClientSubmit, {"txn": txn}),
+        (new_sequenced, SequencedTxn, {"seq": (1, 0, 2), "txn": txn, "route": None}),
+    ]
+    return [pytest.param(*case, id=case[1].__name__) for case in cases]
+
+
+class TestRecordBuilders:
+    """The one-C-call builders beside the hot records build exactly the
+    record the class's own constructor builds (docs/performance.md,
+    "Record construction")."""
+
+    @pytest.mark.parametrize("builder, cls, fields", _builder_cases())
+    def test_builder_builds_its_record(self, builder, cls, fields):
+        record = builder(tuple(fields.values()))
+        expected = cls(**fields)
+        assert record == expected and tuple(record) == tuple(expected)
+        assert type(record) is cls
+        assert len(record) == len(cls._fields)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_replies_reach_the_client_whole(self):
+        """A refused submit and a committed one both reach the client as
+        a TxnReply carrying every field of a TransactionResult."""
+        config = ClusterConfig(
+            num_partitions=1,
+            seed=3,
+            admission_policy="backpressure",
+            admission_epoch_budget=1,
+            admission_queue_capacity=1,
+        )
+        workload = Microbenchmark(hot_set_size=50, cold_set_size=100)
+        cluster = CalvinCluster(config, workload=workload)
+        cluster.load_workload_data()
+        cluster.start()
+        probe = ("probe", 0)
+        replies = []
+        cluster.network.register(probe, lambda src, message: replies.append(message))
+        rng = cluster.rngs.stream("probe", 0)
+        txns = []
+        # Budget 1 admits the first, the queue of 1 takes the second,
+        # and the third is refused with the backlog's hint.
+        for _ in range(3):
+            spec = cluster.workload.generate(rng, 0, cluster.catalog)
+            txn = Transaction.create(
+                cluster.next_txn_id(), spec.procedure, spec.args,
+                spec.read_set, spec.write_set, client=probe,
+            )
+            txns.append(txn)
+            cluster.network.send(probe, node_address(NodeId(0, 0)), ClientSubmit(txn))
+        cluster.sim.run(until=0.1)
+
+        by_id = {reply.result.txn_id: reply for reply in replies}
+        assert sorted(by_id) == [txn.txn_id for txn in txns]
+        for reply in replies:
+            assert type(reply) is TxnReply and type(reply.result) is TransactionResult
+            assert len(reply.result) == len(TransactionResult._fields) == 7
+        refused = by_id[txns[2].txn_id].result
+        assert refused == TransactionResult(
+            txn_id=txns[2].txn_id,
+            status=TxnStatus.REJECTED,
+            value=config.epoch_duration * 2,
+            submit_time=0.0,
+            complete_time=refused.complete_time,
+            restarts=0,
+        )
+        assert refused.retry_after == config.epoch_duration * 2
+        committed = by_id[txns[0].txn_id].result
+        assert committed == TransactionResult(
+            txn_id=txns[0].txn_id,
+            status=TxnStatus.COMMITTED,
+            value=committed.value,
+            submit_time=0.0,
+            complete_time=committed.complete_time,
+            restarts=0,
+            granted_time=committed.granted_time,
+        )
+        assert 0.0 < committed.granted_time <= committed.complete_time
+        assert by_id[txns[1].txn_id].result.status is TxnStatus.COMMITTED
 
 
 class TestTxnContext:
