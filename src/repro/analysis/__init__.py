@@ -1,4 +1,4 @@
-"""Determinism analysis: sanitizer, footprint auditor, bisector.
+"""Determinism analysis: sanitizer and footprint auditor.
 
 Determinism is proven at runtime, by the run that would break it; there
 are no static rules:
@@ -13,13 +13,12 @@ are no static rules:
   are enforced by every engine's ``TxnContext`` at the offending access,
   and ``repro.txn.ollp`` checks reconnaissance and recheck where they
   run.
-- :mod:`repro.analysis.bisect` — per-epoch span-digest comparison of
-  two same-seed runs that reports the first divergent epoch and span.
 
 What the sanitizer cannot see (set order under a salted hash, ordering
-by address, ``datetime.now``) a cross-process differential catches: the
-same runs under two hash seeds and two allocators must print the same
-digests. See ``docs/static_analysis.md`` for the hazard → catcher table.
+by address, ``datetime.now``, state one run leaks into the next) a
+cross-process differential catches: the same runs under two hash seeds,
+two allocators and two run orders must print the same digests, epoch by
+epoch. See ``docs/determinism.md`` for the hazard → catcher table.
 """
 
 from repro.analysis.auditor import (
@@ -29,26 +28,14 @@ from repro.analysis.auditor import (
     audit_armed,
     audit_scope,
 )
-from repro.analysis.bisect import (
-    DivergenceReport,
-    bisect_runs,
-    diverge,
-    epoch_digests,
-    span_epoch,
-)
 from repro.analysis.sanitizer import DeterminismSanitizer, sanitizer_active
 
 __all__ = [
     "AuditingTxnContext",
     "DeterminismSanitizer",
-    "DivergenceReport",
     "FootprintAuditor",
     "adopt_auditor",
     "audit_armed",
     "audit_scope",
-    "bisect_runs",
-    "diverge",
-    "epoch_digests",
     "sanitizer_active",
-    "span_epoch",
 ]

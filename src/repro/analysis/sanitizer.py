@@ -32,7 +32,7 @@ What stays usable, deliberately:
 What no patch can reach — ``datetime.datetime.now`` (an attribute of a C
 type), set order under the salted ``str`` hash, ordering by ``id()`` —
 the cross-process differential catches instead
-(``tests/test_determinism_deep.py``; docs/static_analysis.md).
+(``tests/test_determinism_deep.py``; docs/determinism.md).
 
 Activation is reference-counted, so nesting (the cluster's quiesce loop
 re-entering ``Simulator.run`` per step, or a sanitized CLI command over

@@ -31,7 +31,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro import CalvinDB
-from repro.analysis import DeterminismSanitizer, audit_scope, bisect_runs
+from repro.analysis import DeterminismSanitizer, audit_scope
 from repro.bench.charts import ascii_chart
 from repro.bench.compare import compare_files
 from repro.bench.experiments import EXPERIMENTS, run_experiment
@@ -104,16 +104,11 @@ def common_parent(parser: argparse.ArgumentParser, **groups) -> None:
         elif group == "partitions":
             flag("--partitions", option, type=int, default=2)
         elif group == "output":
-            # option = what --json archives: the "table" (and --csv beside
-            # it), or (bisect) a "report" printed as JSON in place of the text.
-            report = option == "report"
-            parser.add_argument("--json", **(
-                dict(action="store_true", help="emit the divergence report as JSON")
-                if report else dict(metavar="FILE", help=f"also write the {option} as JSON")
-            ))
-            if not report:
-                parser.add_argument("--csv", metavar="FILE",
-                                    help=f"also write the {option} as CSV")
+            # option = what --json and --csv archive.
+            parser.add_argument("--json", metavar="FILE",
+                                help=f"also write the {option} as JSON")
+            parser.add_argument("--csv", metavar="FILE",
+                                help=f"also write the {option} as CSV")
         else:
             raise TypeError(f"unknown shared flag group {group!r}")
 
@@ -166,7 +161,7 @@ def _run_microbenchmark(
     before_run=None,
     **cluster_kwargs,
 ):
-    """The recipe ``chaos``, ``trace`` and ``bisect`` share: build the
+    """The recipe ``chaos`` and ``trace`` share: build the
     microbenchmark cluster ``config.engine`` names, add 4 bounded
     closed-loop clients per partition (plus an open-loop population at
     ``open_loop`` txn/s each when asked), run ``duration`` virtual
@@ -520,49 +515,6 @@ def cmd_topology_show(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- bisect ----------------------------------------------------------------------
-
-
-def declare_bisect(parser: argparse.ArgumentParser) -> None:
-    """run the same seed twice and locate the first divergent epoch"""
-    common_parent(
-        parser, seed=True, topology=True, sanitize=True,
-        duration=dict(default=0.3), replicas=dict(default=1), partitions=True,
-        profile=dict(help="also inject a fault profile"),
-    )
-    parser.add_argument("--runs", type=int, default=2,
-                        help="number of same-seed runs to compare (default 2)")
-    common_parent(parser, output="report")
-    # --sanitize reaches each compared run through its ClusterConfig, so
-    # every run arms and disarms around its own kernel loop; main() does
-    # not also arm the guard around the whole command.
-    parser.set_defaults(handler=cmd_bisect, sanitize_per_run=True)
-
-
-def cmd_bisect(args: argparse.Namespace) -> int:
-    config = config_from_args(args, **_fault_overrides(args.profile, args.duration))
-
-    def build_and_run(index: int):
-        if not args.json:
-            print(f"run {index + 1}/{max(2, args.runs)}: seed {args.seed}, "
-                  f"{args.duration}s of virtual time...")
-        tracer = TraceRecorder()
-        _run_microbenchmark(config, args.duration, tracer=tracer)
-        return list(tracer.spans)
-
-    report = bisect_runs(
-        build_and_run, config.epoch_duration, runs=max(2, args.runs)
-    )
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(report.describe())
-        if not report.equivalent:
-            print("a same-seed divergence means ambient state leaked into "
-                  "the run — try --sanitize to find it")
-    return 0 if report.equivalent else 1
-
-
 # -- the command table -----------------------------------------------------------
 
 Declare = Callable[[argparse.ArgumentParser], None]
@@ -580,7 +532,6 @@ COMMANDS: Dict[Tuple[str, ...], Union[str, Declare]] = {
     ("compare",): declare_compare,
     ("topology",): "inspect geo topology presets and their routes",
     ("topology", "show"): declare_topology_show,
-    ("bisect",): declare_bisect,
 }
 
 
@@ -624,7 +575,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run_command(args: argparse.Namespace) -> int:
     handler = args.handler
-    armed = getattr(args, "sanitize", False) and not hasattr(args, "sanitize_per_run")
+    armed = getattr(args, "sanitize", False)
     # Arm the trip wires for the whole command: cluster construction,
     # the simulated run(s), and reporting all happen inside.
     with DeterminismSanitizer() if armed else nullcontext():

@@ -84,9 +84,13 @@ def _config(engine: str, *features: str) -> ClusterConfig:
 
 
 def _run(engine: str, feature: str, clients=None, before_run=None):
-    cluster = build_cluster(
-        _config(engine, feature), workload=_workload(), record_history=True
-    )
+    return run_config(_config(engine, feature), clients, before_run)
+
+
+def run_config(config: ClusterConfig, clients=None, before_run=None):
+    """Run ``config`` to quiescence under bounded clients; at least one
+    commit, and every checker the cluster can answer passes."""
+    cluster = build_cluster(config, workload=_workload(), record_history=True)
     cluster.load_workload_data()
     cluster.add_clients(clients or ClientProfile(per_partition=4, max_txns=10))
     if before_run is not None:

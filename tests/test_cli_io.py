@@ -143,7 +143,6 @@ class TestSharedRunFlags:
             ["chaos", "--seed", "7", "--topology", "ring", "--sanitize",
              "--jobs", "2"],
             ["trace", "--seed", "7", "--topology", "mesh", "--sanitize"],
-            ["bisect", "--seed", "7", "--topology", "hub", "--sanitize"],
         ):
             args = parser.parse_args(argv)
             assert args.seed == 7, argv

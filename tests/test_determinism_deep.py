@@ -4,11 +4,13 @@ across processes, and every planted hazard is caught at runtime."""
 import math
 import os
 import random
+import re
 import secrets
 import subprocess
 import sys
 import time
 import uuid
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,8 @@ from repro import (
 )
 from repro.engines import UNSUPPORTED
 from repro.errors import SimulationError
-from tests.differential import PLANTS, WORKLOADS
+from repro.obs.spans import CAT_EPOCH, CAT_TXN, Span, SpanKind
+from tests.differential import PLANTS, WORKLOADS, epoch_digests, span_epoch
 
 
 def build_and_run(seed=33, workload_factory=None):
@@ -142,11 +145,12 @@ class TestFaultedRunEquivalence:
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(repro.__file__).resolve().parent.parent
-#: The two interpreters of the differential: hash seed, allocator and
-#: wall clock differ; nothing a run may depend on does.
+#: The two interpreters of the differential, as (environment, argv
+#: prefix): hash seed, allocator, wall clock and the order of the runs
+#: differ; nothing a run may depend on does.
 INTERPRETERS = (
-    {"PYTHONHASHSEED": "0"},
-    {"PYTHONHASHSEED": "1", "PYTHONMALLOC": "malloc"},
+    ({"PYTHONHASHSEED": "0"}, ()),
+    ({"PYTHONHASHSEED": "1", "PYTHONMALLOC": "malloc"}, ("reversed",)),
 )
 
 
@@ -157,11 +161,11 @@ def differential(*argv):
     base["PYTHONPATH"] = os.pathsep.join([str(SRC), str(ROOT)])
     runs = [
         subprocess.Popen(
-            [sys.executable, "-m", "tests.differential", *argv], cwd=ROOT,
+            [sys.executable, "-m", "tests.differential", *prefix, *argv], cwd=ROOT,
             env={**base, **interpreter}, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True,
         )
-        for interpreter in INTERPRETERS
+        for interpreter, prefix in INTERPRETERS
     ]
     outputs = []
     for run in runs:
@@ -171,22 +175,73 @@ def differential(*argv):
     return outputs
 
 
+def by_cluster(output):
+    """Cluster name -> {line name: the rest of the line}, in print order."""
+    clusters = {}
+    for line in output.splitlines():
+        name, rest = line.split(" ", 1)
+        clusters.setdefault(name.split("@")[0], {})[name] = rest
+    return clusters
+
+
+def mismatch(a, b, *plant):
+    """Where outputs ``a`` and ``b`` of the differential disagree, or
+    None. Lines match by name, since interpreter B runs in reverse
+    order. Names the first cluster, in A's order, with a differing line
+    and the first of its epochs that differs; then reruns that cluster
+    alone in both interpreters (``spans``) for the first differing span
+    on each side."""
+    clusters_a, clusters_b = by_cluster(a), by_cluster(b)
+    differing = [name for name in {**clusters_a, **clusters_b}
+                 if clusters_a.get(name) != clusters_b.get(name)]
+    if not differing:
+        return None
+    cluster = differing[0]
+    lines_a, lines_b = clusters_a.get(cluster, {}), clusters_b.get(cluster, {})
+    epochs = sorted(int(name.split("@")[1]) for name in {**lines_a, **lines_b}
+                    if "@" in name and lines_a.get(name) != lines_b.get(name))
+    report = [f"{len(differing)} cluster(s) differ; the first is {cluster}",
+              f"  A: {lines_a.get(cluster)}", f"  B: {lines_b.get(cluster)}"]
+    if not epochs:
+        return "\n".join(report + ["no epoch line differs: the final state, the logged "
+                                   "footprints or the order across epochs does"])
+    line = f"{cluster}@{epochs[0]}"
+    report += [f"first differing epoch {line}",
+               f"  A: {lines_a.get(line)}", f"  B: {lines_b.get(line)}"]
+    spans_a, spans_b = (out.splitlines() for out in
+                        differential("spans", cluster, str(epochs[0]), *plant))
+    for index, (span_a, span_b) in enumerate(zip_longest(spans_a, spans_b)):
+        if span_a != span_b:
+            return "\n".join(report + [f"first differing span #{index}",
+                                       f"  A: {span_a}", f"  B: {span_b}"])
+    return "\n".join(report + [f"rerun alone, {line} has the same spans in both "
+                               "interpreters: state leaked in from an earlier run"])
+
+
 class TestAcrossHashSeeds:
     def test_two_hash_seeds_run_identically(self):
-        """Every supported capability cell and every workload gives the
-        same trace, final state and logged footprints, key by key, under
-        two hash seeds and two allocators: no order follows the salted
-        ``hash`` or ``id()``, and nothing reads the wall clock."""
+        """Every supported capability cell, the extra cells and every
+        workload give the same trace, per-epoch spans, final state and
+        logged footprints, key by key, under two hash seeds, two
+        allocators and two run orders: no order follows the salted
+        ``hash`` or ``id()``, nothing reads the wall clock, and no run
+        leaks state into the next."""
         a, b = differential()
-        assert a == b
+        problem = mismatch(a, b)
+        assert problem is None, problem
+        clusters = list(by_cluster(a))
+        assert list(by_cluster(b)) == clusters[::-1]  # B really ran reversed
         rows = {line.split()[0]: line.split()[1:] for line in a.splitlines()}
         supported = {
             f"{feature}-{engine}.0" for feature, engine in cells.CELLS
             if UNSUPPORTED[engine].get(feature) is None
         }
-        assert set(rows) == supported | set(WORKLOADS)
+        assert set(clusters) == (
+            supported | {"geo-core.0", "wide-core.0"} | set(WORKLOADS)
+        )
         assert all(int(rows[name][3]) > 20 for name in WORKLOADS)  # logged
         assert int(rows["tpcc"][4]) > 0  # dependent TPC-C types ran
+        assert all(f"{name}@3" in rows for name in clusters)  # per-epoch lines
 
 
 # -- planted determinism hazards ---------------------------------------------
@@ -225,7 +280,9 @@ HAZARDS = [
 class TestPlantedHazards:
     """Each hazard is caught by the run that meets it: ambient state by
     the sanitizer, a NaN delay by the kernel, and what no patch reaches
-    (set order, address order, ``datetime.now``) by the differential."""
+    (set order, address order, ``datetime.now``, a module-level counter
+    that outlives a run) by the differential, which also locates where
+    two runs split."""
 
     @pytest.mark.parametrize(
         "hazard, caught", [row[1:] for row in HAZARDS], ids=[row[0] for row in HAZARDS]
@@ -241,7 +298,64 @@ class TestPlantedHazards:
         with pytest.raises(caught):
             cluster.run(duration=0.1)
 
-    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    # The frozen sequencer is located, not just caught, below.
+    @pytest.mark.parametrize("plant", sorted(set(PLANTS) - {"frozen-sequencer"}))
     def test_differential_catches(self, plant):
         a, b = differential(plant)
-        assert a and a != b
+        assert a and mismatch(a, b, plant)
+
+    def test_differential_locates_a_divergence(self):
+        """A sequencer frozen at 31 ms and thawed after an ambient-random
+        delay: the mismatch names the cell, an epoch no earlier than the
+        freeze, and the first differing span on each side; every earlier
+        epoch agrees."""
+        a, b = differential("frozen-sequencer")
+        problem = mismatch(a, b, "frozen-sequencer")
+        assert problem
+        first = re.search(r"first differing epoch micro@(\d+)", problem)
+        assert first and int(first.group(1)) >= 3, problem
+        span = re.search(r"first differing span #\d+\n  A: (.*)\n  B: (.*)", problem)
+        assert span and span.group(1) != span.group(2), problem
+        lines_a, lines_b = by_cluster(a)["micro"], by_cluster(b)["micro"]
+        for epoch in range(int(first.group(1))):
+            assert lines_a[f"micro@{epoch}"] == lines_b[f"micro@{epoch}"], epoch
+
+
+# -- per-epoch span digests ----------------------------------------------------
+
+EPOCH = 0.010
+
+
+def txn_span(start, seq, txn_id=1):
+    return Span(
+        kind=SpanKind.EXECUTE, start=start, end=start + 0.001, cat=CAT_TXN,
+        replica=0, partition=0, txn_id=txn_id, seq=seq,
+    )
+
+
+class TestSpanEpoch:
+    def test_sequenced_span_uses_global_seq(self):
+        span = txn_span(0.5, seq=(7, 0, 3))
+        assert span_epoch(span, EPOCH) == 7
+
+    def test_epoch_category_span_uses_detail(self):
+        span = Span(
+            kind=SpanKind.SEQUENCE, start=0.0, end=0.01,
+            cat=CAT_EPOCH, detail=4,
+        )
+        assert span_epoch(span, EPOCH) == 4
+
+    def test_untagged_span_binned_by_time(self):
+        span = Span(kind=SpanKind.DISK, start=0.025, end=0.026, cat="device")
+        assert span_epoch(span, EPOCH) == 2
+
+    def test_epoch_boundary_rounds_into_the_closing_epoch(self):
+        span = Span(kind=SpanKind.DISK, start=0.02, end=0.021, cat="device")
+        assert span_epoch(span, EPOCH) == 2
+
+
+def test_epoch_digests_shape():
+    spans = [txn_span(0.001 * i, seq=(i // 5, 0, i)) for i in range(10)]
+    digests = epoch_digests(spans, EPOCH)
+    assert sorted(digests) == [0, 1]
+    assert all(count == 5 for _, count in digests.values())
