@@ -172,10 +172,6 @@ class Client:
         self._inflight[txn.txn_id] = spec
         cluster.network.send(self.address, self._target, new_submit((txn,)), SUBMIT_SIZE)
 
-    def _resubmit_after(self, delay: float, spec: TxnSpec, restarts: int) -> None:
-        self._pending_resubmits += 1
-        self.cluster.sim.schedule(delay, self._resubmit, spec, restarts)
-
     def _resubmit(self, spec: TxnSpec, restarts: int) -> None:
         self._pending_resubmits -= 1
         self._submit(spec, restarts)
@@ -205,7 +201,8 @@ class Client:
                 delay = 0.0
             if delay:
                 self.retried += 1
-                self._resubmit_after(delay, spec, restarts)
+                self._pending_resubmits += 1
+                cluster.sim.schedule(delay, self._resubmit, spec, restarts)
             else:
                 self.rejected += 1
                 self._request_ended()
@@ -220,7 +217,8 @@ class Client:
             # Stale OLLP footprint (Calvin) or wait-die death (baseline):
             # reconnoiter again and resubmit, after the engine's backoff.
             if cluster.retry_backoff > 0:
-                self._resubmit_after(cluster.retry_backoff, spec, restarts + 1)
+                self._pending_resubmits += 1
+                cluster.sim.schedule(cluster.retry_backoff, self._resubmit, spec, restarts + 1)
             else:
                 self._submit(spec, restarts + 1)
             return

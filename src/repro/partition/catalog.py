@@ -402,8 +402,7 @@ class Catalog:
             if shared:
                 read_only: Tuple[Key, ...] = ()
             else:
-                written = set(writes)
-                read_only = tuple(key for key in reads if key not in written)
+                read_only = tuple(filterfalse(set(writes).__contains__, reads))
             # Its sole participant is also its sole executor, read-only
             # or not.
             read_holders = sole if reads else self._interned(())

@@ -123,7 +123,8 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         if local_read_keys:
             message = RemoteRead(seq, mine, local_values)
             targets = active - {mine}
-            sched.record_served_read(message, targets)
+            if sched.retain_remote_reads:
+                sched.record_served_read(message, targets)
             for partition in sorted(targets):
                 target = NodeId(sched.node_id.replica, partition)
                 sched.send(node_address(target), message, message.size_estimate())
@@ -294,7 +295,8 @@ def run_migration(sched: "Scheduler", stxn: SequencedTxn):
         )
         yield cpu
         message = RemoteRead(seq, mine, values)
-        sched.record_served_read(message, {dest})
+        if sched.retain_remote_reads:
+            sched.record_served_read(message, {dest})
         target = NodeId(replica, dest)
         sched.send(node_address(target), message, message.size_estimate())
 

@@ -19,10 +19,13 @@ Implementation notes (this is the scheduler's hottest data structure):
   granted iff there are no writes and nothing ungranted ahead of it.
 - An *uncontended* key — by far the common case at low contention —
   never allocates a queue (or even a request object): the table maps
-  the key to a bare ``(seq, is_write)`` marker tuple, and a second
-  request arriving promotes the marker to a real queue holding an
-  equivalent granted request. Sole holders are always granted, so the
-  promotion preserves the counter invariants.
+  the key to a bare ``(seq, is_write)`` marker tuple, one per
+  transaction and mode, shared by every key it holds that way. A
+  second request arriving promotes the marker to a real queue holding
+  an equivalent granted request. Sole holders are always granted, so
+  the promotion preserves the counter invariants, and a transaction
+  never holds one key twice, so ``release`` still tells its own marker
+  apart by identity.
 - Keys are requested in footprint order, unsorted. Which order one
   transaction requests its own keys in cannot change a grant: every
   queue is in sequence order, and ``release`` reports newly ready
@@ -211,12 +214,12 @@ class DeterministicLockManager:
         pending = 0
         for mode, keys in ((_WRITE, write_keys), (_READ, read_keys)):
             is_write = mode is _WRITE
+            marker = (seq, is_write)
             for key in keys:
                 holder = queues_get(key)
                 if holder is None:
-                    # Uncontended: a bare (seq, is_write) marker is the
+                    # Uncontended: the bare (seq, is_write) marker is the
                     # table entry — no request object, no queue.
-                    marker = (seq, is_write)
                     queues[key] = backlinks[key] = marker
                     continue
                 if holder.__class__ is tuple:

@@ -346,9 +346,9 @@ class Scheduler:
 
     def record_served_read(self, message: RemoteRead, targets: Set[int]) -> None:
         """Executor hook: remember a served remote read for re-serving to
-        a restarted peer (active only under fault injection)."""
-        if self.retain_remote_reads:
-            self._served_reads[message.seq] = (message, set(targets))
+        a restarted peer. Called only while ``retain_remote_reads`` is
+        set (under fault injection)."""
+        self._served_reads[message.seq] = (message, set(targets))
 
     def reserve_reads_to(self, peer_scheduler: "Scheduler") -> int:
         """Re-send retained remote reads a restarted peer may have lost.

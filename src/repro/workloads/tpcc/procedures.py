@@ -1,8 +1,9 @@
 """TPC-C stored procedures: logic, reconnaissance, recheck.
 
 Record values are treated as immutable — every write constructs a fresh
-dict (``{**old, ...}``), never mutates one read from the store, because
-stores hand out references and replicas compare raw contents.
+dict (``{**old, ...}``, or a literal when every field changes), never
+mutates one read from the store, because stores hand out references and
+replicas compare raw contents.
 """
 
 from __future__ import annotations
@@ -25,27 +26,30 @@ RECENT_ORDERS = 20
 # ---------------------------------------------------------------------------
 
 def new_order_logic(ctx: TxnContext) -> float:
+    # Every key comes from the request (TpccWorkload.new_order_request),
+    # the same objects its footprint holds; each line is (item key,
+    # stock key, order-line key, quantity).
     args = ctx.args
-    w, d, c = args["w"], args["d"], args["c"]
-    o_id: int = args["o_id"]
-    lines: Tuple[Tuple[int, int, int], ...] = args["lines"]
+    read, write = ctx.read, ctx.write
+    w, o_id = args["w"], args["o_id"]
+    lines = args["lines"]
 
-    warehouse = ctx.read(keys.warehouse(w))
-    district_key = keys.district(w, d)
-    district = ctx.read(district_key)
-    customer = ctx.read(keys.customer(w, d, c))
+    warehouse = read(args["warehouse"])
+    district_key = args["district"]
+    district = read(district_key)
+    customer = read(args["customer"])
 
     # TPC-C's 1% deterministic rollback: an unused item id was supplied.
     items = []
-    for item_id, _supply_w, _qty in lines:
-        item = ctx.read(keys.item(w, item_id))
+    for item_key, _stock_key, _line_key, _qty in lines:
+        item = read(item_key)
         if item is None:
             ctx.abort("invalid item id")
         items.append(item)
 
     ol_cnt = len(lines)
     entry = (o_id, ol_cnt)
-    ctx.write(
+    write(
         district_key,
         {
             **district,
@@ -56,26 +60,26 @@ def new_order_logic(ctx: TxnContext) -> float:
     )
 
     total = 0.0
-    for number, (item_id, supply_w, qty) in enumerate(lines):
-        stock_key = keys.stock(supply_w, item_id)
-        stock = ctx.read(stock_key)
+    for (_item_key, stock_key, line_key, qty), item in zip(lines, items):
+        _, supply_w, item_id = stock_key
+        stock = read(stock_key)
         quantity = stock["quantity"] - qty
         if quantity < 10:
             quantity += 91
-        ctx.write(
+        # Every field is replaced: a fresh row in the loader's field order.
+        write(
             stock_key,
             {
-                **stock,
                 "quantity": quantity,
                 "ytd": stock["ytd"] + qty,
                 "order_cnt": stock["order_cnt"] + 1,
                 "remote_cnt": stock["remote_cnt"] + (1 if supply_w != w else 0),
             },
         )
-        amount = qty * items[number]["price"]
+        amount = qty * item["price"]
         total += amount
-        ctx.write(
-            keys.order_line(w, d, o_id, number),
+        write(
+            line_key,
             {
                 "i_id": item_id,
                 "supply_w": supply_w,
@@ -85,11 +89,8 @@ def new_order_logic(ctx: TxnContext) -> float:
             },
         )
 
-    ctx.write(
-        keys.order(w, d, o_id),
-        {"c_id": c, "carrier": None, "ol_cnt": ol_cnt},
-    )
-    ctx.write(keys.customer_last_order(w, d, c), entry)
+    write(args["order"], {"c_id": args["c"], "carrier": None, "ol_cnt": ol_cnt})
+    write(args["last_order"], entry)
     total *= (1.0 - customer["discount"]) * (1.0 + warehouse["tax"] + district["tax"])
     return round(total, 2)
 

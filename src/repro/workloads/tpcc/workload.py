@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.partition.catalog import Catalog
@@ -152,25 +152,49 @@ class TpccWorkload(Workload):
             # TPC-C 2.4.1.5: the last line references an unused item.
             item_id, supply_w, qty = lines[-1]
             lines[-1] = (-1, supply_w, qty)
-        lines = tuple(lines)
+        return self.new_order_request(w, d, c, o_id, lines, total_warehouses)
 
+    def new_order_request(
+        self, w: int, d: int, c: int, o_id: int,
+        lines: Sequence[Tuple[int, int, int]], total_warehouses: int,
+    ) -> TxnSpec:
+        """The New Order request for order ``o_id`` of customer ``c`` in
+        district ``d`` of warehouse ``w``, one ``(item id, supplying
+        warehouse, quantity)`` per entry of ``lines`` (item id -1: the
+        unused item). Every key is built here, once: ``args`` carries
+        the footprint's own key objects, so the logic builds none and
+        the rows it creates are stored under the keys the input log
+        already holds."""
         warehouses, districts, customers, items, stocks = self._key_tables(
             total_warehouses
         )
+        warehouse_key = warehouses[w]
         district_key = districts[w][d]
-        reads = [warehouses[w], district_key, customers[w][d][c]]
-        writes = [district_key, keys.order(w, d, o_id),
-                  keys.customer_last_order(w, d, c)]
+        customer_key = customers[w][d][c]
+        order_key = keys.order(w, d, o_id)
+        last_order_key = keys.customer_last_order(w, d, c)
+        reads = [warehouse_key, district_key, customer_key]
+        writes = [district_key, order_key, last_order_key]
+        item_keys = items[w]
+        order_lines = []
         for number, (item_id, supply_w, qty) in enumerate(lines):
             if item_id < 0:  # the unused item: no loaded row, no table entry
                 item_key = keys.item(w, item_id)
                 stock_key = keys.stock(supply_w, item_id)
             else:
-                item_key = items[w][item_id]
+                item_key = item_keys[item_id]
                 stock_key = stocks[supply_w][item_id]
+            # keys.order_line's tuple, built inline: one call less per line.
+            line_key = ("order_line", w, d, o_id, number)
             reads += (item_key, stock_key)
-            writes += (stock_key, keys.order_line(w, d, o_id, number))
-        args = {"w": w, "d": d, "c": c, "o_id": o_id, "lines": lines}
+            writes += (stock_key, line_key)
+            order_lines.append((item_key, stock_key, line_key, qty))
+        args = {
+            "w": w, "d": d, "c": c, "o_id": o_id,
+            "warehouse": warehouse_key, "district": district_key, "customer": customer_key,
+            "order": order_key, "last_order": last_order_key,
+            "lines": tuple(order_lines),
+        }
         return TxnSpec.create("new_order", args, reads, writes)
 
     def _random_last_name(self, rng: random.Random) -> str:

@@ -57,11 +57,9 @@ WORKLOADS = {
 }
 
 #: Cells on the core engine beyond the capability table's, as config
-#: changes to its two-partition cell: WAN routing (at one replica the
-#: ``ring`` topology has a single datacenter, so no table cell sends a
-#: message over a WAN link) and a wide cluster.
+#: changes to its two-partition cell: a wide cluster. (WAN routing is
+#: the table's own ``topology-core`` cell, at two replicas.)
 EXTRA_CELLS = {
-    "geo": dict(num_replicas=2, replication_mode="paxos", topology="ring"),
     "wide": dict(num_partitions=16),
 }
 

@@ -237,7 +237,7 @@ class TestAcrossHashSeeds:
             if UNSUPPORTED[engine].get(feature) is None
         }
         assert set(clusters) == (
-            supported | {"geo-core.0", "wide-core.0"} | set(WORKLOADS)
+            supported | {"wide-core.0"} | set(WORKLOADS)
         )
         assert all(int(rows[name][3]) > 20 for name in WORKLOADS)  # logged
         assert int(rows["tpcc"][4]) > 0  # dependent TPC-C types ran

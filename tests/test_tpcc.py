@@ -66,11 +66,17 @@ class TestMixAndGenerate:
         )
         spec = workload.generate(random.Random(2), 0, catalog)
         args = spec.args
-        for number, (item_id, supply_w, _qty) in enumerate(args["lines"]):
-            assert keys.item(args["w"], item_id) in spec.read_set
-            assert keys.stock(supply_w, item_id) in spec.write_set
-            assert keys.order_line(args["w"], args["d"], args["o_id"], number) in spec.write_set
-        assert keys.district(args["w"], args["d"]) in spec.write_set
+        w, d, o_id = args["w"], args["d"], args["o_id"]
+        for number, (item_key, stock_key, line_key, _qty) in enumerate(args["lines"]):
+            _, supply_w, item_id = stock_key
+            assert item_key == keys.item(w, item_id) and item_key in spec.read_set
+            assert stock_key == keys.stock(supply_w, item_id)
+            assert stock_key in spec.read_set and stock_key in spec.write_set
+            assert line_key == keys.order_line(w, d, o_id, number)
+            assert line_key in spec.write_set
+        assert args["district"] == keys.district(w, d) and args["district"] in spec.write_set
+        assert args["order"] == keys.order(w, d, o_id)
+        assert args["last_order"] == keys.customer_last_order(w, d, args["c"])
 
     def test_order_ids_unique(self):
         catalog, _ = make_catalog(1, scale=SMALL)
@@ -99,6 +105,7 @@ class TpccDbHarness:
     """Drive individual TPC-C transactions through a tiny CalvinDB."""
 
     def __init__(self, partitions=1):
+        self.partitions = partitions
         self.workload = TpccWorkload(scale=SMALL, invalid_item_fraction=0.0)
         self.db = CalvinDB(
             num_partitions=partitions,
@@ -109,16 +116,9 @@ class TpccDbHarness:
         self.db.load(build_initial_data(SMALL, partitions))
 
     def new_order(self, w=0, d=0, c=1, o_id=1000, lines=((2, 0, 3), (4, 0, 1))):
-        args = {"w": w, "d": d, "c": c, "o_id": o_id, "lines": tuple(lines)}
-        reads = {keys.warehouse(w), keys.district(w, d), keys.customer(w, d, c)}
-        writes = {keys.district(w, d), keys.order(w, d, o_id),
-                  keys.customer_last_order(w, d, c)}
-        for number, (item_id, supply_w, _qty) in enumerate(args["lines"]):
-            reads.add(keys.item(w, item_id))
-            reads.add(keys.stock(supply_w, item_id))
-            writes.add(keys.stock(supply_w, item_id))
-            writes.add(keys.order_line(w, d, o_id, number))
-        return self.db.execute("new_order", args, reads, writes)
+        warehouses = self.partitions * SMALL.warehouses_per_partition
+        spec = self.workload.new_order_request(w, d, c, o_id, lines, warehouses)
+        return self.db.execute("new_order", spec.args, spec.read_set, spec.write_set)
 
 
 class TestProcedures:
@@ -133,6 +133,28 @@ class TestProcedures:
         assert district["undelivered"] == ((1000, 2),)
         assert harness.db.get(keys.stock(0, 2))["quantity"] == before - 3
         assert harness.db.get(keys.order(0, 0, 1000))["c_id"] == 1
+
+    def test_new_order_stores_rows_under_its_request_keys(self):
+        # The logic builds no key: the order and order-line rows it
+        # creates are stored under the very objects the transaction's
+        # write set (and so the input log) holds.
+        harness = TpccDbHarness()
+        assert harness.new_order().committed
+        (entry,) = harness.db.cluster.merged_log()
+        (txn,) = entry.txns
+        created = [key for key in txn.write_set if key[0] in ("order", "order_line")]
+        assert len(created) == 3
+        stored = {key: key for key in harness.db.final_state()}
+        for key in created:
+            assert stored[key] is key
+
+    def test_new_order_stock_row_keeps_the_loaders_fields(self):
+        # New Order writes each stock row as a literal; a field the
+        # loader gains must show here rather than be dropped on write.
+        harness = TpccDbHarness()
+        loaded = harness.db.get(keys.stock(0, 2))
+        assert harness.new_order().committed
+        assert list(harness.db.get(keys.stock(0, 2))) == list(loaded)
 
     def test_new_order_invalid_item_aborts(self):
         harness = TpccDbHarness()
